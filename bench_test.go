@@ -299,7 +299,7 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 
 // benchTracedSteadyState is benchSteadyState through the tracing entry
 // point: the same timing loop with an event sink attached (or the nil
-// sink, which dispatches straight back into the untraced loop).
+// sink, under which every Emit guard is not taken).
 func benchTracedSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, mkSink func() tracing.EventSink) {
 	cal := power.DefaultCalibration()
 	pc := cpu.DefaultPipeConfig()
@@ -332,11 +332,11 @@ func benchTracedSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, mkSink f
 
 // BenchmarkPipelineTraced measures the tracing entry point of the
 // timing loop. NilSink is the overhead contract ci.sh gates: a nil
-// sink must dispatch into the untraced loop and stay at 0 allocs/op
-// (tracing costs an untraced run exactly one branch). Ring captures
-// every event into a preallocated ring — the sink Emit path is itself
-// allocation-free, so this too must report 0 allocs/op; its ns/op vs
-// NilSink is the tracing overhead quoted in DESIGN.md §12.
+// sink must stay at 0 allocs/op (tracing costs an untraced run one
+// not-taken branch per Emit site). Ring captures every event into a
+// preallocated ring — the sink Emit path is itself allocation-free, so
+// this too must report 0 allocs/op; its ns/op vs NilSink is the tracing
+// overhead quoted in DESIGN.md §12.
 func BenchmarkPipelineTraced(b *testing.B) {
 	s, err := sim.Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
 	if err != nil {

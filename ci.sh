@@ -20,6 +20,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== benchmark module: go vet + go test =="
+# bench/ is a separate Go module, so the root ./... never compiles it;
+# this keeps an API change from silently breaking bench/run.sh.
+go -C bench vet ./...
+go -C bench test ./...
+
 echo "== go test -race (parallel engine + sim + telemetry + serving plane) =="
 go test -race ./internal/sim ./internal/experiments ./internal/telemetry ./cmd/internal/cli \
     ./internal/serve ./internal/archive
@@ -44,9 +50,9 @@ if [ "$(echo "$bench" | grep -c "BenchmarkPipelineSteadyState/.* 0 allocs/op")" 
 fi
 
 echo "== benchmark smoke: tracing entry point stays allocation-free =="
-# The traced pipeline entry must cost nothing when untraced (nil sink
-# dispatches back into the plain loop) and nothing per event when a
-# ring sink is attached; both paths are gated at 0 allocs/op.
+# The one cycle loop must allocate nothing with a nil sink (every Emit
+# guard not taken) and nothing per event with a ring sink attached;
+# both paths are gated at 0 allocs/op.
 bench=$(go test -run=NONE -bench=BenchmarkPipelineTraced -benchtime=1x -benchmem .)
 echo "$bench"
 if [ "$(echo "$bench" | grep -c "BenchmarkPipelineTraced/.* 0 allocs/op")" -ne 2 ]; then

@@ -155,7 +155,11 @@ func main() {
 	tf := cli.RegisterFlags(fs)
 	log = cli.Parse("fitsbench", fs, tf, os.Args[1:])
 
-	if *sample && (*metricsPath != "" || *phasesPath != "") {
+	exporting := *metricsPath != "" || *phasesPath != ""
+	if exporting && *window <= 0 {
+		cli.UsageError(log, fmt.Errorf("-window must be positive with -metrics/-phases, got %d", *window))
+	}
+	if *sample && exporting {
 		fatal(fmt.Errorf("-sample is incompatible with -metrics/-phases: phase series require a full detailed run"))
 	}
 
@@ -207,15 +211,15 @@ func main() {
 
 	if needSuite {
 		man := metrics.NewManifest("fitsbench")
-		var observe sim.ObserveOptions
-		if *metricsPath != "" || *phasesPath != "" {
-			observe.WindowCycles = *window
+		windowCycles := 0
+		if exporting {
+			windowCycles = *window
 		}
 		tele.Begin(len(kernels.All()))
 		suite, err := experiments.RunSuite(experiments.Options{
 			Scale: *scale, Workers: *jobs,
 			Progress: experiments.MultiProgress(progress, tele.Progress()),
-			Log:      log, Observe: observe,
+			Log:      log, WindowCycles: windowCycles,
 			Superblocks: *superblocks, Sampled: *sample})
 		if err != nil {
 			fatal(err)

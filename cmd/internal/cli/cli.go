@@ -100,6 +100,13 @@ func Parse(tool string, fs *flag.FlagSet, f *Flags, args []string) *slog.Logger 
 	return log
 }
 
+// UsageError reports an invalid flag combination found after Parse and
+// exits 2, the same path a flag parse error takes.
+func UsageError(log *slog.Logger, err error) {
+	log.Error("invalid flags", "err", err)
+	exit(2)
+}
+
 // Telemetry is a started debug server plus the run-scoped registry and
 // progress tracker feeding it. All methods are nil-receiver-safe, so
 // call sites need no "-telemetry given?" branches.

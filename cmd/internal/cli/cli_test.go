@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"strings"
 	"testing"
@@ -78,6 +79,17 @@ func TestParseHelpExitsZero(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "-log-level") {
 		t.Fatalf("-h did not print usage: %q", buf.String())
+	}
+}
+
+func TestUsageErrorExitsTwo(t *testing.T) {
+	buf, codes := capture(t)
+	UsageError(fallbackLogger("test"), errors.New("-window must be positive"))
+	if len(*codes) == 0 || (*codes)[0] != 2 {
+		t.Fatalf("usage error exit codes %v, want [2 ...]", *codes)
+	}
+	if !strings.Contains(buf.String(), "invalid flags") || !strings.Contains(buf.String(), "-window") {
+		t.Fatalf("usage error not logged: %q", buf.String())
 	}
 }
 

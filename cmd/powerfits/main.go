@@ -138,6 +138,9 @@ func main() {
 	callTimeout := fs.Duration("timeout", 2*time.Minute, "request timeout (call command)")
 	tf := cli.RegisterFlags(fs)
 	log = cli.Parse("powerfits", fs, tf, os.Args[2:])
+	if (*metricsPath != "" || *phasesPath != "") && *window <= 0 {
+		cli.UsageError(log, fmt.Errorf("-window must be positive with -metrics/-phases, got %d", *window))
+	}
 
 	var err error
 	tele, err = tf.Start(log, nil)
@@ -424,19 +427,14 @@ func run(s *sim.Setup, cfgName string, out runOutputs) {
 	cal := power.DefaultCalibration()
 	tele.Begin(1)
 	started := time.Now()
-	var r *sim.Result
+	var opt sim.RunOptions
 	if out.Sample {
-		if out.Metrics != "" || out.Phases != "" {
-			fatal(fmt.Errorf("-sample is incompatible with -metrics/-phases: phase series require a full detailed run"))
-		}
-		r, err = s.RunSampled(cfg, cal, sim.SampleOptions{})
-	} else {
-		var opt sim.ObserveOptions
-		if out.Metrics != "" || out.Phases != "" {
-			opt.WindowCycles = out.Window
-		}
-		r, err = s.RunObserved(cfg, cal, opt)
+		opt.Sample = &sim.SampleOptions{}
 	}
+	if out.Metrics != "" || out.Phases != "" {
+		opt.WindowCycles = out.Window // RunWith rejects it on a sampled run
+	}
+	r, err := s.RunWith(cfg, cal, opt)
 	if err != nil {
 		fatal(err)
 	}
@@ -603,20 +601,20 @@ func report(path string, topN int) {
 		}
 		if len(run.Series.Hotspots) > 0 {
 			total := run.Series.TotalFetchPJ()
-			fmt.Printf("\nfetch-energy hotspots: %s on %s (top %d of %d PC buckets)\n",
+			fmt.Printf("\nfetch-energy hotspots: %s on %s (top %d of %d basic blocks)\n",
 				run.Kernel, run.Config, len(run.Series.TopHotspots(topN)), len(run.Series.Hotspots))
-			fmt.Printf("%4s %-21s %10s %8s %14s %7s\n", "#", "pc range", "fetches", "misses", "fetch_pJ", "share")
+			fmt.Printf("%4s %-14s %-19s %10s %8s %14s %7s\n", "#", "func", "block", "fetches", "misses", "fetch_pJ", "share")
 			for i, h := range run.Series.TopHotspots(topN) {
 				rng := fmt.Sprintf("%08x-%08x", h.StartAddr, h.EndAddr)
 				if h.StartAddr == 0 && h.EndAddr == 0 {
-					rng = "(outside text)"
+					rng = "-"
 				}
 				share := 0.0
 				if total > 0 {
 					share = 100 * h.FetchPJ / total
 				}
-				fmt.Printf("%4d %-21s %10d %8d %14.1f %6.1f%%\n",
-					i+1, rng, h.Fetches, h.Misses, h.FetchPJ, share)
+				fmt.Printf("%4d %-14s %-19s %10d %8d %14.1f %6.1f%%\n",
+					i+1, h.Label, rng, h.Fetches, h.Misses, h.FetchPJ, share)
 			}
 		}
 	}

@@ -31,11 +31,11 @@ func configByName(name string) (sim.Config, error) {
 // runTraced executes the run with the sink attached (sampled or full
 // pipeline), shared by trace and profile.
 func runTraced(s *sim.Setup, cfg sim.Config, sample bool, sink tracing.EventSink) (*sim.Result, error) {
-	cal := power.DefaultCalibration()
+	opt := sim.RunOptions{Sink: sink}
 	if sample {
-		return s.RunSampledTraced(cfg, cal, sim.SampleOptions{}, sink)
+		opt.Sample = &sim.SampleOptions{}
 	}
-	return s.RunTraced(cfg, cal, sink)
+	return s.RunWith(cfg, power.DefaultCalibration(), opt)
 }
 
 // cmdTrace generates the Chrome trace-event export.

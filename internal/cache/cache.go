@@ -186,9 +186,3 @@ func log2(n int) int {
 	}
 	return k
 }
-
-// AccessCounts returns the cumulative access and miss counts, making
-// the cache an observable component (metrics.AccessSource).
-func (c *Cache) AccessCounts() (accesses, misses uint64) {
-	return c.stats.Accesses, c.stats.Misses
-}

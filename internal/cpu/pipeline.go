@@ -161,19 +161,13 @@ func RunPipelineDecoded(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded) 
 // allocation-free (pinned by TestPipelineSteadyStateZeroAlloc and the
 // ci.sh benchmark smoke).
 func RunPipelineInto(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult) error {
-	var p PipelineRun
-	if err := p.init(m, cfg, port, d, res); err != nil {
-		return err
-	}
-	return p.RunUntil(math.MaxUint64)
+	return RunPipelineTraced(m, cfg, port, d, res, nil)
 }
 
 // RunPipelineTraced is RunPipelineInto with a tracing.EventSink
 // attached: every fetch, miss, zero-issue cycle, branch and mispredict
-// is emitted as a cycle-stamped event record. A nil sink routes through
-// the identical untraced loop, so installing "no tracing" costs only
-// the guard branch at RunUntil's entry (pinned at 0 allocs/op by
-// BenchmarkPipelineTracedNilSink and the ci.sh smoke).
+// is emitted as a cycle-stamped event record. The results are
+// bit-identical to an untraced run; a nil sink is RunPipelineInto.
 func RunPipelineTraced(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult, sink tracing.EventSink) error {
 	var p PipelineRun
 	if err := p.init(m, cfg, port, d, res); err != nil {
@@ -222,10 +216,9 @@ type PipelineRun struct {
 
 	cycle uint64
 
-	// sink, when non-nil, routes RunUntil through the traced mirror of
-	// the cycle loop (pipeline_traced.go). Appended after the hot
-	// fields: inserting fields ahead of them has cost real throughput
-	// before (see the observedPort note in internal/sim).
+	// sink, when non-nil, receives the cycle loop's events. Appended
+	// after the hot fields: inserting fields ahead of them has cost real
+	// throughput before (DESIGN.md §6).
 	sink tracing.EventSink
 }
 
@@ -279,10 +272,9 @@ func (p *PipelineRun) init(m *Machine, cfg PipeConfig, port FetchPort, d *Decode
 	return nil
 }
 
-// SetSink attaches an event sink to the run (nil detaches). Subsequent
-// RunUntil calls execute the traced mirror of the cycle loop; results
-// are bit-identical to the untraced loop (the mirror differs only in
-// the Emit calls — TestTracedRunMatchesPlainRun in internal/sim).
+// SetSink attaches an event sink to the run (nil detaches) for
+// subsequent RunUntil calls; results are bit-identical to an untraced
+// run (TestTracedRunMatchesPlainRun in internal/sim).
 func (p *PipelineRun) SetSink(sink tracing.EventSink) { p.sink = sink }
 
 // Done reports whether the machine behind the run has halted.
@@ -323,13 +315,6 @@ func (p *PipelineRun) Resync() error {
 // passed at construction is kept current (Cycles, Output) on every
 // return.
 func (p *PipelineRun) RunUntil(target uint64) error {
-	if p.sink != nil {
-		// Tracing requested: run the mirrored loop with Emit calls.
-		// Dispatching here (instead of branching per event inside the
-		// loop) keeps the untraced loop body below byte-for-byte the
-		// pre-tracing code.
-		return p.runUntilTraced(target)
-	}
 	// Copy the hot state to locals for the duration of the loop; write
 	// back through save() on every exit path.
 	m := p.m
@@ -346,6 +331,11 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 	bubble := p.bubble
 	cycle := p.cycle
 	regReady := &p.regReady
+	// Every Emit below sits behind this one loop-invariant bool, so an
+	// untraced run pays a predictable not-taken branch per event site and
+	// nothing else (DESIGN.md §12).
+	sink := p.sink
+	traced := sink != nil
 
 	save := func() {
 		p.fStart, p.fEnd = fStart, fEnd
@@ -411,6 +401,13 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 					hasInflight = true
 				} else {
 					fEnd = blk + uint32(cfg.BlockBytes)
+				}
+				if traced {
+					kind := tracing.KindFetch
+					if stall > 0 {
+						kind = tracing.KindMiss
+					}
+					sink.Emit(tracing.Event{Cycle: cycle, PC: blk, Payload: uint32(stall), Kind: kind})
 				}
 			}
 		}
@@ -491,9 +488,20 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 				if stepRes.Taken {
 					res.Taken++
 				}
+				if traced {
+					var taken uint32
+					if stepRes.Taken {
+						taken = 1
+					}
+					sink.Emit(tracing.Event{Cycle: cycle, PC: rec.Addr, Payload: taken, Kind: tracing.KindBranch})
+				}
 				if predTaken != stepRes.Taken {
 					res.Mispredicts++
 					bubble += cfg.MispredictPenalty
+					if traced {
+						sink.Emit(tracing.Event{Cycle: cycle, PC: rec.Addr,
+							Payload: uint32(cfg.MispredictPenalty), Kind: tracing.KindMispredict})
+					}
 				}
 				if stepRes.Taken || predTaken != stepRes.Taken {
 					redirect(recs[m.PCIdx].Addr)
@@ -514,6 +522,18 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 				res.ZeroIssueBubble++
 			default:
 				*stallCause++
+			}
+			if traced {
+				cause := tracing.CauseHazard
+				switch {
+				case fetchState == fetchMiss:
+					cause = tracing.CauseMiss
+				case fetchState == fetchBubble:
+					cause = tracing.CauseBubble
+				case stallCause == &res.ZeroIssueFetch:
+					cause = tracing.CauseFetch
+				}
+				sink.Emit(tracing.Event{Cycle: cycle, PC: recs[m.PCIdx].Addr, Kind: tracing.KindStall, Cause: cause})
 			}
 		}
 

@@ -33,7 +33,7 @@ func tracedPair(t *testing.T, p *program.Program, mkPort func() FetchPort, sink 
 
 // tracedPrograms is the equivalence corpus: dual-issue straight line,
 // a predictable backward loop, and a mispredict-heavy alternating
-// branch — together they reach every arm of the traced cycle loop.
+// branch — together they reach every Emit site of the cycle loop.
 func tracedPrograms() map[string]*program.Program {
 	alt := asm.New("alt")
 	alt.Func("main")
@@ -64,8 +64,8 @@ func tracedPrograms() map[string]*program.Program {
 	}
 }
 
-// TestTracedPipelineMatchesPlain asserts the mirrored traced cycle loop
-// is observationally identical to the untraced one — same PipeResult to
+// TestTracedPipelineMatchesPlain asserts a traced run of the cycle loop
+// is observationally identical to an untraced one — same PipeResult to
 // the bit — while its event stream reconciles with the result's own
 // counters, both on an ideal port and under injected miss stalls.
 func TestTracedPipelineMatchesPlain(t *testing.T) {
@@ -113,7 +113,7 @@ func TestTracedPipelineMatchesPlain(t *testing.T) {
 }
 
 // TestTracedPipelineFaultIdentity asserts a faulting program faults
-// identically — same error string — under both loops.
+// identically — same error string — traced and untraced.
 func TestTracedPipelineFaultIdentity(t *testing.T) {
 	b := asm.New("fault")
 	b.Func("main")

@@ -114,11 +114,11 @@ type Options struct {
 	// stdlib slog handler is); it is also threaded into sim.PrepareWith
 	// for per-stage preparation logs.
 	Log *slog.Logger
-	// Observe, when enabled, runs every kernel × configuration
-	// simulation with phase sampling attached; the per-run
-	// metrics.Series lands on each sim.Result. Ignored when Sampled is
-	// set — phase series require a full detailed run.
-	Observe sim.ObserveOptions
+	// WindowCycles, when positive, runs every kernel × configuration
+	// simulation with the phase sampler attached at this window length;
+	// the per-run metrics.Series lands on each sim.Result. Ignored when
+	// Sampled is set — phase series require a full detailed run.
+	WindowCycles int
 	// Superblocks routes the profiling stage of every preparation
 	// through the fused superblock executor. Profiles are identical
 	// (the executors are equivalence-tested down to DynCount); only
@@ -258,7 +258,7 @@ func RunSuite(opt Options) (*Suite, error) {
 					if opt.Sampled {
 						r, err = setup.RunSampled(cfg, s.Cal, opt.Sample)
 					} else {
-						r, err = setup.RunObserved(cfg, s.Cal, opt.Observe)
+						r, err = setup.RunWith(cfg, s.Cal, sim.RunOptions{WindowCycles: opt.WindowCycles})
 					}
 					runSec[ci] = time.Since(t0).Seconds()
 					eng.release(worker)

@@ -161,15 +161,14 @@ func TestSuiteMetricsRegistry(t *testing.T) {
 	}
 }
 
-// TestSuiteObserved asserts the Observe option threads phase sampling
+// TestSuiteObserved asserts the WindowCycles option threads phase sampling
 // through every run without disturbing the aggregate tables.
 func TestSuiteObserved(t *testing.T) {
 	plain, err := RunSuite(Options{Scale: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs, err := RunSuite(Options{Scale: 1, Workers: 4,
-		Observe: sim.ObserveOptions{WindowCycles: 2048}})
+	obs, err := RunSuite(Options{Scale: 1, Workers: 4, WindowCycles: 2048})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // StallBreakdown splits one run's zero-issue cycles by blocking cause —
 // the timing pipeline's CPI stack, which the tracing event stream
 // mirrors one KindStall event per cycle (the two tallies are asserted
-// equal by TestTracedStallCountsMatchCPIStack in internal/sim). The
+// equal by TestTracedRunMatchesPlainRun in internal/sim). The
 // cause cycles sum to the run's total zero-issue cycles; DualIssue
 // counts the cycles that issued the full width.
 type StallBreakdown struct {

@@ -1,20 +1,13 @@
 // Package metrics is the repository's instrumentation layer: a typed
-// counter/gauge/histogram registry with hierarchical scopes, a
-// cycle-windowed sampler that turns a timing run into a phase-resolved
-// time series with PC-level energy attribution, a portable export
-// document (manifest + registry snapshot + phase series) and standard
-// Go profiling hooks.
+// counter/gauge/histogram registry with hierarchical scopes, the
+// phase-series types a run's event stream is sampled into (produced by
+// tracing.Sampler and tracing.Profiler), a portable export document
+// (manifest + registry snapshot + phase series) and standard Go
+// profiling hooks.
 //
-// The package depends only on the standard library: simulated
-// components (power.Meter, cache.Cache, cpu.Machine) plug in through
-// the small source interfaces in sampler.go, so instrumenting a
-// component never creates an import cycle.
-//
-// Overhead contract: a run with no observer attached pays nothing —
-// the simulator's hot path guards every hook with a nil check and the
-// fetch-port benchmark asserts 0 allocs/op (see ci.sh). Registries are
-// safe for concurrent use; instruments are lock-free on the write
-// path.
+// The package depends only on the standard library, so any layer can
+// publish into it without an import cycle. Registries are safe for
+// concurrent use; instruments are lock-free on the write path.
 package metrics
 
 import (

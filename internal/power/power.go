@@ -221,8 +221,8 @@ func (m *Meter) Access(addr uint32, block []byte, miss bool) {
 }
 
 // EnergyPJ returns the cumulative switching, internal and leakage
-// energy, making the meter an observable component
-// (metrics.EnergySource) without finalising a Report.
+// energy without finalising a Report (tracing.EnergySource, read by the
+// phase sampler at each window close).
 func (m *Meter) EnergyPJ() (switchPJ, internalPJ, leakPJ float64) {
 	return m.rep.SwitchingPJ, m.rep.InternalPJ, m.rep.LeakagePJ
 }

@@ -28,7 +28,8 @@ type LoadOptions struct {
 	Duration time.Duration
 	// HitFraction is the share of requests drawn from the fixed hot
 	// request (cache hits after the first); the rest carry a unique
-	// synthesis identity and force cold work. Default 0.9.
+	// synthesis identity and force cold work. It must lie in [0, 1]: 0
+	// drives an all-cold mix.
 	HitFraction float64
 	// Kernel is the base program for both mixes (default "crc32").
 	Kernel string
@@ -92,8 +93,8 @@ func RunLoad(ctx context.Context, opts LoadOptions) (*LoadReport, error) {
 	if opts.Requests == 0 && opts.Duration <= 0 {
 		opts.Duration = 5 * time.Second
 	}
-	if opts.HitFraction == 0 {
-		opts.HitFraction = 0.9
+	if !(opts.HitFraction >= 0 && opts.HitFraction <= 1) { // rejects NaN too
+		return nil, fmt.Errorf("serve: hit fraction %v outside [0, 1]", opts.HitFraction)
 	}
 	if opts.Kernel == "" {
 		opts.Kernel = "crc32"

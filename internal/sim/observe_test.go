@@ -20,9 +20,8 @@ func observedSetup(t *testing.T) *Setup {
 	return s
 }
 
-// TestObservedRunMatchesPlainRun asserts the overhead contract's
-// correctness half: attaching the sampler must not change any
-// architectural or aggregate result.
+// TestObservedRunMatchesPlainRun asserts attaching the phase sampler
+// must not change any architectural or aggregate result.
 func TestObservedRunMatchesPlainRun(t *testing.T) {
 	s := observedSetup(t)
 	cal := power.DefaultCalibration()
@@ -31,7 +30,7 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs, err := s.RunObserved(cfg, cal, ObserveOptions{WindowCycles: 512})
+		obs, err := s.RunWith(cfg, cal, RunOptions{WindowCycles: 512})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,26 +40,17 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 		if plain.Phases != nil {
 			t.Fatalf("%s: plain run carries phases", cfg.Name)
 		}
-		if plain.Pipe.Cycles != obs.Pipe.Cycles || plain.Pipe.Instrs != obs.Pipe.Instrs ||
-			plain.Pipe.FetchAccesses != obs.Pipe.FetchAccesses ||
-			plain.Pipe.Mispredicts != obs.Pipe.Mispredicts {
-			t.Errorf("%s: pipeline results diverge: %+v vs %+v", cfg.Name, plain.Pipe, obs.Pipe)
-		}
-		if plain.Cache != obs.Cache {
-			t.Errorf("%s: cache stats diverge: %+v vs %+v", cfg.Name, plain.Cache, obs.Cache)
-		}
-		if plain.Power != obs.Power {
-			t.Errorf("%s: power reports diverge: %+v vs %+v", cfg.Name, plain.Power, obs.Power)
-		}
+		comparePlainTraced(t, cfg.Name, plain, obs)
 	}
 }
 
-// TestPhaseSeriesConsistency asserts the window sums reconstruct the
-// run totals exactly, so the time series is a lossless decomposition.
+// TestPhaseSeriesConsistency asserts the event-closed windows
+// reconstruct the run totals exactly, so the time series is a lossless
+// decomposition.
 func TestPhaseSeriesConsistency(t *testing.T) {
 	s := observedSetup(t)
 	cal := power.DefaultCalibration()
-	r, err := s.RunObserved(FITS8, cal, ObserveOptions{WindowCycles: 256})
+	r, err := s.RunWith(FITS8, cal, RunOptions{WindowCycles: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +92,13 @@ func TestPhaseSeriesConsistency(t *testing.T) {
 	}
 }
 
-// TestHotspotAttribution asserts the PC map accounts for every access
-// and every picojoule of fetch energy (switching + line fills).
+// TestHotspotAttribution asserts the basic-block hotspot rows account
+// for every access and every picojoule of fetch energy (switching +
+// line fills, summed by the meter as AccessPJ).
 func TestHotspotAttribution(t *testing.T) {
 	s := observedSetup(t)
 	cal := power.DefaultCalibration()
-	r, err := s.RunObserved(ARM16, cal, ObserveOptions{WindowCycles: 1024, HotspotBucketBytes: 64})
+	r, err := s.RunWith(ARM16, cal, RunOptions{WindowCycles: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,12 +115,15 @@ func TestHotspotAttribution(t *testing.T) {
 		t.Errorf("hotspot fetch/miss totals %d/%d ≠ cache stats %d/%d",
 			fetches, misses, r.Cache.Accesses, r.Cache.Misses)
 	}
-	fill := cal.FillPJPerBit * float64(ARM16.Cache.LineBytes*8)
-	wantPJ := r.Power.SwitchingPJ + float64(r.Cache.Misses)*fill
-	if got := ph.TotalFetchPJ(); math.Abs(got-wantPJ) > 1e-6*wantPJ {
-		t.Errorf("attributed fetch energy %g ≠ switching+fills %g", got, wantPJ)
+	if got := ph.TotalFetchPJ(); relErr(got, r.AccessPJ) > 1e-9 {
+		t.Errorf("attributed fetch energy %g ≠ metered access energy %g", got, r.AccessPJ)
 	}
-	// Buckets arrive hottest-first.
+	for _, h := range ph.Hotspots {
+		if h.Label == "" {
+			t.Errorf("unlabelled hotspot row %+v", h)
+		}
+	}
+	// Rows arrive hottest-first.
 	for i := 1; i < len(ph.Hotspots); i++ {
 		if ph.Hotspots[i-1].FetchPJ < ph.Hotspots[i].FetchPJ {
 			t.Fatalf("hotspots not sorted by energy at %d", i)
@@ -137,9 +131,8 @@ func TestHotspotAttribution(t *testing.T) {
 	}
 }
 
-// TestFetchPortNoAllocs is the overhead contract's cost half: the
-// nil-observer fetch path must not allocate (ci.sh additionally gates
-// this through BenchmarkFetchPort).
+// TestFetchPortNoAllocs asserts the I-cache fetch path does not
+// allocate (ci.sh additionally gates this through BenchmarkFetchPort).
 func TestFetchPortNoAllocs(t *testing.T) {
 	s := observedSetup(t)
 	c := cache.MustNew(cache.SA1100ICache())
@@ -152,6 +145,6 @@ func TestFetchPortNoAllocs(t *testing.T) {
 		i++
 	})
 	if allocs != 0 {
-		t.Errorf("nil-observer fetch path allocates %v allocs/op, want 0", allocs)
+		t.Errorf("fetch path allocates %v allocs/op, want 0", allocs)
 	}
 }

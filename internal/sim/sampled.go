@@ -275,25 +275,22 @@ func (st *sampleState) resetWarm() {
 // intervals. Runs that halt before MinWindows windows fall back to an
 // exact full simulation.
 //
-// Like Run, RunSampled is safe to call concurrently on one Setup.
+// RunSampled is RunWith with RunOptions{Sample: &opt}, calling the
+// sampled run directly so opt stays off the heap. Like Run, it is safe
+// to call concurrently on one Setup.
 func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions) (*Result, error) {
 	return s.runSampled(cfg, cal, opt, nil)
 }
 
-// RunSampledTraced is RunSampled with a tracing.EventSink attached: the
-// detailed segments stream the same pipeline events a traced full run
-// would, the functional fast-forwards emit one KindSuperblock event per
-// executed batch, and every sampling boundary (head end, warmup start,
-// measure start/end) emits a KindWindow event, so a consumer can tell
-// measured cycles from extrapolated ones. A nil sink is exactly
-// RunSampled. When the run halts before MinWindows measured windows,
-// the fallback exact simulation is traced too (its events follow the
-// aborted sampled prefix's in the same sink, with a fresh meter bound
-// for energy attribution).
-func (s *Setup) RunSampledTraced(cfg Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink) (*Result, error) {
-	return s.runSampled(cfg, cal, opt, sink)
-}
-
+// runSampled is the sampled run behind RunWith. With a sink attached,
+// the detailed segments stream the same pipeline events an exact run
+// would, the fast-forwards emit one KindSuperblock event per executed
+// batch, and every sampling boundary (head end, warmup start, measure
+// start/end) emits a KindWindow event, so a consumer can tell measured
+// cycles from extrapolated ones. When the run halts before MinWindows
+// measured windows, the fallback exact simulation is traced too: its
+// events follow the aborted sampled prefix's in the same sink, with a
+// fresh meter bound for energy attribution.
 func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink) (*Result, error) {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
@@ -308,9 +305,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 	if err != nil {
 		return nil, err
 	}
-	if sink != nil {
-		bindEnergy(sink, meter)
-	}
+	bindEnergy(sink, meter)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
 	port := NewFetchPort(c, meter, im, pc.BlockBytes)
@@ -411,7 +406,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		// (traced when a sink is attached, so the event stream and any
 		// bound energy attribution follow the run that produced the
 		// result).
-		res, err := s.RunTraced(cfg, cal, sink)
+		res, err := s.runExact(cfg, cal, sink, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -22,6 +22,7 @@ import (
 	"powerfits/internal/profile"
 	"powerfits/internal/program"
 	"powerfits/internal/synth"
+	"powerfits/internal/tracing"
 	"powerfits/internal/translate"
 
 	"powerfits/internal/isa/arm"
@@ -230,8 +231,8 @@ type Result struct {
 	Cache  cache.Stats
 	Power  power.Report
 
-	// Phases is the phase-resolved telemetry of an observed run
-	// (RunObserved with a positive window); nil otherwise.
+	// Phases is the phase-resolved telemetry of a run with a positive
+	// RunOptions.WindowCycles; nil otherwise.
 	Phases *metrics.Series
 
 	// Sampled describes the sampling estimator behind the result when
@@ -270,10 +271,10 @@ func (s *Setup) target(cfg Config) (prog *program.Program, im *program.Image, de
 // A port is owned by exactly one pipeline run (it is not safe for
 // concurrent use). The fetch path is allocation-free in the steady
 // state: blocks fully inside the text segment alias the image directly,
-// and blocks straddling the bounds reuse a per-port scratch buffer.
-// Observation lives in the separate observedPort wrapper, so the
-// unobserved path carries no instrumentation cost at all (asserted by
-// BenchmarkFetchPort and TestFetchPortNoAllocs).
+// and blocks straddling the bounds reuse a per-port scratch buffer
+// (asserted by BenchmarkFetchPort and TestFetchPortNoAllocs). The port
+// carries no instrumentation: runs are observed through the pipeline's
+// event stream (RunOptions).
 type icachePort struct {
 	c        *cache.Cache
 	m        *power.Meter
@@ -294,37 +295,6 @@ func newICachePort(c *cache.Cache, m *power.Meter, im *program.Image, blockBytes
 // concurrent pipeline runs.
 func NewFetchPort(c *cache.Cache, m *power.Meter, im *program.Image, blockBytes int) cpu.FetchPort {
 	return newICachePort(c, m, im, blockBytes)
-}
-
-// NewObservedFetchPort is NewFetchPort with a metrics.Observer attached
-// to the fetch and cycle events; a nil obs returns the plain port.
-func NewObservedFetchPort(c *cache.Cache, m *power.Meter, im *program.Image, blockBytes int, obs metrics.Observer) cpu.FetchPort {
-	p := newICachePort(c, m, im, blockBytes)
-	if obs == nil {
-		return p
-	}
-	return &observedPort{icachePort: p, obs: obs}
-}
-
-// observedPort wraps icachePort with a metrics.Observer. Keeping the
-// wrapper a distinct type (rather than a nil-checked field on
-// icachePort) leaves the unobserved port exactly as fast as before:
-// icachePort.Tick stays within the inlining budget and FetchBlock
-// carries no extra branch.
-type observedPort struct {
-	*icachePort
-	obs metrics.Observer
-}
-
-func (p *observedPort) FetchBlock(addr uint32) int {
-	stall := p.icachePort.FetchBlock(addr)
-	p.obs.OnFetch(addr, stall != 0)
-	return stall
-}
-
-func (p *observedPort) Tick() {
-	p.icachePort.Tick()
-	p.obs.OnCycle()
 }
 
 func (p *icachePort) FetchBlock(addr uint32) int {
@@ -353,34 +323,54 @@ func (p *icachePort) Tick() {
 	p.m.Tick()
 }
 
-// ObserveOptions configures phase-resolved telemetry for a run.
-// The zero value disables observation entirely (the fast path).
-type ObserveOptions struct {
-	// WindowCycles is the sample window length in pipeline cycles;
-	// each window yields one metrics.WindowSample. ≤ 0 disables
-	// sampling.
+// RunOptions selects how a run is simulated and what observes it. The
+// zero value is a plain exact run (Run).
+type RunOptions struct {
+	// Sample, when non-nil, replaces the exact pipeline run with the
+	// sampled estimator under these options (RunSampled).
+	Sample *SampleOptions
+	// Sink, when non-nil, receives the run's event stream: every fetch,
+	// miss, zero-issue cycle, branch and mispredict of the detailed
+	// pipeline, plus, on a sampled run, one KindSuperblock event per
+	// fast-forward batch and a KindWindow event at every sampling
+	// boundary. Results are bit-identical to an unobserved run. A sink
+	// that attributes energy (tracing.Profiler) is bound to the run's
+	// power meter before the first cycle, so its total matches
+	// Result.AccessPJ.
+	Sink tracing.EventSink
+	// WindowCycles, when positive, attaches the phase sampler:
+	// Result.Phases carries the cycle-windowed series and the
+	// basic-block fetch-energy hotspots. It requires an exact run
+	// (Sample nil); a negative value is an error.
 	WindowCycles int
-	// HotspotBucketBytes is the PC-attribution granularity for the
-	// fetch-energy hotspot map (0 = the metrics default, 64 bytes).
-	HotspotBucketBytes int
 }
-
-// Enabled reports whether the options request any observation.
-func (o ObserveOptions) Enabled() bool { return o.WindowCycles > 0 }
 
 // Run executes the prepared kernel under one configuration. It is safe
 // to call concurrently on the same Setup: every piece of mutable state
 // (cache, meter, layout index, machine) is created per call.
 func (s *Setup) Run(cfg Config, cal power.Calibration) (*Result, error) {
-	return s.RunObserved(cfg, cal, ObserveOptions{})
+	return s.RunWith(cfg, cal, RunOptions{})
 }
 
-// RunObserved is Run with phase-resolved telemetry: when opt enables
-// sampling, the cache and power meter are polled at every window
-// boundary and each fetch is attributed to its PC bucket, and the
-// Result carries the resulting metrics.Series. Architectural and
-// aggregate results are identical to an unobserved Run.
-func (s *Setup) RunObserved(cfg Config, cal power.Calibration, opt ObserveOptions) (*Result, error) {
+// RunWith is the single run entry point: an exact or sampled run of one
+// configuration, observed as opt requests. Like Run, it is safe to call
+// concurrently on one Setup.
+func (s *Setup) RunWith(cfg Config, cal power.Calibration, opt RunOptions) (*Result, error) {
+	switch {
+	case opt.WindowCycles < 0:
+		return nil, fmt.Errorf("sim: negative sample window %d", opt.WindowCycles)
+	case opt.WindowCycles > 0 && opt.Sample != nil:
+		return nil, fmt.Errorf("sim: phase sampling requires an exact run, not the sampled estimator")
+	case opt.Sample != nil:
+		return s.runSampled(cfg, cal, *opt.Sample, opt.Sink)
+	}
+	return s.runExact(cfg, cal, opt.Sink, opt.WindowCycles)
+}
+
+// runExact runs the full cycle-accurate pipeline, streaming its events
+// to sink and, when window is positive, to the phase sampler and the
+// hotspot profiler behind Result.Phases.
+func (s *Setup) runExact(cfg Config, cal power.Calibration, sink tracing.EventSink, window int) (*Result, error) {
 	prog, im, dec, _ := s.target(cfg)
 	c, err := cache.New(cfg.Cache)
 	if err != nil {
@@ -390,33 +380,29 @@ func (s *Setup) RunObserved(cfg Config, cal power.Calibration, opt ObserveOption
 	if err != nil {
 		return nil, err
 	}
+	bindEnergy(sink, meter)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
-	var sampler *metrics.Sampler
-	var obs metrics.Observer
-	if opt.Enabled() {
-		sampler, err = metrics.NewSampler(metrics.SamplerConfig{
-			WindowCycles:      opt.WindowCycles,
-			Energy:            meter,
-			Access:            c,
-			Instrs:            func() uint64 { return m.InstrCount },
-			AttribBase:        im.TextBase,
-			AttribBytes:       len(im.Text),
-			AttribBucketBytes: opt.HotspotBucketBytes,
-		})
-		if err != nil {
+	var sampler *tracing.Sampler
+	var prof *tracing.Profiler
+	if window > 0 {
+		if sampler, err = tracing.NewSampler(window, meter, func() uint64 { return m.InstrCount }); err != nil {
 			return nil, err
 		}
-		obs = sampler
+		if prof, err = s.NewProfiler(cfg); err != nil {
+			return nil, err
+		}
+		prof.BindEnergy(meter)
+		sink = tracing.Tee(sampler, prof, sink)
 	}
-	port := NewObservedFetchPort(c, meter, im, pc.BlockBytes, obs)
-	pipe, err := cpu.RunPipelineDecoded(m, pc, port, dec)
-	if err != nil {
+	pipe := new(cpu.PipeResult)
+	if err := cpu.RunPipelineTraced(m, pc, newICachePort(c, meter, im, pc.BlockBytes), dec, pipe, sink); err != nil {
 		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, cfg.Name, err)
 	}
 	res := &Result{Config: cfg, Pipe: pipe, Cache: c.Stats(), Power: meter.Report(), AccessPJ: meter.AccessPJ()}
 	if sampler != nil {
-		res.Phases = sampler.Series()
+		res.Phases = sampler.Series(pipe.Cycles)
+		res.Phases.Hotspots = prof.Hotspots()
 	}
 	return res, nil
 }

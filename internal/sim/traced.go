@@ -1,22 +1,16 @@
 package sim
 
 import (
-	"fmt"
-
-	"powerfits/internal/cache"
 	"powerfits/internal/cpu"
 	"powerfits/internal/metrics"
 	"powerfits/internal/power"
 	"powerfits/internal/tracing"
 )
 
-// This file is the tracing entry points of the simulation layer: the
-// same runs as Run/RunSampled with a tracing.EventSink attached to the
-// pipeline, the superblock executor and the sampling loop, plus the
-// construction of the attribution profiler over a configuration's
-// image. The untraced entry points are untouched — tracing routes
-// through the separate mirrored cycle loop in internal/cpu, so an
-// ordinary run pays nothing for this machinery.
+// The tracing helpers of the simulation layer: energy binding for
+// attribution sinks, the CPI-stack export, and the construction of the
+// attribution profiler over a configuration's image. Runs take their
+// sink through RunOptions.
 
 // energyBinder is implemented by sinks that attribute per-access fetch
 // energy (tracing.Profiler); traced runs bind their power meter to such
@@ -28,38 +22,6 @@ func bindEnergy(sink tracing.EventSink, m *power.Meter) {
 	if b, ok := sink.(energyBinder); ok {
 		b.BindEnergy(m)
 	}
-}
-
-// RunTraced is Run with a tracing.EventSink attached to the timing
-// pipeline: every fetch, miss, zero-issue cycle, branch and mispredict
-// of the run is emitted as a cycle-stamped event record. Results are
-// bit-identical to Run — the traced cycle loop differs only in the
-// Emit calls — and a nil sink is exactly Run. If the sink attributes
-// energy (tracing.Profiler), the run's power meter is bound to it
-// before the first cycle, and the returned Result's AccessPJ anchors
-// the conservation check.
-func (s *Setup) RunTraced(cfg Config, cal power.Calibration, sink tracing.EventSink) (*Result, error) {
-	prog, im, dec, _ := s.target(cfg)
-	c, err := cache.New(cfg.Cache)
-	if err != nil {
-		return nil, err
-	}
-	meter, err := power.NewMeter(cfg.Cache, cal)
-	if err != nil {
-		return nil, err
-	}
-	if sink != nil {
-		bindEnergy(sink, meter)
-	}
-	pc := cpu.DefaultPipeConfig()
-	m := cpu.New(prog, cpu.ImageLayout(im))
-	port := NewFetchPort(c, meter, im, pc.BlockBytes)
-	var pres cpu.PipeResult
-	if err := cpu.RunPipelineTraced(m, pc, port, dec, &pres, sink); err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, cfg.Name, err)
-	}
-	return &Result{Config: cfg, Pipe: &pres, Cache: c.Stats(), Power: meter.Report(),
-		AccessPJ: meter.AccessPJ()}, nil
 }
 
 // Stalls extracts the CPI stack of a pipeline result as the export
@@ -92,8 +54,8 @@ func (s *Setup) TraceBlocks(cfg Config) []tracing.Block {
 }
 
 // NewProfiler builds the energy/stall attribution profiler for cfg's
-// image, ready to pass as the sink of RunTraced or RunSampledTraced
-// (which bind their meter to it). One profiler serves one run.
+// image, ready to pass as RunOptions.Sink (the run binds its meter to
+// it). One profiler serves one run.
 func (s *Setup) NewProfiler(cfg Config) (*tracing.Profiler, error) {
 	_, im, _, _ := s.target(cfg)
 	return tracing.NewProfiler(s.TraceBlocks(cfg), im.TextBase, len(im.Text))

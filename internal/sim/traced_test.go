@@ -55,7 +55,7 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		var c tracing.Counts
-		traced, err := s.RunTraced(cfg, cal, &c)
+		traced, err := s.RunWith(cfg, cal, RunOptions{Sink: &c})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +79,12 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 				c.Kind[tracing.KindBranch], c.Kind[tracing.KindMispredict], p.Branches, p.Mispredicts)
 		}
 	}
-	// Nil sink: RunTraced degenerates to Run exactly.
+	// Nil sink: RunWith degenerates to Run exactly.
 	plain, err := s.Run(FITS8, cal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nilTraced, err := s.RunTraced(FITS8, cal, nil)
+	nilTraced, err := s.RunWith(FITS8, cal, RunOptions{Sink: nil})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestProfilerConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := s.RunTraced(cfg, cal, prof)
+			r, err := s.RunWith(cfg, cal, RunOptions{Sink: prof})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestSampledTracedMatchesSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c tracing.Counts
-	traced, err := s.RunSampledTraced(ARM16, cal, SampleOptions{}, &c)
+	traced, err := s.RunWith(ARM16, cal, RunOptions{Sample: &SampleOptions{}, Sink: &c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSampledTracedFallbackConserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunSampledTraced(ARM16, cal, SampleOptions{MinWindows: 1 << 20}, prof)
+	r, err := s.RunWith(ARM16, cal, RunOptions{Sample: &SampleOptions{MinWindows: 1 << 20}, Sink: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +219,20 @@ func TestSampledAllocsPinned(t *testing.T) {
 	}
 }
 
+// TestRunWithRejectsBadWindow asserts the option checks: a negative
+// window is an error, and so is phase sampling on the sampled
+// estimator (its windows would span extrapolated cycles).
+func TestRunWithRejectsBadWindow(t *testing.T) {
+	s := tracedSetup(t)
+	cal := power.DefaultCalibration()
+	if _, err := s.RunWith(FITS8, cal, RunOptions{WindowCycles: -5}); err == nil {
+		t.Error("negative window accepted")
+	}
+	if _, err := s.RunWith(FITS8, cal, RunOptions{WindowCycles: 512, Sample: &SampleOptions{}}); err == nil {
+		t.Error("phase sampling on a sampled run accepted")
+	}
+}
+
 // TestGoldenChromeTrace pins the exact bytes of the Chrome trace-event
 // export for crc32 at scale 1 on FITS8: a 256-event suffix capture of
 // the full detailed run. The export is deterministic (cycle timestamps,
@@ -228,7 +242,7 @@ func TestSampledAllocsPinned(t *testing.T) {
 func TestGoldenChromeTrace(t *testing.T) {
 	s := tracedSetup(t)
 	ring := tracing.MustNewRing(256)
-	r, err := s.RunTraced(FITS8, power.DefaultCalibration(), ring)
+	r, err := s.RunWith(FITS8, power.DefaultCalibration(), RunOptions{Sink: ring})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"math"
 	"sort"
+
+	"powerfits/internal/metrics"
 )
 
 // The attribution profiler: an EventSink that folds fetch energy and
@@ -200,6 +202,21 @@ func (p *Profiler) Table(n int) []BlockStat {
 		rows = rows[:n]
 	}
 	return rows
+}
+
+// Hotspots returns the rows that saw fetches as the phase series'
+// fetch-energy hotspot map, hottest first. The catch-all row keeps its
+// "(outside text)" label and a zero address range.
+func (p *Profiler) Hotspots() []metrics.Hotspot {
+	var out []metrics.Hotspot
+	for _, st := range p.Table(0) {
+		if st.Fetches == 0 {
+			continue
+		}
+		out = append(out, metrics.Hotspot{Label: st.Label, StartAddr: st.Addr, EndAddr: st.End,
+			Fetches: st.Fetches, Misses: st.Misses, FetchPJ: st.FetchPJ})
+	}
+	return out
 }
 
 // WriteFolded writes the profile in folded-stack format — one

@@ -1,18 +1,18 @@
 // Package tracing is the cycle-level structured event stream behind
-// `powerfits trace` and `powerfits profile`: the timing pipeline, the
-// superblock executor and the sampled simulator emit fixed-size binary
-// event records through an EventSink, and the sinks in this package
-// turn the stream into a bounded ring capture, per-kind counters, a
-// Chrome trace-event export, or a PC→basic-block energy attribution
-// profile.
+// `powerfits trace`, `powerfits profile` and the phase-series exports:
+// the timing pipeline, the superblock executor and the sampled
+// simulator emit fixed-size binary event records through an EventSink,
+// and the sinks in this package turn the stream into a bounded ring
+// capture, per-kind counters, a Chrome trace-event export, a
+// PC→basic-block energy attribution profile, or a cycle-windowed phase
+// series.
 //
-// The package is a leaf: it imports nothing from the simulator, so the
-// cpu and sim packages can depend on it without cycles. The hot-path
-// contract mirrors metrics.Observer: Emit implementations must not
-// allocate per event, and an untraced run (nil sink) must cost only
-// the guard branch at the run's entry — the traced cycle loop is a
-// separate mirrored copy, so the untraced loop body is byte-for-byte
-// the pre-tracing code (pinned by the 0-alloc benchmarks in ci.sh).
+// The package imports nothing from the simulator, so the cpu and sim
+// packages can depend on it without cycles. The hot-path contract: Emit
+// implementations must not allocate per event, and an untraced run
+// (nil sink) pays only a not-taken branch per event site — the cycle
+// loop guards every Emit with one loop-invariant bool (pinned by the
+// 0-alloc benchmarks in ci.sh).
 package tracing
 
 // Kind classifies one event record.
@@ -132,6 +132,33 @@ type EventSink interface {
 	Emit(Event)
 }
 
+// Tee fans one event stream out to several sinks in order, skipping nil
+// ones. It returns nil when no sink remains and the sink itself when
+// exactly one does, so a single consumer pays no fan-out.
+func Tee(sinks ...EventSink) EventSink {
+	var t tee
+	for _, s := range sinks {
+		if s != nil {
+			t = append(t, s)
+		}
+	}
+	switch len(t) {
+	case 0:
+		return nil
+	case 1:
+		return t[0]
+	}
+	return t
+}
+
+type tee []EventSink
+
+func (t tee) Emit(e Event) {
+	for _, s := range t {
+		s.Emit(e)
+	}
+}
+
 // AccessEnergy exposes the per-access energy of a run's power model for
 // attribution sinks. power.Meter implements it: LastAccessPJ is the
 // energy charged by the most recent cache access, and AccessPJ the
@@ -146,8 +173,8 @@ type AccessEnergy interface {
 // per-kind event counts, per-cause stall cycles, and branch outcomes.
 // It is the cheapest possible sink (a handful of integer increments per
 // event) and the cross-check that the event stream and the pipeline's
-// own CPI stack tell the same story (TestTracedStallCountsMatchCPIStack
-// in internal/sim).
+// own CPI stack tell the same story (TestTracedRunMatchesPlainRun in
+// internal/sim).
 type Counts struct {
 	// Kind[k] counts events of kind k.
 	Kind [numKinds]uint64
