@@ -533,12 +533,26 @@ func BenchmarkSuiteSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheAccess measures the set-associative LRU cache.
+// BenchmarkCacheAccess measures the set-associative LRU cache. The
+// stride-4 stream is a fetch stream, mostly served by the MRU-line
+// check; the line-hopping stream moves to a new line on every access
+// over a 64 KB footprint, so each access pays the set scan and the
+// victim choice.
 func BenchmarkCacheAccess(b *testing.B) {
-	c := cache.MustNew(cache.SA1100ICache())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(uint32(i*4) & 0xFFFF)
+	for _, bc := range []struct {
+		name   string
+		stride int
+	}{
+		{"stride4", 4},
+		{"line-hop", cache.SA1100ICache().LineBytes},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c := cache.MustNew(cache.SA1100ICache())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Access(uint32(i*bc.stride) & 0xFFFF)
+			}
+		})
 	}
 }
 

@@ -62,38 +62,53 @@ func (s Stats) MissRate() float64 {
 // MissesPerMillion returns the paper's Figure 13 metric.
 func (s Stats) MissesPerMillion() float64 { return s.MissRate() * 1e6 }
 
-// way is one line's bookkeeping.
-type way struct {
-	tag   uint32
-	valid bool
-	lru   uint64 // last-use stamp; larger is more recent
-}
-
 // Cache is a set-associative cache with true-LRU replacement. A Cache
 // is not safe for concurrent use: it models one core's private I-cache
 // and belongs to exactly one simulation run (concurrent runs each
 // construct their own, which shares nothing).
+//
+// Way state lives in two flat parallel arrays indexed by
+// set*Assoc+way: keys holds tag+1 (0 marks an invalid way) and lru the
+// last-use stamp (larger is more recent), so the hit scan reads only
+// the 4-byte keys of one set. Only the geometry with one-byte lines and
+// a single set has 32-bit tags, where tag+1 wraps to 0 at 0xFFFFFFFF;
+// that one line is tracked by topWay instead of by its key.
 type Cache struct {
 	cfg       Config
-	sets      [][]way
+	keys      []uint32
+	lru       []uint64
+	assoc     int
 	stamp     uint64
 	lineShift uint
 	setShift  uint
 	setMask   uint32
 	stats     Stats
+
+	// mruLine is the line number the previous Access hit or filled,
+	// held in way mruWay; noLine when there is none. A fetch to the
+	// same line needs no scan.
+	mruLine uint64
+	mruWay  int
+	// topWay is the way holding tag 0xFFFFFFFF, or -1.
+	topWay int
 }
+
+// noLine is an mruLine value no 32-bit line number can equal.
+const noLine = 1 << 32
 
 // New builds a cache; the configuration must validate.
 func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{cfg: cfg}
 	nsets := cfg.Sets()
-	c.sets = make([][]way, nsets)
-	backing := make([]way, nsets*cfg.Assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Assoc : (i+1)*cfg.Assoc]
+	c := &Cache{
+		cfg:     cfg,
+		keys:    make([]uint32, nsets*cfg.Assoc),
+		lru:     make([]uint64, nsets*cfg.Assoc),
+		assoc:   cfg.Assoc,
+		mruLine: noLine,
+		topWay:  -1,
 	}
 	for s := 1; s < cfg.LineBytes; s <<= 1 {
 		c.lineShift++
@@ -124,43 +139,70 @@ func (c *Cache) Access(addr uint32) bool {
 	c.stamp++
 	c.stats.Accesses++
 	line := addr >> c.lineShift
-	set := c.sets[line&c.setMask]
-	tag := line >> c.setShift
+	// Most fetches hit the line the previous access hit or filled: only
+	// a fill can change a way, and every fill updates the MRU way.
+	if uint64(line) == c.mruLine {
+		c.lru[c.mruWay] = c.stamp
+		return true
+	}
+	base := int(line&c.setMask) * c.assoc
+	key := line>>c.setShift + 1
 
 	// Hit scan first: the common case touches nothing but the matching
 	// way's stamp. Victim selection runs only on the miss path.
-	for i := range set {
-		w := &set[i]
-		if w.valid && w.tag == tag {
-			w.lru = c.stamp
-			return true
+	if key != 0 {
+		for i, k := range c.keys[base : base+c.assoc] {
+			if k == key {
+				return c.hit(line, base+i)
+			}
 		}
+	} else if c.topWay >= 0 {
+		return c.hit(line, c.topWay)
 	}
+	// The victim is the last invalid way, else the least recently used.
 	victim := 0
 	var victimLRU uint64 = ^uint64(0)
-	for i := range set {
-		w := &set[i]
-		if !w.valid {
+	for i, k := range c.keys[base : base+c.assoc] {
+		if k == 0 && base+i != c.topWay {
 			victim = i
 			victimLRU = 0
-		} else if w.lru < victimLRU {
+		} else if c.lru[base+i] < victimLRU {
 			victim = i
-			victimLRU = w.lru
+			victimLRU = c.lru[base+i]
 		}
 	}
 	c.stats.Misses++
-	set[victim] = way{tag: tag, valid: true, lru: c.stamp}
+	w := base + victim
+	if w == c.topWay {
+		c.topWay = -1
+	}
+	if key == 0 {
+		c.topWay = w
+	}
+	c.keys[w] = key
+	c.lru[w] = c.stamp
+	c.mruLine, c.mruWay = uint64(line), w
 	return false
+}
+
+// hit refreshes way w's stamp and makes it the MRU way.
+func (c *Cache) hit(line uint32, w int) bool {
+	c.lru[w] = c.stamp
+	c.mruLine, c.mruWay = uint64(line), w
+	return true
 }
 
 // Contains reports whether addr is resident without touching LRU state
 // or statistics.
 func (c *Cache) Contains(addr uint32) bool {
 	line := addr >> c.lineShift
-	set := c.sets[line&c.setMask]
-	tag := line >> uint(log2(len(c.sets)))
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	base := int(line&c.setMask) * c.assoc
+	key := line>>c.setShift + 1
+	if key == 0 {
+		return c.topWay >= 0
+	}
+	for _, k := range c.keys[base : base+c.assoc] {
+		if k == key {
 			return true
 		}
 	}
@@ -169,13 +211,11 @@ func (c *Cache) Contains(addr uint32) bool {
 
 // Reset invalidates every line and clears statistics.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = way{}
-		}
-	}
+	clear(c.keys)
+	clear(c.lru)
 	c.stats = Stats{}
 	c.stamp = 0
+	c.mruLine, c.topWay = noLine, -1
 }
 
 func log2(n int) int {

@@ -3,7 +3,6 @@ package cache
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -125,38 +124,105 @@ func TestThrash(t *testing.T) {
 	}
 }
 
-// TestFullyAssociativeProperty: with a single set, LRU hit/miss
-// behaviour matches a reference model.
-func TestFullyAssociativeProperty(t *testing.T) {
-	cfg := Config{SizeBytes: 512, LineBytes: 32, Assoc: 16} // 1 set
-	f := func(seed int64) bool {
-		c := MustNew(cfg)
-		r := rand.New(rand.NewSource(seed))
-		var ref []uint32 // LRU order, most recent last
-		for i := 0; i < 500; i++ {
-			line := uint32(r.Intn(40))
-			hit := c.Access(line * 32)
-			refHit := false
-			for j, l := range ref {
-				if l == line {
-					ref = append(append(ref[:j:j], ref[j+1:]...), line)
-					refHit = true
-					break
-				}
-			}
-			if !refHit {
-				ref = append(ref, line)
-				if len(ref) > 16 {
-					ref = ref[1:]
-				}
-			}
-			if hit != refHit {
-				return false
-			}
+// refLRU is a naive true-LRU cache: per set, the resident line numbers
+// in use order, most recent last.
+type refLRU struct {
+	cfg   Config
+	sets  [][]uint32
+	stats Stats
+}
+
+func newRefLRU(cfg Config) *refLRU {
+	return &refLRU{cfg: cfg, sets: make([][]uint32, cfg.Sets())}
+}
+
+func (r *refLRU) find(addr uint32) (set, pos int, line uint32) {
+	line = addr / uint32(r.cfg.LineBytes)
+	set = int(line % uint32(len(r.sets)))
+	for j, l := range r.sets[set] {
+		if l == line {
+			return set, j, line
 		}
+	}
+	return set, -1, line
+}
+
+func (r *refLRU) access(addr uint32) bool {
+	r.stats.Accesses++
+	set, pos, line := r.find(addr)
+	ways := r.sets[set]
+	if pos >= 0 {
+		r.sets[set] = append(append(ways[:pos:pos], ways[pos+1:]...), line)
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+	r.stats.Misses++
+	if len(ways) == r.cfg.Assoc {
+		ways = ways[1:]
+	}
+	r.sets[set] = append(ways, line)
+	return false
+}
+
+func (r *refLRU) contains(addr uint32) bool {
+	_, pos, _ := r.find(addr)
+	return pos >= 0
+}
+
+func (r *refLRU) reset() { *r = *newRefLRU(r.cfg) }
+
+// TestMatchesReferenceLRU drives the cache and the naive reference with
+// the same random streams — same-line runs (the MRU fast path), line
+// hops within a footprint larger than the cache, interleaved Contains
+// and occasional Reset — and requires every result and the statistics
+// to agree.
+func TestMatchesReferenceLRU(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		base uint32 // first address of the footprint; addresses wrap
+	}{
+		{"direct-mapped", Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1}, 0x8000},
+		{"sa1100-16k-32way", SA1100ICache(), 0x8000},
+		{"sa1100-8k-32way", SA1100ICacheHalf(), 0x8000},
+		{"fully-associative", Config{SizeBytes: 512, LineBytes: 32, Assoc: 16}, 0},
+		// One-byte lines in one set: the tag is the whole address, so
+		// tag 0xFFFFFFFF has no tag+1 key; the footprint wraps past it.
+		{"byte-lines-top-of-memory", Config{SizeBytes: 8, LineBytes: 1, Assoc: 8}, 0xFFFFFFF4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lines := tc.cfg.SizeBytes / tc.cfg.LineBytes
+			span := uint32(lines + lines/2 + 2) // footprint in lines
+			for seed := int64(1); seed <= 20; seed++ {
+				c := MustNew(tc.cfg)
+				ref := newRefLRU(tc.cfg)
+				r := rand.New(rand.NewSource(seed))
+				addr := tc.base
+				for step := 0; step < 4000; step++ {
+					switch op := r.Intn(100); {
+					case op == 0:
+						c.Reset()
+						ref.reset()
+					case op < 10:
+						probe := tc.base + uint32(r.Intn(int(span)))*uint32(tc.cfg.LineBytes)
+						if got, want := c.Contains(probe), ref.contains(probe); got != want {
+							t.Fatalf("seed %d step %d: Contains(%#x) = %v, want %v", seed, step, probe, got, want)
+						}
+					default:
+						if op < 55 { // hop to another line
+							addr = tc.base + uint32(r.Intn(int(span)))*uint32(tc.cfg.LineBytes)
+						}
+						for run := 1 + r.Intn(8); run > 0; run-- {
+							a := addr + uint32(r.Intn(tc.cfg.LineBytes)) // same line
+							if got, want := c.Access(a), ref.access(a); got != want {
+								t.Fatalf("seed %d step %d: Access(%#x) = %v, want %v", seed, step, a, got, want)
+							}
+						}
+					}
+					if c.Stats() != ref.stats {
+						t.Fatalf("seed %d step %d: stats %+v, want %+v", seed, step, c.Stats(), ref.stats)
+					}
+				}
+			}
+		})
 	}
 }

@@ -252,7 +252,9 @@ func (m *Meter) Tick() {
 
 	m.wSum += cyclePJ - m.window[m.wIdx]
 	m.window[m.wIdx] = cyclePJ
-	m.wIdx = (m.wIdx + 1) % len(m.window)
+	if m.wIdx++; m.wIdx == len(m.window) {
+		m.wIdx = 0
+	}
 	if m.wFill < len(m.window) {
 		m.wFill++
 	}

@@ -2,6 +2,7 @@ package power
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"powerfits/internal/cache"
@@ -167,6 +168,77 @@ func TestPeakWindow(t *testing.T) {
 	}
 	if avg := r.AvgPowerW(); r.PeakPowerW <= avg {
 		t.Errorf("peak %f not above average %f", r.PeakPowerW, avg)
+	}
+}
+
+// refTick is Meter.Tick as first written, advancing the peak-window
+// ring with a modulo; TestTickMatchesModuloRing holds Tick to it.
+func refTick(m *Meter) {
+	m.rep.Cycles++
+	m.rep.InternalPJ += m.internalCycle
+	m.rep.LeakagePJ += m.leakCycle
+
+	cyclePJ := m.pendingPJ + m.internalCycle + m.leakCycle
+	m.pendingPJ = 0
+
+	m.wSum += cyclePJ - m.window[m.wIdx]
+	m.window[m.wIdx] = cyclePJ
+	m.wIdx = (m.wIdx + 1) % len(m.window)
+	if m.wFill < len(m.window) {
+		m.wFill++
+	}
+	if m.wFill == len(m.window) && m.wSum > m.peakPJ {
+		m.peakPJ = m.wSum
+	}
+}
+
+// TestTickMatchesModuloRing feeds identical random streams of accesses,
+// misses and idle cycles to Tick and to refTick and requires every
+// reported energy to be bit-identical, for several window lengths and
+// both switching models.
+func TestTickMatchesModuloRing(t *testing.T) {
+	for _, window := range []int{1, 3, 8} {
+		for _, hamming := range []bool{false, true} {
+			cal := DefaultCalibration()
+			cal.PeakWindow = window
+			cal.UseHamming = hamming
+			for seed := int64(1); seed <= 5; seed++ {
+				m := MustNewMeter(cache.SA1100ICache(), cal)
+				ref := MustNewMeter(cache.SA1100ICache(), cal)
+				r := rand.New(rand.NewSource(seed))
+				block := make([]byte, 16)
+				for cycle := 0; cycle < 2000; cycle++ {
+					for n := r.Intn(3); n > 0; n-- { // 0-2 accesses; 0 is idle
+						addr := uint32(r.Intn(1 << 16))
+						r.Read(block)
+						b := block[:r.Intn(len(block)+1)]
+						miss := r.Intn(16) == 0
+						m.Access(addr, b, miss)
+						ref.Access(addr, b, miss)
+					}
+					if r.Intn(200) == 0 { // a burst that lifts the peak
+						m.Access(0, block, true)
+						ref.Access(0, block, true)
+					}
+					m.Tick()
+					refTick(ref)
+					if got, want := m.Report(), ref.Report(); got != want {
+						t.Fatalf("window %d hamming %v seed %d cycle %d: report %+v, want %+v",
+							window, hamming, seed, cycle, got, want)
+					}
+					if got, want := m.AccessPJ(), ref.AccessPJ(); got != want {
+						t.Fatalf("window %d hamming %v seed %d cycle %d: AccessPJ %v, want %v",
+							window, hamming, seed, cycle, got, want)
+					}
+					sw, in, lk := m.EnergyPJ()
+					rsw, rin, rlk := ref.EnergyPJ()
+					if sw != rsw || in != rin || lk != rlk {
+						t.Fatalf("window %d hamming %v seed %d cycle %d: EnergyPJ (%v %v %v), want (%v %v %v)",
+							window, hamming, seed, cycle, sw, in, lk, rsw, rin, rlk)
+					}
+				}
+			}
+		}
 	}
 }
 

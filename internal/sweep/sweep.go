@@ -420,6 +420,7 @@ func (e *engine) simulate(p Point, popts synth.Options, sp archive.SweepPoint, i
 	s, err := sim.PrepareWith(e.kernel, e.grid.Scale, sim.PrepareOptions{
 		Synth:    popts,
 		Profiles: e.profiles,
+		Log:      e.opt.Log,
 	})
 	if err != nil {
 		// A synthesis failure is a fact about the design point (e.g. a

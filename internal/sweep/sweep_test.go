@@ -2,6 +2,8 @@ package sweep
 
 import (
 	"bytes"
+	"log/slog"
+	"strings"
 	"testing"
 
 	"powerfits/internal/archive"
@@ -35,6 +37,23 @@ func marshalDoc(t *testing.T, r *Result) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestSweepLogsPrepareStages: a sweep given a logger forwards it to
+// every point's preparation, which reports its per-stage wall-clock.
+func TestSweepLogsPrepareStages(t *testing.T) {
+	var buf bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	if _, err := Run(Options{Grid: testGrid(), NoRefine: true, Log: log}); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if !strings.Contains(out, `msg="prepare stages"`) {
+		t.Fatalf("no prepare stages records in sweep log:\n%s", out)
+	}
+	if !strings.Contains(out, "synth_sec=") || !strings.Contains(out, "kernel=crc32") {
+		t.Errorf("prepare stages record lacks its stage timings:\n%s", out)
+	}
 }
 
 // TestSweepDeterministicAcrossWorkers is the core determinism claim:
