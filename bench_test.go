@@ -269,7 +269,7 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 		b.StopTimer()
 		c := cache.MustNew(cfg.Cache)
 		meter := power.MustNewMeter(cfg.Cache, cal)
-		port := sim.NewFetchPort(c, meter, im, pc.BlockBytes)
+		port := sim.NewFetchPort(c, im, pc.BlockBytes, meter)
 		m := cpu.New(prog, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		b.StartTimer()
@@ -297,6 +297,44 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 	b.Run("FITS8", func(b *testing.B) { benchSteadyState(b, s, sim.FITS8) })
 }
 
+// BenchmarkPipelineSharedPass is the steady-state loop of a shared
+// timing pass (sim.Setup.RunPass): one pipeline run over the crc32 FITS
+// image feeding two power meters, FITS16's and FITS8's, as the suite
+// times both sizes of an image whose text both caches hold. ci.sh
+// gates it at 0 allocs/op beside BenchmarkPipelineSteadyState.
+func BenchmarkPipelineSharedPass(b *testing.B) {
+	s, err := sim.Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(s.Passes([]sim.Config{sim.FITS16, sim.FITS8})) != 1 {
+		b.Fatal("crc32 FITS16 and FITS8 do not share a pass")
+	}
+	cal := power.DefaultCalibration()
+	pc := cpu.DefaultPipeConfig()
+	im := s.Fits.Image
+	var res cpu.PipeResult
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c := cache.MustNew(sim.FITS16.Cache)
+		port := sim.NewFetchPort(c, im, pc.BlockBytes,
+			power.MustNewMeter(sim.FITS16.Cache, cal), power.MustNewMeter(sim.FITS8.Cache, cal))
+		m := cpu.New(s.Fits.Lowered, cpu.ImageLayout(im))
+		m.Output = make([]uint32, 0, 64)
+		b.StartTimer()
+		if err := cpu.RunPipelineInto(m, pc, port, s.FitsDecoded, &res); err != nil {
+			b.Fatal(err)
+		}
+		cycles += res.Cycles
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
+	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
+}
+
 // benchTracedSteadyState is benchSteadyState through the tracing entry
 // point: the same timing loop with an event sink attached (or the nil
 // sink, under which every Emit guard is not taken).
@@ -315,7 +353,7 @@ func benchTracedSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, mkSink f
 		b.StopTimer()
 		c := cache.MustNew(cfg.Cache)
 		meter := power.MustNewMeter(cfg.Cache, cal)
-		port := sim.NewFetchPort(c, meter, im, pc.BlockBytes)
+		port := sim.NewFetchPort(c, im, pc.BlockBytes, meter)
 		m := cpu.New(prog, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		sink := mkSink()
@@ -503,7 +541,7 @@ func BenchmarkFetchPort(b *testing.B) {
 	pc := cpu.DefaultPipeConfig()
 	c := cache.MustNew(cache.SA1100ICache())
 	m := power.MustNewMeter(cache.SA1100ICache(), power.DefaultCalibration())
-	port := sim.NewFetchPort(c, m, s.ArmImage, pc.BlockBytes)
+	port := sim.NewFetchPort(c, s.ArmImage, pc.BlockBytes, m)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -49,6 +49,16 @@ if [ "$(echo "$bench" | grep -c "BenchmarkPipelineSteadyState/.* 0 allocs/op")" 
     exit 1
 fi
 
+echo "== benchmark smoke: shared timing pass stays allocation-free =="
+# One pipeline run feeding two power meters (FITS16 and FITS8 over one
+# cache) must allocate nothing in the cycle loop either.
+bench=$(go test -run=NONE -bench=BenchmarkPipelineSharedPass -benchtime=1x -benchmem .)
+echo "$bench"
+if ! echo "$bench" | grep -q "BenchmarkPipelineSharedPass.* 0 allocs/op"; then
+    echo "ci.sh: shared-pass cycle loop allocates" >&2
+    exit 1
+fi
+
 echo "== benchmark smoke: tracing entry point stays allocation-free =="
 # The one cycle loop must allocate nothing with a nil sink (every Emit
 # guard not taken) and nothing per event with a ring sink attached;

@@ -101,7 +101,7 @@ func pipeBenchLoop(b *testing.B, s *sim.Setup, cfg sim.Config) {
 		b.StopTimer()
 		c := cache.MustNew(cfg.Cache)
 		meter := power.MustNewMeter(cfg.Cache, cal)
-		port := sim.NewFetchPort(c, meter, im, pc.BlockBytes)
+		port := sim.NewFetchPort(c, im, pc.BlockBytes, meter)
 		m := cpu.New(prog, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		b.StartTimer()

@@ -41,6 +41,27 @@ func (c Config) Validate() error {
 // Sets returns the number of sets.
 func (c Config) Sets() int { return c.SizeBytes / (c.LineBytes * c.Assoc) }
 
+// Holds reports whether the valid geometry c can keep every line
+// overlapping the byte range [base, base+size) resident at once: the
+// range covers at most SizeBytes/LineBytes lines. Consecutive lines map
+// to consecutive sets, so such a range puts at most ceil(n/Sets) ≤
+// Assoc lines in any set. A cache fed only addresses in the range thus
+// never evicts and misses exactly on the first touch of each line, and
+// any two geometries that hold the range with equal LineBytes return
+// the same hit or miss on every access.
+func (c Config) Holds(base uint32, size int) bool {
+	if size < 0 || c.Validate() != nil {
+		return false
+	}
+	if size == 0 {
+		return true
+	}
+	line := uint64(c.LineBytes)
+	first := uint64(base) / line
+	last := (uint64(base) + uint64(size) - 1) / line
+	return last-first+1 <= uint64(c.SizeBytes/c.LineBytes)
+}
+
 // Bits returns the data capacity in bits (tag/valid overhead excluded;
 // the power model adds a fixed overhead factor).
 func (c Config) Bits() int { return c.SizeBytes * 8 }

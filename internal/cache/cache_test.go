@@ -226,3 +226,82 @@ func TestMatchesReferenceLRU(t *testing.T) {
 		})
 	}
 }
+
+// TestHoldsMeansFirstTouchMisses checks the precondition behind shared
+// timing passes: when a geometry holds a byte range, a stream of
+// addresses inside it misses exactly once per distinct line, so two
+// holding geometries with equal line size agree access by access; and
+// a range one line over capacity is not held.
+func TestHoldsMeansFirstTouchMisses(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	assocs := []int{1, 4, 32}
+	geom := func(line int) Config {
+		assoc := assocs[rng.Intn(len(assocs))]
+		return Config{SizeBytes: line * assoc << rng.Intn(6), LineBytes: line, Assoc: assoc}
+	}
+	for trial := 0; trial < 400; trial++ {
+		line := 1 << rng.Intn(7) // one-byte lines up to 64 bytes
+		if trial%4 == 0 {
+			line = 1
+		}
+		a, b := geom(line), geom(line)
+		capLines := min(a.SizeBytes, b.SizeBytes) / line
+
+		// A line-aligned range of exactly the capacity is held; one line
+		// more, or the same size shifted off alignment, is not.
+		aligned := uint32(rng.Intn(1<<20)) &^ uint32(line-1)
+		full := a.SizeBytes
+		if !a.Holds(aligned, full) || a.Holds(aligned, full+line) || (line > 1 && a.Holds(aligned+1, full)) {
+			t.Fatalf("%+v: wrong Holds at capacity from %#x", a, aligned)
+		}
+
+		// A random range both hold; every eighth ends at 2^32.
+		size := 1 + rng.Intn(capLines*line-line+1)
+		base := uint32(rng.Int63n(1<<32 - int64(size) + 1))
+		if trial%8 == 0 {
+			base = uint32(1<<32 - int64(size))
+		}
+		if !a.Holds(base, size) || !b.Holds(base, size) {
+			t.Fatalf("%+v / %+v: range [%#x, +%d) of at most %d lines not held", a, b, base, size, capLines)
+		}
+		ca, cb := MustNew(a), MustNew(b)
+		seen := map[uint32]bool{}
+		for i := 0; i < 8*capLines+16; i++ {
+			addr := base + uint32(rng.Intn(size))
+			first := !seen[addr/uint32(line)]
+			seen[addr/uint32(line)] = true
+			hitA, hitB := ca.Access(addr), cb.Access(addr)
+			if hitA == first || hitB == first {
+				t.Fatalf("%+v / %+v: access %d to %#x hit %t/%t, first touch %t", a, b, i, addr, hitA, hitB, first)
+			}
+		}
+		if got := ca.Stats().Misses; got != uint64(len(seen)) {
+			t.Fatalf("%+v: %d misses for %d distinct lines", a, got, len(seen))
+		}
+	}
+}
+
+func TestHoldsEdges(t *testing.T) {
+	c := SA1100ICacheHalf() // 256 lines of 32 bytes
+	for _, tc := range []struct {
+		base uint32
+		size int
+		want bool
+	}{
+		{0x8000, 0, true},
+		{0x8000, -1, false},
+		{0x8000, 8192, true},
+		{0x8000, 8193, false},
+		{0x8004, 8192, false}, // unaligned: 257 lines
+		{0x8004, 8188, true},
+		{1<<32 - 8192, 8192, true},
+		{1<<32 - 32, 32, true},
+	} {
+		if got := c.Holds(tc.base, tc.size); got != tc.want {
+			t.Errorf("Holds(%#x, %d) = %t, want %t", tc.base, tc.size, got, tc.want)
+		}
+	}
+	if (Config{SizeBytes: 1000, LineBytes: 32, Assoc: 2}).Holds(0, 32) {
+		t.Error("an invalid geometry holds a range")
+	}
+}

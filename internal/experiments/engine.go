@@ -1,20 +1,20 @@
 // The parallel experiment engine: a bounded worker pool that fans out
-// per-kernel preparation and per-configuration timing runs as
-// independent jobs. Results are keyed and sorted exactly as the
+// per-kernel preparation and per-pass timing runs (sim.Setup.Passes)
+// as independent jobs. Results are keyed and sorted exactly as the
 // sequential path produced them, so the rendered tables are
 // byte-identical at any parallelism (see TestParallelMatchesSequential).
 //
 // Goroutine-safety contract (audited per package):
-//   - sim.Setup is immutable after Prepare; Setup.Run builds all
-//     mutable state (cache.Cache, power.Meter, cpu.Machine, layout)
-//     per call.
+//   - sim.Setup is immutable after Prepare; Setup.Run and
+//     Setup.RunPass build all mutable state (cache.Cache, power.Meter,
+//     cpu.Machine, layout) per call.
 //   - the predecoded instruction tables (Setup.ArmDecoded /
 //     Setup.FitsDecoded, see cpu.Predecode) are built once in Prepare
 //     and shared read-only by every configuration run of a kernel —
 //     the timing pipeline only indexes them.
 //   - program.Program and program.Image are read-only during runs; the
 //     fetch port aliases Image.Text without copying.
-//   - cache.Cache and power.Meter are single-owner (one per run) and
+//   - cache.Cache and power.Meter are single-owner (one per pass) and
 //     are never shared across goroutines here.
 //   - each kernel job records its timing into a private
 //     metrics.Registry, merged into Suite.Metrics after the barrier in
@@ -39,7 +39,8 @@ import (
 
 // KernelTiming records the wall-clock cost of one kernel: preparation
 // (build, profile, synthesis, translation, Thumb sizing) and the timing
-// runs summed over the four configurations, plus the worker slot the
+// runs summed over the four configurations (a shared pass's wall time
+// split evenly across its configurations), plus the worker slot the
 // preparation ran on.
 type KernelTiming struct {
 	Kernel     string  `json:"kernel"`
@@ -240,34 +241,61 @@ func RunSuite(opt Options) (*Suite, error) {
 			kr.reg.Histogram("engine/prepare_sec", metrics.DurationBuckets).
 				Observe(kr.timing.PrepareSec)
 
-			// Fan out the four configuration runs as independent jobs.
+			// Fan out one job per timing pass: exact unobserved runs of
+			// an image share a pass across the cache sizes that hold
+			// its text (sim.Setup.Passes); sampled and phase-sampled
+			// runs time one configuration each through RunWith.
+			var observe *sim.RunOptions
+			switch {
+			case opt.Sampled:
+				observe = &sim.RunOptions{Sample: &opt.Sample}
+			case opt.WindowCycles > 0:
+				observe = &sim.RunOptions{WindowCycles: opt.WindowCycles}
+			}
+			var passes [][]sim.Config
+			if observe == nil {
+				passes = setup.Passes(sim.Configs)
+			} else {
+				for _, cfg := range sim.Configs {
+					passes = append(passes, []sim.Config{cfg})
+				}
+			}
 			kr.results = make([]*sim.Result, len(sim.Configs))
 			runSec := make([]float64, len(sim.Configs))
 			var cwg sync.WaitGroup
-			for ci, cfg := range sim.Configs {
+			for _, pass := range passes {
 				cwg.Add(1)
-				go func(ci int, cfg sim.Config) {
+				go func(pass []sim.Config) {
 					defer cwg.Done()
 					worker, ok := eng.acquire()
 					if !ok {
 						return
 					}
 					t0 := time.Now()
-					var r *sim.Result
+					var rs []*sim.Result
 					var err error
-					if opt.Sampled {
-						r, err = setup.RunSampled(cfg, s.Cal, opt.Sample)
+					if observe != nil {
+						var r *sim.Result
+						r, err = setup.RunWith(pass[0], s.Cal, *observe)
+						rs = []*sim.Result{r}
 					} else {
-						r, err = setup.RunWith(cfg, s.Cal, sim.RunOptions{WindowCycles: opt.WindowCycles})
+						rs, err = setup.RunPass(pass, s.Cal)
 					}
-					runSec[ci] = time.Since(t0).Seconds()
+					// A pass's wall time is split evenly across its
+					// configurations, so RunSec still sums to the
+					// simulation time.
+					sec := time.Since(t0).Seconds() / float64(len(pass))
 					eng.release(worker)
 					if err != nil {
 						eng.fail(err)
 						return
 					}
-					kr.results[ci] = r
-				}(ci, cfg)
+					for _, r := range rs {
+						ci := configIndex(r.Config.Name)
+						runSec[ci] = sec
+						kr.results[ci] = r
+					}
+				}(pass)
 			}
 			cwg.Wait()
 			for ci, sec := range runSec {
@@ -340,4 +368,15 @@ func RunSuite(opt Options) (*Suite, error) {
 			"workers", workers, "wall_sec", s.WallSec, "sampled", opt.Sampled)
 	}
 	return s, nil
+}
+
+// configIndex returns the position of the named configuration in
+// sim.Configs.
+func configIndex(name string) int {
+	for i, cfg := range sim.Configs {
+		if cfg.Name == name {
+			return i
+		}
+	}
+	panic("experiments: unknown configuration " + name)
 }

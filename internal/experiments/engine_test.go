@@ -118,8 +118,9 @@ func TestSuiteSharesPredecodeTables(t *testing.T) {
 
 // TestSuiteMetricsRegistry asserts the engine publishes per-kernel
 // timing through the merged run-wide registry: every kernel's prepare
-// gauge and per-config run gauges are present, and the engine
-// histograms account for every job.
+// gauge and per-config run gauges are present, the engine histograms
+// account for every configuration, and shared passes split their time
+// evenly.
 func TestSuiteMetricsRegistry(t *testing.T) {
 	suite, err := RunSuite(Options{Scale: 1, Workers: 4})
 	if err != nil {
@@ -158,6 +159,52 @@ func TestSuiteMetricsRegistry(t *testing.T) {
 	}
 	if gauges["engine/workers"] != 4 {
 		t.Errorf("engine/workers = %v, want 4", gauges["engine/workers"])
+	}
+
+	// A shared pass's wall time is split evenly across its
+	// configurations, and the per-config gauges sum to the kernel's
+	// RunSec.
+	for i, setup := range suite.Setups {
+		runSec := func(cfg sim.Config) float64 {
+			return gauges["kernel/"+setup.Kernel.Name+"/"+cfg.Name+"/run_sec"]
+		}
+		passes := setup.Passes(sim.Configs)
+		if len(passes) >= len(sim.Configs) {
+			t.Errorf("%s: %d passes for %d configurations, want shared passes", setup.Kernel.Name, len(passes), len(sim.Configs))
+		}
+		for _, pass := range passes {
+			for _, cfg := range pass {
+				if v := runSec(cfg); v <= 0 || v != runSec(pass[0]) {
+					t.Errorf("%s/%s/run_sec = %v, want %v > 0 like %s", setup.Kernel.Name, cfg.Name, v, runSec(pass[0]), pass[0].Name)
+				}
+			}
+		}
+		var sum float64
+		for _, cfg := range sim.Configs {
+			sum += runSec(cfg)
+		}
+		if tm := suite.Timings[i]; tm.Kernel != setup.Kernel.Name || tm.RunSec != sum {
+			t.Errorf("%s: RunSec %v, per-config gauges sum to %v", tm.Kernel, tm.RunSec, sum)
+		}
+	}
+}
+
+// TestSequentialTimingsFitWallTime checks that per-kernel timings
+// count each second of work once: on one worker, jobs run one at a
+// time, so prepare and run seconds summed over every kernel cannot
+// exceed the suite's wall time. Charging a shared pass's whole wall
+// time to each of its configurations would break this.
+func TestSequentialTimingsFitWallTime(t *testing.T) {
+	suite, err := RunSuite(Options{Scale: 1, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var busy float64
+	for _, tm := range suite.Timings {
+		busy += tm.PrepareSec + tm.RunSec
+	}
+	if busy > suite.WallSec {
+		t.Errorf("kernel timings sum to %.3f s on one worker, over the %.3f s wall time", busy, suite.WallSec)
 	}
 }
 

@@ -79,27 +79,26 @@ func ExtGeometry(scale int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Row{Name: name}
+		// Each geometry's ARM16 and FITS8 configurations, timed
+		// together so geometries with equal line sizes share passes.
+		var cfgs []sim.Config
 		for _, g := range geoms {
-			mk := func(size int) sim.Config {
+			mk := func(isa sim.ISA, size int) sim.Config {
 				return sim.Config{
 					Name:  fmt.Sprintf("%d/%s", size, g.name),
+					ISA:   isa,
 					Cache: cache.Config{SizeBytes: size, LineBytes: g.line, Assoc: g.assoc},
 				}
 			}
-			armCfg := mk(16 * 1024)
-			armCfg.ISA = sim.ISAARM
-			fitsCfg := mk(8 * 1024)
-			fitsCfg.ISA = sim.ISAFITS
-			base, err := s.Run(armCfg, cal)
-			if err != nil {
-				return nil, err
-			}
-			f8, err := s.Run(fitsCfg, cal)
-			if err != nil {
-				return nil, err
-			}
-			row.Vals = append(row.Vals, 100*power.Saving(base.Power.TotalPJ(), f8.Power.TotalPJ()))
+			cfgs = append(cfgs, mk(sim.ISAARM, 16*1024), mk(sim.ISAFITS, 8*1024))
+		}
+		rs, err := s.RunAll(cfgs, cal)
+		if err != nil {
+			return nil, err
+		}
+		row := Row{Name: name}
+		for i := 0; i < len(rs); i += 2 {
+			row.Vals = append(row.Vals, 100*power.Saving(rs[i].Power.TotalPJ(), rs[i+1].Power.TotalPJ()))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -149,12 +148,12 @@ func ExtTraffic(scale int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		rs, err := s.RunAll(sim.Configs, cal)
+		if err != nil {
+			return nil, err
+		}
 		row := Row{Name: k.Name}
-		for _, cfg := range sim.Configs {
-			r, err := s.Run(cfg, cal)
-			if err != nil {
-				return nil, err
-			}
+		for _, r := range rs {
 			row.Vals = append(row.Vals, float64(r.Cache.Accesses)/float64(r.Pipe.Instrs))
 		}
 		t.Rows = append(t.Rows, row)

@@ -75,21 +75,24 @@ func serveRunID(c *Canonical) string {
 // layer stores and replays).
 func (c *Canonical) Evaluate(s *sim.Setup) ([]byte, *Report, error) {
 	cal := power.DefaultCalibration()
-	results := make(map[string]*sim.Result, len(c.Configs))
-	for _, cfg := range c.Configs {
-		var (
-			r   *sim.Result
-			err error
-		)
-		if c.Req.Sampled {
-			r, err = s.RunSampled(cfg, cal, sim.SampleOptions{})
-		} else {
-			r, err = s.Run(cfg, cal)
+	var rs []*sim.Result
+	if c.Req.Sampled {
+		for _, cfg := range c.Configs {
+			r, err := s.RunSampled(cfg, cal, sim.SampleOptions{})
+			if err != nil {
+				return nil, nil, err
+			}
+			rs = append(rs, r)
 		}
-		if err != nil {
+	} else {
+		var err error
+		if rs, err = s.RunAll(c.Configs, cal); err != nil {
 			return nil, nil, err
 		}
-		results[cfg.Name] = r
+	}
+	results := make(map[string]*sim.Result, len(rs))
+	for _, r := range rs {
+		results[r.Config.Name] = r
 	}
 
 	rep := &Report{

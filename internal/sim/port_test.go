@@ -100,7 +100,7 @@ func TestFetchPortBlockContents(t *testing.T) {
 	portMeter := power.MustNewMeter(geom, cal)
 	refMeter := power.MustNewMeter(geom, cal)
 	refCache := cache.MustNew(geom)
-	port := NewFetchPort(cache.MustNew(geom), portMeter, im, block)
+	port := NewFetchPort(cache.MustNew(geom), im, block, portMeter)
 
 	addrs := []uint32{
 		base,      // fully inside (aliases text)
@@ -132,7 +132,7 @@ func TestFetchPortZeroAlloc(t *testing.T) {
 	}
 	c := cache.MustNew(cache.SA1100ICache())
 	m := power.MustNewMeter(cache.SA1100ICache(), power.DefaultCalibration())
-	port := NewFetchPort(c, m, s.ArmImage, 4)
+	port := NewFetchPort(c, s.ArmImage, 4, m)
 
 	var addr uint32
 	allocs := testing.AllocsPerRun(1000, func() {

@@ -308,7 +308,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 	bindEnergy(sink, meter)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
-	port := NewFetchPort(c, meter, im, pc.BlockBytes)
+	port := newICachePort(c, im, pc.BlockBytes, meter)
 
 	var pres cpu.PipeResult
 	run, err := cpu.NewPipelineRun(m, pc, port, dec, &pres)
@@ -406,7 +406,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		// (traced when a sink is attached, so the event stream and any
 		// bound energy attribution follow the run that produced the
 		// result).
-		res, err := s.runExact(cfg, cal, sink, 0)
+		res, err := s.RunWith(cfg, cal, RunOptions{Sink: sink})
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,8 @@
 // runs any of the four simulated processor configurations (ARM16, ARM8,
 // FITS16, FITS8 — ISA × I-cache size on the fixed SA-1100-class core)
 // through the timing pipeline with the cache and power models attached.
+// Configurations of one ISA whose caches hold its whole image text share
+// one pipeline pass (Setup.Passes).
 package sim
 
 import (
@@ -11,6 +13,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log/slog"
+	"slices"
+	"strings"
 	"time"
 
 	"powerfits/internal/cache"
@@ -67,11 +71,11 @@ const MissPenalty = 24
 
 // Setup holds everything derived from one kernel before timing runs.
 //
-// A Setup is immutable once Prepare returns: Run only reads it, so one
-// Setup may serve any number of concurrent Run calls (the parallel
-// experiment engine relies on this). Each Run builds its own cache,
-// power meter, layout and machine; the shared Program and Images are
-// treated as read-only by the pipeline.
+// A Setup is immutable once Prepare returns: Run and RunPass only read
+// it, so one Setup may serve any number of concurrent runs (the
+// parallel experiment engine relies on this). Each run builds its own
+// cache, power meters, layout and machine; the shared Program and
+// Images are treated as read-only by the pipeline.
 type Setup struct {
 	Kernel kernels.Kernel
 	Scale  int
@@ -267,34 +271,37 @@ func (s *Setup) target(cfg Config) (prog *program.Program, im *program.Image, de
 	return prog, im, dec, comp
 }
 
-// icachePort implements cpu.FetchPort over the cache and power models.
-// A port is owned by exactly one pipeline run (it is not safe for
-// concurrent use). The fetch path is allocation-free in the steady
-// state: blocks fully inside the text segment alias the image directly,
-// and blocks straddling the bounds reuse a per-port scratch buffer
-// (asserted by BenchmarkFetchPort and TestFetchPortNoAllocs). The port
-// carries no instrumentation: runs are observed through the pipeline's
-// event stream (RunOptions).
+// icachePort implements cpu.FetchPort over one cache and the power
+// meters of every configuration in a pass (Setup.RunPass); a plain run
+// is a pass of one. A port is owned by exactly one pipeline run (it is
+// not safe for concurrent use). The fetch path is allocation-free in
+// the steady state: blocks fully inside the text segment alias the
+// image directly, and blocks straddling the bounds reuse a per-port
+// scratch buffer (asserted by BenchmarkFetchPort and
+// TestFetchPortZeroAlloc). The port carries no instrumentation: runs
+// are observed through the pipeline's event stream (RunOptions).
 type icachePort struct {
 	c        *cache.Cache
-	m        *power.Meter
+	meters   []*power.Meter
 	text     []byte
 	textBase uint32
 	block    int
 	buf      []byte // scratch for blocks straddling the text bounds
 }
 
-func newICachePort(c *cache.Cache, m *power.Meter, im *program.Image, blockBytes int) *icachePort {
-	return &icachePort{c: c, m: m, text: im.Text, textBase: im.TextBase,
+func newICachePort(c *cache.Cache, im *program.Image, blockBytes int, meters ...*power.Meter) *icachePort {
+	return &icachePort{c: c, meters: meters, text: im.Text, textBase: im.TextBase,
 		block: blockBytes, buf: make([]byte, blockBytes)}
 }
 
 // NewFetchPort returns the simulator's I-cache fetch port — the cache
 // lookup plus power accrual behind every instruction fetch — for use by
-// benchmarks and custom pipelines. The port must not be shared across
-// concurrent pipeline runs.
-func NewFetchPort(c *cache.Cache, m *power.Meter, im *program.Image, blockBytes int) cpu.FetchPort {
-	return newICachePort(c, m, im, blockBytes)
+// benchmarks and custom pipelines. Every meter receives every access
+// and tick, as in a shared pass; that is exact only while c cannot
+// evict (Setup.Passes). The port must not be shared across concurrent
+// pipeline runs.
+func NewFetchPort(c *cache.Cache, im *program.Image, blockBytes int, meters ...*power.Meter) cpu.FetchPort {
+	return newICachePort(c, im, blockBytes, meters...)
 }
 
 func (p *icachePort) FetchBlock(addr uint32) int {
@@ -312,7 +319,9 @@ func (p *icachePort) FetchBlock(addr uint32) int {
 			blk[i] = b
 		}
 	}
-	p.m.Access(addr, blk, !hit)
+	for _, m := range p.meters {
+		m.Access(addr, blk, !hit)
+	}
 	if hit {
 		return 0
 	}
@@ -320,7 +329,9 @@ func (p *icachePort) FetchBlock(addr uint32) int {
 }
 
 func (p *icachePort) Tick() {
-	p.m.Tick()
+	for _, m := range p.meters {
+		m.Tick()
+	}
 }
 
 // RunOptions selects how a run is simulated and what observes it. The
@@ -364,22 +375,136 @@ func (s *Setup) RunWith(cfg Config, cal power.Calibration, opt RunOptions) (*Res
 	case opt.Sample != nil:
 		return s.runSampled(cfg, cal, *opt.Sample, opt.Sink)
 	}
-	return s.runExact(cfg, cal, opt.Sink, opt.WindowCycles)
+	rs, err := s.runPass([]Config{cfg}, cal, opt.Sink, opt.WindowCycles)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
-// runExact runs the full cycle-accurate pipeline, streaming its events
-// to sink and, when window is positive, to the phase sampler and the
-// hotspot profiler behind Result.Phases.
-func (s *Setup) runExact(cfg Config, cal power.Calibration, sink tracing.EventSink, window int) (*Result, error) {
+// image returns the image an ISA's configurations fetch from.
+func (s *Setup) image(i ISA) *program.Image {
+	if i == ISAFITS {
+		return s.Fits.Image
+	}
+	return s.ArmImage
+}
+
+// holds reports whether cfg's cache keeps every line its image's fetch
+// stream can touch resident at once. The pipeline fetches only aligned
+// blocks that overlap the instructions on the executed path, so every
+// fetch address lies in the image text, widened down to a block
+// boundary.
+func (s *Setup) holds(cfg Config) bool {
+	im := s.image(cfg.ISA)
+	lo := im.TextBase &^ uint32(cpu.DefaultPipeConfig().BlockBytes-1)
+	return cfg.Cache.Holds(lo, int(im.TextBase-lo)+len(im.Text))
+}
+
+// passKey is what configurations must share to share a pass: the image
+// and the line size that fixes which accesses are first touches.
+type passKey struct {
+	isa  ISA
+	line int
+}
+
+// passIndices groups cfgs into passes as Passes does, by index.
+func (s *Setup) passIndices(cfgs []Config) [][]int {
+	var passes [][]int
+	shared := map[passKey]int{}
+	for i, cfg := range cfgs {
+		if !s.holds(cfg) {
+			passes = append(passes, []int{i})
+			continue
+		}
+		k := passKey{cfg.ISA, cfg.Cache.LineBytes}
+		if p, ok := shared[k]; ok {
+			passes[p] = append(passes[p], i)
+			continue
+		}
+		shared[k] = len(passes)
+		passes = append(passes, []int{i})
+	}
+	return passes
+}
+
+// Passes groups cfgs into timing passes, in order of first appearance:
+// the configurations of one ISA and line size whose caches each hold
+// that ISA's image text share a pass, and every other configuration is
+// a pass of one. A cache that holds the text never evicts and misses
+// exactly on the first touch of each line (cache.Config.Holds), so
+// every geometry in a pass sees the same hit/miss sequence, the
+// pipeline the same stalls, and each configuration's power meter
+// exactly the Access/Tick calls its standalone run would make. The
+// grouping depends only on the image and the geometries.
+func (s *Setup) Passes(cfgs []Config) [][]Config {
+	idx := s.passIndices(cfgs)
+	passes := make([][]Config, len(idx))
+	for p, is := range idx {
+		for _, i := range is {
+			passes[p] = append(passes[p], cfgs[i])
+		}
+	}
+	return passes
+}
+
+// RunPass times one pass of Passes in a single pipeline run with one
+// cache and one power meter per configuration. Each result is
+// bit-identical to Run of its configuration. Configurations that
+// cannot share a pass are an error. Like Run, it is safe to call
+// concurrently on one Setup.
+func (s *Setup) RunPass(cfgs []Config, cal power.Calibration) ([]*Result, error) {
+	return s.runPass(cfgs, cal, nil, 0)
+}
+
+// RunAll times cfgs exactly, one RunPass per pass of Passes, and
+// returns the results in cfgs order.
+func (s *Setup) RunAll(cfgs []Config, cal power.Calibration) ([]*Result, error) {
+	out := make([]*Result, len(cfgs))
+	for _, is := range s.passIndices(cfgs) {
+		pass := make([]Config, len(is))
+		for j, i := range is {
+			pass[j] = cfgs[i]
+		}
+		rs, err := s.RunPass(pass, cal)
+		if err != nil {
+			return nil, err
+		}
+		for j, i := range is {
+			out[i] = rs[j]
+		}
+	}
+	return out, nil
+}
+
+// runPass runs the full cycle-accurate pipeline once for a pass,
+// streaming its events to sink and, when window is positive, to the
+// phase sampler and the hotspot profiler behind Result.Phases. Sinks
+// and windows observe single-configuration passes only (RunWith).
+func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.EventSink, window int) ([]*Result, error) {
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("sim: %s: empty pass", s.Kernel.Name)
+	}
+	cfg := cfgs[0]
+	if len(cfgs) > 1 {
+		for _, other := range cfgs {
+			if other.ISA != cfg.ISA || other.Cache.LineBytes != cfg.Cache.LineBytes || !s.holds(other) {
+				return nil, fmt.Errorf("sim: %s on %s: configurations cannot share a pass", s.Kernel.Name, passName(cfgs))
+			}
+		}
+	}
 	prog, im, dec, _ := s.target(cfg)
 	c, err := cache.New(cfg.Cache)
 	if err != nil {
 		return nil, err
 	}
-	meter, err := power.NewMeter(cfg.Cache, cal)
-	if err != nil {
-		return nil, err
+	meters := make([]*power.Meter, len(cfgs))
+	for i := range cfgs {
+		if meters[i], err = power.NewMeter(cfgs[i].Cache, cal); err != nil {
+			return nil, err
+		}
 	}
+	meter := meters[0]
 	bindEnergy(sink, meter)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
@@ -396,26 +521,33 @@ func (s *Setup) runExact(cfg Config, cal power.Calibration, sink tracing.EventSi
 		sink = tracing.Tee(sampler, prof, sink)
 	}
 	pipe := new(cpu.PipeResult)
-	if err := cpu.RunPipelineTraced(m, pc, newICachePort(c, meter, im, pc.BlockBytes), dec, pipe, sink); err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, cfg.Name, err)
+	if err := cpu.RunPipelineTraced(m, pc, newICachePort(c, im, pc.BlockBytes, meters...), dec, pipe, sink); err != nil {
+		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, passName(cfgs), err)
 	}
-	res := &Result{Config: cfg, Pipe: pipe, Cache: c.Stats(), Power: meter.Report(), AccessPJ: meter.AccessPJ()}
-	if sampler != nil {
-		res.Phases = sampler.Series(pipe.Cycles)
-		res.Phases.Hotspots = prof.Hotspots()
-	}
-	return res, nil
-}
-
-// RunAll executes the kernel under every configuration.
-func (s *Setup) RunAll(cal power.Calibration) (map[string]*Result, error) {
-	out := make(map[string]*Result, len(Configs))
-	for _, cfg := range Configs {
-		r, err := s.Run(cfg, cal)
-		if err != nil {
-			return nil, err
+	// Every result owns its PipeResult: they are equal, not shared.
+	out := make([]*Result, len(cfgs))
+	for i := range cfgs {
+		p := pipe
+		if i > 0 {
+			cp := *pipe
+			cp.Output = slices.Clone(pipe.Output)
+			p = &cp
 		}
-		out[cfg.Name] = r
+		out[i] = &Result{Config: cfgs[i], Pipe: p, Cache: c.Stats(), Power: meters[i].Report(), AccessPJ: meters[i].AccessPJ()}
+	}
+	if sampler != nil {
+		out[0].Phases = sampler.Series(pipe.Cycles)
+		out[0].Phases.Hotspots = prof.Hotspots()
 	}
 	return out, nil
+}
+
+// passName names a pass in errors: its configuration names joined by
+// "+", which is the configuration's own name for a pass of one.
+func passName(cfgs []Config) string {
+	names := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		names[i] = cfg.Name
+	}
+	return strings.Join(names, "+")
 }
