@@ -30,56 +30,32 @@ echo "== go test -race (parallel engine + sim + telemetry + serving plane) =="
 go test -race ./internal/sim ./internal/experiments ./internal/telemetry ./cmd/internal/cli \
     ./internal/serve ./internal/archive
 
-echo "== benchmark smoke: fetch port stays allocation-free =="
-bench=$(go test -run=NONE -bench=BenchmarkFetchPort -benchtime=10x -benchmem .)
+echo "== benchmark smoke: one pass over every Go benchmark =="
+# One iteration of every benchmark in the root package and the serving
+# plane. Each body's own b.Fatal checks run (the sweep's evaluated-count
+# assertions, the serve hit/cold paths, Prepare, the sampled estimator),
+# and the hot loops below are gated at 0 allocs/op. At -benchtime=1x a
+# one-time allocation cannot average out to zero.
+bench=$(go test -run=NONE -bench=. -benchtime=1x -benchmem . ./internal/serve)
 echo "$bench"
-if ! echo "$bench" | grep -q "BenchmarkFetchPort.* 0 allocs/op"; then
-    echo "ci.sh: BenchmarkFetchPort allocates on the hot path" >&2
-    exit 1
-fi
-
-echo "== benchmark smoke: predecoded timing loop stays allocation-free =="
-# The steady-state cycle loop (RunPipelineInto over the shared predecode
-# table) must perform zero heap allocations; both ISA configurations are
-# checked.
-bench=$(go test -run=NONE -bench=BenchmarkPipelineSteadyState -benchtime=1x -benchmem .)
-echo "$bench"
-if [ "$(echo "$bench" | grep -c "BenchmarkPipelineSteadyState/.* 0 allocs/op")" -ne 2 ]; then
-    echo "ci.sh: pipeline steady-state cycle loop allocates" >&2
-    exit 1
-fi
-
-echo "== benchmark smoke: shared timing pass stays allocation-free =="
-# One pipeline run feeding two power meters (FITS16 and FITS8 over one
-# cache) must allocate nothing in the cycle loop either.
-bench=$(go test -run=NONE -bench=BenchmarkPipelineSharedPass -benchtime=1x -benchmem .)
-echo "$bench"
-if ! echo "$bench" | grep -q "BenchmarkPipelineSharedPass.* 0 allocs/op"; then
-    echo "ci.sh: shared-pass cycle loop allocates" >&2
-    exit 1
-fi
-
-echo "== benchmark smoke: tracing entry point stays allocation-free =="
-# The one cycle loop must allocate nothing with a nil sink (every Emit
-# guard not taken) and nothing per event with a ring sink attached;
-# both paths are gated at 0 allocs/op.
-bench=$(go test -run=NONE -bench=BenchmarkPipelineTraced -benchtime=1x -benchmem .)
-echo "$bench"
-if [ "$(echo "$bench" | grep -c "BenchmarkPipelineTraced/.* 0 allocs/op")" -ne 2 ]; then
-    echo "ci.sh: traced pipeline entry allocates" >&2
-    exit 1
-fi
-
-echo "== benchmark smoke: functional machine stays allocation-free =="
-# The functional machine's steady state (legacy Step loop, the compiled
-# micro-op table, and the superblock-fused executor) must perform zero
-# heap allocations on all three execution paths.
-bench=$(go test -run=NONE -bench=BenchmarkMachineSteadyState -benchtime=1x -benchmem .)
-echo "$bench"
-if [ "$(echo "$bench" | grep -c "BenchmarkMachineSteadyState/.* 0 allocs/op")" -ne 3 ]; then
-    echo "ci.sh: functional machine steady state allocates" >&2
-    exit 1
-fi
+# expect_zero_allocs PATTERN COUNT WHAT: exactly COUNT result lines
+# matching PATTERN must report 0 allocs/op.
+expect_zero_allocs() {
+    if [ "$(echo "$bench" | grep -c "$1.* 0 allocs/op")" -ne "$2" ]; then
+        echo "ci.sh: $3 allocates" >&2
+        exit 1
+    fi
+}
+# The I-cache fetch hot path: cache lookup plus power accrual per block.
+expect_zero_allocs "BenchmarkFetchPort" 1 "fetch port hot path"
+# The steady-state cycle loop over the shared predecode table, both ISAs.
+expect_zero_allocs "BenchmarkPipelineSteadyState/" 2 "pipeline steady-state cycle loop"
+# One pipeline run feeding two power meters (FITS16 and FITS8).
+expect_zero_allocs "BenchmarkPipelineSharedPass" 1 "shared-pass cycle loop"
+# The tracing entry point, with a nil sink and with a ring sink.
+expect_zero_allocs "BenchmarkPipelineTraced/" 2 "traced pipeline entry"
+# The functional machine: Step loop, compiled table, superblocks.
+expect_zero_allocs "BenchmarkMachineSteadyState/" 3 "functional machine steady state"
 
 echo "== sampled estimator: accuracy gate on one kernel =="
 # TestSampledAccuracy sweeps all 21 kernels x 4 configs asserting the
@@ -88,22 +64,6 @@ echo "== sampled estimator: accuracy gate on one kernel =="
 # heaviest kernel explicitly so a sampling regression names itself even
 # when someone trims the test matrix.
 go test ./internal/sim -run 'TestSampledAccuracy/jpeg' -count=1
-
-echo "== perf trajectory: pipeline benchmark record =="
-# Measures the pipeline benchmark record (schema v5: cycles/sec of the
-# timing loop, the sampled estimator with its measured cycle error,
-# instrs/sec of the functional machine on all three execution paths,
-# the per-kernel Prepare cost, the design-space sweep, and the serving
-# plane's hit/cold req/sec) into a scratch copy of the committed
-# BENCH_pipeline.json, so the per-entry delta table prints against the
-# committed record while that record stays untouched. Refreshing it is
-# an explicit step:
-#   go run ./cmd/fitsbench -pipebench BENCH_pipeline.json
-pipe_tmp=$(mktemp -d)
-trap 'rm -rf "$pipe_tmp"' EXIT
-cp BENCH_pipeline.json "$pipe_tmp/BENCH_pipeline.json"
-go run ./cmd/fitsbench -pipebench "$pipe_tmp/BENCH_pipeline.json"
-rm -rf "$pipe_tmp"
 
 echo "== trace export: generate + validate round trip =="
 # `powerfits trace` must emit a document its own -check accepts (the

@@ -11,14 +11,17 @@
 //	fitsbench -exp fig11      # one figure
 //	fitsbench -exp ablations  # the four synthesis ablations
 //	fitsbench -scale 1 -q     # quick run, no progress lines
-//	fitsbench -json BENCH_suite.json   # also emit timing/headline JSON
 //	fitsbench -archive .powerfits/runs # archive the full run record (see `powerfits diff`)
 //	fitsbench -metrics suite.json -phases suite.csv [-window N]
 //	fitsbench -cpuprofile cpu.pprof -memprofile mem.pprof -trace run.trace
-//	fitsbench -pipebench BENCH_pipeline.json   # timing-loop perf trajectory record (diffs vs an existing record)
 //	fitsbench -superblocks -sample    # fast path: fused-superblock profiling + sampled timing
 //	fitsbench -telemetry :6060        # live /metrics, /healthz, /progress, /debug/pprof while the run is up
 //	fitsbench -log-level debug -log-json   # structured engine/preparation logs
+//
+// fitsbench reproduces tables; it does not measure the host. Micro
+// loops are timed by `go test -bench`, end-to-end runs by
+// `bash bench/run.sh`, and a suite's own per-run timings ride in its
+// -archive record.
 package main
 
 import (
@@ -137,7 +140,6 @@ func main() {
 		exp         = fs.String("exp", "all", "experiment id: all, figs, fig3..fig14, headline, ablations, ablate-opwidth, ablate-dict, ablate-regs, ablate-mode")
 		quiet       = fs.Bool("q", false, "suppress progress output")
 		jobs        = fs.Int("j", 0, "parallel workers (0 = all cores, 1 = sequential)")
-		jsonPath    = fs.String("json", "", "write suite timing and headline averages as JSON to this path")
 		archiveTo   = fs.String("archive", "", "archive the complete run record: a .json path, or a run-store directory")
 		metricsPath = fs.String("metrics", "", "write manifest + suite registry + phase series as JSON")
 		phasesPath  = fs.String("phases", "", "write every run's phase series as CSV")
@@ -145,10 +147,6 @@ func main() {
 		cpuProf     = fs.String("cpuprofile", "", "write a pprof CPU profile to this path")
 		memProf     = fs.String("memprofile", "", "write a pprof heap profile to this path")
 		traceOut    = fs.String("trace", "", "write a runtime/trace execution trace to this path")
-		pipeBench   = fs.String("pipebench", "", "benchmark the predecoded timing loop and write BENCH_pipeline.json-style output to this path, then exit; if the path already holds a record, a per-entry delta table is printed first")
-		pipeKernel  = fs.String("pipebench-kernel", "crc32", "kernel the -pipebench loop runs")
-		sweepKernel = fs.String("sweep", "", "run the design-space exploration engine over this kernel's default grid and print the Pareto frontier, then exit (incremental vs -sweep-dir; -scale/-j/-json apply)")
-		sweepDir    = fs.String("sweep-dir", "", "run store the -sweep probes and fills (default .powerfits/runs)")
 		superblocks = fs.Bool("superblocks", false, "profile kernels through the fused superblock executor (identical profiles, faster preparation)")
 		sample      = fs.Bool("sample", false, "replace full pipeline runs with the sampled timing estimator (exact outputs, ≤2% validated cycle/energy error)")
 	)
@@ -169,20 +167,6 @@ func main() {
 		fatal(err)
 	}
 	defer tele.Close()
-
-	if *pipeBench != "" {
-		if err := runPipeBench(*pipeBench, *pipeKernel, *scale); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *sweepKernel != "" {
-		if err := runSweep(*sweepKernel, *scale, *jobs, *sweepDir, *jsonPath, *quiet); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	stop, err := metrics.StartProfiles(metrics.ProfileConfig{
 		CPUProfile: *cpuProf, MemProfile: *memProf, Trace: *traceOut})
@@ -233,16 +217,6 @@ func main() {
 				tables = append(tables, t)
 			}
 		}
-		if *jsonPath != "" {
-			man.Scale, man.Workers = *scale, suite.Workers
-			man.SetCalibration(suite.Cal)
-			man.Finish()
-			rep := experiments.NewBenchReport(man, *scale, suite)
-			if err := rep.WriteFile(*jsonPath); err != nil {
-				fatal(err)
-			}
-			log.Info("wrote bench report", "path", *jsonPath)
-		}
 		if *archiveTo != "" {
 			archiveSuite(man, *scale, suite, *archiveTo)
 		}
@@ -252,8 +226,8 @@ func main() {
 		// Fold the suite's merged registry into the served one so a
 		// lingering /metrics scrape sees the complete run.
 		tele.Merge(suite.Metrics)
-	} else if *jsonPath != "" || *metricsPath != "" || *phasesPath != "" || *archiveTo != "" {
-		fatal(fmt.Errorf("-json/-metrics/-phases/-archive require a suite experiment (not ablations/extensions)"))
+	} else if *metricsPath != "" || *phasesPath != "" || *archiveTo != "" {
+		fatal(fmt.Errorf("-metrics/-phases/-archive require a suite experiment (not ablations/extensions)"))
 	}
 
 	ext := func(f func(int) (*experiments.Table, error)) *experiments.Table {

@@ -3,11 +3,13 @@ package archive
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"powerfits/internal/experiments"
 	"powerfits/internal/metrics"
+	"powerfits/internal/sim"
 )
 
 // stubRecord builds a small valid record by hand.
@@ -142,7 +144,10 @@ func TestStoreLifecycle(t *testing.T) {
 // TestFromSuiteDeterministicID is the archive's identity guarantee:
 // archiving the same configuration twice lands on the same run ID (no
 // wall-clock in the ID), and the record covers every figure and every
-// kernel × configuration.
+// kernel × configuration. It also pins the record as the suite's one
+// timing and averages document: the headline figure, every figure's
+// average, the per-kernel prepare_sec and per-config run_sec gauges,
+// and engine/wall_sec all match the suite they came from.
 func TestFromSuiteDeterministicID(t *testing.T) {
 	suite, err := experiments.RunSuite(experiments.Options{Scale: 1, Workers: 0})
 	if err != nil {
@@ -160,13 +165,45 @@ func TestFromSuiteDeterministicID(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := len(a.Figures), len(suite.AllFigures()); got != want {
-		t.Errorf("record has %d figures, suite renders %d", got, want)
+		t.Fatalf("record has %d figures, suite renders %d", got, want)
 	}
 	if got, want := len(a.Kernels), len(suite.Setups)*4; got != want {
 		t.Errorf("record has %d kernel metrics, want %d", got, want)
 	}
 	if a.Manifest == nil || a.Manifest.ConfigHash != a.ConfigHash {
 		t.Error("manifest not stamped with the config hash")
+	}
+
+	head := suite.Headline()
+	for i, tab := range suite.AllFigures() {
+		f := a.Figures[i]
+		if f.ID != tab.ID || !slices.Equal(f.Average, tab.Average()) {
+			t.Errorf("figure %d: record %s average %v, suite %s average %v",
+				i, f.ID, f.Average, tab.ID, tab.Average())
+		}
+		if f.ID == head.ID && (len(f.Rows) != 1 || !slices.Equal(f.Rows[0].Vals, head.Rows[0].Vals)) {
+			t.Errorf("headline figure rows %+v, suite headline %v", f.Rows, head.Rows[0].Vals)
+		}
+	}
+	gauges := make(map[string]float64)
+	for _, g := range a.Registry.Gauges {
+		gauges[g.Name] = g.Value
+	}
+	for _, tm := range suite.Timings {
+		if got := gauges["kernel/"+tm.Kernel+"/prepare_sec"]; got != tm.PrepareSec {
+			t.Errorf("%s prepare_sec gauge %v, suite timing %v", tm.Kernel, got, tm.PrepareSec)
+		}
+		// The engine sums the per-config gauges in sim.Configs order.
+		var run float64
+		for _, cfg := range sim.Configs {
+			run += gauges["kernel/"+tm.Kernel+"/"+cfg.Name+"/run_sec"]
+		}
+		if run != tm.RunSec {
+			t.Errorf("%s run_sec gauges sum to %v, suite timing %v", tm.Kernel, run, tm.RunSec)
+		}
+	}
+	if got := gauges["engine/wall_sec"]; got != suite.WallSec {
+		t.Errorf("engine/wall_sec gauge %v, suite wall %v", got, suite.WallSec)
 	}
 
 	// The self-diff of one record must be exactly clean.

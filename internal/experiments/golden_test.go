@@ -1,41 +1,14 @@
 package experiments
 
 import (
-	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-
-	"powerfits/internal/metrics"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files")
-
-// goldenSuites generates the scale-1 suite once sequentially and once
-// with four workers, shared by every golden test in this file.
-var (
-	goldenOnce sync.Once
-	goldenSeq  *Suite
-	goldenPar  *Suite
-	goldenErr  error
-)
-
-func goldenSuites(t *testing.T) (seq, par *Suite) {
-	t.Helper()
-	goldenOnce.Do(func() {
-		goldenSeq, goldenErr = RunParallel(1, 1, nil)
-		if goldenErr == nil {
-			goldenPar, goldenErr = RunParallel(1, 4, nil)
-		}
-	})
-	if goldenErr != nil {
-		t.Fatal(goldenErr)
-	}
-	return goldenSeq, goldenPar
-}
 
 // TestGoldenRenderScale1 pins the rendered figure tables to a
 // committed golden file: any change to the simulated numbers or the
@@ -43,7 +16,14 @@ func goldenSuites(t *testing.T) (seq, par *Suite) {
 //
 //	go test ./internal/experiments -run Golden -update
 func TestGoldenRenderScale1(t *testing.T) {
-	seq, par := goldenSuites(t)
+	seq, err := RunParallel(1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := RunParallel(1, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := renderAll(seq)
 	if pgot := renderAll(par); got != pgot {
 		t.Fatal("rendered tables depend on parallelism — golden comparison would be meaningless")
@@ -78,47 +58,4 @@ func TestGoldenRenderScale1(t *testing.T) {
 		}
 	}
 	t.Fatalf("render is a strict prefix of the golden file (intentional? refresh with -update)")
-}
-
-// TestBenchReportNormalizedDeterministic asserts the fitsbench -json
-// payload: schema markers and manifest are present, and after
-// Normalize strips the volatile fields (timings, workers, manifest)
-// the report marshals byte-identically at any parallelism.
-func TestBenchReportNormalizedDeterministic(t *testing.T) {
-	seq, par := goldenSuites(t)
-	rs := NewBenchReport(metrics.NewManifest("test"), 1, seq)
-	rp := NewBenchReport(metrics.NewManifest("test"), 1, par)
-
-	if rs.Schema != BenchSchema || rs.SchemaVersion != BenchSchemaVersion {
-		t.Fatalf("report missing schema markers: %q v%d", rs.Schema, rs.SchemaVersion)
-	}
-	if rs.Manifest == nil {
-		t.Fatal("report missing manifest")
-	}
-	if len(rs.Headline) == 0 || len(rs.TableAvgs) == 0 || len(rs.Kernels) == 0 {
-		t.Fatalf("report incomplete: %d headline, %d tables, %d kernels",
-			len(rs.Headline), len(rs.TableAvgs), len(rs.Kernels))
-	}
-
-	rs.Normalize()
-	rp.Normalize()
-	if rs.Manifest != nil || rs.WallSec != 0 || rs.Workers != 0 {
-		t.Fatal("Normalize left volatile fields behind")
-	}
-	for _, k := range rs.Kernels {
-		if k.PrepareSec != 0 || k.RunSec != 0 || k.Worker != 0 {
-			t.Fatalf("Normalize left kernel timing behind: %+v", k)
-		}
-	}
-	bs, err := rs.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, err := rp.MarshalIndent()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bs, bp) {
-		t.Fatal("normalized bench reports differ between -j 1 and -j 4")
-	}
 }

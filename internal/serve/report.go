@@ -20,10 +20,9 @@ const (
 // Report is the /synth response document. Every field is a
 // deterministic function of the canonicalized request — no wall-clock,
 // worker counts or host identity — which is what lets a cached
-// response be byte-identical to the cold computation it memoizes (the
-// normalization BenchReport.Normalize applies after the fact, designed
-// in from the start here). Volatile context (cache layer hit, run ID)
-// travels in response headers instead.
+// response be byte-identical to the cold computation it memoizes.
+// Volatile context (cache layer hit, run ID) travels in response
+// headers instead.
 type Report struct {
 	Schema        string `json:"schema"`
 	SchemaVersion int    `json:"schema_version"`

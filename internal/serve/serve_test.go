@@ -39,8 +39,8 @@ func TestServeCacheHitEquivalence(t *testing.T) {
 	// durable store across a daemon restart) is byte-identical to the
 	// cold-path response for the same canonicalized request. The report
 	// is deterministic by construction — no manifest-style volatile
-	// fields to normalize (the design BenchReport.Normalize retrofits);
-	// cache tier and run ID travel in headers, outside the bytes.
+	// fields to normalize; cache tier and run ID travel in headers,
+	// outside the bytes.
 	dir := t.TempDir()
 	svc := New(Options{Store: archive.NewStore(dir), Workers: 2})
 	h := svc.Handler()
