@@ -271,8 +271,8 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c := cache.MustNew(cfg.Cache)
-		meter := power.MustNewMeter(cfg.Cache, cal)
-		port := sim.NewFetchPort(c, im, pc.BlockBytes, meter)
+		stream := power.MustNewMeter(cfg.Cache, cal).Stream()
+		port := sim.NewFetchPort(c, im, pc.BlockBytes, stream)
 		m := cpu.New(prog, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		b.StartTimer()
@@ -300,9 +300,10 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 
 // BenchmarkPipelineSharedPass is the steady-state loop of a shared
 // timing pass (sim.Setup.RunPass): one pipeline run over the crc32 FITS
-// image feeding two power meters, FITS16's and FITS8's, as the suite
-// times both sizes of an image whose text both caches hold. ci.sh
-// gates it at 0 allocs/op beside BenchmarkPipelineSteadyState.
+// image feeding the one power stream that FITS16's and FITS8's meters
+// price, as the suite times both sizes of an image whose text both
+// caches hold. ci.sh gates it at 0 allocs/op beside
+// BenchmarkPipelineSteadyState.
 func BenchmarkPipelineSharedPass(b *testing.B) {
 	s, err := sim.Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
 	if err != nil {
@@ -321,8 +322,11 @@ func BenchmarkPipelineSharedPass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c := cache.MustNew(sim.FITS16.Cache)
-		port := sim.NewFetchPort(c, im, pc.BlockBytes,
-			power.MustNewMeter(sim.FITS16.Cache, cal), power.MustNewMeter(sim.FITS8.Cache, cal))
+		stream := power.MustNewMeter(sim.FITS16.Cache, cal).Stream()
+		if _, err := stream.NewMeter(sim.FITS8.Cache); err != nil {
+			b.Fatal(err)
+		}
+		port := sim.NewFetchPort(c, im, pc.BlockBytes, stream)
 		m := cpu.New(s.Fits.Lowered, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		b.StartTimer()
@@ -353,8 +357,8 @@ func benchTracedSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, mkSink f
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		c := cache.MustNew(cfg.Cache)
-		meter := power.MustNewMeter(cfg.Cache, cal)
-		port := sim.NewFetchPort(c, im, pc.BlockBytes, meter)
+		stream := power.MustNewMeter(cfg.Cache, cal).Stream()
+		port := sim.NewFetchPort(c, im, pc.BlockBytes, stream)
 		m := cpu.New(prog, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		sink := mkSink()
@@ -540,9 +544,9 @@ func BenchmarkARMAssemble(b *testing.B) {
 }
 
 // BenchmarkFetchPort measures the I-cache fetch hot path — cache lookup
-// plus power accrual per fetched block — which must not allocate in the
-// steady state (the port aliases the image text and reuses a per-port
-// scratch buffer).
+// plus the power stream's counts per fetched block — which must not
+// allocate in the steady state (the port aliases the image text and
+// reuses a per-port scratch buffer).
 func BenchmarkFetchPort(b *testing.B) {
 	s, err := sim.Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
 	if err != nil {
@@ -550,8 +554,8 @@ func BenchmarkFetchPort(b *testing.B) {
 	}
 	pc := cpu.DefaultPipeConfig()
 	c := cache.MustNew(cache.SA1100ICache())
-	m := power.MustNewMeter(cache.SA1100ICache(), power.DefaultCalibration())
-	port := sim.NewFetchPort(c, s.ArmImage, pc.BlockBytes, m)
+	stream := power.MustNewMeter(cache.SA1100ICache(), power.DefaultCalibration()).Stream()
+	port := sim.NewFetchPort(c, s.ArmImage, pc.BlockBytes, stream)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -604,14 +608,21 @@ func BenchmarkCacheAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkPowerMeter measures the per-access/per-cycle energy model.
+// BenchmarkPowerMeter measures the energy model: one stream access and
+// one cycle per op, priced by the meter once at the end. ci.sh gates it
+// at 0 allocs/op.
 func BenchmarkPowerMeter(b *testing.B) {
 	m := power.MustNewMeter(cache.SA1100ICache(), power.DefaultCalibration())
+	stream := m.Stream()
 	block := []byte{1, 2, 3, 4}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Access(uint32(i*4), block, false)
-		m.Tick()
+		stream.Access(uint32(i*4), block, false)
+		stream.Tick()
+	}
+	if r := m.Report(); r.Cycles != uint64(b.N) || r.Accesses != uint64(b.N) {
+		b.Fatalf("meter counted %d cycles and %d accesses, want %d", r.Cycles, r.Accesses, b.N)
 	}
 }
 

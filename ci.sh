@@ -20,6 +20,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== fuzz: power meter against its per-cycle reference =="
+# A short fixed-time run of FuzzMeterMatchesReference on top of its
+# committed seed corpus (which plain `go test` already replays). Two
+# workers keep the run small.
+go test ./internal/power -run='^$' -fuzz='^FuzzMeterMatchesReference$' -fuzztime=10s -parallel=2
+
 echo "== benchmark module: go vet + go test =="
 # bench/ is a separate Go module, so the root ./... never compiles it;
 # this keeps an API change from silently breaking bench/run.sh.
@@ -46,11 +52,13 @@ expect_zero_allocs() {
         exit 1
     fi
 }
-# The I-cache fetch hot path: cache lookup plus power accrual per block.
+# The I-cache fetch hot path: cache lookup plus the power stream's counts.
 expect_zero_allocs "BenchmarkFetchPort" 1 "fetch port hot path"
+# The power model: stream accesses and cycles, priced by a meter.
+expect_zero_allocs "BenchmarkPowerMeter" 1 "power meter"
 # The steady-state cycle loop over the shared predecode table, both ISAs.
 expect_zero_allocs "BenchmarkPipelineSteadyState/" 2 "pipeline steady-state cycle loop"
-# One pipeline run feeding two power meters (FITS16 and FITS8).
+# One pipeline run feeding one power stream priced by two meters (FITS16, FITS8).
 expect_zero_allocs "BenchmarkPipelineSharedPass" 1 "shared-pass cycle loop"
 # The tracing entry point, with a nil sink and with a ring sink.
 expect_zero_allocs "BenchmarkPipelineTraced/" 2 "traced pipeline entry"

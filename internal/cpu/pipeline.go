@@ -17,9 +17,10 @@ type FetchPort interface {
 	// given aligned address and returns the extra stall cycles beyond
 	// the single access cycle (0 on a hit).
 	FetchBlock(addr uint32) (stall int)
-	// Tick is called once at the end of every pipeline cycle so the
-	// memory subsystem can account per-cycle (clock, leakage, peak
-	// window) effects.
+	// Tick is called once at the end of every pipeline cycle. The
+	// simulation layer counts it once per run; the power model prices
+	// its per-cycle clock, leakage and peak-window effects from that
+	// count.
 	Tick()
 }
 

@@ -7,10 +7,10 @@
 //
 //   - switching power — the output driver and its load: activity-based,
 //     modelled as energy per toggled bit on the fetch output bus and the
-//     address bus, accrued per cache access;
+//     address bus of each cache access;
 //   - internal power — the dynamic power of the cache block itself
-//     (decoders, wordlines, precharge, clock): accrued every cycle the
-//     cache is powered and scaling with total cache size, which
+//     (decoders, wordlines, precharge, clock): charged for every cycle
+//     the cache is powered and scaling with total cache size, which
 //     reproduces the paper's observation that internal power is "highly
 //     dependent upon the total size of the cache" and that half-sized
 //     caches save it while same-sized FITS does not;
@@ -20,6 +20,14 @@
 //   - peak power — the maximum power over a short sliding window of
 //     cycles, sensitive to both per-access activity and cache size.
 //
+// Every term is a count times a unit cost: switching scales with bus
+// toggles, fills with misses, and internal and leakage energy with
+// cycles times cache size. A Stream keeps those counts for one fetch
+// stream, with one integer increment per cycle, and a Meter prices them
+// for one cache geometry when read. Under the default calibration every
+// unit cost is dyadic, so each priced total is exact: it equals the sum
+// of its per-access and per-cycle energies, added in any order.
+//
 // Constants are calibrated so the ARM16 baseline reproduces the paper's
 // Figure 6 breakdown shape (internal > 50 %, dynamic ≫ leakage at
 // 0.35 µm) and the StrongARM chip share (I-cache ≈ 27 % of chip power).
@@ -28,6 +36,7 @@ package power
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"powerfits/internal/cache"
@@ -73,10 +82,27 @@ func DefaultCalibration() Calibration {
 	}
 }
 
-// Validate checks the calibration for usable values.
+// Validate checks the calibration for usable values: finite,
+// non-negative unit costs (the peak window relies on energy never
+// falling as accesses are added), a finite positive clock and a
+// positive peak window.
 func (c Calibration) Validate() error {
-	if c.FreqHz <= 0 {
-		return fmt.Errorf("power: non-positive frequency")
+	for _, u := range []struct {
+		name string
+		pj   float64
+	}{
+		{"switching energy", c.SwitchPJPerBit},
+		{"internal base energy", c.InternalBasePJ},
+		{"internal energy per KB", c.InternalPJPerKB},
+		{"fill energy", c.FillPJPerBit},
+		{"leakage energy", c.LeakPJPerKBCycle},
+	} {
+		if !(u.pj >= 0) || math.IsInf(u.pj, 1) {
+			return fmt.Errorf("power: %s %v is not finite and non-negative", u.name, u.pj)
+		}
+	}
+	if !(c.FreqHz > 0) || math.IsInf(c.FreqHz, 1) {
+		return fmt.Errorf("power: frequency %v is not finite and positive", c.FreqHz)
 	}
 	if c.PeakWindow <= 0 {
 		return fmt.Errorf("power: non-positive peak window")
@@ -120,56 +146,177 @@ func (r Report) Share() (sw, internal, leak float64) {
 	return r.SwitchingPJ / t, r.InternalPJ / t, r.LeakagePJ / t
 }
 
-// Meter accrues cache energy during a timing run. It is driven by the
-// simulation layer: Access on every cache access, Tick once per cycle.
-// A Meter belongs to exactly one run and is not safe for concurrent
-// use; concurrent simulations each construct their own.
-type Meter struct {
-	cal  Calibration
-	geom cache.Config
+// Stream counts one fetch-access stream: elapsed cycles, accesses, bus
+// toggles and misses, plus the peak window's access totals. It holds
+// no energies; the Meters built on it price its counts when read. One
+// stream serves every meter whose cache sees the same accesses, the
+// same line size and the same Calibration (the sim layer's shared
+// passes), so each access and cycle is counted once however many
+// geometries are priced. A Stream belongs to exactly one run and is not
+// safe for concurrent use.
+type Stream struct {
+	cal       Calibration
+	lineBytes int
+	fillPJ    float64 // per-miss line-fill energy
 
-	sizeKB        float64
-	internalCycle float64 // per-cycle internal energy
-	leakCycle     float64 // per-cycle leakage energy
-	fillPJ        float64 // per-miss fill energy
+	cycles   uint64 // closed cycles
+	accesses uint64
+	toggles  uint64 // output- plus address-bus bit toggles over all accesses
+	misses   uint64
 
 	prevData [2]uint64 // previous output-bus contents (up to 16 bytes)
 	prevAddr uint32
 
-	pendingPJ float64 // access energy awaiting this cycle's Tick
+	lastToggles int // bus toggles of the most recent access
+	lastMiss    bool
 
-	rep Report
-
-	// Sliding window for peak power.
-	window []float64
-	wIdx   int
-	wSum   float64
-	wFill  int
-	peakPJ float64 // max window energy sum
-
-	lastAccessPJ float64 // energy charged by the most recent access
-	accessPJ     float64 // exact running sum of lastAccessPJ, access order
+	// Peak window. Only the access energy varies between full windows:
+	// their per-cycle part is PeakWindow × (internal + leak) for any
+	// meter. A window ending at an idle cycle holds no more access
+	// energy than the window ending at the last access cycle before it,
+	// so each access cycle, once closed, offers one candidate: the
+	// window ending there. Before cycle PeakWindow−1 that window holds
+	// only the cycles run so far; it is a lower bound on the first full
+	// window, which the last access cycle inside it attains.
+	open   bool   // accesses of cycle at have not entered the window
+	at     uint64 // cycle of the most recent access
+	window uint64 // PeakWindow
+	// marks is a ring, its length a power of two, of the closed access
+	// cycles in the latest candidate window: marks[head&mask] is the
+	// oldest and marks[(tail-1)&mask] the newest.
+	marks      []windowMark
+	mask       uint64
+	head, tail uint64
+	baseT      uint64  // toggles before the oldest mark
+	baseM      uint64  // misses before the oldest mark
+	peakAcPJ   float64 // largest access energy of a candidate window
 }
 
-// NewMeter builds a meter for the given cache geometry.
-func NewMeter(geom cache.Config, cal Calibration) (*Meter, error) {
+// windowMark is a closed access cycle and the stream's running totals at
+// its end.
+type windowMark struct{ cycle, toggles, misses uint64 }
+
+// NewStream builds an empty stream for caches of the given line size.
+func NewStream(cal Calibration, lineBytes int) (*Stream, error) {
+	s := new(Stream)
+	if err := s.init(cal, lineBytes); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+func (s *Stream) init(cal Calibration, lineBytes int) error {
 	if err := cal.Validate(); err != nil {
+		return err
+	}
+	if lineBytes <= 0 {
+		return fmt.Errorf("power: non-positive line size %d", lineBytes)
+	}
+	s.cal, s.lineBytes = cal, lineBytes
+	s.fillPJ = cal.FillPJPerBit * float64(lineBytes*8)
+	s.window = uint64(cal.PeakWindow)
+	ring := uint64(1)
+	for ring < s.window {
+		ring <<= 1
+	}
+	s.marks, s.mask = make([]windowMark, ring), ring-1
+	return nil
+}
+
+// Access records one cache access delivering block (the fetched bytes,
+// up to 16) at addr; miss marks a line fill.
+func (s *Stream) Access(addr uint32, block []byte, miss bool) {
+	if s.open && s.at != s.cycles {
+		s.fold()
+	}
+	s.open, s.at = true, s.cycles
+
+	n := len(block)
+	if n > 16 {
+		n = 16
+	}
+	var dataToggles int
+	if s.cal.UseHamming {
+		var cur [2]uint64
+		for i := 0; i < n; i++ {
+			cur[i/8] |= uint64(block[i]) << (8 * (i % 8))
+		}
+		dataToggles = bits.OnesCount64(cur[0]^s.prevData[0]) +
+			bits.OnesCount64(cur[1]^s.prevData[1])
+		s.prevData = cur
+	} else {
+		// Default fast path: the fixed 50 % activity factor depends only
+		// on the delivered width, so the block bytes are never packed.
+		dataToggles = n * 8 / 2
+	}
+	t := dataToggles + bits.OnesCount32(addr^s.prevAddr)
+	s.prevAddr = addr
+
+	s.accesses++
+	s.toggles += uint64(t)
+	s.lastToggles, s.lastMiss = t, miss
+	if miss {
+		s.misses++
+	}
+}
+
+// Tick closes one cycle. It only counts: the per-cycle energies are
+// priced from the count when read, and the closed cycle's accesses
+// enter the peak window at the next Access or Report.
+func (s *Stream) Tick() { s.cycles++ }
+
+// fold moves the open access cycle, which has been closed, into the
+// peak window and offers the access energy of the window ending there
+// as a candidate.
+func (s *Stream) fold() {
+	s.open = false
+	for s.head != s.tail && s.marks[s.head&s.mask].cycle+s.window <= s.at {
+		old := &s.marks[s.head&s.mask]
+		s.baseT, s.baseM = old.toggles, old.misses
+		s.head++
+	}
+	s.marks[s.tail&s.mask] = windowMark{s.at, s.toggles, s.misses}
+	s.tail++
+	if pj := s.price(s.toggles-s.baseT, s.misses-s.baseM); pj > s.peakAcPJ {
+		s.peakAcPJ = pj
+	}
+}
+
+// price returns the access energy of toggles bus toggles and misses
+// line fills. (Counts stay far below 2⁶³, and the signed conversion is
+// the cheaper one.)
+func (s *Stream) price(toggles, misses uint64) float64 {
+	return s.cal.SwitchPJPerBit*float64(int64(toggles)) + s.fillPJ*float64(int64(misses))
+}
+
+// Meter prices a Stream for one cache geometry: the stream's counts
+// times the calibration's unit costs, with the internal and leakage
+// costs per cycle set by the cache size. It computes every energy when
+// read. Meters built on one stream share its accesses and cycles; a
+// Meter from NewMeter has a stream of its own.
+type Meter struct {
+	s             *Stream
+	internalCycle float64 // per-cycle internal energy
+	leakCycle     float64 // per-cycle leakage energy
+}
+
+// NewMeter builds a meter for the given cache geometry on a stream of
+// its own (Meter.Stream).
+func NewMeter(geom cache.Config, cal Calibration) (*Meter, error) {
+	// One allocation holds the stream and its meter: the sampled run
+	// builds one per run, and its allocation count is pinned
+	// (TestSampledAllocsPinned in internal/sim).
+	sm := new(struct {
+		s Stream
+		m Meter
+	})
+	if err := sm.s.init(cal, geom.LineBytes); err != nil {
 		return nil, err
 	}
-	if err := geom.Validate(); err != nil {
+	if err := sm.m.init(&sm.s, geom); err != nil {
 		return nil, err
 	}
-	kb := float64(geom.SizeBytes) / 1024
-	return &Meter{
-		cal:           cal,
-		geom:          geom,
-		sizeKB:        kb,
-		internalCycle: cal.InternalBasePJ + cal.InternalPJPerKB*kb,
-		leakCycle:     cal.LeakPJPerKBCycle * kb,
-		fillPJ:        cal.FillPJPerBit * float64(geom.LineBytes*8),
-		window:        make([]float64, cal.PeakWindow),
-		rep:           Report{FreqHz: cal.FreqHz},
-	}, nil
+	return &sm.m, nil
 }
 
 // MustNewMeter is NewMeter but panics on error.
@@ -181,100 +328,86 @@ func MustNewMeter(geom cache.Config, cal Calibration) *Meter {
 	return m
 }
 
-// Access records one cache access delivering block (the fetched bytes,
-// up to 16) at addr; miss adds the line-fill energy.
-func (m *Meter) Access(addr uint32, block []byte, miss bool) {
-	m.rep.Accesses++
-
-	n := len(block)
-	if n > 16 {
-		n = 16
+// NewMeter builds a meter pricing s for a cache of the given geometry,
+// which must have the stream's line size.
+func (s *Stream) NewMeter(geom cache.Config) (*Meter, error) {
+	m := new(Meter)
+	if err := m.init(s, geom); err != nil {
+		return nil, err
 	}
-	var dataToggles int
-	if m.cal.UseHamming {
-		var cur [2]uint64
-		for i := 0; i < n; i++ {
-			cur[i/8] |= uint64(block[i]) << (8 * (i % 8))
-		}
-		dataToggles = bits.OnesCount64(cur[0]^m.prevData[0]) +
-			bits.OnesCount64(cur[1]^m.prevData[1])
-		m.prevData = cur
-	} else {
-		// Default fast path: the fixed 50 % activity factor depends only
-		// on the delivered width, so the block bytes are never packed.
-		dataToggles = n * 8 / 2
-	}
-	toggles := dataToggles + bits.OnesCount32(addr^m.prevAddr)
-	m.prevAddr = addr
-
-	sw := m.cal.SwitchPJPerBit * float64(toggles)
-	m.rep.SwitchingPJ += sw
-	m.pendingPJ += sw
-	m.lastAccessPJ = sw
-	if miss {
-		m.rep.Misses++
-		m.rep.InternalPJ += m.fillPJ
-		m.pendingPJ += m.fillPJ
-		m.lastAccessPJ += m.fillPJ
-	}
-	m.accessPJ += m.lastAccessPJ
+	return m, nil
 }
+
+func (m *Meter) init(s *Stream, geom cache.Config) error {
+	if err := geom.Validate(); err != nil {
+		return err
+	}
+	if geom.LineBytes != s.lineBytes {
+		return fmt.Errorf("power: %d-byte lines on a stream of %d-byte lines", geom.LineBytes, s.lineBytes)
+	}
+	kb := float64(geom.SizeBytes) / 1024
+	*m = Meter{
+		s:             s,
+		internalCycle: s.cal.InternalBasePJ + s.cal.InternalPJPerKB*kb,
+		leakCycle:     s.cal.LeakPJPerKBCycle * kb,
+	}
+	return nil
+}
+
+// Stream returns the access stream the meter prices.
+func (m *Meter) Stream() *Stream { return m.s }
 
 // EnergyPJ returns the cumulative switching, internal and leakage
 // energy without finalising a Report (tracing.EnergySource, read by the
 // phase sampler at each window close).
 func (m *Meter) EnergyPJ() (switchPJ, internalPJ, leakPJ float64) {
-	return m.rep.SwitchingPJ, m.rep.InternalPJ, m.rep.LeakagePJ
+	s := m.s
+	cycles := float64(s.cycles)
+	return s.cal.SwitchPJPerBit * float64(s.toggles),
+		m.internalCycle*cycles + s.fillPJ*float64(s.misses),
+		m.leakCycle * cycles
 }
 
 // LastAccessPJ returns the energy charged by the most recent Access
 // (switching plus any line fill), used for PC-level attribution.
-func (m *Meter) LastAccessPJ() float64 { return m.lastAccessPJ }
-
-// AccessPJ returns the exact running sum of per-access energies, added
-// in access order. An attribution sink that accumulates LastAccessPJ
-// per access, in the same order, lands on this value bit-for-bit — the
-// tracing profiler's conservation invariant. (It equals SwitchingPJ
-// plus the miss fills up to float64 reassociation; the exact identity
-// holds only for this counter.)
-func (m *Meter) AccessPJ() float64 { return m.accessPJ }
-
-// Tick closes one pipeline cycle: per-cycle internal and leakage energy
-// plus any access energy recorded this cycle, and updates the peak
-// window.
-func (m *Meter) Tick() {
-	m.rep.Cycles++
-	m.rep.InternalPJ += m.internalCycle
-	m.rep.LeakagePJ += m.leakCycle
-
-	cyclePJ := m.pendingPJ + m.internalCycle + m.leakCycle
-	m.pendingPJ = 0
-
-	m.wSum += cyclePJ - m.window[m.wIdx]
-	m.window[m.wIdx] = cyclePJ
-	if m.wIdx++; m.wIdx == len(m.window) {
-		m.wIdx = 0
+func (m *Meter) LastAccessPJ() float64 {
+	pj := m.s.cal.SwitchPJPerBit * float64(m.s.lastToggles)
+	if m.s.lastMiss {
+		pj += m.s.fillPJ
 	}
-	if m.wFill < len(m.window) {
-		m.wFill++
-	}
-	if m.wFill == len(m.window) && m.wSum > m.peakPJ {
-		m.peakPJ = m.wSum
-	}
+	return pj
 }
 
-// Report finalises and returns the accumulated energy report.
+// AccessPJ returns the access energy of the whole stream, switching
+// plus line fills. An attribution sink that sums LastAccessPJ over
+// every access lands on this value bit-for-bit whenever no partial sum
+// rounds, as with the default calibration's dyadic unit costs; that is
+// the tracing profiler's conservation invariant.
+func (m *Meter) AccessPJ() float64 { return m.s.price(m.s.toggles, m.s.misses) }
+
+// Report returns the accumulated energy report. It first moves a closed
+// access cycle into the peak window; an access in a cycle not yet
+// closed counts in every total but not in the peak.
 func (m *Meter) Report() Report {
-	r := m.rep
-	w := float64(len(m.window))
-	peak := m.peakPJ
-	if m.wFill < len(m.window) && m.wFill > 0 {
-		// Short run: use the partial window.
-		peak = m.wSum
-		w = float64(m.wFill)
+	s := m.s
+	if s.open && s.at != s.cycles {
+		s.fold()
+	}
+	r := Report{Cycles: s.cycles, Accesses: s.accesses, Misses: s.misses, FreqHz: s.cal.FreqHz}
+	r.SwitchingPJ, r.InternalPJ, r.LeakagePJ = m.EnergyPJ()
+	w, accessPJ := s.window, s.peakAcPJ
+	if s.cycles < w {
+		// Short run: the partial window holds every closed cycle, up to
+		// the newest mark.
+		w, accessPJ = s.cycles, 0
+		if s.tail != s.head {
+			last := s.marks[(s.tail-1)&s.mask]
+			accessPJ = s.price(last.toggles, last.misses)
+		}
 	}
 	if w > 0 {
-		r.PeakPowerW = peak / w * 1e-12 * m.cal.FreqHz
+		peak := float64(w)*(m.internalCycle+m.leakCycle) + accessPJ
+		r.PeakPowerW = peak / float64(w) * 1e-12 * s.cal.FreqHz
 	}
 	return r
 }

@@ -137,7 +137,7 @@ func TestFetchPortNoAllocs(t *testing.T) {
 	s := observedSetup(t)
 	c := cache.MustNew(cache.SA1100ICache())
 	m := power.MustNewMeter(cache.SA1100ICache(), power.DefaultCalibration())
-	port := newICachePort(c, s.ArmImage, 4, m)
+	port := newICachePort(c, s.ArmImage, 4, m.Stream())
 	i := uint32(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		port.FetchBlock(s.ArmImage.TextBase + (i*4)&0xFC)

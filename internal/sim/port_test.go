@@ -100,7 +100,7 @@ func TestFetchPortBlockContents(t *testing.T) {
 	portMeter := power.MustNewMeter(geom, cal)
 	refMeter := power.MustNewMeter(geom, cal)
 	refCache := cache.MustNew(geom)
-	port := NewFetchPort(cache.MustNew(geom), im, block, portMeter)
+	port := NewFetchPort(cache.MustNew(geom), im, block, portMeter.Stream())
 
 	addrs := []uint32{
 		base,      // fully inside (aliases text)
@@ -113,8 +113,8 @@ func TestFetchPortBlockContents(t *testing.T) {
 	for _, addr := range addrs {
 		port.FetchBlock(addr)
 		port.Tick()
-		refMeter.Access(addr, refBlock(addr), !refCache.Access(addr))
-		refMeter.Tick()
+		refMeter.Stream().Access(addr, refBlock(addr), !refCache.Access(addr))
+		refMeter.Stream().Tick()
 	}
 
 	got, want := portMeter.Report(), refMeter.Report()
@@ -132,7 +132,7 @@ func TestFetchPortZeroAlloc(t *testing.T) {
 	}
 	c := cache.MustNew(cache.SA1100ICache())
 	m := power.MustNewMeter(cache.SA1100ICache(), power.DefaultCalibration())
-	port := NewFetchPort(c, s.ArmImage, 4, m)
+	port := NewFetchPort(c, s.ArmImage, 4, m.Stream())
 
 	var addr uint32
 	allocs := testing.AllocsPerRun(1000, func() {

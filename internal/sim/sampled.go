@@ -308,7 +308,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 	bindEnergy(sink, meter)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
-	port := newICachePort(c, im, pc.BlockBytes, meter)
+	port := newICachePort(c, im, pc.BlockBytes, meter.Stream())
 
 	var pres cpu.PipeResult
 	run, err := cpu.NewPipelineRun(m, pc, port, dec, &pres)

@@ -243,11 +243,12 @@ type Result struct {
 	// it came from RunSampled; nil for exact (full-pipeline) runs.
 	Sampled *SampleStats
 
-	// AccessPJ is the power meter's exact running sum of per-access
-	// fetch energies in access order (power.Meter.AccessPJ), covering
-	// every access the run simulated in detail. It is the conservation
-	// anchor of the tracing profiler: a profiler attached to the run
-	// reports TotalPJ() equal to this value bit-for-bit.
+	// AccessPJ is the power meter's total of per-access fetch energies
+	// (power.Meter.AccessPJ), covering every access the run simulated
+	// in detail. It is the conservation anchor of the tracing profiler:
+	// a profiler attached to the run reports TotalPJ() equal to this
+	// value, bit-for-bit under dyadic unit costs such as the default
+	// calibration's.
 	AccessPJ float64
 }
 
@@ -272,36 +273,38 @@ func (s *Setup) target(cfg Config) (prog *program.Program, im *program.Image, de
 }
 
 // icachePort implements cpu.FetchPort over one cache and the power
-// meters of every configuration in a pass (Setup.RunPass); a plain run
-// is a pass of one. A port is owned by exactly one pipeline run (it is
-// not safe for concurrent use). The fetch path is allocation-free in
-// the steady state: blocks fully inside the text segment alias the
-// image directly, and blocks straddling the bounds reuse a per-port
-// scratch buffer (asserted by BenchmarkFetchPort and
-// TestFetchPortZeroAlloc). The port carries no instrumentation: runs
-// are observed through the pipeline's event stream (RunOptions).
+// stream that every meter of a pass prices (Setup.RunPass); a plain run
+// is a pass of one. Each fetch is one stream access and each cycle one
+// stream tick, however many meters the pass has. A port is owned by
+// exactly one pipeline run (it is not safe for concurrent use). The
+// fetch path is allocation-free in the steady state: blocks fully
+// inside the text segment alias the image directly, and blocks
+// straddling the bounds reuse a per-port scratch buffer (asserted by
+// BenchmarkFetchPort and TestFetchPortZeroAlloc). The port carries no
+// instrumentation: runs are observed through the pipeline's event
+// stream (RunOptions).
 type icachePort struct {
 	c        *cache.Cache
-	meters   []*power.Meter
+	stream   *power.Stream
 	text     []byte
 	textBase uint32
 	block    int
 	buf      []byte // scratch for blocks straddling the text bounds
 }
 
-func newICachePort(c *cache.Cache, im *program.Image, blockBytes int, meters ...*power.Meter) *icachePort {
-	return &icachePort{c: c, meters: meters, text: im.Text, textBase: im.TextBase,
+func newICachePort(c *cache.Cache, im *program.Image, blockBytes int, stream *power.Stream) *icachePort {
+	return &icachePort{c: c, stream: stream, text: im.Text, textBase: im.TextBase,
 		block: blockBytes, buf: make([]byte, blockBytes)}
 }
 
 // NewFetchPort returns the simulator's I-cache fetch port — the cache
-// lookup plus power accrual behind every instruction fetch — for use by
-// benchmarks and custom pipelines. Every meter receives every access
-// and tick, as in a shared pass; that is exact only while c cannot
-// evict (Setup.Passes). The port must not be shared across concurrent
-// pipeline runs.
-func NewFetchPort(c *cache.Cache, im *program.Image, blockBytes int, meters ...*power.Meter) cpu.FetchPort {
-	return newICachePort(c, im, blockBytes, meters...)
+// lookup plus the power stream behind every instruction fetch — for use
+// by benchmarks and custom pipelines. Every meter built on stream
+// prices every access and cycle, as in a shared pass; that is exact
+// only while c cannot evict (Setup.Passes). The port must not be shared
+// across concurrent pipeline runs.
+func NewFetchPort(c *cache.Cache, im *program.Image, blockBytes int, stream *power.Stream) cpu.FetchPort {
+	return newICachePort(c, im, blockBytes, stream)
 }
 
 func (p *icachePort) FetchBlock(addr uint32) int {
@@ -319,20 +322,14 @@ func (p *icachePort) FetchBlock(addr uint32) int {
 			blk[i] = b
 		}
 	}
-	for _, m := range p.meters {
-		m.Access(addr, blk, !hit)
-	}
+	p.stream.Access(addr, blk, !hit)
 	if hit {
 		return 0
 	}
 	return MissPenalty
 }
 
-func (p *icachePort) Tick() {
-	for _, m := range p.meters {
-		m.Tick()
-	}
-}
+func (p *icachePort) Tick() { p.stream.Tick() }
 
 // RunOptions selects how a run is simulated and what observes it. The
 // zero value is a plain exact run (Run).
@@ -434,9 +431,9 @@ func (s *Setup) passIndices(cfgs []Config) [][]int {
 // a pass of one. A cache that holds the text never evicts and misses
 // exactly on the first touch of each line (cache.Config.Holds), so
 // every geometry in a pass sees the same hit/miss sequence, the
-// pipeline the same stalls, and each configuration's power meter
-// exactly the Access/Tick calls its standalone run would make. The
-// grouping depends only on the image and the geometries.
+// pipeline the same stalls, and the pass's one power stream exactly the
+// accesses and cycles each standalone run would count. The grouping
+// depends only on the image and the geometries.
 func (s *Setup) Passes(cfgs []Config) [][]Config {
 	idx := s.passIndices(cfgs)
 	passes := make([][]Config, len(idx))
@@ -449,7 +446,7 @@ func (s *Setup) Passes(cfgs []Config) [][]Config {
 }
 
 // RunPass times one pass of Passes in a single pipeline run with one
-// cache and one power meter per configuration. Each result is
+// cache, one power stream, and one meter per configuration pricing it. Each result is
 // bit-identical to Run of its configuration. Configurations that
 // cannot share a pass are an error. Like Run, it is safe to call
 // concurrently on one Setup.
@@ -498,9 +495,13 @@ func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.Event
 	if err != nil {
 		return nil, err
 	}
+	stream, err := power.NewStream(cal, cfg.Cache.LineBytes)
+	if err != nil {
+		return nil, err
+	}
 	meters := make([]*power.Meter, len(cfgs))
 	for i := range cfgs {
-		if meters[i], err = power.NewMeter(cfgs[i].Cache, cal); err != nil {
+		if meters[i], err = stream.NewMeter(cfgs[i].Cache); err != nil {
 			return nil, err
 		}
 	}
@@ -521,7 +522,7 @@ func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.Event
 		sink = tracing.Tee(sampler, prof, sink)
 	}
 	pipe := new(cpu.PipeResult)
-	if err := cpu.RunPipelineTraced(m, pc, newICachePort(c, im, pc.BlockBytes, meters...), dec, pipe, sink); err != nil {
+	if err := cpu.RunPipelineTraced(m, pc, newICachePort(c, im, pc.BlockBytes, stream), dec, pipe, sink); err != nil {
 		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, passName(cfgs), err)
 	}
 	// Every result owns its PipeResult: they are equal, not shared.

@@ -19,11 +19,12 @@ import (
 // flamegraph tooling.
 //
 // Conservation is exact, not approximate: the profiler accumulates its
-// grand total in event order with the same float64 additions the meter
-// performs for its own AccessPJ counter, so TotalPJ() == AccessPJ()
-// bit-for-bit at the end of a run (TestProfilerConservation in
-// internal/sim checks == per kernel × configuration, and the per-block
-// sums against the meter's switching + fill totals).
+// grand total in event order, the meter prices its AccessPJ from its
+// toggle and miss counts, and under dyadic unit costs (the default
+// calibration) no partial sum of either rounds, so TotalPJ() ==
+// AccessPJ() bit-for-bit at the end of a run (TestProfilerConservation
+// in internal/sim checks == per kernel × configuration, and the
+// per-block sums against the meter's switching + fill totals).
 
 // Block is one attribution target: a basic block of the running image,
 // labeled by its containing function. The sim layer derives blocks
@@ -160,7 +161,7 @@ func (p *Profiler) Emit(e Event) {
 
 // TotalPJ returns the grand total of attributed access energy, summed
 // in event order — bit-identical to the bound meter's AccessPJ when
-// every access of the run was traced.
+// every access of the run was traced under dyadic unit costs.
 func (p *Profiler) TotalPJ() float64 { return p.total }
 
 // BlockPJ returns the per-block energy re-summed over blocks (catch-all

@@ -162,8 +162,7 @@ func (t tee) Emit(e Event) {
 // AccessEnergy exposes the per-access energy of a run's power model for
 // attribution sinks. power.Meter implements it: LastAccessPJ is the
 // energy charged by the most recent cache access, and AccessPJ the
-// exact running sum of those charges in access order — the profiler's
-// conservation anchor.
+// total of those charges — the profiler's conservation anchor.
 type AccessEnergy interface {
 	LastAccessPJ() float64
 	AccessPJ() float64
