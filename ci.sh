@@ -72,6 +72,10 @@ echo "== sampled estimator: accuracy gate on one kernel =="
 # heaviest kernel explicitly so a sampling regression names itself even
 # when someone trims the test matrix.
 go test ./internal/sim -run 'TestSampledAccuracy/jpeg' -count=1
+# jpeg's ARM image is the one whose text the 8 KB cache cannot hold, so
+# its sampled pass splits in two: a regression on the split path of the
+# shared sampled pass names itself here.
+go test ./internal/sim -run 'TestSampledPassMatchesSeparateRuns/jpeg' -count=1
 
 echo "== trace export: generate + validate round trip =="
 # `powerfits trace` must emit a document its own -check accepts (the

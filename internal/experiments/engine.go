@@ -125,9 +125,12 @@ type Options struct {
 	// (the executors are equivalence-tested down to DynCount); only
 	// preparation wall-clock changes.
 	Superblocks bool
-	// Sampled replaces every full-pipeline timing run with the sampled
-	// estimator (sim.RunSampled): exact outputs and instruction counts,
-	// extrapolated cycles and energy with ≤2 % validated error.
+	// Sampled replaces every full-pipeline timing pass with the sampled
+	// estimator (sim.Setup.RunPass with sample options): exact outputs
+	// and instruction counts, extrapolated cycles and energy with ≤2 %
+	// validated error. Configurations share a sampled pass exactly as
+	// they share an exact one, so a sampled suite costs one pass per
+	// image whose text the caches hold.
 	Sampled bool
 	// Sample parameterises the estimator when Sampled is set; the zero
 	// value selects sim.DefaultSampleOptions.
@@ -241,24 +244,22 @@ func RunSuite(opt Options) (*Suite, error) {
 			kr.reg.Histogram("engine/prepare_sec", metrics.DurationBuckets).
 				Observe(kr.timing.PrepareSec)
 
-			// Fan out one job per timing pass: exact unobserved runs of
-			// an image share a pass across the cache sizes that hold
-			// its text (sim.Setup.Passes); sampled and phase-sampled
-			// runs time one configuration each through RunWith.
-			var observe *sim.RunOptions
-			switch {
-			case opt.Sampled:
-				observe = &sim.RunOptions{Sample: &opt.Sample}
-			case opt.WindowCycles > 0:
-				observe = &sim.RunOptions{WindowCycles: opt.WindowCycles}
+			// Fan out one job per timing pass: exact and sampled runs
+			// of an image share a pass across the cache sizes that
+			// hold its text (sim.Setup.Passes); phase-sampled runs
+			// time one configuration each through RunWith.
+			var sample *sim.SampleOptions
+			if opt.Sampled {
+				sample = &opt.Sample
 			}
+			phased := sample == nil && opt.WindowCycles > 0
 			var passes [][]sim.Config
-			if observe == nil {
-				passes = setup.Passes(sim.Configs)
-			} else {
+			if phased {
 				for _, cfg := range sim.Configs {
 					passes = append(passes, []sim.Config{cfg})
 				}
+			} else {
+				passes = setup.Passes(sim.Configs)
 			}
 			kr.results = make([]*sim.Result, len(sim.Configs))
 			runSec := make([]float64, len(sim.Configs))
@@ -274,12 +275,12 @@ func RunSuite(opt Options) (*Suite, error) {
 					t0 := time.Now()
 					var rs []*sim.Result
 					var err error
-					if observe != nil {
+					if phased {
 						var r *sim.Result
-						r, err = setup.RunWith(pass[0], s.Cal, *observe)
+						r, err = setup.RunWith(pass[0], s.Cal, sim.RunOptions{WindowCycles: opt.WindowCycles})
 						rs = []*sim.Result{r}
 					} else {
-						rs, err = setup.RunPass(pass, s.Cal)
+						rs, err = setup.RunPass(pass, s.Cal, sample)
 					}
 					// A pass's wall time is split evenly across its
 					// configurations, so RunSec still sums to the

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -73,6 +74,45 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		}
 		t.Fatalf("parallel output is a strict prefix of sequential output")
+	}
+}
+
+// TestSampledSuiteMatchesPerConfigRuns holds a sampled suite, whose
+// configurations share sampled passes, to standalone sampled runs: every
+// kernel × configuration result equals Setup.RunSampled on the suite's
+// own Setup, and the rendered tables are byte-identical at one worker.
+func TestSampledSuiteMatchesPerConfigRuns(t *testing.T) {
+	par, err := RunSuite(Options{Scale: 1, Workers: 2, Sampled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range par.Setups {
+		for _, cfg := range sim.Configs {
+			want, err := s.RunSampled(cfg, par.Cal, sim.SampleOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := par.Results[s.Kernel.Name][cfg.Name]
+			switch {
+			case got == nil || got.Sampled == nil:
+				t.Fatalf("%s/%s: no sampled result", s.Kernel.Name, cfg.Name)
+			case !reflect.DeepEqual(*got.Pipe, *want.Pipe):
+				t.Errorf("%s/%s: pipe %+v, want %+v", s.Kernel.Name, cfg.Name, *got.Pipe, *want.Pipe)
+			case got.Cache != want.Cache:
+				t.Errorf("%s/%s: cache %+v, want %+v", s.Kernel.Name, cfg.Name, got.Cache, want.Cache)
+			case got.Power != want.Power:
+				t.Errorf("%s/%s: power %+v, want %+v", s.Kernel.Name, cfg.Name, got.Power, want.Power)
+			case *got.Sampled != *want.Sampled:
+				t.Errorf("%s/%s: sampling %+v, want %+v", s.Kernel.Name, cfg.Name, *got.Sampled, *want.Sampled)
+			}
+		}
+	}
+	seq, err := RunSuite(Options{Scale: 1, Workers: 1, Sampled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderAll(seq) != renderAll(par) {
+		t.Error("sampled suite tables differ between 1 and 2 workers")
 	}
 }
 

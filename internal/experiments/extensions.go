@@ -92,7 +92,7 @@ func ExtGeometry(scale int) (*Table, error) {
 			}
 			cfgs = append(cfgs, mk(sim.ISAARM, 16*1024), mk(sim.ISAFITS, 8*1024))
 		}
-		rs, err := s.RunAll(cfgs, cal)
+		rs, err := s.RunAll(cfgs, cal, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -148,7 +148,7 @@ func ExtTraffic(scale int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rs, err := s.RunAll(sim.Configs, cal)
+		rs, err := s.RunAll(sim.Configs, cal, nil)
 		if err != nil {
 			return nil, err
 		}

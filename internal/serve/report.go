@@ -74,20 +74,13 @@ func serveRunID(c *Canonical) string {
 // layer stores and replays).
 func (c *Canonical) Evaluate(s *sim.Setup) ([]byte, *Report, error) {
 	cal := power.DefaultCalibration()
-	var rs []*sim.Result
+	var sample *sim.SampleOptions
 	if c.Req.Sampled {
-		for _, cfg := range c.Configs {
-			r, err := s.RunSampled(cfg, cal, sim.SampleOptions{})
-			if err != nil {
-				return nil, nil, err
-			}
-			rs = append(rs, r)
-		}
-	} else {
-		var err error
-		if rs, err = s.RunAll(c.Configs, cal); err != nil {
-			return nil, nil, err
-		}
+		sample = &sim.SampleOptions{}
+	}
+	rs, err := s.RunAll(c.Configs, cal, sample)
+	if err != nil {
+		return nil, nil, err
 	}
 	results := make(map[string]*sim.Result, len(rs))
 	for _, r := range rs {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"powerfits/internal/cache"
@@ -110,23 +111,20 @@ type SampleStats struct {
 	Exact bool
 }
 
-// sampleSnap is a point-in-time capture of every counter the estimator
-// extrapolates.
+// sampleSnap is a point-in-time capture of every counter of a pass the
+// estimator extrapolates. The energies, which differ per configuration,
+// are captured beside it by each meterSample.
 type sampleSnap struct {
 	pipe   cpu.PipeResult
 	instrs uint64
 	acc    uint64
 	miss   uint64
-	swPJ   float64
-	inPJ   float64
-	lkPJ   float64
 }
 
-func takeSnap(res *cpu.PipeResult, m *cpu.Machine, c *cache.Cache, meter *power.Meter) sampleSnap {
+func takeSnap(res *cpu.PipeResult, m *cpu.Machine, c *cache.Cache) sampleSnap {
 	s := sampleSnap{pipe: *res, instrs: m.InstrCount}
 	st := c.Stats()
 	s.acc, s.miss = st.Accesses, st.Misses
-	s.swPJ, s.inPJ, s.lkPJ = meter.EnergyPJ()
 	return s
 }
 
@@ -137,9 +135,6 @@ func (a sampleSnap) sub(b sampleSnap) sampleSnap {
 		instrs: a.instrs - b.instrs,
 		acc:    a.acc - b.acc,
 		miss:   a.miss - b.miss,
-		swPJ:   a.swPJ - b.swPJ,
-		inPJ:   a.inPJ - b.inPJ,
-		lkPJ:   a.lkPJ - b.lkPJ,
 	}
 	d.pipe = cpu.PipeResult{
 		Cycles:          a.pipe.Cycles - b.pipe.Cycles,
@@ -163,9 +158,6 @@ func (a *sampleSnap) add(d sampleSnap) {
 	a.instrs += d.instrs
 	a.acc += d.acc
 	a.miss += d.miss
-	a.swPJ += d.swPJ
-	a.inPJ += d.inPJ
-	a.lkPJ += d.lkPJ
 	a.pipe.Cycles += d.pipe.Cycles
 	a.pipe.Instrs += d.pipe.Instrs
 	a.pipe.FetchAccesses += d.pipe.FetchAccesses
@@ -181,15 +173,46 @@ func (a *sampleSnap) add(d sampleSnap) {
 	a.pipe.DualIssueCycles += d.pipe.DualIssueCycles
 }
 
+// energy is a meter's cumulative switching, internal and leakage energy.
+type energy struct{ sw, in, lk float64 }
+
+func meterEnergy(m *power.Meter) energy {
+	sw, in, lk := m.EnergyPJ()
+	return energy{sw, in, lk}
+}
+
+// meterSample is one configuration's share of a sampled pass: the meter
+// pricing the pass's stream for its geometry, its energy at the end of
+// the head and at the start of the open window, its energy summed over
+// the measured windows, and the per-window energy ratios.
+type meterSample struct {
+	m        *power.Meter
+	head, w0 energy
+	sum      energy
+	ratios   []float64
+}
+
+// window closes a measured window of instrs instructions: it adds
+// the meter's energy since w0 to the sum and appends the window's
+// energy per instruction.
+func (ms *meterSample) window(instrs uint64) {
+	e := meterEnergy(ms.m)
+	d := energy{e.sw - ms.w0.sw, e.in - ms.w0.in, e.lk - ms.w0.lk}
+	ms.sum.sw += d.sw
+	ms.sum.in += d.in
+	ms.sum.lk += d.lk
+	ms.ratios = append(ms.ratios, (d.sw+d.in+d.lk)/float64(instrs))
+}
+
 // covRange is one remembered warm-cover window (see sampleState).
 type covRange struct{ lo, hi uint32 }
 
-// sampleState is the per-run scratch of the sampled loop, hoisted into
-// one allocation so the window loop itself stays off the heap: the
-// warm-cover memo behind the functional fast-forward, and the
-// per-window ratio series preallocated from the profile's dynamic
-// instruction count. The run's total allocation count is pinned by
-// TestSampledAllocsPinned.
+// sampleState is the per-pass scratch of the sampled loop, hoisted
+// into one allocation so the window loop itself stays off the heap: the
+// warm-cover memo behind the functional fast-forward, the per-window
+// cycle-ratio series, and one meterSample per configuration, the ratio
+// series preallocated from the profile's dynamic instruction count. The
+// run's total allocation count is pinned by TestSampledAllocsPinned.
 type sampleState struct {
 	c         *cache.Cache
 	lineMask  uint32
@@ -205,40 +228,51 @@ type sampleState struct {
 	cov    [4]covRange
 	covIdx int
 
-	cycleRatios  []float64
-	energyRatios []float64
+	cycleRatios []float64
+	meters      []meterSample
 }
 
 // samplePool recycles sampleStates (and the ratio slices they carry)
 // across sampled runs. A one-shot CLI run never notices, but the serve
-// hot path issues one RunSampled per request per configuration, and
-// without the pool each pays the scratch allocations anew.
+// hot path issues one sampled pass per request and pass, and without
+// the pool each pays the scratch allocations anew.
 var samplePool = sync.Pool{New: func() any { return new(sampleState) }}
 
 // newSampleState checks a recycled (or fresh) sampleState out of the
-// pool, bound to this run's cache and geometry, with ratio capacity of
-// at least hint.
-func newSampleState(c *cache.Cache, lineBytes int, hint int) *sampleState {
+// pool, bound to this pass's cache and geometry, with n meter samples
+// and ratio capacity of at least hint.
+func newSampleState(c *cache.Cache, lineBytes, n, hint int) *sampleState {
 	st := samplePool.Get().(*sampleState)
 	st.c = c
 	st.lineMask = ^uint32(lineBytes - 1)
 	st.lineBytes = uint32(lineBytes)
 	st.cov = [4]covRange{}
 	st.covIdx = 0
-	if cap(st.cycleRatios) < hint {
-		st.cycleRatios = make([]float64, 0, hint)
-		st.energyRatios = make([]float64, 0, hint)
-	} else {
-		st.cycleRatios = st.cycleRatios[:0]
-		st.energyRatios = st.energyRatios[:0]
+	st.cycleRatios = ratioSlice(st.cycleRatios, hint)
+	st.meters = slices.Grow(st.meters[:0], n)[:n]
+	for i := range st.meters {
+		st.meters[i] = meterSample{ratios: ratioSlice(st.meters[i].ratios, hint)}
 	}
 	return st
 }
 
-// release returns the state to the pool. The cache reference is
-// dropped so a pooled state never pins a dead run's cache arrays.
+// ratioSlice empties r for reuse, reallocating it if its capacity is
+// below hint.
+func ratioSlice(r []float64, hint int) []float64 {
+	if cap(r) < hint {
+		return make([]float64, 0, hint)
+	}
+	return r[:0]
+}
+
+// release returns the state to the pool. The cache and meter
+// references are dropped so a pooled state never pins a dead run's
+// cache arrays or stream.
 func (st *sampleState) release() {
 	st.c = nil
+	for i := range st.meters {
+		st.meters[i].m = nil
+	}
 	samplePool.Put(st)
 }
 
@@ -275,50 +309,89 @@ func (st *sampleState) resetWarm() {
 // intervals. Runs that halt before MinWindows windows fall back to an
 // exact full simulation.
 //
-// RunSampled is RunWith with RunOptions{Sample: &opt}, calling the
-// sampled run directly so opt stays off the heap. Like Run, it is safe
-// to call concurrently on one Setup.
+// RunSampled is a sampled pass of one (RunPass with sample options),
+// calling the pass directly so opt and the result slice stay off the
+// heap. Like Run, it is safe to call concurrently on one Setup.
 func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions) (*Result, error) {
-	return s.runSampled(cfg, cal, opt, nil)
+	cfgs := [1]Config{cfg}
+	var out [1]*Result
+	if err := s.runSampled(cfgs[:], cal, opt, nil, out[:]); err != nil {
+		return nil, err
+	}
+	return out[0], nil
 }
 
-// runSampled is the sampled run behind RunWith. With a sink attached,
-// the detailed segments stream the same pipeline events an exact run
+// runSampled times one pass of Passes with the sampled estimator and
+// stores the results in out, in cfgs order. The pass has one machine,
+// one cache, one power stream and one fast-forward with functional
+// warming, one set of detailed head, warmup and window segments, and
+// one meter per configuration pricing the stream. A cache that holds
+// the text sees the same hits and misses on every warming touch and
+// detailed fetch at every geometry of the pass, so the counts, windows
+// and ratios are those of each standalone run, and each configuration's
+// energies use exactly its standalone run's expressions: every result
+// is bit-identical to a pass of one.
+//
+// A sink observes single-configuration passes only (RunWith). The
+// detailed segments stream the same pipeline events an exact run
 // would, the fast-forwards emit one KindSuperblock event per executed
 // batch, and every sampling boundary (head end, warmup start, measure
 // start/end) emits a KindWindow event, so a consumer can tell measured
-// cycles from extrapolated ones. When the run halts before MinWindows
-// measured windows, the fallback exact simulation is traced too: its
+// cycles from extrapolated ones. When the pass halts before MinWindows
+// measured windows, it is re-run exactly (runPass); a traced fallback's
 // events follow the aborted sampled prefix's in the same sink, with a
 // fresh meter bound for energy attribution.
-func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink) (*Result, error) {
+func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink, out []*Result) error {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
-		return nil, err
+		return err
 	}
+	if err := s.checkPass(cfgs); err != nil {
+		return err
+	}
+	cfg := cfgs[0]
 	prog, im, dec, comp := s.target(cfg)
 	c, err := cache.New(cfg.Cache)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	meter, err := power.NewMeter(cfg.Cache, cal)
-	if err != nil {
-		return nil, err
+	// Pooled per-pass scratch: the warm-cover memo, the meters and the
+	// ratio series, the latter sized from the profiled dynamic
+	// instruction count (a hint — the FITS stream may run slightly
+	// longer or shorter than the profiled ARM one; none without a
+	// profile). The deferred release runs after the results below have
+	// consumed the ratio series.
+	var hint int
+	if s.Profile != nil {
+		hint = int(s.Profile.TotalDyn/opt.PeriodInstrs) + 4
 	}
-	bindEnergy(sink, meter)
+	st := newSampleState(c, cfg.Cache.LineBytes, len(cfgs), hint)
+	defer st.release()
+	// The first meter owns the pass's stream; the others price it.
+	meters := st.meters
+	if meters[0].m, err = power.NewMeter(cfg.Cache, cal); err != nil {
+		return err
+	}
+	stream := meters[0].m.Stream()
+	for i := 1; i < len(cfgs); i++ {
+		if meters[i].m, err = stream.NewMeter(cfgs[i].Cache); err != nil {
+			return err
+		}
+	}
+	bindEnergy(sink, meters[0].m)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
-	port := newICachePort(c, im, pc.BlockBytes, meter.Stream())
+	port := newICachePort(c, im, pc.BlockBytes, stream)
 
 	var pres cpu.PipeResult
+	wrap := func(err error) error {
+		return fmt.Errorf("sim: %s on %s (sampled): %w", s.Kernel.Name, passName(cfgs), err)
+	}
 	run, err := cpu.NewPipelineRun(m, pc, port, dec, &pres)
 	if err != nil {
-		return nil, fmt.Errorf("sim: %s on %s (sampled): %w", s.Kernel.Name, cfg.Name, err)
+		return wrap(err)
 	}
 	run.SetSink(sink)
-	wrap := func(err error) error {
-		return fmt.Errorf("sim: %s on %s (sampled): %w", s.Kernel.Name, cfg.Name, err)
-	}
 	boundary := func(code uint8) {
 		if sink != nil {
 			sink.Emit(tracing.Event{Cycle: run.Cycles(), PC: 0,
@@ -328,43 +401,38 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 
 	// Detailed head: the cold-start behaviour is measured exactly.
 	if err := run.RunUntil(opt.HeadInstrs); err != nil {
-		return nil, wrap(err)
+		return wrap(err)
 	}
-	head := takeSnap(&pres, m, c, meter)
+	head := takeSnap(&pres, m, c)
+	for i := range meters {
+		meters[i].head = meterEnergy(meters[i].m)
+	}
 	boundary(tracing.WindowHead)
 
 	ff := opt.PeriodInstrs - opt.WarmupInstrs - opt.WindowInstrs
-	// Pooled per-window scratch: the warm-cover memo and the ratio
-	// series, the latter sized from the profiled dynamic instruction
-	// count (a hint — the FITS stream may run slightly longer or
-	// shorter than the profiled ARM one). The deferred release runs
-	// after the SampleStats below has consumed the ratio series.
-	hint := int(s.Profile.TotalDyn/opt.PeriodInstrs) + 4
-	st := newSampleState(c, cfg.Cache.LineBytes, hint)
-	defer st.release()
 	warm := st.warm // bind the method value once, not per fast-forward
 	var wsum sampleSnap
 	detailed := head.instrs
 	for !m.Halted {
 		// Functional fast-forward on the superblock executor: the
-		// architectural state (and Output) advances exactly; the meter
-		// stands still and the cache sees only warming touches.
+		// architectural state (and Output) advances exactly; the
+		// stream stands still and the cache sees only warming touches.
 		st.resetWarm()
 		if err := m.RunSuperblocksTraced(comp, ff, warm, sink); err != nil {
-			return nil, wrap(err)
+			return wrap(err)
 		}
 		if m.Halted {
 			break
 		}
 		if err := run.Resync(); err != nil {
-			return nil, wrap(err)
+			return wrap(err)
 		}
 		// Detailed but unmeasured warmup: re-warms the fetch window,
 		// interlocks and cache before measurement resumes.
 		boundary(tracing.WindowWarmup)
 		preWarm := m.InstrCount
 		if err := run.RunUntil(preWarm + opt.WarmupInstrs); err != nil {
-			return nil, wrap(err)
+			return wrap(err)
 		}
 		detailed += m.InstrCount - preWarm
 		if m.Halted {
@@ -372,13 +440,15 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		}
 		// Measured window.
 		boundary(tracing.WindowMeasure)
-		w0 := takeSnap(&pres, m, c, meter)
-		if err := run.RunUntil(w0.instrs + opt.WindowInstrs); err != nil {
-			return nil, wrap(err)
+		w0 := takeSnap(&pres, m, c)
+		for i := range meters {
+			meters[i].w0 = meterEnergy(meters[i].m)
 		}
-		w1 := takeSnap(&pres, m, c, meter)
+		if err := run.RunUntil(w0.instrs + opt.WindowInstrs); err != nil {
+			return wrap(err)
+		}
+		d := takeSnap(&pres, m, c).sub(w0)
 		boundary(tracing.WindowEnd)
-		d := w1.sub(w0)
 		detailed += d.instrs
 		if d.instrs == 0 {
 			continue
@@ -388,35 +458,42 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		// miss stalls: miss totals come from the warmed cache's actual
 		// count, not from window extrapolation (see below).
 		st.cycleRatios = append(st.cycleRatios, float64(d.pipe.Cycles-d.pipe.FetchStalls)/float64(d.instrs))
-		st.energyRatios = append(st.energyRatios, (d.swPJ+d.inPJ+d.lkPJ)/float64(d.instrs))
+		for i := range meters {
+			meters[i].window(d.instrs)
+		}
 	}
 
 	total := m.InstrCount
 	windows := len(st.cycleRatios)
 	if windows < opt.MinWindows {
 		if wsum.instrs == 0 && detailed == total {
-			// The program halted inside the detailed head: this run IS
+			// The program halted inside the detailed head: this pass IS
 			// the exact simulation — no rerun needed.
-			res := &Result{Config: cfg, Pipe: &pres, Cache: c.Stats(),
-				Power: meter.Report(), AccessPJ: meter.AccessPJ()}
-			res.Sampled = &SampleStats{TotalInstrs: total, DetailedInstrs: total, Exact: true}
-			return res, nil
+			for i := range cfgs {
+				out[i] = &Result{Config: cfgs[i], Pipe: ownPipe(&pres, i), Cache: c.Stats(),
+					Power: meters[i].m.Report(), AccessPJ: meters[i].m.AccessPJ(),
+					Sampled: &SampleStats{TotalInstrs: total, DetailedInstrs: total, Exact: true}}
+			}
+			return nil
 		}
 		// Too short to estimate: fall back to the exact full pipeline
 		// (traced when a sink is attached, so the event stream and any
 		// bound energy attribution follow the run that produced the
 		// result).
-		res, err := s.RunWith(cfg, cal, RunOptions{Sink: sink})
+		rs, err := s.runPass(cfgs, cal, sink, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.Sampled = &SampleStats{
-			Windows:        windows,
-			TotalInstrs:    res.Pipe.Instrs,
-			DetailedInstrs: res.Pipe.Instrs,
-			Exact:          true,
+		for i, res := range rs {
+			res.Sampled = &SampleStats{
+				Windows:        windows,
+				TotalInstrs:    res.Pipe.Instrs,
+				DetailedInstrs: res.Pipe.Instrs,
+				Exact:          true,
+			}
+			out[i] = res
 		}
-		return res, nil
+		return nil
 	}
 
 	// The estimate splits into a transient and a stationary part.
@@ -452,7 +529,7 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		estZMiss = uint64(math.Round(zm * float64(estStalls)))
 	}
 
-	pipe := &cpu.PipeResult{
+	pipe := cpu.PipeResult{
 		Cycles:          estCycles,
 		Instrs:          total,
 		FetchAccesses:   estAcc,
@@ -469,51 +546,57 @@ func (s *Setup) runSampled(cfg Config, cal power.Calibration, opt SampleOptions,
 		Output:          m.Output,
 	}
 	stats := cache.Stats{Accesses: estAcc, Misses: estMiss}
+	cycleCI := relCI(st.cycleRatios, float64(wsum.pipe.Cycles-wsum.pipe.FetchStalls)/wi, tail, float64(estCycles))
 
 	// Energy mirrors the meter's exactly linear structure: switching is
 	// per access, internal is per cycle plus a line fill per miss, and
 	// leakage is per cycle. The rates come from the detailed segments
 	// (where they are measured, not assumed) and apply to the estimated
 	// counts, so the only approximation left is in the counts
-	// themselves.
+	// themselves. Each configuration prices them with its own meter.
 	fillPJ := cal.FillPJPerBit * float64(cfg.Cache.LineBytes*8)
 	detCyc := float64(head.pipe.Cycles + wsum.pipe.Cycles)
 	detAcc := float64(head.pipe.FetchAccesses + wsum.pipe.FetchAccesses)
 	detMiss := float64(head.miss + wsum.miss)
-	var estSw, estIn, estLk float64
-	if detAcc > 0 {
-		estSw = (head.swPJ + wsum.swPJ) / detAcc * float64(estAcc)
-	}
-	if detCyc > 0 {
-		estIn = (head.inPJ+wsum.inPJ-fillPJ*detMiss)/detCyc*float64(estCycles) + fillPJ*float64(estMiss)
-		estLk = (head.lkPJ + wsum.lkPJ) / detCyc * float64(estCycles)
-	}
+	for i := range cfgs {
+		ms := &meters[i]
+		var estSw, estIn, estLk float64
+		if detAcc > 0 {
+			estSw = (ms.head.sw + ms.sum.sw) / detAcc * float64(estAcc)
+		}
+		if detCyc > 0 {
+			estIn = (ms.head.in+ms.sum.in-fillPJ*detMiss)/detCyc*float64(estCycles) + fillPJ*float64(estMiss)
+			estLk = (ms.head.lk + ms.sum.lk) / detCyc * float64(estCycles)
+		}
 
-	detailedRep := meter.Report()
-	rep := power.Report{
-		SwitchingPJ: estSw,
-		InternalPJ:  estIn,
-		LeakagePJ:   estLk,
-		Cycles:      estCycles,
-		Accesses:    estAcc,
-		Misses:      estMiss,
-		// Peak power is a max, not a mean: the detailed windows' peak is
-		// the best available observation (an underestimate if the true
-		// peak falls in a skipped region — documented in DESIGN.md §11).
-		PeakPowerW: detailedRep.PeakPowerW,
-		FreqHz:     detailedRep.FreqHz,
-	}
+		detailedRep := ms.m.Report()
+		rep := power.Report{
+			SwitchingPJ: estSw,
+			InternalPJ:  estIn,
+			LeakagePJ:   estLk,
+			Cycles:      estCycles,
+			Accesses:    estAcc,
+			Misses:      estMiss,
+			// Peak power is a max, not a mean: the detailed windows' peak
+			// is the best available observation (an underestimate if the
+			// true peak falls in a skipped region — documented in
+			// DESIGN.md §11).
+			PeakPowerW: detailedRep.PeakPowerW,
+			FreqHz:     detailedRep.FreqHz,
+		}
 
-	ss := &SampleStats{
-		Windows:        windows,
-		TotalInstrs:    total,
-		DetailedInstrs: detailed,
-		SampledInstrs:  wsum.instrs,
-		CycleRelCI:     relCI(st.cycleRatios, float64(wsum.pipe.Cycles-wsum.pipe.FetchStalls)/wi, tail, float64(estCycles)),
-		EnergyRelCI:    relCI(st.energyRatios, (wsum.swPJ+wsum.inPJ+wsum.lkPJ)/wi, tail, rep.TotalPJ()),
+		ss := &SampleStats{
+			Windows:        windows,
+			TotalInstrs:    total,
+			DetailedInstrs: detailed,
+			SampledInstrs:  wsum.instrs,
+			CycleRelCI:     cycleCI,
+			EnergyRelCI:    relCI(ms.ratios, (ms.sum.sw+ms.sum.in+ms.sum.lk)/wi, tail, rep.TotalPJ()),
+		}
+		out[i] = &Result{Config: cfgs[i], Pipe: ownPipe(&pipe, i), Cache: stats, Power: rep, Sampled: ss,
+			AccessPJ: ms.m.AccessPJ()}
 	}
-	return &Result{Config: cfg, Pipe: pipe, Cache: stats, Power: rep, Sampled: ss,
-		AccessPJ: meter.AccessPJ()}, nil
+	return nil
 }
 
 // relCI returns the half-width of the 95 % confidence interval on an

@@ -153,6 +153,29 @@ func TestSampledExactFallback(t *testing.T) {
 	check("quota", SampleOptions{MinWindows: 1 << 20})
 }
 
+// TestRunSampledOnLiteralSetup runs the sampled estimator on a Setup
+// built as a literal, with no profile and no predecoded tables, and
+// holds it to the result on the prepared Setup it copies.
+func TestRunSampledOnLiteralSetup(t *testing.T) {
+	cal := power.DefaultCalibration()
+	s, err := Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := &Setup{Kernel: s.Kernel, Scale: s.Scale, Prog: s.Prog, ArmImage: s.ArmImage, Fits: s.Fits}
+	for _, cfg := range []Config{ARM16, FITS8} {
+		want, err := s.RunSampled(cfg, cal, SampleOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := lit.RunSampled(cfg, cal, SampleOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, got, want)
+	}
+}
+
 // TestSampledOptionValidation exercises the schedule validator.
 func TestSampledOptionValidation(t *testing.T) {
 	cal := power.DefaultCalibration()

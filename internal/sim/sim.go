@@ -5,7 +5,8 @@
 // FITS16, FITS8 — ISA × I-cache size on the fixed SA-1100-class core)
 // through the timing pipeline with the cache and power models attached.
 // Configurations of one ISA whose caches hold its whole image text share
-// one pipeline pass (Setup.Passes).
+// one timing pass (Setup.Passes), exact or sampled: one pipeline run, or
+// one fast-forward with one set of detailed windows.
 package sim
 
 import (
@@ -239,8 +240,9 @@ type Result struct {
 	// RunOptions.WindowCycles; nil otherwise.
 	Phases *metrics.Series
 
-	// Sampled describes the sampling estimator behind the result when
-	// it came from RunSampled; nil for exact (full-pipeline) runs.
+	// Sampled describes how the estimate was formed when the result
+	// came from the sampled estimator (RunSampled, or RunPass with
+	// sample options); nil for exact (full-pipeline) runs.
 	Sampled *SampleStats
 
 	// AccessPJ is the power meter's total of per-access fetch energies
@@ -370,7 +372,11 @@ func (s *Setup) RunWith(cfg Config, cal power.Calibration, opt RunOptions) (*Res
 	case opt.WindowCycles > 0 && opt.Sample != nil:
 		return nil, fmt.Errorf("sim: phase sampling requires an exact run, not the sampled estimator")
 	case opt.Sample != nil:
-		return s.runSampled(cfg, cal, *opt.Sample, opt.Sink)
+		var out [1]*Result
+		if err := s.runSampled([]Config{cfg}, cal, *opt.Sample, opt.Sink, out[:]); err != nil {
+			return nil, err
+		}
+		return out[0], nil
 	}
 	rs, err := s.runPass([]Config{cfg}, cal, opt.Sink, opt.WindowCycles)
 	if err != nil {
@@ -445,25 +451,35 @@ func (s *Setup) Passes(cfgs []Config) [][]Config {
 	return passes
 }
 
-// RunPass times one pass of Passes in a single pipeline run with one
-// cache, one power stream, and one meter per configuration pricing it. Each result is
-// bit-identical to Run of its configuration. Configurations that
-// cannot share a pass are an error. Like Run, it is safe to call
-// concurrently on one Setup.
-func (s *Setup) RunPass(cfgs []Config, cal power.Calibration) ([]*Result, error) {
-	return s.runPass(cfgs, cal, nil, 0)
+// RunPass times one pass of Passes: exactly, in a single pipeline run
+// with one cache, one power stream, and one meter per configuration
+// pricing it, or, with sample options, in a single sampled run that
+// shares the fast-forward and the detailed windows in the same way.
+// Each result is bit-identical to Run (or RunSampled) of its
+// configuration. Configurations that cannot share a pass are an error.
+// Like Run, it is safe to call concurrently on one Setup.
+func (s *Setup) RunPass(cfgs []Config, cal power.Calibration, sample *SampleOptions) ([]*Result, error) {
+	if sample == nil {
+		return s.runPass(cfgs, cal, nil, 0)
+	}
+	out := make([]*Result, len(cfgs))
+	if err := s.runSampled(cfgs, cal, *sample, nil, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// RunAll times cfgs exactly, one RunPass per pass of Passes, and
-// returns the results in cfgs order.
-func (s *Setup) RunAll(cfgs []Config, cal power.Calibration) ([]*Result, error) {
+// RunAll times cfgs, one RunPass per pass of Passes, and returns the
+// results in cfgs order: exactly when sample is nil, with the sampled
+// estimator otherwise.
+func (s *Setup) RunAll(cfgs []Config, cal power.Calibration, sample *SampleOptions) ([]*Result, error) {
 	out := make([]*Result, len(cfgs))
 	for _, is := range s.passIndices(cfgs) {
 		pass := make([]Config, len(is))
 		for j, i := range is {
 			pass[j] = cfgs[i]
 		}
-		rs, err := s.RunPass(pass, cal)
+		rs, err := s.RunPass(pass, cal, sample)
 		if err != nil {
 			return nil, err
 		}
@@ -474,22 +490,34 @@ func (s *Setup) RunAll(cfgs []Config, cal power.Calibration) ([]*Result, error) 
 	return out, nil
 }
 
+// checkPass rejects configurations that cannot share a pass: none at
+// all, or several that differ in ISA or line size or whose caches do
+// not all hold the text.
+func (s *Setup) checkPass(cfgs []Config) error {
+	if len(cfgs) == 0 {
+		return fmt.Errorf("sim: %s: empty pass", s.Kernel.Name)
+	}
+	if len(cfgs) == 1 {
+		return nil
+	}
+	cfg := cfgs[0]
+	for _, other := range cfgs {
+		if other.ISA != cfg.ISA || other.Cache.LineBytes != cfg.Cache.LineBytes || !s.holds(other) {
+			return fmt.Errorf("sim: %s on %s: configurations cannot share a pass", s.Kernel.Name, passName(cfgs))
+		}
+	}
+	return nil
+}
+
 // runPass runs the full cycle-accurate pipeline once for a pass,
 // streaming its events to sink and, when window is positive, to the
 // phase sampler and the hotspot profiler behind Result.Phases. Sinks
 // and windows observe single-configuration passes only (RunWith).
 func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.EventSink, window int) ([]*Result, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("sim: %s: empty pass", s.Kernel.Name)
+	if err := s.checkPass(cfgs); err != nil {
+		return nil, err
 	}
 	cfg := cfgs[0]
-	if len(cfgs) > 1 {
-		for _, other := range cfgs {
-			if other.ISA != cfg.ISA || other.Cache.LineBytes != cfg.Cache.LineBytes || !s.holds(other) {
-				return nil, fmt.Errorf("sim: %s on %s: configurations cannot share a pass", s.Kernel.Name, passName(cfgs))
-			}
-		}
-	}
 	prog, im, dec, _ := s.target(cfg)
 	c, err := cache.New(cfg.Cache)
 	if err != nil {
@@ -525,22 +553,27 @@ func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.Event
 	if err := cpu.RunPipelineTraced(m, pc, newICachePort(c, im, pc.BlockBytes, stream), dec, pipe, sink); err != nil {
 		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, passName(cfgs), err)
 	}
-	// Every result owns its PipeResult: they are equal, not shared.
 	out := make([]*Result, len(cfgs))
 	for i := range cfgs {
-		p := pipe
-		if i > 0 {
-			cp := *pipe
-			cp.Output = slices.Clone(pipe.Output)
-			p = &cp
-		}
-		out[i] = &Result{Config: cfgs[i], Pipe: p, Cache: c.Stats(), Power: meters[i].Report(), AccessPJ: meters[i].AccessPJ()}
+		out[i] = &Result{Config: cfgs[i], Pipe: ownPipe(pipe, i), Cache: c.Stats(), Power: meters[i].Report(), AccessPJ: meters[i].AccessPJ()}
 	}
 	if sampler != nil {
 		out[0].Phases = sampler.Series(pipe.Cycles)
 		out[0].Phases.Hotspots = prof.Hotspots()
 	}
 	return out, nil
+}
+
+// ownPipe returns the PipeResult of a pass's i-th result: p itself for
+// the first, a copy with its own Output for the others, so the results
+// of a pass are equal but share nothing.
+func ownPipe(p *cpu.PipeResult, i int) *cpu.PipeResult {
+	if i == 0 {
+		return p
+	}
+	cp := *p
+	cp.Output = slices.Clone(p.Output)
+	return &cp
 }
 
 // passName names a pass in errors: its configuration names joined by

@@ -196,8 +196,8 @@ func TestSampledTracedFallbackConserves(t *testing.T) {
 // TestSampledAllocsPinned pins the sampled estimator's steady-state
 // allocation count: the per-window scratch is hoisted into one
 // sampleState and the ratio series are preallocated, so a whole
-// sampled run stays within a small fixed budget (machine, cache,
-// meter, pipeline state, result — nothing per window).
+// sampled pass stays within a small fixed budget (machine, cache,
+// meters, pipeline state, results — nothing per window).
 func TestSampledAllocsPinned(t *testing.T) {
 	s := tracedSetup(t)
 	cal := power.DefaultCalibration()
@@ -210,12 +210,29 @@ func TestSampledAllocsPinned(t *testing.T) {
 		}
 	})
 	// The budget is the measured steady state (≈21: machine, cache,
-	// meter, pipeline run, result — the sampleState scratch and ratio
-	// series now come from samplePool) plus a little slack for pool
-	// evictions at a GC boundary — far below one allocation per window,
-	// the regression this test exists to catch.
+	// meter, pipeline run, result — the sampleState scratch, meter
+	// samples and ratio series come from samplePool) plus a little
+	// slack for pool evictions at a GC boundary — far below one
+	// allocation per window, the regression this test exists to catch.
 	if allocs > 23 {
 		t.Errorf("sampled run costs %v allocs, want ≤ 23", allocs)
+	}
+
+	// A two-configuration pass adds a meter, the result slice and a
+	// second result with its own PipeResult, output and SampleStats, and
+	// nothing per window: measured 27, pinned with the same slack of 2.
+	pass := []Config{FITS16, FITS8}
+	opt := &SampleOptions{}
+	if _, err := s.RunPass(pass, cal, opt); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(5, func() {
+		if _, err := s.RunPass(pass, cal, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 29 {
+		t.Errorf("sampled FITS16+FITS8 pass costs %v allocs, want ≤ 29", allocs)
 	}
 }
 
