@@ -657,9 +657,10 @@ func benchSweepGrid() sweep.Grid {
 }
 
 // BenchmarkSweep measures the exploration engine end to end: "cold"
-// pays profile + synthesis + sampled simulation per point, "warm" runs
-// the same grid against a populated store and must evaluate nothing —
-// the ratio is the incremental layer's speedup.
+// pays profile + synthesis + sampled simulation per synthesis image
+// (its cache geometries share one pass), "warm" runs the same grid
+// against a populated store and must evaluate nothing — the ratio is
+// the incremental layer's speedup.
 func BenchmarkSweep(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		points := 0

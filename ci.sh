@@ -26,6 +26,14 @@ echo "== fuzz: power meter against its per-cycle reference =="
 # workers keep the run small.
 go test ./internal/power -run='^$' -fuzz='^FuzzMeterMatchesReference$' -fuzztime=10s -parallel=2
 
+echo "== fuzz: the executors and the assembler the shared passes rest on =="
+# The same short runs past the seeds for the compiled executor against
+# the Step interpreter, builder-made programs on the simulator, and the
+# assembler's parser. `go test -fuzz` takes one target per invocation.
+go test ./internal/cpu -run='^$' -fuzz='^FuzzCompiledVsStep$' -fuzztime=10s -parallel=2
+go test ./internal/asm -run='^$' -fuzz='^FuzzBuilderProgramExecution$' -fuzztime=10s -parallel=2
+go test ./internal/asm -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s -parallel=2
+
 echo "== benchmark module: go vet + go test =="
 # bench/ is a separate Go module, so the root ./... never compiles it;
 # this keeps an API change from silently breaking bench/run.sh.

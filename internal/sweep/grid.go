@@ -10,8 +10,10 @@
 // deterministic run ID under the internal/archive scheme, probed
 // against the store before evaluation — a re-sweep after an interrupt,
 // or an extension of the grid, only simulates points it has never
-// seen. And evaluation defaults to the sampled timing estimator
-// (validated ≤2 % error), with only the frontier re-run exactly.
+// seen. And evaluation is per synthesis image: the points that differ
+// only in cache geometry share one preparation and one Setup.RunAll,
+// timed with the sampled estimator (validated ≤2 % error) by default,
+// with only the frontier re-run exactly.
 //
 // Results are deterministic: the frontier document is byte-identical
 // at any worker count, and identical between a cold sweep and a

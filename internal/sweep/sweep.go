@@ -35,6 +35,8 @@ type Options struct {
 	// Exact runs every point through the full pipeline simulation.
 	// The default is the sampled estimator (Sample), with only the
 	// frontier re-run exactly afterwards — the cheap-evaluation layer.
+	// Either way the points of one synthesis image are prepared once
+	// and timed in one Setup.RunAll, bit-identical to per-point runs.
 	Exact bool
 	// Sample tunes the sampled estimator (zero = validated defaults).
 	Sample sim.SampleOptions
@@ -72,7 +74,9 @@ type Options struct {
 type Stats struct {
 	// Points is the number of grid points visited.
 	Points int `json:"points"`
-	// Evaluated counts points actually simulated this run.
+	// Evaluated counts points resolved this run rather than reused
+	// from the store: the simulated ones plus those found infeasible,
+	// which are resolved but never simulated.
 	Evaluated int `json:"evaluated"`
 	// ArchiveSkips counts points reused from the store.
 	ArchiveSkips int `json:"archive_skips"`
@@ -182,16 +186,17 @@ func Run(opt Options) (*Result, error) {
 	}
 
 	e := &engine{
-		opt:      opt,
-		grid:     g,
-		kernel:   k,
-		cal:      cal,
-		calBlob:  calBlob,
-		profiles: profiles,
-		workers:  workers,
-		total:    fuel,
-		start:    start,
-		results:  make([]*PointResult, n),
+		opt:       opt,
+		grid:      g,
+		kernel:    k,
+		cal:       cal,
+		calBlob:   calBlob,
+		profiles:  profiles,
+		startHits: startHits,
+		workers:   workers,
+		total:     fuel,
+		start:     start,
+		results:   make([]*PointResult, n),
 	}
 	if opt.Metrics != nil {
 		e.gauges = newGauges(opt.Metrics, fuel)
@@ -276,9 +281,13 @@ type engine struct {
 	cal      power.Calibration
 	calBlob  []byte
 	profiles *profile.Cache
-	workers  int
-	total    int
-	start    time.Time
+	// startHits is the profile cache's hit count when the run began:
+	// a shared cache carries earlier runs' hits, so the run's own are
+	// the delta.
+	startHits uint64
+	workers   int
+	total     int
+	start     time.Time
 
 	results []*PointResult
 
@@ -309,32 +318,19 @@ func newGauges(r *metrics.Registry, total int) *gauges {
 	return g
 }
 
-// evaluate visits a batch of points on the worker pool. Results land
-// in the index-addressed slice, so completion order — the only thing
-// the worker count changes — is invisible to the strategy and the
-// frontier.
+// evaluate visits a batch of grid points at the sweep's fidelity.
+// Results land in the index-addressed slice, so completion order — the
+// only thing the worker count changes — is invisible to the strategy
+// and the frontier.
 func (e *engine) evaluate(todo []int) error {
-	sem := make(chan struct{}, e.workers)
-	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
-	for _, i := range todo {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pr, evaluated, err := e.visit(i)
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-				return
-			}
-			e.results[i] = pr
-			e.record(pr, evaluated)
-		}(i)
+	pts := make([]Point, len(todo))
+	for j, i := range todo {
+		pts[j] = e.grid.Point(i)
 	}
-	wg.Wait()
-	return firstErr
+	return e.resolve(pts, !e.opt.Exact, func(j int, pr *PointResult, evaluated bool) {
+		e.results[todo[j]] = pr
+		e.record(pr, evaluated)
+	})
 }
 
 // record folds one finished point into the stats and live telemetry.
@@ -356,7 +352,7 @@ func (e *engine) record(pr *PointResult, evaluated bool) {
 		e.gauges.archiveSkips.Set(float64(e.stats.ArchiveSkips))
 		e.gauges.infeasible.Set(float64(e.stats.Infeasible))
 		hits, _ := e.profiles.Stats()
-		e.gauges.memoHits.Set(float64(hits))
+		e.gauges.memoHits.Set(float64(hits - e.startHits))
 	}
 	if e.opt.Progress != nil {
 		e.opt.Progress(experiments.ProgressEvent{
@@ -383,23 +379,130 @@ func (e *engine) identity(p Point, popts synth.Options, sampled bool) archive.Sw
 	}
 }
 
-// visit resolves one grid point: archive probe first, simulation only
-// on a miss. The bool reports whether simulation ran.
-func (e *engine) visit(i int) (*PointResult, bool, error) {
-	p := e.grid.Point(i)
-	popts := p.Options(e.opt.Synth)
-	sampled := !e.opt.Exact
-	sp := e.identity(p, popts, sampled)
-	id := archive.SweepRunID(&sp, e.calBlob)
+// resolve evaluates pts on the worker pool at one fidelity, one job per
+// synthesis image: the points whose synthesis options agree, grouped in
+// order of first appearance. Cache geometry is the grid's innermost
+// axis, so a kernel's images are its (K, dictionary, ablation) triples.
+// done receives every point's result once, with whether it was
+// evaluated this run rather than reused from the store.
+func (e *engine) resolve(pts []Point, sampled bool, done func(j int, pr *PointResult, evaluated bool)) error {
+	var images [][]int
+	byKey := map[string]int{}
+	for j, p := range pts {
+		key := p.Options(e.opt.Synth).Key()
+		if g, ok := byKey[key]; ok {
+			images[g] = append(images[g], j)
+			continue
+		}
+		byKey[key] = len(images)
+		images = append(images, []int{j})
+	}
+	sem := make(chan struct{}, e.workers)
+	var wg sync.WaitGroup
+	var errOnce sync.Once
+	var firstErr error
+	for _, idx := range images {
+		wg.Add(1)
+		go func(idx []int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			if err := e.evaluateImage(pts, idx, sampled, done); err != nil {
+				errOnce.Do(func() { firstErr = err })
+			}
+		}(idx)
+	}
+	wg.Wait()
+	return firstErr
+}
 
-	if pr := e.probe(p, id); pr != nil {
-		return pr, false, nil
+// evaluateImage is one evaluation job: the points pts[idx] of one
+// synthesis image, each probed in the store by its run ID. The missing
+// ones share one preparation and one RunAll, so every geometry whose
+// cache holds the image's text rides a single timing pass; each result
+// is bit-identical to a standalone run of its point. The Setup is not
+// kept past the job: holding a kernel's Setups for the refinement pass
+// would grow the sweep's resident set by every image it prepared.
+func (e *engine) evaluateImage(pts []Point, idx []int, sampled bool, done func(j int, pr *PointResult, evaluated bool)) error {
+	popts := pts[idx[0]].Options(e.opt.Synth)
+	out := make([]*PointResult, len(idx))
+	sps := make([]archive.SweepPoint, len(idx))
+	var missing []int // positions in idx
+	fresh := make([]bool, len(idx))
+	for n, j := range idx {
+		p := pts[j]
+		sps[n] = e.identity(p, popts, sampled)
+		id := archive.SweepRunID(&sps[n], e.calBlob)
+		if out[n] = e.probe(p, id); out[n] == nil {
+			out[n] = &PointResult{Point: p, Label: sps[n].Label, RunID: id, Sampled: sampled}
+			missing = append(missing, n)
+			fresh[n] = true
+		}
 	}
-	pr, err := e.simulate(p, popts, sp, id, sampled)
-	if err != nil {
-		return nil, false, err
+	if len(missing) > 0 {
+		s, err := sim.PrepareWith(e.kernel, e.grid.Scale, sim.PrepareOptions{
+			Synth:    popts,
+			Profiles: e.profiles,
+			Log:      e.opt.Log,
+		})
+		if err != nil {
+			// A synthesis failure is a fact about the design point (e.g. a
+			// forced opcode width the kernel cannot encode), not a fault:
+			// record it so re-sweeps skip it like any other visited point.
+			for _, n := range missing {
+				out[n].Infeasible = err.Error()
+			}
+		} else {
+			cfgs := make([]sim.Config, len(missing))
+			for m, n := range missing {
+				cfgs[m] = sim.Config{Name: out[n].Label, ISA: sim.ISAFITS, Cache: out[n].Point.Cache}
+			}
+			var sample *sim.SampleOptions
+			if sampled {
+				so := e.opt.Sample
+				sample = &so
+			}
+			rs, err := s.RunAll(cfgs, e.cal, sample)
+			if err != nil {
+				// Run errors name the pass's configurations: the labels.
+				return fmt.Errorf("sweep: %w", err)
+			}
+			for m, n := range missing {
+				r := rs[m]
+				out[n].Metrics = PointMetrics{
+					K:           s.Synth.K,
+					DictEntries: s.Synth.DictEntries,
+					CodeBytes:   s.Fits.Image.Size(),
+					Cycles:      r.Pipe.Cycles,
+					Instrs:      r.Pipe.Instrs,
+					Fetches:     r.Cache.Accesses,
+					Misses:      r.Cache.Misses,
+					EnergyPJ:    r.Power.TotalPJ(),
+				}
+			}
+		}
+		if e.opt.Store != nil {
+			for _, n := range missing {
+				sp, pr := &sps[n], out[n]
+				sp.Infeasible = pr.Infeasible
+				sp.K = pr.Metrics.K
+				sp.DictEntries = pr.Metrics.DictEntries
+				sp.CodeBytes = pr.Metrics.CodeBytes
+				sp.Cycles = pr.Metrics.Cycles
+				sp.Instrs = pr.Metrics.Instrs
+				sp.Fetches = pr.Metrics.Fetches
+				sp.Misses = pr.Metrics.Misses
+				sp.EnergyPJ = pr.Metrics.EnergyPJ
+				if _, err := e.opt.Store.Save(archive.FromSweepPoint(sp, e.calBlob)); err != nil {
+					return fmt.Errorf("sweep: archive %s: %w", sp.Label, err)
+				}
+			}
+		}
 	}
-	return pr, true, nil
+	for n, j := range idx {
+		done(j, out[n], fresh[n])
+	}
+	return nil
 }
 
 // probe checks the store for a finished point record.
@@ -414,111 +517,36 @@ func (e *engine) probe(p Point, id string) *PointResult {
 	return fromRecord(p, rec.Sweep, id)
 }
 
-// simulate prepares and times one point, archiving the outcome.
-func (e *engine) simulate(p Point, popts synth.Options, sp archive.SweepPoint, id string, sampled bool) (*PointResult, error) {
-	pr := &PointResult{Point: p, Label: sp.Label, RunID: id, Sampled: sampled}
-	s, err := sim.PrepareWith(e.kernel, e.grid.Scale, sim.PrepareOptions{
-		Synth:    popts,
-		Profiles: e.profiles,
-		Log:      e.opt.Log,
-	})
-	if err != nil {
-		// A synthesis failure is a fact about the design point (e.g. a
-		// forced opcode width the kernel cannot encode), not a fault:
-		// record it so re-sweeps skip it like any other visited point.
-		pr.Infeasible = err.Error()
-	} else {
-		cfg := sim.Config{Name: sp.Label, ISA: sim.ISAFITS, Cache: p.Cache}
-		var r *sim.Result
-		if e.opt.Exact {
-			r, err = s.Run(cfg, e.cal)
-		} else {
-			r, err = s.RunSampled(cfg, e.cal, e.opt.Sample)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sweep: %s: %w", sp.Label, err)
-		}
-		pr.Metrics = PointMetrics{
-			K:           s.Synth.K,
-			DictEntries: s.Synth.DictEntries,
-			CodeBytes:   s.Fits.Image.Size(),
-			Cycles:      r.Pipe.Cycles,
-			Instrs:      r.Pipe.Instrs,
-			Fetches:     r.Cache.Accesses,
-			Misses:      r.Cache.Misses,
-			EnergyPJ:    r.Power.TotalPJ(),
-		}
-	}
-	if e.opt.Store != nil {
-		sp.Infeasible = pr.Infeasible
-		sp.K = pr.Metrics.K
-		sp.DictEntries = pr.Metrics.DictEntries
-		sp.CodeBytes = pr.Metrics.CodeBytes
-		sp.Cycles = pr.Metrics.Cycles
-		sp.Instrs = pr.Metrics.Instrs
-		sp.Fetches = pr.Metrics.Fetches
-		sp.Misses = pr.Metrics.Misses
-		sp.EnergyPJ = pr.Metrics.EnergyPJ
-		if _, err := e.opt.Store.Save(archive.FromSweepPoint(&sp, e.calBlob)); err != nil {
-			return nil, fmt.Errorf("sweep: archive %s: %w", sp.Label, err)
-		}
-	}
-	return pr, nil
-}
-
-// refine re-runs the frontier points exactly. Refined results carry
-// their own archive identities (Sampled=false), so a warm re-sweep
-// skips this pass too. Membership stays as the sampled frontier
-// decided — refinement improves the numbers, not the selection — which
-// keeps the document independent of evaluation order.
+// refine re-runs the frontier points exactly, image by image like any
+// evaluation. Refined results carry their own archive identities
+// (Sampled=false), so a warm re-sweep skips this pass too. Membership
+// stays as the sampled frontier decided — refinement improves the
+// numbers, not the selection — which keeps the document independent of
+// evaluation order.
 func (e *engine) refine(front []*PointResult) ([]*PointResult, error) {
 	if len(front) == 0 {
 		return front, nil
 	}
-	refined := make([]*PointResult, len(front))
-	sem := make(chan struct{}, e.workers)
-	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
-	var mu sync.Mutex
+	pts := make([]Point, len(front))
 	for fi, pr := range front {
-		wg.Add(1)
-		go func(fi int, sampled *PointResult) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			p := sampled.Point
-			popts := p.Options(e.opt.Synth)
-			sp := e.identity(p, popts, false)
-			id := archive.SweepRunID(&sp, e.calBlob)
-			if pr := e.probe(p, id); pr != nil {
-				refined[fi] = pr
-				mu.Lock()
-				e.stats.RefineSkips++
-				mu.Unlock()
-				return
-			}
-			exact := e.opt
-			exact.Exact = true
-			sub := engine{opt: exact, grid: e.grid, kernel: e.kernel, cal: e.cal,
-				calBlob: e.calBlob, profiles: e.profiles}
-			out, err := sub.simulate(p, popts, sp, id, false)
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-				return
-			}
-			refined[fi] = out
-			mu.Lock()
-			e.stats.Refined++
-			if e.gauges != nil {
-				e.gauges.refined.Set(float64(e.stats.Refined))
-			}
-			mu.Unlock()
-		}(fi, pr)
+		pts[fi] = pr.Point
 	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	refined := make([]*PointResult, len(front))
+	err := e.resolve(pts, false, func(fi int, pr *PointResult, evaluated bool) {
+		refined[fi] = pr
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if !evaluated {
+			e.stats.RefineSkips++
+			return
+		}
+		e.stats.Refined++
+		if e.gauges != nil {
+			e.gauges.refined.Set(float64(e.stats.Refined))
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return refined, nil
 }

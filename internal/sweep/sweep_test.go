@@ -2,14 +2,20 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/json"
 	"log/slog"
 	"strings"
 	"testing"
 
 	"powerfits/internal/archive"
 	"powerfits/internal/cache"
+	"powerfits/internal/experiments"
+	"powerfits/internal/kernels"
 	"powerfits/internal/metrics"
+	"powerfits/internal/power"
 	"powerfits/internal/profile"
+	"powerfits/internal/sim"
+	"powerfits/internal/synth"
 )
 
 // testGrid is a small space with a built-in infeasible slab: crc32
@@ -40,7 +46,7 @@ func marshalDoc(t *testing.T, r *Result) []byte {
 }
 
 // TestSweepLogsPrepareStages: a sweep given a logger forwards it to
-// every point's preparation, which reports its per-stage wall-clock.
+// every image's preparation, which reports its per-stage wall-clock.
 func TestSweepLogsPrepareStages(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
@@ -53,6 +59,24 @@ func TestSweepLogsPrepareStages(t *testing.T) {
 	}
 	if !strings.Contains(out, "synth_sec=") || !strings.Contains(out, "kernel=crc32") {
 		t.Errorf("prepare stages record lacks its stage timings:\n%s", out)
+	}
+}
+
+// TestSweepPreparesOncePerImage: the cache geometries of one synthesis
+// image share its preparation, so a sweep logs one "prepare stages"
+// record per feasible image, not one per feasible point.
+func TestSweepPreparesOncePerImage(t *testing.T) {
+	var buf bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	res, err := Run(Options{Grid: testGrid(), NoRefine: true, Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if feasible := res.Stats.Points - res.Stats.Infeasible; feasible != 4 {
+		t.Fatalf("%d feasible points, want 4 (2 images x 2 caches)", feasible)
+	}
+	if n := strings.Count(buf.String(), `msg="prepare stages"`); n != 2 {
+		t.Fatalf("%d prepare stages records, want 2 (one per feasible image)", n)
 	}
 }
 
@@ -178,6 +202,181 @@ func TestSweepKillAndResume(t *testing.T) {
 	}
 	if a, b := marshalDoc(t, resumed), marshalDoc(t, fresh); !bytes.Equal(a, b) {
 		t.Fatalf("resumed document differs from uninterrupted:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestSweepResumesPartialImage resumes a sweep whose store holds only
+// part of a feasible image: fuel 5 stops after k5.d16.full.4K, leaving
+// its 8K sibling unvisited. The resumed run evaluates only the missing
+// points and yields the uninterrupted document.
+func TestSweepResumesPartialImage(t *testing.T) {
+	store := archive.NewStore(t.TempDir())
+	partial, err := Run(Options{Grid: testGrid(), Store: store, Fuel: 5, NoRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := testGrid()
+	if last := partial.Points[4]; last == nil || last.Label != "k5.d16.full.4K" {
+		t.Fatalf("fuel 5 did not stop after k5.d16.full.4K: %+v", last)
+	}
+	if partial.Points[5] != nil || g.Point(5).Label() != "k5.d16.full.8K" {
+		t.Fatalf("fuel 5 visited k5.d16.full.8K")
+	}
+
+	resumed, err := Run(Options{Grid: testGrid(), Store: store, NoRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.Stats.ArchiveSkips != 5 || resumed.Stats.Evaluated != 3 {
+		t.Fatalf("resumed run: skips=%d evaluated=%d, want 5/3", resumed.Stats.ArchiveSkips, resumed.Stats.Evaluated)
+	}
+	fresh, err := Run(Options{Grid: testGrid(), Store: archive.NewStore(t.TempDir()), NoRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := marshalDoc(t, resumed), marshalDoc(t, fresh); !bytes.Equal(a, b) {
+		t.Fatalf("resumed document differs from uninterrupted:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestSweepMatchesPerPointEvaluation: evaluating a synthesis image's
+// geometries together changes no number. Every point is rebuilt with
+// its own preparation and a standalone Run or RunSampled, and the
+// sweep's document must match byte for byte, sampled with refinement
+// and exact. crc32's FITS text fits every cache, so its three
+// geometries share one pass; jpeg's does not fit 4 KB, so its 4K point
+// runs alone and 8K+16K share a pass.
+func TestSweepMatchesPerPointEvaluation(t *testing.T) {
+	for _, tc := range []struct {
+		kernel string
+		passes int
+	}{{"crc32", 1}, {"jpeg", 2}} {
+		t.Run(tc.kernel, func(t *testing.T) {
+			g := DefaultGrid(tc.kernel, 1)
+			g.DictCaps = []int{64}
+			g.Ablations = AllAblations()
+			sampled, exact := perPointResults(t, g, tc.passes)
+			for _, mode := range []bool{false, true} {
+				res, err := Run(Options{Grid: g, Exact: mode, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := &Result{Grid: res.Grid, Strategy: res.Strategy, Exact: mode, Points: sampled}
+				if mode {
+					want.Points = exact
+				}
+				// Membership is the sweep's; every member carries its
+				// exact numbers (refined, or exact all along).
+				for _, pr := range res.Frontier {
+					want.Frontier = append(want.Frontier, exact[pr.Point.Index])
+				}
+				if a, b := marshalDoc(t, res), marshalDoc(t, want); !bytes.Equal(a, b) {
+					t.Fatalf("exact=%v: sweep document differs from per-point evaluation:\n%s\nvs\n%s", mode, a, b)
+				}
+			}
+		})
+	}
+}
+
+// perPointResults evaluates every point of g on its own, as a sweep did
+// before images shared a preparation: one PrepareWith per point, then a
+// standalone RunSampled and Run. It also checks that a feasible image's
+// geometries split into the expected number of timing passes.
+func perPointResults(t *testing.T, g Grid, passes int) (sampled, exact []*PointResult) {
+	t.Helper()
+	k, err := kernels.Get(g.Kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := power.DefaultCalibration()
+	calBlob, err := json.Marshal(cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles := profile.NewCache()
+	checked := false
+	for i := 0; i < g.Size(); i++ {
+		p := g.Point(i)
+		popts := p.Options(synth.Options{})
+		var prs [2]*PointResult
+		for j, fidelity := range []bool{true, false} {
+			sp := archive.SweepPoint{
+				Kernel: g.Kernel, Scale: g.Scale, Label: p.Label(), OptionsKey: popts.Key(),
+				CacheBytes: p.Cache.SizeBytes, CacheLine: p.Cache.LineBytes, CacheAssoc: p.Cache.Assoc,
+				Sampled: fidelity,
+			}
+			prs[j] = &PointResult{Point: p, Label: p.Label(), RunID: archive.SweepRunID(&sp, calBlob), Sampled: fidelity}
+		}
+		s, err := sim.PrepareWith(k, g.Scale, sim.PrepareOptions{Synth: popts, Profiles: profiles})
+		if err != nil {
+			prs[0].Infeasible, prs[1].Infeasible = err.Error(), err.Error()
+		} else {
+			cfg := sim.Config{Name: p.Label(), ISA: sim.ISAFITS, Cache: p.Cache}
+			rs, err := s.RunSampled(cfg, cal, sim.SampleOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rx, err := s.Run(cfg, cal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, r := range []*sim.Result{rs, rx} {
+				prs[j].Metrics = PointMetrics{
+					K: s.Synth.K, DictEntries: s.Synth.DictEntries, CodeBytes: s.Fits.Image.Size(),
+					Cycles: r.Pipe.Cycles, Instrs: r.Pipe.Instrs,
+					Fetches: r.Cache.Accesses, Misses: r.Cache.Misses,
+					EnergyPJ: r.Power.TotalPJ(),
+				}
+			}
+			if !checked {
+				cfgs := make([]sim.Config, len(g.Caches))
+				for c, geom := range g.Caches {
+					cfgs[c] = sim.Config{Name: CacheLabel(geom), ISA: sim.ISAFITS, Cache: geom}
+				}
+				if got := len(s.Passes(cfgs)); got != passes {
+					t.Fatalf("%s: %d timing passes over the grid's caches, want %d", p.Label(), got, passes)
+				}
+				checked = true
+			}
+		}
+		sampled = append(sampled, prs[0])
+		exact = append(exact, prs[1])
+	}
+	return sampled, exact
+}
+
+// TestSweepMemoHitsGaugeIsPerRun: with a profile cache shared across
+// sweeps, the live memo_hits gauge counts this run's hits, never the
+// cache's lifetime total, and ends at Stats.MemoHits.
+func TestSweepMemoHitsGaugeIsPerRun(t *testing.T) {
+	pc := profile.NewCache()
+	reg := metrics.NewRegistry()
+	gauge := func() float64 {
+		for _, g := range reg.Snapshot().Gauges {
+			if g.Name == "sweep/memo_hits" {
+				return g.Value
+			}
+		}
+		return 0
+	}
+	if _, err := Run(Options{Grid: testGrid(), Profiles: pc, Metrics: reg}); err != nil {
+		t.Fatal(err)
+	}
+	var peak float64
+	second, err := Run(Options{Grid: testGrid(), Profiles: pc, Metrics: reg, Workers: 1,
+		Progress: func(experiments.ProgressEvent) { peak = max(peak, gauge()) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := float64(second.Stats.MemoHits)
+	if final == 0 {
+		t.Fatal("second sweep saw no memo hits")
+	}
+	if peak > final {
+		t.Fatalf("memo_hits gauge peaked at %v during the sweep, above its final %v", peak, final)
+	}
+	if got := gauge(); got != final {
+		t.Fatalf("memo_hits gauge ends at %v, want Stats.MemoHits %v", got, final)
 	}
 }
 
