@@ -200,6 +200,34 @@ if ! cmp -s "$sweep_tmp/cold.json" "$sweep_tmp/warm.json"; then
     exit 1
 fi
 
+echo "== run record: write, report and self-diff one run and one suite =="
+# One observed kernel run and one observed scale-1 suite, each written as
+# a run record with -window, rendered back by `powerfits report`. The run
+# record must carry its stall table and hotspots and diff clean against
+# itself; the suite record must carry one stall row per kernel x config.
+rec_tmp=$(mktemp -d)
+trap 'rm -rf "$rec_tmp" "$sweep_tmp" "$serve_tmp" "$trace_tmp" "$tele_tmp"' EXIT
+"$tele_tmp/powerfits" run -kernel crc32 -config FITS8 -window 2048 \
+    -archive "$rec_tmp/R.json" -phases "$rec_tmp/P.csv" >/dev/null 2>&1
+"$tele_tmp/powerfits" report -in "$rec_tmp/R.json" >"$rec_tmp/run-report.txt"
+for section in 'stall-cause breakdown' 'fetch-energy hotspots'; do
+    if ! grep -q "$section" "$rec_tmp/run-report.txt"; then
+        echo "ci.sh: run record report has no $section section" >&2
+        exit 1
+    fi
+done
+"$tele_tmp/powerfits" diff -base "$rec_tmp/R.json" -new "$rec_tmp/R.json" >/dev/null
+"$tele_tmp/fitsbench" -scale 1 -q -exp headline -window 4096 \
+    -archive "$rec_tmp/S.json" >/dev/null 2>&1
+"$tele_tmp/powerfits" report -in "$rec_tmp/S.json" >"$rec_tmp/suite-report.txt"
+stall_rows=$(sed -n '/^stall-cause breakdown/,/^$/p' "$rec_tmp/suite-report.txt" |
+    grep -cE '^[a-z0-9_]+ +(ARM|FITS)(8|16) ' || true)
+if [ "$stall_rows" -ne 84 ]; then
+    echo "ci.sh: suite record report has $stall_rows stall rows, want 84" >&2
+    exit 1
+fi
+rm -rf "$rec_tmp"
+
 echo "== regression gate: scale-1 suite vs committed baseline =="
 # Archives a fresh scale-1 run and diffs it against testdata/baseline.json.
 # Any figure or per-kernel metric moving in the wrong direction fails the

@@ -12,7 +12,7 @@
 //	fitsbench -exp ablations  # the four synthesis ablations
 //	fitsbench -scale 1 -q     # quick run, no progress lines
 //	fitsbench -archive .powerfits/runs # archive the full run record (see `powerfits diff`)
-//	fitsbench -metrics suite.json -phases suite.csv [-window N]
+//	fitsbench -window 4096 -archive suite.json -phases suite.csv  # + phase series and stalls
 //	fitsbench -cpuprofile cpu.pprof -memprofile mem.pprof -trace run.trace
 //	fitsbench -superblocks -sample    # fast path: fused-superblock profiling + sampled timing
 //	fitsbench -telemetry :6060        # live /metrics, /healthz, /progress, /debug/pprof while the run is up
@@ -36,7 +36,6 @@ import (
 	"powerfits/internal/experiments"
 	"powerfits/internal/kernels"
 	"powerfits/internal/metrics"
-	"powerfits/internal/sim"
 )
 
 // log is the run logger; set in main before any fallible work.
@@ -65,72 +64,27 @@ func finish() {
 	}
 }
 
-// exportSuite writes the -metrics JSON (manifest + merged registry +
-// every kernel×config phase series) and/or the -phases CSV. Runs are
-// ordered by kernel name then sim.Configs order, so the export is
-// deterministic at any parallelism.
-func exportSuite(man *metrics.Manifest, scale int, suite *experiments.Suite,
-	metricsPath, phasesPath string) {
-	man.Scale = scale
-	man.Workers = suite.Workers
-	man.SetCalibration(suite.Cal)
-	blobs := [][]byte{man.Calibration}
-	for _, s := range suite.Setups {
-		blobs = append(blobs, s.Synth.Spec.MarshalConfig())
-	}
-	man.ConfigHash = metrics.HashConfig(blobs...)
-
-	var runs []metrics.RunExport
-	for _, s := range suite.Setups {
-		for _, cfg := range sim.Configs {
-			r := suite.Results[s.Kernel.Name][cfg.Name]
-			runs = append(runs, metrics.RunExport{
-				Kernel: s.Kernel.Name, Config: cfg.Name, Series: r.Phases,
-				Stalls: sim.Stalls(r.Pipe)})
-		}
-	}
-	if metricsPath != "" {
-		man.Finish()
-		exp := &metrics.Export{Manifest: man, Registry: suite.Metrics.Snapshot(), Runs: runs}
-		if err := exp.WriteJSONFile(metricsPath); err != nil {
+// recordSuite builds the suite's run record, files it at the -archive
+// destination (see archive.SaveTo) and writes its phase series to the
+// -phases CSV. A store destination publishes the store's gauges onto
+// the suite registry after the record is built, so they reach the
+// telemetry /metrics page but not the record.
+func recordSuite(man *metrics.Manifest, scale int, suite *experiments.Suite, dest, phasesPath string) {
+	rec := archive.FromSuite(man, suite, scale)
+	man.Finish()
+	if dest != "" {
+		path, err := archive.SaveTo(rec, dest, suite.Metrics.Scope("archive"))
+		if err != nil {
 			fatal(err)
 		}
-		log.Info("wrote metrics export", "path", metricsPath)
+		log.Info("archived run", "run_id", rec.RunID, "path", path)
 	}
 	if phasesPath != "" {
-		if err := metrics.WritePhasesCSVFile(phasesPath, runs); err != nil {
+		if err := metrics.WritePhasesCSVFile(phasesPath, rec.Phases); err != nil {
 			fatal(err)
 		}
 		log.Info("wrote phase series", "path", phasesPath)
 	}
-}
-
-// archiveSuite writes the complete run record. A path ending in .json
-// lands exactly there (the CI baseline workflow); anything else is
-// treated as a run-store directory and the record is filed under its
-// deterministic run ID. Store destinations additionally publish the
-// store's run-count/byte gauges onto the suite registry, so they ride
-// into any later -metrics export and the telemetry /metrics page.
-func archiveSuite(man *metrics.Manifest, scale int, suite *experiments.Suite, dest string) {
-	rec := archive.FromSuite(man, suite, scale)
-	man.Finish()
-	path := dest
-	var err error
-	if strings.HasSuffix(dest, ".json") {
-		err = rec.WriteFile(dest)
-	} else {
-		st := archive.NewStore(dest)
-		path, err = st.Save(rec)
-		if err == nil {
-			if serr := st.PublishStats(suite.Metrics.Scope("archive")); serr != nil {
-				log.Warn("archive store stats unavailable", "err", serr)
-			}
-		}
-	}
-	if err != nil {
-		fatal(err)
-	}
-	log.Info("archived run", "run_id", rec.RunID, "path", path)
 }
 
 func main() {
@@ -141,9 +95,8 @@ func main() {
 		quiet       = fs.Bool("q", false, "suppress progress output")
 		jobs        = fs.Int("j", 0, "parallel workers (0 = all cores, 1 = sequential)")
 		archiveTo   = fs.String("archive", "", "archive the complete run record: a .json path, or a run-store directory")
-		metricsPath = fs.String("metrics", "", "write manifest + suite registry + phase series as JSON")
-		phasesPath  = fs.String("phases", "", "write every run's phase series as CSV")
-		window      = fs.Int("window", 4096, "phase-sample window in cycles (with -metrics/-phases)")
+		phasesPath  = fs.String("phases", "", "write every run's phase series as CSV (needs -window)")
+		window      = fs.Int("window", 0, "phase-sample window in cycles, carried by the -archive record and -phases CSV (0 = off)")
 		cpuProf     = fs.String("cpuprofile", "", "write a pprof CPU profile to this path")
 		memProf     = fs.String("memprofile", "", "write a pprof heap profile to this path")
 		traceOut    = fs.String("trace", "", "write a runtime/trace execution trace to this path")
@@ -153,13 +106,7 @@ func main() {
 	tf := cli.RegisterFlags(fs)
 	log = cli.Parse("fitsbench", fs, tf, os.Args[1:])
 
-	exporting := *metricsPath != "" || *phasesPath != ""
-	if exporting && *window <= 0 {
-		cli.UsageError(log, fmt.Errorf("-window must be positive with -metrics/-phases, got %d", *window))
-	}
-	if *sample && exporting {
-		fatal(fmt.Errorf("-sample is incompatible with -metrics/-phases: phase series require a full detailed run"))
-	}
+	cli.CheckWindow(log, *window, *phasesPath, *sample)
 
 	var err error
 	tele, err = tf.Start(log, nil)
@@ -195,15 +142,11 @@ func main() {
 
 	if needSuite {
 		man := metrics.NewManifest("fitsbench")
-		windowCycles := 0
-		if exporting {
-			windowCycles = *window
-		}
 		tele.Begin(len(kernels.All()))
 		suite, err := experiments.RunSuite(experiments.Options{
 			Scale: *scale, Workers: *jobs,
 			Progress: experiments.MultiProgress(progress, tele.Progress()),
-			Log:      log, WindowCycles: windowCycles,
+			Log:      log, WindowCycles: *window,
 			Superblocks: *superblocks, Sampled: *sample})
 		if err != nil {
 			fatal(err)
@@ -217,17 +160,14 @@ func main() {
 				tables = append(tables, t)
 			}
 		}
-		if *archiveTo != "" {
-			archiveSuite(man, *scale, suite, *archiveTo)
-		}
-		if *metricsPath != "" || *phasesPath != "" {
-			exportSuite(man, *scale, suite, *metricsPath, *phasesPath)
+		if *archiveTo != "" || *phasesPath != "" {
+			recordSuite(man, *scale, suite, *archiveTo, *phasesPath)
 		}
 		// Fold the suite's merged registry into the served one so a
 		// lingering /metrics scrape sees the complete run.
 		tele.Merge(suite.Metrics)
-	} else if *metricsPath != "" || *phasesPath != "" || *archiveTo != "" {
-		fatal(fmt.Errorf("-metrics/-phases/-archive require a suite experiment (not ablations/extensions)"))
+	} else if *phasesPath != "" || *archiveTo != "" {
+		fatal(fmt.Errorf("-phases/-archive require a suite experiment (not ablations/extensions)"))
 	}
 
 	ext := func(f func(int) (*experiments.Table, error)) *experiments.Table {

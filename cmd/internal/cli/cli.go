@@ -107,6 +107,21 @@ func UsageError(log *slog.Logger, err error) {
 	exit(2)
 }
 
+// CheckWindow enforces the phase-series flag rules both binaries
+// share: -window N (0 = off) is not negative, -phases needs a window,
+// and a window needs a full detailed run, so it excludes -sample. A
+// violation is a usage error.
+func CheckWindow(log *slog.Logger, window int, phases string, sample bool) {
+	switch {
+	case window < 0:
+		UsageError(log, fmt.Errorf("-window must be ≥ 0 (0 = off), got %d", window))
+	case phases != "" && window == 0:
+		UsageError(log, errors.New("-phases requires -window N > 0"))
+	case window > 0 && sample:
+		UsageError(log, errors.New("-window needs a full detailed run and cannot be combined with -sample"))
+	}
+}
+
 // Telemetry is a started debug server plus the run-scoped registry and
 // progress tracker feeding it. All methods are nil-receiver-safe, so
 // call sites need no "-telemetry given?" branches.

@@ -93,6 +93,37 @@ func TestUsageErrorExitsTwo(t *testing.T) {
 	}
 }
 
+// TestCheckWindow pins the shared -window/-phases/-sample rules: each
+// bad combination exits 2 with an "invalid flags" record, and the good
+// ones pass silently.
+func TestCheckWindow(t *testing.T) {
+	cases := []struct {
+		window int
+		phases string
+		sample bool
+		bad    bool
+	}{
+		{0, "", false, false},
+		{0, "", true, false},
+		{4096, "", false, false},
+		{4096, "p.csv", false, false},
+		{-1, "", false, true},
+		{0, "p.csv", false, true},
+		{4096, "", true, true},
+	}
+	for _, tc := range cases {
+		buf, codes := capture(t)
+		CheckWindow(fallbackLogger("test"), tc.window, tc.phases, tc.sample)
+		if got := len(*codes) > 0 && (*codes)[0] == 2; got != tc.bad {
+			t.Errorf("window=%d phases=%q sample=%t: exit codes %v, want usage error %t",
+				tc.window, tc.phases, tc.sample, *codes, tc.bad)
+		}
+		if tc.bad && !strings.Contains(buf.String(), "invalid flags") {
+			t.Errorf("window=%d phases=%q sample=%t: not logged: %q", tc.window, tc.phases, tc.sample, buf.String())
+		}
+	}
+}
+
 // TestNilTelemetryIsInert exercises every method on the nil receiver —
 // the contract that lets call sites skip "-telemetry given?" branches.
 func TestNilTelemetryIsInert(t *testing.T) {

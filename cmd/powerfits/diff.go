@@ -7,10 +7,8 @@ import (
 	"strconv"
 	"strings"
 
-	"powerfits/cmd/internal/cli"
 	"powerfits/internal/archive"
 	"powerfits/internal/experiments"
-	"powerfits/internal/kernels"
 	"powerfits/internal/metrics"
 )
 
@@ -101,56 +99,29 @@ func cmdDiff(o diffOpts) bool {
 	return d.OK()
 }
 
-// cmdArchive either lists the run store or generates a suite and files
-// its record under the deterministic run ID.
-func cmdArchive(dir string, list bool, scale, jobs int) {
+// cmdArchive lists the run store. Runs are filed by `fitsbench
+// -archive DIR` and `powerfits run -archive DIR`.
+func cmdArchive(dir string) {
 	st := archive.NewStore(dir)
-	if list {
-		recs, err := st.List()
-		if err != nil {
-			fatal(err)
-		}
-		if len(recs) == 0 {
-			fmt.Printf("no runs in %s\n", st.Dir)
-			return
-		}
-		fmt.Printf("%-18s %6s %-21s %8s %8s  %s\n",
-			"run_id", "scale", "started", "figures", "kernels", "config")
-		for _, r := range recs {
-			started, cfg := "-", r.ConfigHash
-			if r.Manifest != nil && r.Manifest.StartedAt != "" {
-				started = r.Manifest.StartedAt
-			}
-			if len(cfg) > 12 {
-				cfg = cfg[:12]
-			}
-			fmt.Printf("%-18s %6d %-21s %8d %8d  %s\n",
-				r.RunID, r.Scale, started, len(r.Figures), len(r.Kernels), cfg)
-		}
+	recs, err := st.List()
+	if err != nil {
+		fatal(err)
+	}
+	if len(recs) == 0 {
+		fmt.Printf("no runs in %s\n", st.Dir)
 		return
 	}
-
-	man := metrics.NewManifest("powerfits")
-	progress := experiments.LineProgress(func(line string) { cli.Rawln(line) })
-	tele.Begin(len(kernels.All()))
-	suite, err := experiments.RunSuite(experiments.Options{Scale: scale, Workers: jobs,
-		Progress: experiments.MultiProgress(progress, tele.Progress()), Log: log})
-	if err != nil {
-		fatal(err)
+	fmt.Printf("%-18s %6s %-21s %8s %8s  %s\n",
+		"run_id", "scale", "started", "figures", "kernels", "config")
+	for _, r := range recs {
+		started, cfg := "-", r.ConfigHash
+		if r.Manifest != nil && r.Manifest.StartedAt != "" {
+			started = r.Manifest.StartedAt
+		}
+		if len(cfg) > 12 {
+			cfg = cfg[:12]
+		}
+		fmt.Printf("%-18s %6d %-21s %8d %8d  %s\n",
+			r.RunID, r.Scale, started, len(r.Figures), len(r.Kernels), cfg)
 	}
-	tele.Finish(nil)
-	rec := archive.FromSuite(man, suite, scale)
-	man.Finish()
-	path, err := st.Save(rec)
-	if err != nil {
-		fatal(err)
-	}
-	// Surface the store's size on the suite registry (and, live, on
-	// /metrics) now that the record landed.
-	if serr := st.PublishStats(suite.Metrics.Scope("archive")); serr != nil {
-		log.Warn("archive store stats unavailable", "err", serr)
-	}
-	tele.Merge(suite.Metrics)
-	fmt.Printf("archived run %s (scale %d, %d figures, %d kernel runs) to %s\n",
-		rec.RunID, rec.Scale, len(rec.Figures), len(rec.Kernels), path)
 }

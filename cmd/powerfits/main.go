@@ -11,9 +11,9 @@
 //	powerfits dump   -kernel crc32           # assembly text (re-assembles with `asm`)
 //	powerfits run    -kernel crc32 [-config FITS8] [-scale N]
 //	                 [-sample] [-superblocks]        # sampled timing / fused profiling
-//	                 [-metrics out.json] [-phases out.csv] [-window N]
+//	                 [-window N] [-archive out.json|runs/] [-phases out.csv]
 //	                 [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace run.trace]
-//	powerfits report -in out.json [-top N]          # render a -metrics export
+//	powerfits report -in <file|id> [-dir runs/] [-top N]  # render a run record
 //	powerfits trace  -kernel crc32 [-config FITS8] [-scale N] [-sample]
 //	                 [-o trace.json] [-limit N]     # Chrome trace-event export of the cycle loop
 //	powerfits trace  -check -in trace.json          # validate a trace export's schema
@@ -26,7 +26,7 @@
 //	                 [-seed N] [-steps N] [-fuel N] [-exact] [-no-refine]
 //	                 [-dir runs/] [-o sweep.json]   # incremental vs the run store
 //	powerfits config -kernel crc32 > crc32.cfg      # the decoder-configuration image
-//	powerfits archive [-scale N] [-dir runs/] [-list]      # archive a suite run / list the store
+//	powerfits archive [-dir runs/]                         # list the run store
 //	powerfits diff -base <id|file> [-new <id|file>|-live]  # regression-gate two archived runs
 //	               [-tol F] [-tol-for k=v,...] [-json]     # (exits 1 on regression)
 //	powerfits explain -kernel crc32 [-op N] [-save t.json] # synthesis decision log
@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"powerfits/cmd/internal/cli"
+	"powerfits/internal/archive"
 	"powerfits/internal/asm"
 	"powerfits/internal/experiments"
 	"powerfits/internal/isa/fits"
@@ -102,11 +103,11 @@ func main() {
 	fuel := fs.Int("fuel", 0, "bound on sweep points visited (0 = whole grid)")
 	exact := fs.Bool("exact", false, "sweep with full pipeline runs instead of the sampled estimator")
 	noRefine := fs.Bool("no-refine", false, "skip the exact re-run of sweep frontier points")
-	metricsPath := fs.String("metrics", "", "write manifest + registry + phase series as JSON (run command)")
-	phasesPath := fs.String("phases", "", "write the per-window phase series as CSV (run command)")
-	window := fs.Int("window", 4096, "phase-sample window in cycles (run command)")
+	archiveTo := fs.String("archive", "", "write the run record: a .json path, or a run-store directory (run/asm commands)")
+	phasesPath := fs.String("phases", "", "write the per-window phase series as CSV (run/asm commands; needs -window)")
+	window := fs.Int("window", 0, "phase-sample window in cycles, carried by the -archive record and -phases CSV (run/asm commands; 0 = off)")
 	topN := fs.Int("top", 10, "hotspot rows to render (report command)")
-	inPath := fs.String("in", "", "metrics JSON to render (report command)")
+	inPath := fs.String("in", "", "run record to render: a file or a run ID in -dir (report command)")
 	baseArg := fs.String("base", "", "baseline run: a run ID or a record file (diff command)")
 	newArg := fs.String("new", "", "candidate run: a run ID or a record file (diff command)")
 	live := fs.Bool("live", false, "diff against a freshly generated suite at the baseline's scale")
@@ -114,7 +115,6 @@ func main() {
 	tolFor := fs.String("tol-for", "", "per-key tolerance overrides, e.g. fig10=0.05,kernel=0.01 (diff command)")
 	jsonOut := fs.Bool("json", false, "emit the diff as JSON (diff command)")
 	dir := fs.String("dir", "", "run-store directory (default .powerfits/runs)")
-	listRuns := fs.Bool("list", false, "list the archived runs (archive command)")
 	savePath := fs.String("save", "", "archive the synthesis trace to this file (explain command)")
 	opN := fs.Int("op", -1, "explain one opcode point of the final spec (explain command)")
 	superblocks := fs.Bool("superblocks", false, "profile through the fused superblock executor (identical profile, faster preparation)")
@@ -138,9 +138,7 @@ func main() {
 	callTimeout := fs.Duration("timeout", 2*time.Minute, "request timeout (call command)")
 	tf := cli.RegisterFlags(fs)
 	log = cli.Parse("powerfits", fs, tf, os.Args[2:])
-	if (*metricsPath != "" || *phasesPath != "") && *window <= 0 {
-		cli.UsageError(log, fmt.Errorf("-window must be positive with -metrics/-phases, got %d", *window))
-	}
+	cli.CheckWindow(log, *window, *phasesPath, *sample)
 
 	var err error
 	tele, err = tf.Start(log, nil)
@@ -186,13 +184,13 @@ func main() {
 		return
 	case "report":
 		if *inPath == "" {
-			fatal(fmt.Errorf("report requires -in metrics.json"))
+			fatal(fmt.Errorf("report requires -in <record.json|run-id>"))
 		}
-		report(*inPath, *topN)
+		report(*inPath, *dir, *topN)
 		finish()
 		return
 	case "archive":
-		cmdArchive(*dir, *listRuns, *scale, *jobs)
+		cmdArchive(*dir)
 		finish()
 		return
 	case "diff":
@@ -265,7 +263,7 @@ func main() {
 	case "dump":
 		fmt.Print(asm.Format(s.Prog))
 	case "run":
-		run(s, *cfgName, runOutputs{Metrics: *metricsPath, Phases: *phasesPath, Window: *window, Sample: *sample})
+		run(s, *cfgName, runOutputs{Archive: *archiveTo, Phases: *phasesPath, Window: *window, Sample: *sample})
 		if *outPath != "" {
 			writeReportFromSetup(s, *cfgName, *sample, *outPath)
 		}
@@ -276,7 +274,7 @@ func main() {
 	case "asm":
 		info(s)
 		fmt.Println()
-		run(s, *cfgName, runOutputs{Metrics: *metricsPath, Phases: *phasesPath, Window: *window, Sample: *sample})
+		run(s, *cfgName, runOutputs{Archive: *archiveTo, Phases: *phasesPath, Window: *window, Sample: *sample})
 	case "config":
 		blob := s.Synth.Spec.MarshalConfig()
 		if _, err := os.Stdout.Write(blob); err != nil {
@@ -410,11 +408,11 @@ func disasm(s *sim.Setup, fitsSide bool) {
 	}
 }
 
-// runOutputs carries the run command's export requests.
+// runOutputs carries the run command's record requests.
 type runOutputs struct {
-	Metrics string // -metrics: JSON export path
+	Archive string // -archive: record file or run-store directory
 	Phases  string // -phases: CSV phase-series path
-	Window  int    // -window: sample window in cycles
+	Window  int    // -window: sample window in cycles (0 = off)
 	Sample  bool   // -sample: sampled timing estimator
 }
 
@@ -427,12 +425,9 @@ func run(s *sim.Setup, cfgName string, out runOutputs) {
 	cal := power.DefaultCalibration()
 	tele.Begin(1)
 	started := time.Now()
-	var opt sim.RunOptions
+	opt := sim.RunOptions{WindowCycles: out.Window}
 	if out.Sample {
 		opt.Sample = &sim.SampleOptions{}
-	}
-	if out.Metrics != "" || out.Phases != "" {
-		opt.WindowCycles = out.Window // RunWith rejects it on a sampled run
 	}
 	r, err := s.RunWith(cfg, cal, opt)
 	if err != nil {
@@ -444,8 +439,8 @@ func run(s *sim.Setup, cfgName string, out runOutputs) {
 			DynInstrs: r.Pipe.Instrs, Elapsed: time.Since(started)})
 		tele.Finish(nil)
 	}
-	if out.Metrics != "" || out.Phases != "" {
-		exportRun(s, cfg, cal, r, man, out)
+	if out.Archive != "" || out.Phases != "" {
+		recordRun(s, cal, r, man, out)
 	}
 	sw, in, lk := r.Power.Share()
 	fmt.Printf("config          %s (%s ISA, %d KB I-cache)\n", cfg.Name, cfg.ISA, cfg.Cache.SizeBytes/1024)
@@ -469,30 +464,22 @@ func run(s *sim.Setup, cfgName string, out runOutputs) {
 	}
 }
 
-// exportRun writes the -metrics JSON and/or -phases CSV for one run.
-func exportRun(s *sim.Setup, cfg sim.Config, cal power.Calibration, r *sim.Result,
-	man *metrics.Manifest, out runOutputs) {
-	man.Kernel, man.Scale, man.Config = s.Kernel.Name, s.Scale, cfg.Name
-	man.ISAPoint = fmt.Sprintf("k=%d, %d/%d opcode points, %d dictionary entries",
-		s.Synth.K, s.Synth.Spec.UsedPoints(), 1<<s.Synth.K, s.Synth.DictEntries)
-	man.SetCalibration(cal)
-	man.ConfigHash = metrics.HashConfig(s.Synth.Spec.MarshalConfig(), man.Calibration)
-
+// recordRun builds the run's record, files it at the -archive
+// destination and writes its phase series to the -phases CSV.
+func recordRun(s *sim.Setup, cal power.Calibration, r *sim.Result, man *metrics.Manifest, out runOutputs) {
 	reg := metrics.NewRegistry()
-	publishRun(reg.Scope("run", s.Kernel.Name, cfg.Name), r)
-
-	runs := []metrics.RunExport{{Kernel: s.Kernel.Name, Config: cfg.Name,
-		Series: r.Phases, Stalls: sim.Stalls(r.Pipe)}}
-	if out.Metrics != "" {
-		man.Finish()
-		exp := &metrics.Export{Manifest: man, Registry: reg.Snapshot(), Runs: runs}
-		if err := exp.WriteJSONFile(out.Metrics); err != nil {
+	publishRun(reg.Scope("run", s.Kernel.Name, r.Config.Name), r)
+	rec := archive.FromRun(man, reg, s, cal, r)
+	man.Finish()
+	if out.Archive != "" {
+		path, err := archive.SaveTo(rec, out.Archive, tele.Scope("archive"))
+		if err != nil {
 			fatal(err)
 		}
-		log.Info("wrote metrics export", "path", out.Metrics)
+		log.Info("archived run", "run_id", rec.RunID, "path", path)
 	}
 	if out.Phases != "" {
-		if err := metrics.WritePhasesCSVFile(out.Phases, runs); err != nil {
+		if err := metrics.WritePhasesCSVFile(out.Phases, rec.Phases); err != nil {
 			fatal(err)
 		}
 		log.Info("wrote phase series", "path", out.Phases)
@@ -500,7 +487,7 @@ func exportRun(s *sim.Setup, cfg sim.Config, cal power.Calibration, r *sim.Resul
 }
 
 // publishRun exports one run's architectural and power results as
-// registry instruments on sc — shared by the -metrics export and the
+// registry instruments on sc — shared by the -archive record and the
 // live telemetry registry.
 func publishRun(sc metrics.Scope, r *sim.Result) {
 	sc.Counter("cycles").Add(r.Pipe.Cycles)
@@ -541,14 +528,15 @@ func stallTable(runs []metrics.RunExport) {
 	}
 }
 
-// report renders a -metrics JSON export: manifest, registry, phase
-// tables and the top-N fetch-energy hotspots.
-func report(path string, topN int) {
-	exp, err := metrics.ReadExportFile(path)
+// report renders a run record — a file, or a run ID in the store at
+// dir: manifest, registry, stall table, phase tables and the top-N
+// fetch-energy hotspots.
+func report(arg, dir string, topN int) {
+	rec, err := archive.NewStore(dir).Resolve(arg)
 	if err != nil {
 		fatal(err)
 	}
-	if m := exp.Manifest; m != nil {
+	if m := rec.Manifest; m != nil {
 		fmt.Printf("manifest\n")
 		fmt.Printf("  tool         %s %s\n", m.Tool, strings.Join(m.Args, " "))
 		if m.Kernel != "" {
@@ -570,15 +558,15 @@ func report(path string, topN int) {
 		}
 		fmt.Printf("  time         started %s, wall %.3fs, cpu %.3fs\n", m.StartedAt, m.WallSec, m.CPUSec)
 	}
-	if len(exp.Registry.Counters) > 0 || len(exp.Registry.Gauges) > 0 {
+	if len(rec.Registry.Counters) > 0 || len(rec.Registry.Gauges) > 0 {
 		fmt.Printf("\nregistry\n")
-		for _, c := range exp.Registry.Counters {
+		for _, c := range rec.Registry.Counters {
 			fmt.Printf("  %-44s %20d\n", c.Name, c.Value)
 		}
-		for _, g := range exp.Registry.Gauges {
+		for _, g := range rec.Registry.Gauges {
 			fmt.Printf("  %-44s %20.4f\n", g.Name, g.Value)
 		}
-		for _, h := range exp.Registry.Histograms {
+		for _, h := range rec.Registry.Histograms {
 			mean := 0.0
 			if h.Count > 0 {
 				mean = h.Sum / float64(h.Count)
@@ -586,8 +574,8 @@ func report(path string, topN int) {
 			fmt.Printf("  %-44s %11d obs, mean %.4f\n", h.Name, h.Count, mean)
 		}
 	}
-	stallTable(exp.Runs)
-	for _, run := range exp.Runs {
+	stallTable(rec.Phases)
+	for _, run := range rec.Phases {
 		if run.Series == nil || len(run.Series.Samples) == 0 {
 			continue
 		}

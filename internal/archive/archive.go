@@ -28,6 +28,7 @@ import (
 
 	"powerfits/internal/experiments"
 	"powerfits/internal/metrics"
+	"powerfits/internal/power"
 	"powerfits/internal/sim"
 	"powerfits/internal/synth"
 )
@@ -223,27 +224,76 @@ func FromSuite(man *metrics.Manifest, suite *experiments.Suite, scale int) *Reco
 	for _, s := range suite.Setups {
 		for _, cfg := range sim.Configs {
 			r := suite.Results[s.Kernel.Name][cfg.Name]
-			rec.Kernels = append(rec.Kernels, KernelMetrics{
-				Kernel:      s.Kernel.Name,
-				Config:      cfg.Name,
-				Cycles:      r.Pipe.Cycles,
-				Instrs:      r.Pipe.Instrs,
-				Fetches:     r.Cache.Accesses,
-				Misses:      r.Cache.Misses,
-				Branches:    r.Pipe.Branches,
-				Mispredicts: r.Pipe.Mispredicts,
-				SwitchPJ:    r.Power.SwitchingPJ,
-				InternalPJ:  r.Power.InternalPJ,
-				LeakPJ:      r.Power.LeakagePJ,
-				PeakW:       r.Power.PeakPowerW,
-			})
+			rec.Kernels = append(rec.Kernels, kernelMetrics(s.Kernel.Name, r))
 			if r.Phases != nil {
-				rec.Phases = append(rec.Phases, metrics.RunExport{
-					Kernel: s.Kernel.Name, Config: cfg.Name, Series: r.Phases})
+				rec.Phases = append(rec.Phases, phaseRun(s.Kernel.Name, r))
 			}
 		}
 	}
 	return rec
+}
+
+// FromRun builds the record of one kernel run on one configuration
+// (`powerfits run`/`asm`): its architectural metrics, reg's snapshot
+// (optional), and its phase series and stall breakdown when the run
+// was observed. The manifest (optional) is stamped with the kernel,
+// scale, configuration, ISA point, calibration and config hash. The
+// run ID derives from the decoder configuration, calibration,
+// configuration name and estimator, namespaced by "run/" away from
+// suite, sweep, serve and trace records.
+func FromRun(man *metrics.Manifest, reg *metrics.Registry, s *sim.Setup, cal power.Calibration, r *sim.Result) *Record {
+	calBlob, _ := json.Marshal(cal) // plain numeric fields, as in FromSuite
+	sampled := r.Sampled != nil
+	hash := metrics.HashConfig([]byte("run/"), s.Synth.Spec.MarshalConfig(), calBlob,
+		[]byte(fmt.Sprintf("/config=%s/sampled=%t", r.Config.Name, sampled)))
+	rec := &Record{
+		Schema:        Schema,
+		SchemaVersion: SchemaVersion,
+		RunID:         runID(s.Scale, hash),
+		Scale:         s.Scale,
+		ConfigHash:    hash,
+		Sampled:       sampled,
+		Manifest:      man,
+		Kernels:       []KernelMetrics{kernelMetrics(s.Kernel.Name, r)},
+	}
+	if man != nil {
+		man.Kernel, man.Scale, man.Config = s.Kernel.Name, s.Scale, r.Config.Name
+		man.ISAPoint = fmt.Sprintf("k=%d, %d/%d opcode points, %d dictionary entries",
+			s.Synth.K, s.Synth.Spec.UsedPoints(), 1<<s.Synth.K, s.Synth.DictEntries)
+		man.ConfigHash = hash
+		man.Calibration = calBlob
+	}
+	if reg != nil {
+		rec.Registry = reg.Snapshot()
+	}
+	if r.Phases != nil {
+		rec.Phases = []metrics.RunExport{phaseRun(s.Kernel.Name, r)}
+	}
+	return rec
+}
+
+// kernelMetrics is one run's row of a record's Kernels.
+func kernelMetrics(kernel string, r *sim.Result) KernelMetrics {
+	return KernelMetrics{
+		Kernel:      kernel,
+		Config:      r.Config.Name,
+		Cycles:      r.Pipe.Cycles,
+		Instrs:      r.Pipe.Instrs,
+		Fetches:     r.Cache.Accesses,
+		Misses:      r.Cache.Misses,
+		Branches:    r.Pipe.Branches,
+		Mispredicts: r.Pipe.Mispredicts,
+		SwitchPJ:    r.Power.SwitchingPJ,
+		InternalPJ:  r.Power.InternalPJ,
+		LeakPJ:      r.Power.LeakagePJ,
+		PeakW:       r.Power.PeakPowerW,
+	}
+}
+
+// phaseRun is one observed run's entry in a record's phase runs.
+func phaseRun(kernel string, r *sim.Result) metrics.RunExport {
+	return metrics.RunExport{Kernel: kernel, Config: r.Config.Name,
+		Series: r.Phases, Stalls: sim.Stalls(r.Pipe)}
 }
 
 // SweepPoint is one design-space evaluation: a kernel prepared under
@@ -498,6 +548,23 @@ func (s *Store) Save(r *Record) (string, error) {
 	return path, nil
 }
 
+// SaveTo files the record at an -archive destination: a path ending in
+// .json is written exactly there (the CI baseline workflow); anything
+// else is a run-store directory, where the record lands under its run
+// ID and the store's run-count and byte gauges are then published on
+// stats. It returns the written path.
+func SaveTo(r *Record, dest string, stats metrics.Scope) (string, error) {
+	if strings.HasSuffix(dest, ".json") {
+		return dest, r.WriteFile(dest)
+	}
+	st := NewStore(dest)
+	path, err := st.Save(r)
+	if err != nil {
+		return "", err
+	}
+	return path, st.PublishStats(stats)
+}
+
 // Load reads one record by run ID.
 func (s *Store) Load(id string) (*Record, error) {
 	return ReadFile(s.Path(id))
@@ -559,19 +626,6 @@ func (s *Store) List() ([]*Record, error) {
 	return out, nil
 }
 
-// Latest returns the most recently started record, or an error when
-// the store is empty.
-func (s *Store) Latest() (*Record, error) {
-	recs, err := s.List()
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("archive: no runs in %s", s.Dir)
-	}
-	return recs[len(recs)-1], nil
-}
-
 // Stats reports the store's size — how many run records it holds and
 // their total bytes on disk. A store whose directory does not exist
 // yet is empty, not an error.
@@ -599,8 +653,7 @@ func (s *Store) Stats() (runs int, bytes int64, err error) {
 
 // PublishStats exports the store's run count and byte size as gauges
 // on sc (conventionally the "archive" scope), so the store shows up in
-// /metrics scrapes and metrics exports alongside the run's own
-// instruments.
+// /metrics scrapes alongside the run's own instruments.
 func (s *Store) PublishStats(sc metrics.Scope) error {
 	runs, bytes, err := s.Stats()
 	if err != nil {

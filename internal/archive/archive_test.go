@@ -1,14 +1,17 @@
 package archive
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"powerfits/internal/experiments"
 	"powerfits/internal/metrics"
+	"powerfits/internal/power"
 	"powerfits/internal/sim"
 )
 
@@ -100,9 +103,6 @@ func TestStoreLifecycle(t *testing.T) {
 	if recs, err := st.List(); err != nil || len(recs) != 0 {
 		t.Fatalf("empty store: recs=%v err=%v", recs, err)
 	}
-	if _, err := st.Latest(); err == nil {
-		t.Fatal("Latest on empty store did not error")
-	}
 
 	older := stubRecord("rold", "2026-01-01T00:00:00Z")
 	newer := stubRecord("rnew", "2026-02-01T00:00:00Z")
@@ -121,10 +121,6 @@ func TestStoreLifecycle(t *testing.T) {
 	}
 	if recs[0].RunID != "rold" || recs[1].RunID != "rnew" {
 		t.Fatalf("List order by start time wrong: %s, %s", recs[0].RunID, recs[1].RunID)
-	}
-	latest, err := st.Latest()
-	if err != nil || latest.RunID != "rnew" {
-		t.Fatalf("Latest: %v %v", latest, err)
 	}
 
 	// Resolve accepts both a path and a run ID.
@@ -213,6 +209,94 @@ func TestFromSuiteDeterministicID(t *testing.T) {
 	}
 	if !d.OK() || d.Regressed != 0 || d.Improved != 0 || d.Changed != 0 || d.Compared == 0 {
 		t.Fatalf("self-diff not clean: %+v", d)
+	}
+
+	// Observation does not move the identity: a windowed run of the same
+	// suite keeps the ID, kernel metrics and figures, and adds one phase
+	// run per kernel × configuration carrying its stall breakdown.
+	if len(a.Phases) != 0 {
+		t.Fatalf("unwindowed record has %d phase runs", len(a.Phases))
+	}
+	observed, err := experiments.RunSuite(experiments.Options{Scale: 1, WindowCycles: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := FromSuite(metrics.NewManifest("test"), observed, 1)
+	if w.RunID != a.RunID {
+		t.Errorf("windowed run ID %s, unwindowed %s", w.RunID, a.RunID)
+	}
+	if !reflect.DeepEqual(w.Kernels, a.Kernels) || !reflect.DeepEqual(w.Figures, a.Figures) {
+		t.Error("windowed record's kernels or figures differ from the unwindowed record's")
+	}
+	if got, want := len(w.Phases), len(observed.Setups)*len(sim.Configs); got != want || want != 84 {
+		t.Fatalf("windowed record has %d phase runs, want %d (84)", got, want)
+	}
+	for _, pr := range w.Phases {
+		r := observed.Results[pr.Kernel][pr.Config]
+		if pr.Series == nil || pr.Series != r.Phases {
+			t.Errorf("%s/%s: phase series not the run's", pr.Kernel, pr.Config)
+		}
+		if want := sim.Stalls(r.Pipe); pr.Stalls == nil || *pr.Stalls != *want {
+			t.Errorf("%s/%s: stalls %+v, want %+v", pr.Kernel, pr.Config, pr.Stalls, want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := w.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Phases, w.Phases) {
+		t.Error("phase runs or stalls changed over a Write/Read round trip")
+	}
+}
+
+// TestFromRunRecord pins the single-run record behind `powerfits run
+// -archive`: a deterministic ID that moves with the configuration and
+// the estimator but not with observation, one kernel row, and one
+// phase run carrying its stall breakdown only when the run was
+// observed.
+func TestFromRunRecord(t *testing.T) {
+	s, err := sim.PrepareByName("crc32", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := power.DefaultCalibration()
+	record := func(cfg sim.Config, opt sim.RunOptions) (*Record, *sim.Result) {
+		r, err := s.RunWith(cfg, cal, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return FromRun(metrics.NewManifest("test"), nil, s, cal, r), r
+	}
+	plain, _ := record(sim.FITS8, sim.RunOptions{})
+	observed, r := record(sim.FITS8, sim.RunOptions{WindowCycles: 2048})
+	other, _ := record(sim.ARM16, sim.RunOptions{})
+	sampled, _ := record(sim.FITS8, sim.RunOptions{Sample: &sim.SampleOptions{}})
+	if err := observed.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if plain.RunID != observed.RunID {
+		t.Errorf("observation moved the run ID: %s vs %s", plain.RunID, observed.RunID)
+	}
+	if other.RunID == plain.RunID || sampled.RunID == plain.RunID || !sampled.Sampled {
+		t.Errorf("run IDs not namespaced by config and estimator: FITS8 %s, ARM16 %s, sampled %s",
+			plain.RunID, other.RunID, sampled.RunID)
+	}
+	if m := observed.Manifest; m.Kernel != "crc32" || m.Config != "FITS8" || m.Scale != 1 ||
+		m.ConfigHash != observed.ConfigHash || m.ISAPoint == "" || len(m.Calibration) == 0 {
+		t.Errorf("manifest not stamped: %+v", m)
+	}
+	if len(observed.Kernels) != 1 || observed.Kernels[0] != plain.Kernels[0] {
+		t.Errorf("kernel rows %+v, want one equal to the unobserved run's %+v", observed.Kernels, plain.Kernels)
+	}
+	if len(plain.Phases) != 0 || len(observed.Phases) != 1 {
+		t.Fatalf("phase runs: %d unobserved, %d observed; want 0 and 1", len(plain.Phases), len(observed.Phases))
+	}
+	if pr := observed.Phases[0]; pr.Series != r.Phases || pr.Stalls == nil || *pr.Stalls != *sim.Stalls(r.Pipe) {
+		t.Errorf("phase run does not carry the run's series and stalls: %+v", pr)
 	}
 }
 

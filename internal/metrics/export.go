@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -32,8 +31,9 @@ func (b *StallBreakdown) Total() uint64 {
 	return b.MissCycles + b.BubbleCycles + b.FetchCycles + b.HazardCycles
 }
 
-// RunExport is the phase series of one kernel × configuration run
-// inside an Export.
+// RunExport is one observed kernel × configuration run: its phase
+// series and stall-cause breakdown, the element of an archive record's
+// phase_runs.
 type RunExport struct {
 	Kernel string  `json:"kernel"`
 	Config string  `json:"config"`
@@ -41,59 +41,6 @@ type RunExport struct {
 	// Stalls is the run's stall-cause breakdown; `powerfits report`
 	// renders the per-kernel/config table from it.
 	Stalls *StallBreakdown `json:"stalls,omitempty"`
-}
-
-// Export is the portable JSON document behind `-metrics out.json`:
-// a manifest attributing the run, a full registry snapshot, and the
-// phase-resolved series of every observed run. `powerfits report`
-// renders it back.
-type Export struct {
-	Manifest *Manifest   `json:"manifest"`
-	Registry Snapshot    `json:"registry"`
-	Runs     []RunExport `json:"runs,omitempty"`
-}
-
-// WriteJSON writes the export as indented JSON.
-func (e *Export) WriteJSON(w io.Writer) error {
-	blob, err := json.MarshalIndent(e, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(blob, '\n'))
-	return err
-}
-
-// WriteJSONFile writes the export to path.
-func (e *Export) WriteJSONFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := e.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadExport decodes an export document.
-func ReadExport(r io.Reader) (*Export, error) {
-	var e Export
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&e); err != nil {
-		return nil, fmt.Errorf("metrics: decoding export: %w", err)
-	}
-	return &e, nil
-}
-
-// ReadExportFile reads and decodes an export document from path.
-func ReadExportFile(path string) (*Export, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadExport(f)
 }
 
 // phaseCSVHeader is the column layout of WritePhasesCSV.

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-// Manifest stamps one export with everything needed to attribute the
+// Manifest stamps one run record with everything needed to attribute the
 // numbers to a reproducible configuration: what ran (tool, kernel,
 // scale, processor configuration, ISA point), under which model
 // (calibration, decoder-configuration hash), from which source tree

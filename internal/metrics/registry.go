@@ -1,8 +1,8 @@
 // Package metrics is the repository's instrumentation layer: a typed
 // counter/gauge/histogram registry with hierarchical scopes, the
 // phase-series types a run's event stream is sampled into (produced by
-// tracing.Sampler and tracing.Profiler), a portable export document
-// (manifest + registry snapshot + phase series) and standard Go
+// tracing.Sampler and tracing.Profiler), the manifest and per-run
+// phase/stall entries an archive run record carries, and standard Go
 // profiling hooks.
 //
 // The package depends only on the standard library, so any layer can

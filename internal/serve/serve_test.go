@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -88,6 +89,48 @@ func TestServeCacheHitEquivalence(t *testing.T) {
 	}
 	if !bytes.Equal(cold.Body.Bytes(), fromStore.Body.Bytes()) {
 		t.Fatal("store hit is not byte-identical to the cold response")
+	}
+}
+
+// TestServeCorruptStoreRecordIsMiss: a truncated record in the
+// durable tier is a miss, not a 500. The request is recomputed, its
+// record rewritten whole, and a restarted service serves it from the
+// store.
+func TestServeCorruptStoreRecordIsMiss(t *testing.T) {
+	store := archive.NewStore(t.TempDir())
+	req := Request{Kernel: "crc32", Scale: 1, Configs: []string{"FITS8"}}
+	c, err := Canonicalize(req, DefaultCalBlob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(store.Dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(store.Path(c.RunID), []byte(`{"schema": "powerfits-run", "run_`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cold := doPost(t, New(Options{Store: store, Workers: 2}).Handler(), req)
+	if cold.Code != http.StatusOK {
+		t.Fatalf("corrupt record: status %d: %s", cold.Code, cold.Body)
+	}
+	if tier := cold.Header().Get("X-Powerfits-Cache"); tier != "cold" {
+		t.Fatalf("corrupt record served from %q, want cold", tier)
+	}
+	rec, err := archive.ReadFile(store.Path(c.RunID))
+	if err != nil {
+		t.Fatalf("recomputed record does not read back: %v", err)
+	}
+	if rec.Serve == nil || !bytes.Equal(rec.Serve.Body, cold.Body.Bytes()) {
+		t.Fatal("recomputed record does not hold the served body")
+	}
+
+	warm := doPost(t, New(Options{Store: archive.NewStore(store.Dir), Workers: 2}).Handler(), req)
+	if tier := warm.Header().Get("X-Powerfits-Cache"); tier != "store" {
+		t.Fatalf("restarted service served from %q, want store", tier)
+	}
+	if !bytes.Equal(cold.Body.Bytes(), warm.Body.Bytes()) {
+		t.Fatal("store hit is not byte-identical to the recomputed response")
 	}
 }
 
