@@ -251,9 +251,10 @@ func BenchmarkTimingPipeline(b *testing.B) {
 }
 
 // benchSteadyState measures the predecoded timing loop in isolation:
-// per-iteration construction (cache, meter, machine) runs with the timer
-// stopped, so ns/op is the cost of one full pipeline run over the shared
-// predecode table and allocs/op must be exactly 0 — the steady-state
+// per-iteration construction (cache, meter, machine) and the machine's
+// Release run with the timer stopped, so each run leases the memory the
+// last one released and ns/op is the cost of one full pipeline run over
+// the shared predecode table; allocs/op must be exactly 0 — the steady-state
 // cycle loop performs no heap allocations (Machine.Output is pre-sized
 // for the kernel's emitted words). cycles/s is the headline throughput
 // the predecode layer is gated on (see DESIGN.md §9).
@@ -279,7 +280,10 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 		if err := cpu.RunPipelineInto(m, pc, port, dec, &res); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
 		cycles += res.Cycles
+		m.Release()
+		b.StartTimer()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
@@ -333,7 +337,10 @@ func BenchmarkPipelineSharedPass(b *testing.B) {
 		if err := cpu.RunPipelineInto(m, pc, port, s.FitsDecoded, &res); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
 		cycles += res.Cycles
+		m.Release()
+		b.StartTimer()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
@@ -366,7 +373,10 @@ func benchTracedSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, mkSink f
 		if err := cpu.RunPipelineTraced(m, pc, port, dec, &res, sink); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
 		cycles += res.Cycles
+		m.Release()
+		b.StartTimer()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
@@ -396,9 +406,10 @@ func BenchmarkPipelineTraced(b *testing.B) {
 }
 
 // benchMachineRun measures the functional machine end to end over the
-// crc32 kernel with machine construction outside the timer, so ns/op
-// is one full program run and allocs/op must be exactly 0 on both
-// execution paths (Machine.Output is pre-sized; the fault path builds
+// crc32 kernel with machine construction and Release outside the
+// timer, so ns/op is one full program run on leased memory, as in a
+// sweep, and allocs/op must be exactly 0 on all three execution paths
+// (Machine.Output is pre-sized; the fault path builds
 // nothing until a fault actually fires).
 func benchMachineRun(b *testing.B, p *program.Program, l cpu.Layout, run func(*cpu.Machine) error) {
 	b.ReportAllocs()
@@ -413,7 +424,10 @@ func benchMachineRun(b *testing.B, p *program.Program, l cpu.Layout, run func(*c
 		if err := run(m); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
 		instrs += m.InstrCount
+		m.Release()
+		b.StartTimer()
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")

@@ -40,9 +40,10 @@ echo "== benchmark module: go vet + go test =="
 go -C bench vet ./...
 go -C bench test ./...
 
-echo "== go test -race (parallel engine + sim + telemetry + serving plane) =="
+echo "== go test -race (parallel engine + sim + telemetry + serving plane + sweep) =="
+# The sweep's workers share the machine-memory free list (internal/cpu).
 go test -race ./internal/sim ./internal/experiments ./internal/telemetry ./cmd/internal/cli \
-    ./internal/serve ./internal/archive
+    ./internal/serve ./internal/archive ./internal/sweep ./internal/profile ./internal/cpu
 
 echo "== benchmark smoke: one pass over every Go benchmark =="
 # One iteration of every benchmark in the root package and the serving

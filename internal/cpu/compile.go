@@ -785,7 +785,7 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		if d := m.checkAddr(ea, 4); d != "" {
 			return res, c.fault(idx, d)
 		}
-		m.Regs[u.Rd&15] = binary.LittleEndian.Uint32(m.Mem[ea:])
+		m.Regs[u.Rd&15] = binary.LittleEndian.Uint32(m.mem[ea:])
 		if wb {
 			m.Regs[u.Rn&15] += u.Imm
 		}
@@ -794,7 +794,7 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		if d := m.checkAddr(ea, 1); d != "" {
 			return res, c.fault(idx, d)
 		}
-		m.Regs[u.Rd&15] = uint32(m.Mem[ea])
+		m.Regs[u.Rd&15] = uint32(m.mem[ea])
 		if wb {
 			m.Regs[u.Rn&15] += u.Imm
 		}
@@ -803,7 +803,7 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		if d := m.checkAddr(ea, 2); d != "" {
 			return res, c.fault(idx, d)
 		}
-		m.Regs[u.Rd&15] = uint32(binary.LittleEndian.Uint16(m.Mem[ea:]))
+		m.Regs[u.Rd&15] = uint32(binary.LittleEndian.Uint16(m.mem[ea:]))
 		if wb {
 			m.Regs[u.Rn&15] += u.Imm
 		}
@@ -812,7 +812,7 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		if d := m.checkAddr(ea, 1); d != "" {
 			return res, c.fault(idx, d)
 		}
-		m.Regs[u.Rd&15] = uint32(int32(int8(m.Mem[ea])))
+		m.Regs[u.Rd&15] = uint32(int32(int8(m.mem[ea])))
 		if wb {
 			m.Regs[u.Rn&15] += u.Imm
 		}
@@ -821,7 +821,7 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		if d := m.checkAddr(ea, 2); d != "" {
 			return res, c.fault(idx, d)
 		}
-		m.Regs[u.Rd&15] = uint32(int32(int16(binary.LittleEndian.Uint16(m.Mem[ea:]))))
+		m.Regs[u.Rd&15] = uint32(int32(int16(binary.LittleEndian.Uint16(m.mem[ea:]))))
 		if wb {
 			m.Regs[u.Rn&15] += u.Imm
 		}
@@ -830,7 +830,8 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		if d := m.checkAddr(ea, 4); d != "" {
 			return res, c.fault(idx, d)
 		}
-		binary.LittleEndian.PutUint32(m.Mem[ea:], m.Regs[u.Rd&15])
+		binary.LittleEndian.PutUint32(m.mem[ea:], m.Regs[u.Rd&15])
+		m.touch(ea)
 		if wb {
 			m.Regs[u.Rn&15] += u.Imm
 		}
@@ -839,7 +840,8 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		if d := m.checkAddr(ea, 1); d != "" {
 			return res, c.fault(idx, d)
 		}
-		m.Mem[ea] = byte(m.Regs[u.Rd&15])
+		m.mem[ea] = byte(m.Regs[u.Rd&15])
+		m.touch(ea)
 		if wb {
 			m.Regs[u.Rn&15] += u.Imm
 		}
@@ -848,7 +850,8 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		if d := m.checkAddr(ea, 2); d != "" {
 			return res, c.fault(idx, d)
 		}
-		binary.LittleEndian.PutUint16(m.Mem[ea:], uint16(m.Regs[u.Rd&15]))
+		binary.LittleEndian.PutUint16(m.mem[ea:], uint16(m.Regs[u.Rd&15]))
+		m.touch(ea)
 		if wb {
 			m.Regs[u.Rn&15] += u.Imm
 		}
@@ -865,10 +868,11 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		list := uint16(u.Aux)
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
 			if list&(1<<r) != 0 {
-				binary.LittleEndian.PutUint32(m.Mem[a:], m.Regs[r])
+				binary.LittleEndian.PutUint32(m.mem[a:], m.Regs[r])
 				a += 4
 			}
 		}
+		m.touchPush(sp, u.Imm)
 		m.Regs[isa.SP] = sp
 	case kPop:
 		sp := m.Regs[isa.SP]
@@ -879,7 +883,7 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		list := uint16(u.Aux)
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
 			if list&(1<<r) != 0 {
-				m.Regs[r] = binary.LittleEndian.Uint32(m.Mem[a:])
+				m.Regs[r] = binary.LittleEndian.Uint32(m.mem[a:])
 				a += 4
 			}
 		}

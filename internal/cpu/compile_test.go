@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"bytes"
 	"testing"
 
 	"powerfits/internal/asm"
@@ -18,6 +17,8 @@ func lockstepCompare(t *testing.T, p *program.Program, maxInstrs uint64) uint64 
 	l := WordLayout(p.TextBase, len(p.Instrs))
 	mi := New(p, l)
 	mc := New(p, l)
+	defer mi.Release()
+	defer mc.Release()
 	mi.MaxInstrs = maxInstrs
 	mc.MaxInstrs = maxInstrs
 	c := Compile(p, l)
@@ -58,7 +59,9 @@ func lockstepCompare(t *testing.T, p *program.Program, maxInstrs uint64) uint64 
 			break
 		}
 	}
-	if !bytes.Equal(mi.Mem, mc.Mem) {
+	checkCoverage(t, mi)
+	checkCoverage(t, mc)
+	if !mi.MemEqual(mc) {
 		t.Fatal("memory divergence after run")
 	}
 	if len(mi.Output) != len(mc.Output) {
@@ -274,13 +277,16 @@ func TestStepZeroAlloc(t *testing.T) {
 
 // FuzzCompiledVsStep drives randomized instruction streams (the
 // internal/asm fuzz-harness recipe, widened to cover predication,
-// register shifts, stack ops and stores) through both executors in
-// lockstep. Any accepted program must produce bit-identical
-// architectural state per instruction and identical fault strings.
+// register shifts, stack ops, stores through any address and pushes
+// across 64 KiB chunk boundaries) through both executors in lockstep.
+// Any accepted program must produce bit-identical architectural state
+// per instruction and identical fault strings, and every executor's
+// dirty mask must cover what it wrote (checkCoverage).
 func FuzzCompiledVsStep(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0xFF, 0x00, 0x7A, 0x33, 9, 9, 9, 1})
 	f.Add([]byte{16, 200, 3, 77, 60, 1, 2, 250, 90, 90, 13, 13})
+	f.Add([]byte{16, 255, 2, 255, 34, 7, 1, 0, 17, 4, 0, 2, 17, 31, 0, 0})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		b := asm.New("fuzz")
 		b.Zero("buf", 256)
@@ -291,7 +297,7 @@ func FuzzCompiledVsStep(f *testing.F) {
 			rd := isa.Reg(a % 11)
 			rn := isa.Reg(c % 11)
 			imm := int32(d)
-			switch op % 16 {
+			switch op % 18 {
 			case 0:
 				b.AddI(rd, rn, imm)
 			case 1:
@@ -323,8 +329,17 @@ func FuzzCompiledVsStep(f *testing.F) {
 				b.Pop(isa.R0, rd&7)
 			case 14:
 				b.IfI(isa.Cond(d%14), isa.Op(a%9), rd, rn, imm)
-			default:
+			case 15:
 				b.Qadd(rd, rn, isa.Reg(d%11))
+			case 16:
+				// A store through an unconstrained base: text, data,
+				// stack, either side of a chunk boundary; faults are fine.
+				b.MovImm32(isa.R12, uint32(a)<<13|uint32(d)<<5|uint32(c)&31)
+				b.Mem([]isa.Op{isa.STR, isa.STRB, isa.STRH}[c%3], rd, isa.R12, 0)
+			default:
+				// A push whose span straddles a chunk boundary.
+				b.MovImm32(isa.SP, uint32(a%31+1)<<16|uint32(d%3)*4)
+				b.Push(isa.R0, rd&7, isa.R8)
 			}
 		}
 		b.EmitWord()

@@ -6,6 +6,7 @@ package cpu
 import (
 	"encoding/binary"
 	"fmt"
+	"runtime"
 
 	"powerfits/internal/isa"
 	"powerfits/internal/program"
@@ -82,19 +83,28 @@ func (e *ExecError) Error() string {
 
 // Machine is the architectural state plus the functional interpreter.
 //
-// A Machine owns all of its mutable state (registers, flags, a private
-// copy of the data segment in Mem, output buffer); the Program and
-// Layout it is constructed with are only ever read. Distinct Machines
-// may therefore run concurrently over the same Program/Image, which the
-// parallel experiment engine does.
+// A Machine owns all of its mutable state (registers, flags, its
+// memory with a private copy of the data segment, output buffer); the
+// Program and Layout it is constructed with are only ever read.
+// Distinct Machines may therefore run concurrently over the same
+// Program/Image, which the parallel experiment engine does. The memory
+// is leased (mem.go): the owner of a machine calls Release when the run
+// is done, and a machine dropped without it is unmapped by the
+// collector.
 type Machine struct {
 	Regs   [isa.NumRegs]uint32
 	N      bool
 	Z      bool
 	C      bool
 	V      bool
-	Mem    []byte
 	Halted bool
+
+	// mem is the leased flat memory; dirty has bit c set once the run
+	// may have written its 64 KiB chunk c. Release re-zeroes exactly
+	// the dirty chunks, so every store path marks its chunk.
+	mem     *[program.MemSize]byte
+	dirty   uint32
+	cleanup runtime.Cleanup
 
 	// Output collects words emitted via SWI 1 (kernel checksums).
 	Output []uint32
@@ -117,16 +127,19 @@ type Machine struct {
 	MaxInstrs uint64
 }
 
-// New creates a machine loaded with the program: data segment copied in,
-// stack pointer initialised, PC at the entry instruction.
+// New creates a machine loaded with the program: memory leased, data
+// segment copied in, stack pointer initialised, PC at the entry
+// instruction.
 func New(p *program.Program, layout Layout) *Machine {
 	m := &Machine{
-		Mem:    make([]byte, program.MemSize),
 		prog:   p,
 		layout: layout,
 		PCIdx:  p.Entry,
 	}
-	copy(m.Mem[p.DataBase:], p.Data)
+	m.leaseFor()
+	if n := copy(m.mem[p.DataBase:], p.Data); n > 0 {
+		m.touchSpan(p.DataBase, uint32(n))
+	}
 	m.Regs[isa.SP] = program.StackTop
 	return m
 }
@@ -386,21 +399,24 @@ func (m *Machine) Step() (StepResult, error) {
 		}
 		switch in.Op {
 		case isa.LDR:
-			m.Regs[in.Rd] = binary.LittleEndian.Uint32(m.Mem[ea:])
+			m.Regs[in.Rd] = binary.LittleEndian.Uint32(m.mem[ea:])
 		case isa.LDRB:
-			m.Regs[in.Rd] = uint32(m.Mem[ea])
+			m.Regs[in.Rd] = uint32(m.mem[ea])
 		case isa.LDRH:
-			m.Regs[in.Rd] = uint32(binary.LittleEndian.Uint16(m.Mem[ea:]))
+			m.Regs[in.Rd] = uint32(binary.LittleEndian.Uint16(m.mem[ea:]))
 		case isa.LDRSB:
-			m.Regs[in.Rd] = uint32(int32(int8(m.Mem[ea])))
+			m.Regs[in.Rd] = uint32(int32(int8(m.mem[ea])))
 		case isa.LDRSH:
-			m.Regs[in.Rd] = uint32(int32(int16(binary.LittleEndian.Uint16(m.Mem[ea:]))))
+			m.Regs[in.Rd] = uint32(int32(int16(binary.LittleEndian.Uint16(m.mem[ea:]))))
 		case isa.STR:
-			binary.LittleEndian.PutUint32(m.Mem[ea:], m.Regs[in.Rd])
+			binary.LittleEndian.PutUint32(m.mem[ea:], m.Regs[in.Rd])
+			m.touch(ea)
 		case isa.STRB:
-			m.Mem[ea] = byte(m.Regs[in.Rd])
+			m.mem[ea] = byte(m.Regs[in.Rd])
+			m.touch(ea)
 		case isa.STRH:
-			binary.LittleEndian.PutUint16(m.Mem[ea:], uint16(m.Regs[in.Rd]))
+			binary.LittleEndian.PutUint16(m.mem[ea:], uint16(m.Regs[in.Rd]))
+			m.touch(ea)
 		}
 		if wb {
 			m.Regs[in.Rn] += uint32(in.Imm)
@@ -418,10 +434,11 @@ func (m *Machine) Step() (StepResult, error) {
 		a := sp
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
 			if in.RegList&(1<<r) != 0 {
-				binary.LittleEndian.PutUint32(m.Mem[a:], m.Regs[r])
+				binary.LittleEndian.PutUint32(m.mem[a:], m.Regs[r])
 				a += 4
 			}
 		}
+		m.touchPush(sp, uint32(4*n))
 		m.Regs[isa.SP] = sp
 	case isa.POP:
 		n := popCount(in.RegList)
@@ -432,7 +449,7 @@ func (m *Machine) Step() (StepResult, error) {
 		a := sp
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
 			if in.RegList&(1<<r) != 0 {
-				m.Regs[r] = binary.LittleEndian.Uint32(m.Mem[a:])
+				m.Regs[r] = binary.LittleEndian.Uint32(m.mem[a:])
 				a += 4
 			}
 		}
@@ -498,7 +515,7 @@ func (m *Machine) effAddr(in *isa.Instr) (uint32, bool) {
 }
 
 func (m *Machine) checkAddr(a uint32, size int) string {
-	if int64(a)+int64(size) > int64(len(m.Mem)) {
+	if int64(a)+int64(size) > int64(len(m.mem)) {
 		return fmt.Sprintf("address %#x out of memory", a)
 	}
 	align := uint32(4)
@@ -556,12 +573,14 @@ func (m *Machine) Run() error {
 // program to completion and returns it. It is the quick path for golden
 // outputs and dynamic profiling; it compiles the program to the
 // semantic micro-op table first, so long runs execute at compiled speed
-// (bit-identical to the Step path — see compile.go).
+// (bit-identical to the Step path — see compile.go). The caller owns the
+// returned machine and should Release it once done reading it.
 func RunFunctional(p *program.Program, maxInstrs uint64) (*Machine, error) {
 	l := WordLayout(p.TextBase, len(p.Instrs))
 	m := New(p, l)
 	m.MaxInstrs = maxInstrs
 	if err := m.RunCompiled(Compile(p, l)); err != nil {
+		m.Release()
 		return nil, err
 	}
 	return m, nil

@@ -483,73 +483,76 @@ func (m *Machine) runFusedBlock(c *Compiled, idx, n int, dyn []uint64) error {
 
 		case kLdr:
 			ea, wb := m.effAddrC(u)
-			if uint64(ea)+4 > uint64(len(m.Mem)) || ea&3 != 0 {
+			if uint64(ea)+4 > uint64(len(m.mem)) || ea&3 != 0 {
 				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 4))
 			}
-			m.Regs[u.Rd&15] = binary.LittleEndian.Uint32(m.Mem[ea:])
+			m.Regs[u.Rd&15] = binary.LittleEndian.Uint32(m.mem[ea:])
 			if wb {
 				m.Regs[u.Rn&15] += u.Imm
 			}
 		case kLdrb:
 			ea, wb := m.effAddrC(u)
-			if uint64(ea) >= uint64(len(m.Mem)) {
+			if uint64(ea) >= uint64(len(m.mem)) {
 				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 1))
 			}
-			m.Regs[u.Rd&15] = uint32(m.Mem[ea])
+			m.Regs[u.Rd&15] = uint32(m.mem[ea])
 			if wb {
 				m.Regs[u.Rn&15] += u.Imm
 			}
 		case kLdrh:
 			ea, wb := m.effAddrC(u)
-			if uint64(ea)+2 > uint64(len(m.Mem)) || ea&1 != 0 {
+			if uint64(ea)+2 > uint64(len(m.mem)) || ea&1 != 0 {
 				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 2))
 			}
-			m.Regs[u.Rd&15] = uint32(binary.LittleEndian.Uint16(m.Mem[ea:]))
+			m.Regs[u.Rd&15] = uint32(binary.LittleEndian.Uint16(m.mem[ea:]))
 			if wb {
 				m.Regs[u.Rn&15] += u.Imm
 			}
 		case kLdrsb:
 			ea, wb := m.effAddrC(u)
-			if uint64(ea) >= uint64(len(m.Mem)) {
+			if uint64(ea) >= uint64(len(m.mem)) {
 				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 1))
 			}
-			m.Regs[u.Rd&15] = uint32(int32(int8(m.Mem[ea])))
+			m.Regs[u.Rd&15] = uint32(int32(int8(m.mem[ea])))
 			if wb {
 				m.Regs[u.Rn&15] += u.Imm
 			}
 		case kLdrsh:
 			ea, wb := m.effAddrC(u)
-			if uint64(ea)+2 > uint64(len(m.Mem)) || ea&1 != 0 {
+			if uint64(ea)+2 > uint64(len(m.mem)) || ea&1 != 0 {
 				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 2))
 			}
-			m.Regs[u.Rd&15] = uint32(int32(int16(binary.LittleEndian.Uint16(m.Mem[ea:]))))
+			m.Regs[u.Rd&15] = uint32(int32(int16(binary.LittleEndian.Uint16(m.mem[ea:]))))
 			if wb {
 				m.Regs[u.Rn&15] += u.Imm
 			}
 		case kStr:
 			ea, wb := m.effAddrC(u)
-			if uint64(ea)+4 > uint64(len(m.Mem)) || ea&3 != 0 {
+			if uint64(ea)+4 > uint64(len(m.mem)) || ea&3 != 0 {
 				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 4))
 			}
-			binary.LittleEndian.PutUint32(m.Mem[ea:], m.Regs[u.Rd&15])
+			binary.LittleEndian.PutUint32(m.mem[ea:], m.Regs[u.Rd&15])
+			m.touch(ea)
 			if wb {
 				m.Regs[u.Rn&15] += u.Imm
 			}
 		case kStrb:
 			ea, wb := m.effAddrC(u)
-			if uint64(ea) >= uint64(len(m.Mem)) {
+			if uint64(ea) >= uint64(len(m.mem)) {
 				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 1))
 			}
-			m.Mem[ea] = byte(m.Regs[u.Rd&15])
+			m.mem[ea] = byte(m.Regs[u.Rd&15])
+			m.touch(ea)
 			if wb {
 				m.Regs[u.Rn&15] += u.Imm
 			}
 		case kStrh:
 			ea, wb := m.effAddrC(u)
-			if uint64(ea)+2 > uint64(len(m.Mem)) || ea&1 != 0 {
+			if uint64(ea)+2 > uint64(len(m.mem)) || ea&1 != 0 {
 				return m.fusedFault(c, idx, j, n, dyn, m.checkAddr(ea, 2))
 			}
-			binary.LittleEndian.PutUint16(m.Mem[ea:], uint16(m.Regs[u.Rd&15]))
+			binary.LittleEndian.PutUint16(m.mem[ea:], uint16(m.Regs[u.Rd&15]))
+			m.touch(ea)
 			if wb {
 				m.Regs[u.Rn&15] += u.Imm
 			}
@@ -566,10 +569,11 @@ func (m *Machine) runFusedBlock(c *Compiled, idx, n int, dyn []uint64) error {
 			list := uint16(u.Aux)
 			for r := isa.Reg(0); r < isa.NumRegs; r++ {
 				if list&(1<<r) != 0 {
-					binary.LittleEndian.PutUint32(m.Mem[a:], m.Regs[r])
+					binary.LittleEndian.PutUint32(m.mem[a:], m.Regs[r])
 					a += 4
 				}
 			}
+			m.touchPush(sp, u.Imm)
 			m.Regs[isa.SP] = sp
 		case kPop:
 			sp := m.Regs[isa.SP]
@@ -580,7 +584,7 @@ func (m *Machine) runFusedBlock(c *Compiled, idx, n int, dyn []uint64) error {
 			list := uint16(u.Aux)
 			for r := isa.Reg(0); r < isa.NumRegs; r++ {
 				if list&(1<<r) != 0 {
-					m.Regs[r] = binary.LittleEndian.Uint32(m.Mem[a:])
+					m.Regs[r] = binary.LittleEndian.Uint32(m.mem[a:])
 					a += 4
 				}
 			}

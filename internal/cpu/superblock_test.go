@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -22,6 +21,8 @@ func superblockCompare(t *testing.T, p *program.Program, maxInstrs uint64) uint6
 	l := WordLayout(p.TextBase, len(p.Instrs))
 	mi := New(p, l)
 	ms := New(p, l)
+	defer mi.Release()
+	defer ms.Release()
 	mi.MaxInstrs = maxInstrs
 	ms.MaxInstrs = maxInstrs
 	mi.DynCount = make([]uint64, len(p.Instrs))
@@ -53,7 +54,9 @@ func superblockCompare(t *testing.T, p *program.Program, maxInstrs uint64) uint6
 				i, mi.DynCount[i], ms.DynCount[i])
 		}
 	}
-	if !bytes.Equal(mi.Mem, ms.Mem) {
+	checkCoverage(t, mi)
+	checkCoverage(t, ms)
+	if !mi.MemEqual(ms) {
 		t.Fatal("memory divergence after run")
 	}
 	if len(mi.Output) != len(ms.Output) {

@@ -7,7 +7,9 @@
 // Goroutine-safety contract (audited per package):
 //   - sim.Setup is immutable after Prepare; Setup.Run and
 //     Setup.RunPass build all mutable state (cache.Cache, power.Meter,
-//     cpu.Machine, layout) per call.
+//     cpu.Machine, layout) per call. Each machine leases its memory
+//     and releases it when the run returns; the free list the workers
+//     share is a channel (cpu.Machine.Release).
 //   - the predecoded instruction tables (Setup.ArmDecoded /
 //     Setup.FitsDecoded, see cpu.Predecode) are built once in Prepare
 //     and shared read-only by every configuration run of a kernel —

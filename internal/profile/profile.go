@@ -92,6 +92,7 @@ func Collect(p *program.Program, maxInstrs uint64) (*Profile, error) {
 func CollectWith(p *program.Program, opts CollectOptions) (*Profile, error) {
 	l := cpu.WordLayout(p.TextBase, len(p.Instrs))
 	m := cpu.New(p, l)
+	defer m.Release()
 	m.MaxInstrs = opts.MaxInstrs
 	m.DynCount = make([]uint64, len(p.Instrs))
 	c := cpu.Compile(p, l)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"testing"
 
 	"powerfits/internal/cpu"
@@ -50,7 +49,7 @@ func lockstepCompiled(t *testing.T, tag string, p *program.Program, l cpu.Layout
 				tag, mi.InstrCount, mi.PCIdx, mc.PCIdx)
 		}
 	}
-	if !bytes.Equal(mi.Mem, mc.Mem) {
+	if !mi.MemEqual(mc) {
 		t.Fatalf("%s: memory divergence after run", tag)
 	}
 	if len(mi.Output) != len(mc.Output) {

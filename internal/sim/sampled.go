@@ -381,6 +381,7 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptio
 	bindEnergy(sink, meters[0].m)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
+	defer m.Release()
 	port := newICachePort(c, im, pc.BlockBytes, stream)
 
 	var pres cpu.PipeResult

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -244,7 +243,7 @@ func TestSuperblocksMatchStepAllKernels(t *testing.T) {
 				if mi.Regs != ms.Regs {
 					t.Fatalf("%s: register divergence", im.tag)
 				}
-				if !bytes.Equal(mi.Mem, ms.Mem) {
+				if !mi.MemEqual(ms) {
 					t.Fatalf("%s: memory divergence", im.tag)
 				}
 				for i := range mi.DynCount {

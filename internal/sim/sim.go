@@ -75,8 +75,9 @@ const MissPenalty = 24
 // A Setup is immutable once Prepare returns: Run and RunPass only read
 // it, so one Setup may serve any number of concurrent runs (the
 // parallel experiment engine relies on this). Each run builds its own
-// cache, power meters, layout and machine; the shared Program and
-// Images are treated as read-only by the pipeline.
+// cache, power meters, layout and machine, leasing the machine's memory
+// and releasing it when the run returns; the shared Program and Images
+// are treated as read-only by the pipeline.
 type Setup struct {
 	Kernel kernels.Kernel
 	Scale  int
@@ -537,6 +538,7 @@ func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.Event
 	bindEnergy(sink, meter)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
+	defer m.Release()
 	var sampler *tracing.Sampler
 	var prof *tracing.Profiler
 	if window > 0 {

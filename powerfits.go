@@ -236,6 +236,7 @@ func PrepareProgram(p *Program) (*Setup, error) {
 
 // RunFunctional executes a program on the functional interpreter and
 // returns the finished machine (architectural state and SWI-1 output).
+// Call its Release once done reading it to return its memory for reuse.
 func RunFunctional(p *Program, maxInstrs uint64) (*cpu.Machine, error) {
 	return cpu.RunFunctional(p, maxInstrs)
 }

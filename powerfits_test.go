@@ -121,6 +121,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
+	defer m.Release()
 	fmt.Println(m.Output[0])
 	// Output: 42
 }
