@@ -266,6 +266,7 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 		prog, im, dec = s.Fits.Lowered, s.Fits.Image, s.FitsDecoded
 	}
 	var res cpu.PipeResult
+	replayed := replayedFrac(b, prog, im, dec, cfg.Cache) // also warms the memo free list
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles uint64
@@ -288,6 +289,29 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 	b.StopTimer()
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
+	b.ReportMetric(replayed, "replayed_frac")
+}
+
+// replayedFrac runs the image once, untimed, and returns the share of
+// its instructions the segment memo replayed: the runs are
+// deterministic, so it is every timed run's share too. The run leaves a
+// memo grown for the image on the free list, so the timed runs after
+// it allocate nothing.
+func replayedFrac(b *testing.B, prog *program.Program, im *program.Image, dec *cpu.Decoded, geom cache.Config) float64 {
+	pc := cpu.DefaultPipeConfig()
+	stream := power.MustNewMeter(geom, power.DefaultCalibration()).Stream()
+	m := cpu.New(prog, cpu.ImageLayout(im))
+	defer m.Release()
+	var res cpu.PipeResult
+	run, err := cpu.NewPipelineRun(m, pc, sim.NewFetchPort(cache.MustNew(geom), im, pc.BlockBytes, stream), dec, &res)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer run.Release()
+	if err := run.RunUntil(math.MaxUint64); err != nil {
+		b.Fatal(err)
+	}
+	return float64(run.Replayed()) / float64(res.Instrs)
 }
 
 // BenchmarkPipelineSteadyState is the pipeline's cycles/sec benchmark
@@ -320,6 +344,7 @@ func BenchmarkPipelineSharedPass(b *testing.B) {
 	pc := cpu.DefaultPipeConfig()
 	im := s.Fits.Image
 	var res cpu.PipeResult
+	replayed := replayedFrac(b, s.Fits.Lowered, im, s.FitsDecoded, sim.FITS16.Cache)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles uint64
@@ -345,6 +370,7 @@ func BenchmarkPipelineSharedPass(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
+	b.ReportMetric(replayed, "replayed_frac")
 }
 
 // benchTracedSteadyState is benchSteadyState through the tracing entry
@@ -358,6 +384,7 @@ func benchTracedSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, mkSink f
 		prog, im, dec = s.Fits.Lowered, s.Fits.Image, s.FitsDecoded
 	}
 	var res cpu.PipeResult
+	replayedFrac(b, prog, im, dec, cfg.Cache) // warms the memo free list for the nil sink
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles uint64

@@ -28,9 +28,11 @@ go test ./internal/power -run='^$' -fuzz='^FuzzMeterMatchesReference$' -fuzztime
 
 echo "== fuzz: the executors and the assembler the shared passes rest on =="
 # The same short runs past the seeds for the compiled executor against
-# the Step interpreter, builder-made programs on the simulator, and the
-# assembler's parser. `go test -fuzz` takes one target per invocation.
+# the Step interpreter, the segment memo against the plain cycle loop,
+# builder-made programs on the simulator, and the assembler's parser.
+# `go test -fuzz` takes one target per invocation.
 go test ./internal/cpu -run='^$' -fuzz='^FuzzCompiledVsStep$' -fuzztime=10s -parallel=2
+go test ./internal/cpu -run='^$' -fuzz='^FuzzMemoVsCycleLoop$' -fuzztime=10s -parallel=2
 go test ./internal/asm -run='^$' -fuzz='^FuzzBuilderProgramExecution$' -fuzztime=10s -parallel=2
 go test ./internal/asm -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s -parallel=2
 

@@ -440,25 +440,40 @@ func (r *Record) WriteFile(path string) error {
 // directory must already exist (Store.Save creates it once, not per
 // record).
 func (r *Record) writeAtomic(path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, ".tmp-record-*")
+	tmp, err := r.writeTemp(filepath.Dir(path))
 	if err != nil {
 		return err
+	}
+	return commitTemp(tmp, path)
+}
+
+// writeTemp writes the record to a new temp file in dir and returns its
+// name.
+func (r *Record) writeTemp(dir string) (string, error) {
+	f, err := os.CreateTemp(dir, ".tmp-record-*")
+	if err != nil {
+		return "", err
 	}
 	tmp := f.Name()
 	if err := r.Write(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return err
+		return "", err
 	}
 	if err := f.Close(); err != nil {
 		os.Remove(tmp)
-		return err
+		return "", err
 	}
 	if err := os.Chmod(tmp, 0o644); err != nil {
 		os.Remove(tmp)
-		return err
+		return "", err
 	}
+	return tmp, nil
+}
+
+// commitTemp renames a written temp file into place, removing it when
+// the rename fails.
+func commitTemp(tmp, path string) error {
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
@@ -494,8 +509,8 @@ func ReadFile(path string) (*Record, error) {
 
 // Store is a directory of archived runs, one <run-id>.json per record.
 //
-// A Store is safe for concurrent use: Save serializes writers behind a
-// single-writer lock, and Get tolerates readers racing a writer
+// A Store is safe for concurrent use: Save serializes only the rename
+// that publishes a record, and Get tolerates readers racing a writer
 // mid-rename, which is what lets the serving plane share one Store as
 // a result-cache backend across many handler goroutines.
 type Store struct {
@@ -507,10 +522,11 @@ type Store struct {
 	mkdir    sync.Once
 	mkdirErr error
 
-	// save serializes writers. The temp+rename write is atomic with
-	// respect to readers, but two goroutines saving the same run ID
-	// would otherwise race their renames in arbitrary order; a
-	// single-writer lock makes the last Save the record on disk.
+	// save serializes the renames that publish records. Each Save
+	// writes its own temp file unlocked, so concurrent writers overlap
+	// their file I/O; the temp+rename write is atomic with respect to
+	// readers, and the lock orders the renames, so the last Save to
+	// rename is the record on disk.
 	save sync.Mutex
 }
 
@@ -539,10 +555,15 @@ func (s *Store) Save(r *Record) (string, error) {
 	if s.mkdirErr != nil {
 		return "", s.mkdirErr
 	}
+	tmp, err := r.writeTemp(s.Dir)
+	if err != nil {
+		return "", err
+	}
 	path := s.Path(r.RunID)
 	s.save.Lock()
-	defer s.save.Unlock()
-	if err := r.writeAtomic(path); err != nil {
+	err = commitTemp(tmp, path)
+	s.save.Unlock()
+	if err != nil {
 		return "", err
 	}
 	return path, nil

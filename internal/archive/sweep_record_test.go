@@ -1,9 +1,11 @@
 package archive
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -133,5 +135,78 @@ func TestSaveAtomic(t *testing.T) {
 	}
 	if len(recs) != 1 {
 		t.Fatalf("List saw %d records with a temp file present, want 1", len(recs))
+	}
+}
+
+// TestConcurrentSaves runs Saves of distinct run IDs and of one shared
+// run ID at once (each writes its temp file outside the store lock):
+// every record must load and validate afterwards, the shared ID must
+// hold one of its writers' complete records, and no temp file may
+// remain.
+func TestConcurrentSaves(t *testing.T) {
+	dir := t.TempDir()
+	st := NewStore(dir)
+	const writers, rounds = 4, 8
+	shared := make([]*Record, writers)
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		p := testPoint()
+		p.Cycles = uint64(1000 + w)
+		shared[w] = FromSweepPoint(p, []byte("cal"))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				own := testPoint()
+				own.Kernel = fmt.Sprintf("k%d_%d", w, i)
+				if _, err := st.Save(FromSweepPoint(own, []byte("cal"))); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := st.Save(shared[w]); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	recs, err := st.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != writers*rounds+1 {
+		t.Fatalf("store lists %d records, want %d", len(recs), writers*rounds+1)
+	}
+	for _, r := range recs {
+		got, err := st.Load(r.RunID)
+		if err != nil {
+			t.Fatalf("%s: %v", r.RunID, err)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: %v", r.RunID, err)
+		}
+	}
+	got, err := st.Load(shared[0].RunID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := got.Sweep.Cycles; c < 1000 || c >= 1000+writers {
+		t.Fatalf("shared record holds cycles %d, not one writer's record", c)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), ".tmp-record-") {
+			t.Fatalf("temp file %s left behind", e.Name())
+		}
 	}
 }

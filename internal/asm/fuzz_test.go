@@ -1,8 +1,10 @@
-package asm
+package asm_test
 
 import (
 	"testing"
 
+	"powerfits/internal/asm"
+	"powerfits/internal/asm/asmfuzz"
 	"powerfits/internal/cpu"
 	"powerfits/internal/isa"
 )
@@ -27,7 +29,7 @@ func FuzzParse(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		p, err := Parse("fuzz", src)
+		p, err := asm.Parse("fuzz", src)
 		if err != nil {
 			return
 		}
@@ -36,8 +38,8 @@ func FuzzParse(f *testing.F) {
 		}
 		// The formatter must render anything Parse accepted, and the
 		// render must re-parse.
-		text := Format(p)
-		if _, err := Parse("fuzz2", text); err != nil {
+		text := asm.Format(p)
+		if _, err := asm.Parse("fuzz2", text); err != nil {
 			t.Fatalf("Format output unparseable: %v\n%s", err, text)
 		}
 	})
@@ -50,34 +52,11 @@ func FuzzBuilderProgramExecution(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0xFF, 0x00, 0x7A, 0x33, 9, 9, 9})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		b := New("fuzz")
+		b := asm.New("fuzz")
 		b.Zero("buf", 256)
 		b.Func("main")
 		b.Lea(isa.R1, "buf")
-		for i := 0; i+4 <= len(raw) && i < 64; i += 4 {
-			op, a, c, d := raw[i], raw[i+1], raw[i+2], raw[i+3]
-			rd := isa.Reg(a % 11)
-			rn := isa.Reg(c % 11)
-			imm := int32(d)
-			switch op % 8 {
-			case 0:
-				b.AddI(rd, rn, imm)
-			case 1:
-				b.Eor(rd, rn, isa.Reg(d%11))
-			case 2:
-				b.Lsr(rd, rn, d%32)
-			case 3:
-				b.Ldrb(rd, isa.R1, imm%250)
-			case 4:
-				b.Strb(rd, isa.R1, imm%250)
-			case 5:
-				b.Mul(rd, rn, isa.Reg(d%11))
-			case 6:
-				b.CmpI(rn, imm)
-			default:
-				b.MovIIf(isa.Cond(d%14), rd, imm)
-			}
-		}
+		asmfuzz.Body(b, raw)
 		b.Exit()
 		p, err := b.Build()
 		if err != nil {

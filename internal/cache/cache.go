@@ -112,6 +112,10 @@ type Cache struct {
 	mruWay  int
 	// topWay is the way holding tag 0xFFFFFFFF, or -1.
 	topWay int
+	// last[set] is the way within the set that the set's latest Access
+	// hit or filled: a hint probed before the scan (a loop body's lines
+	// tend to fall in distinct sets).
+	last []uint32
 }
 
 // noLine is an mruLine value no 32-bit line number can equal.
@@ -123,10 +127,13 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	nsets := cfg.Sets()
+	ways := nsets * cfg.Assoc
+	keys := make([]uint32, ways+nsets) // the keys, then the hints
 	c := &Cache{
 		cfg:     cfg,
-		keys:    make([]uint32, nsets*cfg.Assoc),
-		lru:     make([]uint64, nsets*cfg.Assoc),
+		keys:    keys[:ways:ways],
+		last:    keys[ways:],
+		lru:     make([]uint64, ways),
 		assoc:   cfg.Assoc,
 		mruLine: noLine,
 		topWay:  -1,
@@ -166,19 +173,24 @@ func (c *Cache) Access(addr uint32) bool {
 		c.lru[c.mruWay] = c.stamp
 		return true
 	}
-	base := int(line&c.setMask) * c.assoc
+	set := line & c.setMask
+	base := int(set) * c.assoc
 	key := line>>c.setShift + 1
 
-	// Hit scan first: the common case touches nothing but the matching
-	// way's stamp. Victim selection runs only on the miss path.
+	// Hit scan first, from the set's hint: the common case touches
+	// nothing but the matching way's stamp. Victim selection runs only
+	// on the miss path.
 	if key != 0 {
+		if i := int(c.last[set]); c.keys[base+i] == key {
+			return c.hit(line, base, i)
+		}
 		for i, k := range c.keys[base : base+c.assoc] {
 			if k == key {
-				return c.hit(line, base+i)
+				return c.hit(line, base, i)
 			}
 		}
 	} else if c.topWay >= 0 {
-		return c.hit(line, c.topWay)
+		return c.hit(line, base, c.topWay-base)
 	}
 	// The victim is the last invalid way, else the least recently used.
 	victim := 0
@@ -203,13 +215,17 @@ func (c *Cache) Access(addr uint32) bool {
 	c.keys[w] = key
 	c.lru[w] = c.stamp
 	c.mruLine, c.mruWay = uint64(line), w
+	c.last[set] = uint32(victim)
 	return false
 }
 
-// hit refreshes way w's stamp and makes it the MRU way.
-func (c *Cache) hit(line uint32, w int) bool {
+// hit refreshes the stamp of way i of the set at base and makes it the
+// MRU way and the set's hint.
+func (c *Cache) hit(line uint32, base, i int) bool {
+	w := base + i
 	c.lru[w] = c.stamp
 	c.mruLine, c.mruWay = uint64(line), w
+	c.last[line&c.setMask] = uint32(i)
 	return true
 }
 
@@ -217,10 +233,17 @@ func (c *Cache) hit(line uint32, w int) bool {
 // or statistics.
 func (c *Cache) Contains(addr uint32) bool {
 	line := addr >> c.lineShift
-	base := int(line&c.setMask) * c.assoc
+	if uint64(line) == c.mruLine {
+		return true // the MRU line is resident (see Access)
+	}
+	set := line & c.setMask
+	base := int(set) * c.assoc
 	key := line>>c.setShift + 1
 	if key == 0 {
 		return c.topWay >= 0
+	}
+	if c.keys[base+int(c.last[set])] == key {
+		return true
 	}
 	for _, k := range c.keys[base : base+c.assoc] {
 		if k == key {
@@ -234,6 +257,7 @@ func (c *Cache) Contains(addr uint32) bool {
 func (c *Cache) Reset() {
 	clear(c.keys)
 	clear(c.lru)
+	clear(c.last)
 	c.stats = Stats{}
 	c.stamp = 0
 	c.mruLine, c.topWay = noLine, -1

@@ -22,13 +22,26 @@ type FetchPort interface {
 	// its per-cycle clock, leakage and peak-window effects from that
 	// count.
 	Tick()
+	// Resident reports, changing nothing, whether a FetchBlock of every
+	// block in [lo, hi) would return 0 stall cycles now. A memoized
+	// segment is replayed only when its fetched blocks are resident;
+	// false is always safe (the cycle loop then times the segment).
+	Resident(lo, hi uint32) bool
+	// Replay makes a replayed segment's fetches, which Resident has just
+	// vouched for: the FetchBlock and Tick calls of the cycle loop in
+	// bulk. The k-th fetch is of block lo + k×block, gaps[k] ticks after
+	// the previous fetch (or the segment's start), and the segment
+	// closes cycles ticks in all.
+	Replay(lo, block uint32, gaps []uint8, cycles uint32)
 }
 
 // nullPort satisfies FetchPort with an ideal (always-hit) memory.
 type nullPort struct{}
 
-func (nullPort) FetchBlock(uint32) int { return 0 }
-func (nullPort) Tick()                 {}
+func (nullPort) FetchBlock(uint32) int                  { return 0 }
+func (nullPort) Tick()                                  {}
+func (nullPort) Resident(uint32, uint32) bool           { return true }
+func (nullPort) Replay(uint32, uint32, []uint8, uint32) {}
 
 // NullFetchPort returns an ideal instruction memory (every access hits).
 var NullFetchPort FetchPort = nullPort{}
@@ -174,6 +187,7 @@ func RunPipelineTraced(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, r
 	if err := p.init(m, cfg, port, d, res); err != nil {
 		return err
 	}
+	defer p.Release()
 	p.sink = sink
 	return p.RunUntil(math.MaxUint64)
 }
@@ -182,7 +196,9 @@ func RunPipelineTraced(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, r
 // state machine. RunPipelineInto drives one from start to halt in a
 // single call; the sampled simulator interleaves bounded RunUntil
 // windows with functional fast-forwards, calling Resync after each
-// fast-forward to discard the stale fetch and interlock state.
+// fast-forward to discard the stale fetch and interlock state. An
+// untraced run memoizes the cycle loop per segment (segment.go); its
+// memo is leased on the first RunUntil and handed back by Release.
 //
 // The zero value is not usable; construct with NewPipelineRun (or, to
 // stay off the heap, embed the struct and call init via a full run
@@ -221,6 +237,18 @@ type PipelineRun struct {
 	// after the hot fields: inserting fields ahead of them has cost real
 	// throughput before (DESIGN.md §6).
 	sink tracing.EventSink
+
+	// The segment memo (segment.go): the run's memo, the queue of
+	// instructions executed ahead of their timing, the boundary state
+	// a replay left packed (regReady is stale while lazy; see
+	// materialize), and the count of instructions timed by replay.
+	// noMemo keeps a run on the plain cycle loop, for tests to compare.
+	memo     *segMemo
+	q        segQueue
+	st       uint64
+	lazy     bool
+	replayed uint64
+	noMemo   bool
 }
 
 // NewPipelineRun validates the inputs and returns a run positioned at
@@ -278,6 +306,22 @@ func (p *PipelineRun) init(m *Machine, cfg PipeConfig, port FetchPort, d *Decode
 // run (TestTracedRunMatchesPlainRun in internal/sim).
 func (p *PipelineRun) SetSink(sink tracing.EventSink) { p.sink = sink }
 
+// Release hands the run's segment memo back for reuse by a later run.
+// The run stays usable (a later RunUntil leases a fresh memo).
+// RunPipelineInto and RunPipelineTraced release their own runs; owners
+// of a NewPipelineRun defer it.
+func (p *PipelineRun) Release() {
+	if p.memo != nil {
+		releaseMemo(p.memo)
+		p.memo = nil
+	}
+}
+
+// Replayed returns how many of the run's instructions were timed by
+// replaying a memoized segment instead of by the cycle loop. It is a
+// diagnostic: the timing result does not depend on it.
+func (p *PipelineRun) Replayed() uint64 { return p.replayed }
+
 // Done reports whether the machine behind the run has halted.
 func (p *PipelineRun) Done() bool { return p.m.Halted }
 
@@ -304,6 +348,7 @@ func (p *PipelineRun) Resync() error {
 	p.hasInflight = false
 	p.bubble = 0
 	p.regReady = [isa.NumRegs + 1]uint64{}
+	p.lazy = false
 	return nil
 }
 
@@ -315,7 +360,48 @@ func (p *PipelineRun) Resync() error {
 // measure actual deltas rather than assuming exact landing. The result
 // passed at construction is kept current (Cycles, Output) on every
 // return.
+//
+// An untraced run goes segment by segment: at each segment boundary it
+// replays the segment from the memo when it can, and otherwise times it
+// with the cycle loop (segment.go). A traced run keeps to the cycle
+// loop, which emits every event.
 func (p *PipelineRun) RunUntil(target uint64) error {
+	if p.sink != nil || p.noMemo {
+		return p.cycles(target, false)
+	}
+	if p.memo == nil {
+		p.memo = leaseMemo()
+	}
+	m := p.m
+	unbounded := target == math.MaxUint64
+	boundary := p.atBoundary()
+	for !m.Halted && (unbounded || m.InstrCount < target) {
+		limit := uint64(math.MaxUint64)
+		if !unbounded {
+			limit = target - m.InstrCount
+		}
+		if boundary && p.replay(limit) {
+			continue // a replay ends at a boundary
+		}
+		if err := p.cycles(target, true); err != nil {
+			return err
+		}
+		boundary = !m.Halted && p.atBoundary()
+	}
+	p.res.Cycles, p.res.Output = p.cycle, m.Output
+	return nil
+}
+
+// cycles is the cycle loop. It issues the instructions queued by
+// execSegment first (their outcomes are known; the machine is already
+// past them) and then steps the machine itself, until the machine halts
+// or the instruction count reaches target. With seg set it also stops
+// at the end of the first cycle that redirects fetch, and records the
+// segment it timed when the queue asks for that and every fetch hit.
+func (p *PipelineRun) cycles(target uint64, seg bool) error {
+	if p.lazy {
+		p.materialize()
+	}
 	// Copy the hot state to locals for the duration of the loop; write
 	// back through save() on every exit path.
 	m := p.m
@@ -338,6 +424,34 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 	sink := p.sink
 	traced := sink != nil
 
+	// The issue stage's view of the machine: pc is the next instruction
+	// to issue and icount the instructions issued, which run behind the
+	// machine's own PCIdx and InstrCount while queued outcomes remain.
+	q := &p.q
+	qi, qn := 0, q.n
+	pc, icount := m.PCIdx, m.InstrCount
+	if qn > 0 || q.err != nil {
+		pc, icount = q.pc, q.ic
+	}
+	halted := m.Halted && qn == 0
+
+	// Recording: the segment's start, its counters there, the block its
+	// next fetch must be for the fetch list to stay the run of
+	// consecutive blocks a segment entry stores, and the cycle of its
+	// latest fetch.
+	record := seg && q.record
+	c0 := cycle
+	var before [nSegCounters]uint64
+	var lo, nextBlk uint32
+	var gapsAt int
+	lastFetch := c0
+	if record {
+		gapsAt = len(p.memo.gaps)
+		before = res.segCounters()
+		lo = recs[pc].Addr & blockMask
+		nextBlk = lo
+	}
+
 	save := func() {
 		p.fStart, p.fEnd = fStart, fEnd
 		p.fetchBusy, p.inflight, p.hasInflight = fetchBusy, inflight, hasInflight
@@ -351,13 +465,21 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 		fetchBusy = 0
 		hasInflight = false
 	}
+	fail := func(err error) error {
+		if record {
+			p.memo.gaps = p.memo.gaps[:gapsAt]
+		}
+		save()
+		q.n, q.err, q.record = 0, nil, false
+		return err
+	}
 
 	unbounded := target == math.MaxUint64
-	for !m.Halted && (unbounded || m.InstrCount < target) {
+	redirected := false
+	for !halted && (unbounded || icount < target) {
 		cycle++
 		if cycle > maxCycles {
-			save()
-			return fmt.Errorf("cpu: cycle budget exhausted (deadlock?)")
+			return fail(fmt.Errorf("cpu: cycle budget exhausted (deadlock?)"))
 		}
 
 		// ---- Fetch stage ----
@@ -383,7 +505,7 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 		default:
 			// Demand exactly the bytes the issue stage could consume
 			// this cycle: the next IssueWidth instructions.
-			last := m.PCIdx + cfg.IssueWidth - 1
+			last := pc + cfg.IssueWidth - 1
 			if last >= len(recs) {
 				last = len(recs) - 1
 			}
@@ -403,6 +525,16 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 				} else {
 					fEnd = blk + uint32(cfg.BlockBytes)
 				}
+				if record {
+					if gap := cycle - 1 - lastFetch; stall > 0 || blk != nextBlk || gap > math.MaxUint8 {
+						record = false
+						p.memo.gaps = p.memo.gaps[:gapsAt]
+					} else {
+						p.memo.gaps = append(p.memo.gaps, uint8(gap))
+						nextBlk += uint32(cfg.BlockBytes)
+						lastFetch = cycle - 1
+					}
+				}
 				if traced {
 					kind := tracing.KindFetch
 					if stall > 0 {
@@ -417,9 +549,8 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 		memUsed, mulUsed := false, false
 		issued := 0
 		stallCause := &res.ZeroIssueHazard
-		for slot := 0; slot < cfg.IssueWidth && !m.Halted; slot++ {
-			idx := m.PCIdx
-			rec := &recs[idx]
+		for slot := 0; slot < cfg.IssueWidth && !halted; slot++ {
+			rec := &recs[pc]
 			if rec.Addr < fStart || rec.End > fEnd {
 				stallCause = &res.ZeroIssueFetch
 				break // bytes not fetched yet
@@ -448,14 +579,31 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 				break
 			}
 
-			// Execute: dispatch through the semantic micro-op table built
-			// alongside the timing records (d.check above also vouches for
-			// sem, which Predecode compiles from the same program+layout).
-			stepRes, err := m.stepCompiled(sem)
-			if err != nil {
-				save()
-				return err
+			// Execute: take the next queued outcome, or dispatch through
+			// the semantic micro-op table built alongside the timing
+			// records (d.check above also vouches for sem, which
+			// Predecode compiles from the same program+layout).
+			var stepRes StepResult
+			if qi < qn {
+				stepRes.Executed = q.executed(qi)
+				qi++
+				if qi < qn {
+					pc++ // a queued segment is straight-line code
+				} else {
+					stepRes.Taken = q.taken
+					pc, halted = m.PCIdx, m.Halted
+				}
+			} else {
+				if q.err != nil {
+					return fail(q.err)
+				}
+				var err error
+				if stepRes, err = m.stepCompiled(sem); err != nil {
+					return fail(err)
+				}
+				pc, halted = m.PCIdx, m.Halted
 			}
+			icount++
 			res.Instrs++
 			issued++
 			if fl&DecMem != 0 {
@@ -505,7 +653,8 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 					}
 				}
 				if stepRes.Taken || predTaken != stepRes.Taken {
-					redirect(recs[m.PCIdx].Addr)
+					redirect(recs[pc].Addr)
+					redirected = true
 					slot = cfg.IssueWidth // stop issuing this cycle
 				}
 			}
@@ -515,7 +664,7 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 		switch {
 		case issued >= cfg.IssueWidth:
 			res.DualIssueCycles++
-		case issued == 0 && !m.Halted:
+		case issued == 0 && !halted:
 			switch fetchState {
 			case fetchMiss:
 				res.ZeroIssueMiss++
@@ -534,13 +683,26 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 				case stallCause == &res.ZeroIssueFetch:
 					cause = tracing.CauseFetch
 				}
-				sink.Emit(tracing.Event{Cycle: cycle, PC: recs[m.PCIdx].Addr, Kind: tracing.KindStall, Cause: cause})
+				sink.Emit(tracing.Event{Cycle: cycle, PC: recs[pc].Addr, Kind: tracing.KindStall, Cause: cause})
 			}
 		}
 
 		port.Tick()
+		if seg && redirected {
+			break
+		}
 	}
 
+	// A recorded segment ends at the redirect of its last queued
+	// instruction (only that one can redirect).
 	save()
+	if record {
+		if redirected && qi == qn {
+			p.memo.record(p, q, c0, before, lo, gapsAt)
+		} else {
+			p.memo.gaps = p.memo.gaps[:gapsAt]
+		}
+	}
+	q.n, q.err, q.record = 0, nil, false
 	return nil
 }

@@ -40,6 +40,15 @@ func (c *countingPort) FetchBlock(addr uint32) int {
 	return 0
 }
 func (c *countingPort) Tick() {}
+func (c *countingPort) Replay(lo, block uint32, gaps []uint8, _ uint32) {
+	for range gaps {
+		c.FetchBlock(lo)
+		lo += block
+	}
+}
+
+// Resident can promise hits only when the port never stalls.
+func (c *countingPort) Resident(uint32, uint32) bool { return c.every == 0 }
 
 func straightLine(n int) *program.Program {
 	b := asm.New("straight")

@@ -1,0 +1,205 @@
+package cpu_test
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"powerfits/internal/asm"
+	"powerfits/internal/asm/asmfuzz"
+	"powerfits/internal/cache"
+	"powerfits/internal/cpu"
+	"powerfits/internal/isa"
+	"powerfits/internal/isa/arm"
+	"powerfits/internal/kernels"
+	"powerfits/internal/power"
+	"powerfits/internal/program"
+	"powerfits/internal/sim"
+	"powerfits/internal/synth"
+)
+
+// memoRun is everything a timing run leaves behind: its result, the
+// cache's statistics, the power report, and the machine.
+type memoRun struct {
+	pipe     cpu.PipeResult
+	stats    cache.Stats
+	report   power.Report
+	m        *cpu.Machine
+	replayed uint64
+}
+
+// runMemo times prog on a fresh cache of geometry geom, with the segment
+// memo on or (memo false) on the plain cycle loop. A positive window
+// runs it in RunUntil windows of that many instructions, as the sampled
+// simulator does, with a functional step and a Resync after each when
+// resync is set. The caller releases the returned machine.
+func runMemo(t testing.TB, prog *program.Program, im *program.Image, dec *cpu.Decoded, geom cache.Config, memo bool, window uint64, resync bool) (memoRun, error) {
+	t.Helper()
+	c := cache.MustNew(geom)
+	meter := power.MustNewMeter(geom, power.DefaultCalibration())
+	pc := cpu.DefaultPipeConfig()
+	pc.MaxInstrs = 1 << 32
+	m := cpu.New(prog, cpu.ImageLayout(im))
+	var r memoRun
+	r.m = m
+	run, err := cpu.NewPipelineRun(m, pc, sim.NewFetchPort(c, im, pc.BlockBytes, meter.Stream()), dec, &r.pipe)
+	if err != nil {
+		return r, err
+	}
+	defer run.Release()
+	if !memo {
+		cpu.NoMemo(run)
+	}
+	if window == 0 {
+		err = run.RunUntil(math.MaxUint64)
+	}
+	for window > 0 && err == nil && !run.Done() {
+		if err = run.RunUntil(m.InstrCount + window); err == nil && resync && !m.Halted {
+			if _, err = m.Step(); err == nil {
+				err = run.Resync()
+			}
+		}
+	}
+	r.stats, r.report, r.replayed = c.Stats(), meter.Report(), run.Replayed()
+	return r, err
+}
+
+// sameRun reports the first way two runs differ, or "".
+func sameRun(a, b memoRun) string {
+	switch {
+	case !reflect.DeepEqual(a.pipe, b.pipe):
+		return "PipeResult"
+	case a.stats != b.stats:
+		return "cache stats"
+	case a.report != b.report:
+		return "power report"
+	case a.m.Regs != b.m.Regs || a.m.N != b.m.N || a.m.Z != b.m.Z || a.m.C != b.m.C || a.m.V != b.m.V ||
+		a.m.PCIdx != b.m.PCIdx || a.m.InstrCount != b.m.InstrCount || a.m.Halted != b.m.Halted:
+		return "architectural state"
+	case !a.m.MemEqual(b.m):
+		return "memory"
+	}
+	return ""
+}
+
+// TestSegmentMemoMatchesCycleLoop runs every kernel on every
+// configuration with the segment memo on and off and requires the two
+// to agree field for field: timing result, output, cache statistics,
+// power report, registers and memory. At scale 4 (qsort and jpeg, the
+// suite's heaviest) it also requires the memo to engage: at least 90 %
+// of the instructions are timed by replay.
+func TestSegmentMemoMatchesCycleLoop(t *testing.T) {
+	type job struct {
+		name  string
+		scale int
+	}
+	var jobs []job
+	for _, k := range kernels.All() {
+		jobs = append(jobs, job{k.Name, 1})
+	}
+	jobs = append(jobs, job{"qsort", 4}, job{"jpeg", 4})
+	var replayed, instrs uint64
+	for _, j := range jobs {
+		s, err := sim.Prepare(kernels.MustGet(j.name), j.scale, synth.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range sim.Configs {
+			prog, im, dec := s.Prog, s.ArmImage, s.ArmDecoded
+			if cfg.ISA == sim.ISAFITS {
+				prog, im, dec = s.Fits.Lowered, s.Fits.Image, s.FitsDecoded
+			}
+			on, err := runMemo(t, prog, im, dec, cfg.Cache, true, 0, false)
+			if err != nil {
+				t.Fatalf("%s@%d %s: %v", j.name, j.scale, cfg.Name, err)
+			}
+			off, err := runMemo(t, prog, im, dec, cfg.Cache, false, 0, false)
+			if err != nil {
+				t.Fatalf("%s@%d %s (no memo): %v", j.name, j.scale, cfg.Name, err)
+			}
+			if d := sameRun(on, off); d != "" {
+				t.Errorf("%s@%d %s: memoized run differs from the cycle loop in %s", j.name, j.scale, cfg.Name, d)
+			}
+			if off.replayed != 0 {
+				t.Errorf("%s@%d %s: plain cycle loop replayed %d instructions", j.name, j.scale, cfg.Name, off.replayed)
+			}
+			if j.scale == 4 {
+				replayed += on.replayed
+				instrs += on.pipe.Instrs
+			}
+			on.m.Release()
+			off.m.Release()
+		}
+	}
+	frac := float64(replayed) / float64(instrs)
+	t.Logf("scale 4: %.1f %% of %d instructions replayed", 100*frac, instrs)
+	if frac < 0.9 {
+		t.Errorf("scale 4: the memo replayed %.1f %% of instructions, want at least 90 %%", 100*frac)
+	}
+}
+
+// TestSegmentCountersCovered pins the memo's counter list to PipeResult:
+// a counter added to the result must be added to the segment deltas.
+func TestSegmentCountersCovered(t *testing.T) {
+	n := 0
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(cpu.PipeResult{})) {
+		if f.Type.Kind() == reflect.Uint64 && f.Name != "Cycles" {
+			n++
+		}
+	}
+	if n != cpu.SegCounters {
+		t.Errorf("PipeResult has %d counters besides Cycles, the segment memo carries %d", n, cpu.SegCounters)
+	}
+}
+
+// FuzzMemoVsCycleLoop builds a loop around two fuzzer-made bodies (the
+// generator of FuzzBuilderProgramExecution) with a fuzzer-chosen
+// conditional branch between them, and times it on a small fuzzer-chosen
+// cache, so that evictions land mid-run, with the segment memo on and
+// off. The two runs must agree exactly: error, timing result and output,
+// cache statistics, power report, registers and memory. Some inputs run
+// in windows with Resyncs between, like the sampled simulator.
+func FuzzMemoVsCycleLoop(f *testing.F) {
+	f.Add(byte(0), byte(7), uint16(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add(byte(0x25), byte(30), uint16(13), []byte{0, 3, 3, 1, 6, 0, 4, 9, 7, 4, 0, 2, 5, 5, 5, 5})
+	f.Add(byte(0x10), byte(0xC3), uint16(0x8007), []byte{3, 0, 1, 9, 4, 2, 1, 8, 0, 6, 6, 1, 2, 2, 2, 2, 6, 7, 7, 7})
+	f.Fuzz(func(t *testing.T, geom, loop byte, windows uint16, raw []byte) {
+		b := asm.New("fuzz")
+		b.Zero("buf", 256)
+		b.Func("main")
+		b.Lea(isa.R1, "buf")
+		b.MovI(isa.R11, int32(loop%32)+1)
+		b.Label("loop")
+		half := len(raw) / 2 &^ 3
+		asmfuzz.Body(b, raw[:half])
+		b.Bc(isa.Cond(loop>>5%7*2), "skip") // EQ, CS, MI, VS, HI, GE or GT
+		asmfuzz.Body(b, raw[half:])
+		b.Label("skip")
+		b.SubsI(isa.R11, isa.R11, 1)
+		b.Bne("loop")
+		b.Exit()
+		p, err := b.Build()
+		if err != nil {
+			return
+		}
+		im, err := arm.Assemble(p)
+		if err != nil {
+			return
+		}
+		// 8–32-byte lines, 1–4 ways, 1–8 sets: 8 bytes to 1 KiB.
+		line := 8 << (geom % 3)
+		g := cache.Config{LineBytes: line, Assoc: 1 << (geom / 3 % 3), SizeBytes: line << (geom / 3 % 3) << (geom / 9 % 4)}
+		d := cpu.Predecode(p, cpu.ImageLayout(im))
+		window, resync := uint64(windows&0x7FFF), windows&0x8000 != 0
+		on, onErr := runMemo(t, p, im, d, g, true, window, resync)
+		off, offErr := runMemo(t, p, im, d, g, false, window, resync)
+		defer on.m.Release()
+		defer off.m.Release()
+		if (onErr == nil) != (offErr == nil) || onErr != nil && onErr.Error() != offErr.Error() {
+			t.Fatalf("errors differ: memo %v, cycle loop %v", onErr, offErr)
+		}
+		if diff := sameRun(on, off); diff != "" {
+			t.Fatalf("memoized run differs from the cycle loop in %s (cache %+v)", diff, g)
+		}
+	})
+}

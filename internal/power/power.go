@@ -265,6 +265,9 @@ func (s *Stream) Access(addr uint32, block []byte, miss bool) {
 // enter the peak window at the next Access or Report.
 func (s *Stream) Tick() { s.cycles++ }
 
+// TickN closes n cycles: n calls of Tick.
+func (s *Stream) TickN(n uint64) { s.cycles += n }
+
 // fold moves the open access cycle, which has been closed, into the
 // peak window and offers the access energy of the window ending there
 // as a candidate.

@@ -392,6 +392,7 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptio
 	if err != nil {
 		return wrap(err)
 	}
+	defer run.Release()
 	run.SetSink(sink)
 	boundary := func(code uint8) {
 		if sink != nil {

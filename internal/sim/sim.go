@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"log/slog"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
@@ -287,17 +288,19 @@ func (s *Setup) target(cfg Config) (prog *program.Program, im *program.Image, de
 // instrumentation: runs are observed through the pipeline's event
 // stream (RunOptions).
 type icachePort struct {
-	c        *cache.Cache
-	stream   *power.Stream
-	text     []byte
-	textBase uint32
-	block    int
-	buf      []byte // scratch for blocks straddling the text bounds
+	c         *cache.Cache
+	stream    *power.Stream
+	text      []byte
+	textBase  uint32
+	block     int
+	buf       []byte // scratch for blocks straddling the text bounds
+	lineShift uint32 // log2 of the cache's line size
 }
 
 func newICachePort(c *cache.Cache, im *program.Image, blockBytes int, stream *power.Stream) *icachePort {
 	return &icachePort{c: c, stream: stream, text: im.Text, textBase: im.TextBase,
-		block: blockBytes, buf: make([]byte, blockBytes)}
+		block: blockBytes, buf: make([]byte, blockBytes),
+		lineShift: uint32(bits.TrailingZeros(uint(c.Config().LineBytes)))}
 }
 
 // NewFetchPort returns the simulator's I-cache fetch port — the cache
@@ -333,6 +336,32 @@ func (p *icachePort) FetchBlock(addr uint32) int {
 }
 
 func (p *icachePort) Tick() { p.stream.Tick() }
+
+// Replay makes a replayed segment's fetches (all hits) at their ticks.
+func (p *icachePort) Replay(lo, block uint32, gaps []uint8, cycles uint32) {
+	for _, gap := range gaps {
+		p.stream.TickN(uint64(gap))
+		cycles -= uint32(gap)
+		p.FetchBlock(lo)
+		lo += block
+	}
+	p.stream.TickN(uint64(cycles))
+}
+
+// Resident reports whether every line under [lo, hi) is in the cache:
+// then a fetch of any block there hits, and hits evict nothing.
+func (p *icachePort) Resident(lo, hi uint32) bool {
+	if hi <= lo {
+		return true
+	}
+	shift := p.lineShift
+	for l := lo >> shift; l <= (hi-1)>>shift; l++ {
+		if !p.c.Contains(l << shift) {
+			return false
+		}
+	}
+	return true
+}
 
 // RunOptions selects how a run is simulated and what observes it. The
 // zero value is a plain exact run (Run).
