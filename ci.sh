@@ -29,10 +29,13 @@ go test ./internal/power -run='^$' -fuzz='^FuzzMeterMatchesReference$' -fuzztime
 echo "== fuzz: the executors and the assembler the shared passes rest on =="
 # The same short runs past the seeds for the compiled executor against
 # the Step interpreter, the segment memo against the plain cycle loop,
-# builder-made programs on the simulator, and the assembler's parser.
+# the sampled fast-forward's warm-once witness against the per-batch
+# one, builder-made programs on the simulator, and the assembler's
+# parser.
 # `go test -fuzz` takes one target per invocation.
 go test ./internal/cpu -run='^$' -fuzz='^FuzzCompiledVsStep$' -fuzztime=10s -parallel=2
 go test ./internal/cpu -run='^$' -fuzz='^FuzzMemoVsCycleLoop$' -fuzztime=10s -parallel=2
+go test ./internal/sim -run='^$' -fuzz='^FuzzWarmOnce$' -fuzztime=10s -parallel=2
 go test ./internal/asm -run='^$' -fuzz='^FuzzBuilderProgramExecution$' -fuzztime=10s -parallel=2
 go test ./internal/asm -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s -parallel=2
 
@@ -87,6 +90,9 @@ go test ./internal/sim -run 'TestSampledAccuracy/jpeg' -count=1
 # its sampled pass splits in two: a regression on the split path of the
 # shared sampled pass names itself here.
 go test ./internal/sim -run 'TestSampledPassMatchesSeparateRuns/jpeg' -count=1
+# jpeg runs both functional-warming witnesses: warm-once in its holding
+# passes, every batch in ARM8, whose cache does not hold the text.
+go test ./internal/sim -run 'TestWarmOnceMatchesEveryBatchWitness/jpeg' -count=1
 
 echo "== trace export: generate + validate round trip =="
 # `powerfits trace` must emit a document its own -check accepts (the

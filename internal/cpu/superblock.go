@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"powerfits/internal/isa"
@@ -86,7 +87,7 @@ func (m *Machine) RunSuperblocks(c *Compiled) error {
 	if err := c.check(m); err != nil {
 		return err
 	}
-	return m.runSuperblocks(c, math.MaxUint64, nil)
+	return m.runSuperblocks(c, math.MaxUint64, nil, nil)
 }
 
 // RunSuperblocksN is RunSuperblocks bounded to at most n further
@@ -101,7 +102,7 @@ func (m *Machine) RunSuperblocksN(c *Compiled, n uint64) error {
 	if n > math.MaxUint64-m.InstrCount {
 		n = math.MaxUint64 - m.InstrCount
 	}
-	return m.runSuperblocks(c, m.InstrCount+n, nil)
+	return m.runSuperblocks(c, m.InstrCount+n, nil, nil)
 }
 
 // RunSuperblocksWarm is RunSuperblocksN with a fetch-stream witness:
@@ -119,7 +120,32 @@ func (m *Machine) RunSuperblocksWarm(c *Compiled, n uint64, touch func(lo, hi ui
 	if n > math.MaxUint64-m.InstrCount {
 		n = math.MaxUint64 - m.InstrCount
 	}
-	return m.runSuperblocks(c, m.InstrCount+n, touch)
+	return m.runSuperblocks(c, m.InstrCount+n, touch, nil)
+}
+
+// RunSuperblocksWarmOnce is RunSuperblocksWarm for a witness that needs
+// each batch only once: seen holds one bit per instruction index, and
+// a batch whose first instruction's bit is set is not witnessed again.
+// A bit is set once its whole batch (the fused block, or the single
+// non-fusible instruction) was witnessed; a fused block the instruction
+// budget cut short is witnessed, as one instruction, but leaves its bit
+// clear. The bits persist across calls, so a caller that keeps seen
+// between fast-forwards witnesses each block once per run. That is
+// exact for a witness whose effect on a repeated range is none, as
+// cache warming is when the cache holds the whole text (it never
+// evicts, so a line touched once stays resident). seen must have at
+// least one bit per instruction of the program.
+func (m *Machine) RunSuperblocksWarmOnce(c *Compiled, n uint64, touch func(lo, hi uint32), seen []uint64) error {
+	if err := c.check(m); err != nil {
+		return err
+	}
+	if len(seen)*64 < len(c.uops) {
+		return fmt.Errorf("cpu: warm-once set of %d bits for %d instructions", len(seen)*64, len(c.uops))
+	}
+	if n > math.MaxUint64-m.InstrCount {
+		n = math.MaxUint64 - m.InstrCount
+	}
+	return m.runSuperblocks(c, m.InstrCount+n, touch, seen)
 }
 
 // RunSuperblocksTraced is RunSuperblocksWarm with a tracing sink: one
@@ -148,7 +174,7 @@ func (m *Machine) RunSuperblocksTraced(c *Compiled, n uint64, touch func(lo, hi 
 	if n > math.MaxUint64-m.InstrCount {
 		n = math.MaxUint64 - m.InstrCount
 	}
-	return m.runSuperblocks(c, m.InstrCount+n, emit)
+	return m.runSuperblocks(c, m.InstrCount+n, emit, nil)
 }
 
 // runSuperblocks is the dispatch loop: fused blocks when a whole block
@@ -156,8 +182,10 @@ func (m *Machine) RunSuperblocksTraced(c *Compiled, n uint64, touch func(lo, hi 
 // unconditional block exits (B, BL, SWI-halt, and either direction of a
 // conditional B), and stepCompiled for everything else (predicated ops,
 // BX, bad ops, budget exhaustion and out-of-range PCs — so every error
-// message stays byte-identical to the per-µop path).
-func (m *Machine) runSuperblocks(c *Compiled, target uint64, touch func(lo, hi uint32)) error {
+// message stays byte-identical to the per-µop path). touch, when
+// non-nil, witnesses each batch, except those seen marks as witnessed
+// whole before (RunSuperblocksWarmOnce; nil witnesses every batch).
+func (m *Machine) runSuperblocks(c *Compiled, target uint64, touch func(lo, hi uint32), seen []uint64) error {
 	uops := c.uops
 	fuse := c.fuse
 	dyn := m.DynCount
@@ -182,15 +210,19 @@ func (m *Machine) runSuperblocks(c *Compiled, target uint64, touch func(lo, hi u
 				rem = br
 			}
 		}
-		if touch != nil {
+		if touch != nil && (seen == nil || seen[idx>>6]&(1<<(idx&63)) == 0) {
 			// Witness the fetch range of whatever executes next: the
 			// whole fused block when one is about to run, else the
-			// single fallback instruction.
-			last := idx
+			// single fallback instruction. A whole batch is marked
+			// seen; a block cut short by the budget is not.
+			last, whole := idx, fuse[idx] == 0
 			if n := int(fuse[idx]); n > 0 && uint64(n) <= rem {
-				last = idx + n - 1
+				last, whole = idx+n-1, true
 			}
 			touch(c.addrs[idx], c.ends[last])
+			if seen != nil && whole {
+				seen[idx>>6] |= 1 << (idx & 63)
+			}
 		}
 		if n := int(fuse[idx]); n > 0 && uint64(n) <= rem {
 			if err := m.runFusedBlock(c, idx, n, dyn); err != nil {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -315,6 +316,76 @@ func TestRunSuperblocksN(t *testing.T) {
 		if ms.InstrCount != mi.InstrCount || ms.Regs != mi.Regs {
 			t.Fatal("divergence after completing the bounded run")
 		}
+	}
+}
+
+// TestRunSuperblocksWarmOnce pins the warm-once witness on a loop whose
+// body is one fused block: a block the budget cuts short is witnessed
+// as one instruction and stays unmarked, a whole batch is witnessed
+// once and marked, and the machine ends where the per-batch witness's
+// run does. A set too small for the program is an error.
+func TestRunSuperblocksWarmOnce(t *testing.T) {
+	b := asm.New("warmonce")
+	b.Func("main")
+	b.MovI(isa.R11, 3) // 0: fuse[0] = 5
+	b.Label("loop")
+	for i := 0; i < 3; i++ {
+		b.AddI(isa.R1, isa.R1, 1) // 1–3
+	}
+	b.SubsI(isa.R11, isa.R11, 1) // 4: ends the fusible run 1–4
+	b.Bne("loop")                // 5: not fusible
+	b.Exit()                     // 6: not fusible
+	p := b.MustBuild()
+	l := WordLayout(p.TextBase, len(p.Instrs))
+	c := Compile(p, l)
+	if c.FuseLen(0) != 5 || c.FuseLen(1) != 4 {
+		t.Fatalf("fuse lengths %d, %d, want 5, 4", c.FuseLen(0), c.FuseLen(1))
+	}
+	type span struct{ lo, hi uint32 }
+	var once, every []span
+	addr := func(i int) uint32 { return p.TextBase + 4*uint32(i) }
+
+	mo := New(p, l)
+	defer mo.Release()
+	seen := make([]uint64, 1)
+	rec := func(lo, hi uint32) { once = append(once, span{lo, hi}) }
+	if err := mo.RunSuperblocksWarmOnce(c, 1, rec, seen); err != nil {
+		t.Fatal(err)
+	}
+	if seen[0] != 0 {
+		t.Errorf("a block cut short by the budget was marked: set %#b", seen[0])
+	}
+	if err := mo.RunSuperblocksWarmOnce(c, 1<<20, rec, seen); err != nil {
+		t.Fatal(err)
+	}
+	want := []span{{addr(0), addr(1)}, {addr(1), addr(5)}, {addr(5), addr(6)}, {addr(6), addr(7)}}
+	if !slices.Equal(once, want) {
+		t.Errorf("warm-once witnessed %v, want %v", once, want)
+	}
+	if seen[0] != 1<<1|1<<5|1<<6 {
+		t.Errorf("warm-once set %#b, want %#b", seen[0], 1<<1|1<<5|1<<6)
+	}
+
+	me := New(p, l)
+	defer me.Release()
+	if err := me.RunSuperblocksWarm(c, 1, func(lo, hi uint32) { every = append(every, span{lo, hi}) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := me.RunSuperblocksWarm(c, 1<<20, func(lo, hi uint32) { every = append(every, span{lo, hi}) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(every) != 8 {
+		t.Errorf("per-batch witness saw %d batches, want 8: %v", len(every), every)
+	}
+	if mo.InstrCount != me.InstrCount || mo.Regs != me.Regs || mo.PCIdx != me.PCIdx || !mo.Halted || !me.Halted {
+		t.Errorf("warm-once run ended at %d instrs, PC %d; per-batch at %d, PC %d",
+			mo.InstrCount, mo.PCIdx, me.InstrCount, me.PCIdx)
+	}
+
+	mb := New(p, l)
+	defer mb.Release()
+	if err := mb.RunSuperblocksWarmOnce(c, 1, rec, nil); err == nil {
+		t.Error("an empty warm-once set was accepted")
 	}
 }
 

@@ -117,15 +117,11 @@ type SampleStats struct {
 type sampleSnap struct {
 	pipe   cpu.PipeResult
 	instrs uint64
-	acc    uint64
 	miss   uint64
 }
 
 func takeSnap(res *cpu.PipeResult, m *cpu.Machine, c *cache.Cache) sampleSnap {
-	s := sampleSnap{pipe: *res, instrs: m.InstrCount}
-	st := c.Stats()
-	s.acc, s.miss = st.Accesses, st.Misses
-	return s
+	return sampleSnap{pipe: *res, instrs: m.InstrCount, miss: c.Stats().Misses}
 }
 
 // sub returns the counter deltas a-b. The Output slice inside the
@@ -133,7 +129,6 @@ func takeSnap(res *cpu.PipeResult, m *cpu.Machine, c *cache.Cache) sampleSnap {
 func (a sampleSnap) sub(b sampleSnap) sampleSnap {
 	d := sampleSnap{
 		instrs: a.instrs - b.instrs,
-		acc:    a.acc - b.acc,
 		miss:   a.miss - b.miss,
 	}
 	d.pipe = cpu.PipeResult{
@@ -156,7 +151,6 @@ func (a sampleSnap) sub(b sampleSnap) sampleSnap {
 
 func (a *sampleSnap) add(d sampleSnap) {
 	a.instrs += d.instrs
-	a.acc += d.acc
 	a.miss += d.miss
 	a.pipe.Cycles += d.pipe.Cycles
 	a.pipe.Instrs += d.pipe.Instrs
@@ -209,10 +203,11 @@ type covRange struct{ lo, hi uint32 }
 
 // sampleState is the per-pass scratch of the sampled loop, hoisted
 // into one allocation so the window loop itself stays off the heap: the
-// warm-cover memo behind the functional fast-forward, the per-window
-// cycle-ratio series, and one meterSample per configuration, the ratio
-// series preallocated from the profile's dynamic instruction count. The
-// run's total allocation count is pinned by TestSampledAllocsPinned.
+// warm-cover memo and the warm-once set behind the functional
+// fast-forward, the per-window cycle-ratio series, and one meterSample
+// per configuration, the ratio series preallocated from the profile's
+// dynamic instruction count. The run's total allocation count is
+// pinned by TestSampledAllocsPinned.
 type sampleState struct {
 	c         *cache.Cache
 	lineMask  uint32
@@ -228,26 +223,57 @@ type sampleState struct {
 	cov    [4]covRange
 	covIdx int
 
+	// seen is the warm-once set of a pass whose cache holds the text
+	// (cpu.Machine.RunSuperblocksWarmOnce): one bit per instruction
+	// index, set once the batch starting there has been witnessed
+	// whole; nil when every batch is witnessed. witnessed counts the
+	// witness calls, for the tests.
+	seen      []uint64
+	witnessed int
+
 	cycleRatios []float64
 	meters      []meterSample
 }
 
-// samplePool recycles sampleStates (and the ratio slices they carry)
-// across sampled runs. A one-shot CLI run never notices, but the serve
-// hot path issues one sampled pass per request and pass, and without
-// the pool each pays the scratch allocations anew.
-var samplePool = sync.Pool{New: func() any { return new(sampleState) }}
+// sampleFreeCap bounds the free list of released sampleStates.
+const sampleFreeCap = 8
 
-// newSampleState checks a recycled (or fresh) sampleState out of the
-// pool, bound to this pass's cache and geometry, with n meter samples
-// and ratio capacity of at least hint.
-func newSampleState(c *cache.Cache, lineBytes, n, hint int) *sampleState {
-	st := samplePool.Get().(*sampleState)
+// sampleFree recycles sampleStates (and the ratio slices and warm-once
+// sets they carry) across sampled runs: a LIFO, so sequential runs
+// reuse the state just released, and bounded, so it keeps at most one
+// state per concurrent run up to the cap. A one-shot CLI run never
+// notices, but the serve hot path issues one sampled pass per request
+// and pass, and without the list each pays the scratch allocations
+// anew.
+var sampleFree struct {
+	sync.Mutex
+	n    int
+	list [sampleFreeCap]*sampleState
+}
+
+// newSampleState leases a recycled (or fresh) sampleState, bound to
+// this pass's cache and geometry, with n meter samples, ratio capacity
+// of at least hint, and, when instrs is positive, a cleared warm-once
+// set of at least instrs bits.
+func newSampleState(c *cache.Cache, lineBytes, n, hint, instrs int) *sampleState {
+	sampleFree.Lock()
+	var st *sampleState
+	if sampleFree.n > 0 {
+		sampleFree.n--
+		st = sampleFree.list[sampleFree.n]
+		sampleFree.list[sampleFree.n] = nil
+	}
+	sampleFree.Unlock()
+	if st == nil {
+		st = new(sampleState)
+	}
 	st.c = c
 	st.lineMask = ^uint32(lineBytes - 1)
 	st.lineBytes = uint32(lineBytes)
 	st.cov = [4]covRange{}
 	st.covIdx = 0
+	st.seen = bitSlice(st.seen, instrs)
+	st.witnessed = 0
 	st.cycleRatios = ratioSlice(st.cycleRatios, hint)
 	st.meters = slices.Grow(st.meters[:0], n)[:n]
 	for i := range st.meters {
@@ -265,15 +291,35 @@ func ratioSlice(r []float64, hint int) []float64 {
 	return r[:0]
 }
 
-// release returns the state to the pool. The cache and meter
-// references are dropped so a pooled state never pins a dead run's
-// cache arrays or stream.
+// bitSlice returns a cleared set of at least n bits in b's storage,
+// reallocating it if too small, or nil when n is not positive.
+func bitSlice(b []uint64, n int) []uint64 {
+	if n <= 0 {
+		return nil
+	}
+	w := (n + 63) / 64
+	if cap(b) < w {
+		return make([]uint64, w)
+	}
+	b = b[:w]
+	clear(b)
+	return b
+}
+
+// release puts the state back on the free list, or drops it when the
+// list is full. The cache and meter references are dropped so a listed
+// state never pins a dead run's cache arrays or stream.
 func (st *sampleState) release() {
 	st.c = nil
 	for i := range st.meters {
 		st.meters[i].m = nil
 	}
-	samplePool.Put(st)
+	sampleFree.Lock()
+	defer sampleFree.Unlock()
+	if sampleFree.n < sampleFreeCap {
+		sampleFree.list[sampleFree.n] = st
+		sampleFree.n++
+	}
 }
 
 // warm is the fast-forward's fetch witness: functional cache warming.
@@ -282,6 +328,7 @@ func (st *sampleState) release() {
 // the exact run would have. The snapshots bracketing windows make the
 // warming traffic itself invisible to the estimator.
 func (st *sampleState) warm(lo, hi uint32) {
+	st.witnessed++
 	for _, r := range st.cov {
 		if lo >= r.lo && hi <= r.hi {
 			return
@@ -315,7 +362,7 @@ func (st *sampleState) resetWarm() {
 func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions) (*Result, error) {
 	cfgs := [1]Config{cfg}
 	var out [1]*Result
-	if err := s.runSampled(cfgs[:], cal, opt, nil, out[:]); err != nil {
+	if err := s.runSampled(cfgs[:], cal, opt, nil, out[:], nil); err != nil {
 		return nil, err
 	}
 	return out[0], nil
@@ -341,7 +388,16 @@ func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions)
 // measured windows, it is re-run exactly (runPass); a traced fallback's
 // events follow the aborted sampled prefix's in the same sink, with a
 // fresh meter bound for energy attribution.
-func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink, out []*Result) error {
+//
+// Functional warming witnesses every fast-forward batch, except in an
+// untraced pass whose caches hold the text: such a cache never evicts,
+// so once a batch's lines have been touched every later touch of them
+// hits, and the fast-forward witnesses each block only the first time
+// it runs whole (cpu.Machine.RunSuperblocksWarmOnce). The extra touches
+// would change only LRU stamps and the access count, which no result
+// reads. A non-nil probe is the tests' window on this: it can force the
+// per-batch witness and receives the witness call count.
+func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink, out []*Result, probe *warmProbe) error {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
 		return err
@@ -355,18 +411,28 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptio
 	if err != nil {
 		return err
 	}
-	// Pooled per-pass scratch: the warm-cover memo, the meters and the
-	// ratio series, the latter sized from the profiled dynamic
-	// instruction count (a hint — the FITS stream may run slightly
-	// longer or shorter than the profiled ARM one; none without a
-	// profile). The deferred release runs after the results below have
-	// consumed the ratio series.
+	// Recycled per-pass scratch: the warm-cover memo, the warm-once set
+	// of a holding pass, the meters and the ratio series, the latter
+	// sized from the profiled dynamic instruction count (a hint — the
+	// FITS stream may run slightly longer or shorter than the profiled
+	// ARM one; none without a profile). The deferred release runs after
+	// the results below have consumed the ratio series.
 	var hint int
 	if s.Profile != nil {
 		hint = int(s.Profile.TotalDyn/opt.PeriodInstrs) + 4
 	}
-	st := newSampleState(c, cfg.Cache.LineBytes, len(cfgs), hint)
+	// A pass whose caches hold the text warms each block once and
+	// trusts residency; the tests' reference (everyBatch) does neither.
+	holds := s.holds(cfg) && (probe == nil || !probe.everyBatch)
+	var onceBits int
+	if holds && sink == nil {
+		onceBits = len(prog.Instrs)
+	}
+	st := newSampleState(c, cfg.Cache.LineBytes, len(cfgs), hint, onceBits)
 	defer st.release()
+	if probe != nil {
+		defer func() { probe.witnessed = st.witnessed }()
+	}
 	// The first meter owns the pass's stream; the others price it.
 	meters := st.meters
 	if meters[0].m, err = power.NewMeter(cfg.Cache, cal); err != nil {
@@ -383,6 +449,7 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptio
 	m := cpu.New(prog, cpu.ImageLayout(im))
 	defer m.Release()
 	port := newICachePort(c, im, pc.BlockBytes, stream)
+	port.holds = holds
 
 	var pres cpu.PipeResult
 	wrap := func(err error) error {
@@ -420,7 +487,12 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptio
 		// architectural state (and Output) advances exactly; the
 		// stream stands still and the cache sees only warming touches.
 		st.resetWarm()
-		if err := m.RunSuperblocksTraced(comp, ff, warm, sink); err != nil {
+		if st.seen != nil {
+			err = m.RunSuperblocksWarmOnce(comp, ff, warm, st.seen)
+		} else {
+			err = m.RunSuperblocksTraced(comp, ff, warm, sink)
+		}
+		if err != nil {
 			return wrap(err)
 		}
 		if m.Halted {
@@ -599,6 +671,15 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptio
 			AccessPJ: ms.m.AccessPJ()}
 	}
 	return nil
+}
+
+// warmProbe lets tests compare a sampled pass (runSampled) against its
+// reference: everyBatch keeps the per-batch witness and the residency
+// probe in a holding pass, and witnessed receives the pass's witness
+// calls.
+type warmProbe struct {
+	everyBatch bool
+	witnessed  int
 }
 
 // relCI returns the half-width of the 95 % confidence interval on an

@@ -295,7 +295,16 @@ type icachePort struct {
 	block     int
 	buf       []byte // scratch for blocks straddling the text bounds
 	lineShift uint32 // log2 of the cache's line size
+
+	// holds is set when the cache holds the image text (Setup.holds):
+	// it never evicts, so Resident needs no probe.
+	holds bool
 }
+
+// probeHolding, when set (by tests only, before any run starts), keeps
+// the residency probe in holding passes and receives each probe's
+// answer there, which the no-eviction invariant says is always true.
+var probeHolding func(resident bool)
 
 func newICachePort(c *cache.Cache, im *program.Image, blockBytes int, stream *power.Stream) *icachePort {
 	return &icachePort{c: c, stream: stream, text: im.Text, textBase: im.TextBase,
@@ -349,8 +358,25 @@ func (p *icachePort) Replay(lo, block uint32, gaps []uint8, cycles uint32) {
 }
 
 // Resident reports whether every line under [lo, hi) is in the cache:
-// then a fetch of any block there hits, and hits evict nothing.
+// then a fetch of any block there hits, and hits evict nothing. A
+// holding port answers without probing: the pipeline asks only about
+// a memoized segment's blocks, a segment is memoized only when every
+// one of its fetches hit, and a cache that holds the text never evicts
+// a line once filled.
 func (p *icachePort) Resident(lo, hi uint32) bool {
+	if !p.holds {
+		return p.resident(lo, hi)
+	}
+	if probeHolding == nil {
+		return true
+	}
+	ok := p.resident(lo, hi)
+	probeHolding(ok)
+	return ok
+}
+
+// resident probes the cache for every line under [lo, hi).
+func (p *icachePort) resident(lo, hi uint32) bool {
 	if hi <= lo {
 		return true
 	}
@@ -403,7 +429,7 @@ func (s *Setup) RunWith(cfg Config, cal power.Calibration, opt RunOptions) (*Res
 		return nil, fmt.Errorf("sim: phase sampling requires an exact run, not the sampled estimator")
 	case opt.Sample != nil:
 		var out [1]*Result
-		if err := s.runSampled([]Config{cfg}, cal, *opt.Sample, opt.Sink, out[:]); err != nil {
+		if err := s.runSampled([]Config{cfg}, cal, *opt.Sample, opt.Sink, out[:], nil); err != nil {
 			return nil, err
 		}
 		return out[0], nil
@@ -493,7 +519,7 @@ func (s *Setup) RunPass(cfgs []Config, cal power.Calibration, sample *SampleOpti
 		return s.runPass(cfgs, cal, nil, 0)
 	}
 	out := make([]*Result, len(cfgs))
-	if err := s.runSampled(cfgs, cal, *sample, nil, out); err != nil {
+	if err := s.runSampled(cfgs, cal, *sample, nil, out, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -581,7 +607,9 @@ func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.Event
 		sink = tracing.Tee(sampler, prof, sink)
 	}
 	pipe := new(cpu.PipeResult)
-	if err := cpu.RunPipelineTraced(m, pc, newICachePort(c, im, pc.BlockBytes, stream), dec, pipe, sink); err != nil {
+	port := newICachePort(c, im, pc.BlockBytes, stream)
+	port.holds = s.holds(cfg)
+	if err := cpu.RunPipelineTraced(m, pc, port, dec, pipe, sink); err != nil {
 		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, passName(cfgs), err)
 	}
 	out := make([]*Result, len(cfgs))
