@@ -435,9 +435,8 @@ func BenchmarkPipelineTraced(b *testing.B) {
 // benchMachineRun measures the functional machine end to end over the
 // crc32 kernel with machine construction and Release outside the
 // timer, so ns/op is one full program run on leased memory, as in a
-// sweep, and allocs/op must be exactly 0 on all three execution paths
-// (Machine.Output is pre-sized; the fault path builds
-// nothing until a fault actually fires).
+// sweep, and allocs/op must be exactly 0 (Machine.Output is pre-sized;
+// the fault path builds nothing until a fault actually fires).
 func benchMachineRun(b *testing.B, p *program.Program, l cpu.Layout, run func(*cpu.Machine) error) {
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -461,21 +460,14 @@ func benchMachineRun(b *testing.B, p *program.Program, l cpu.Layout, run func(*c
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkMachineSteadyState is the functional interpreter's
-// instrs/sec benchmark trio: the legacy Step loop, the compiled
-// micro-op table from cpu.Compile (DESIGN.md §10), and the
-// superblock-fused executor (DESIGN.md §11). ci.sh runs it with
-// -benchtime=1x asserting 0 allocs/op on all three paths.
+// BenchmarkMachineSteadyState measures the instrs/sec of the functional
+// run loop, the superblock executor over the compiled micro-op table
+// (DESIGN.md §10), which profiling and cpu.RunFunctional use. ci.sh runs
+// it with -benchtime=1x asserting 0 allocs/op.
 func BenchmarkMachineSteadyState(b *testing.B) {
 	p := kernels.MustGet("crc32").Build(1)
 	l := cpu.WordLayout(p.TextBase, len(p.Instrs))
 	c := cpu.Compile(p, l)
-	b.Run("Interpreted", func(b *testing.B) {
-		benchMachineRun(b, p, l, (*cpu.Machine).Run)
-	})
-	b.Run("Compiled", func(b *testing.B) {
-		benchMachineRun(b, p, l, func(m *cpu.Machine) error { return m.RunCompiled(c) })
-	})
 	b.Run("Superblock", func(b *testing.B) {
 		benchMachineRun(b, p, l, func(m *cpu.Machine) error { return m.RunSuperblocks(c) })
 	})
@@ -484,10 +476,9 @@ func BenchmarkMachineSteadyState(b *testing.B) {
 // BenchmarkSampledPipeline compares the sampled timing estimator
 // against the full detailed pipeline it replaces, on one scale-1
 // kernel and the paper's baseline configuration. The Full/Sampled
-// ns/op ratio is the estimator's wall-clock win. With -count 10 on a
-// shared 2-vCPU Xeon the Full and Sampled medians were 25.0 ms (IQR
-// 21.0–28.2) and 6.7 ms (IQR 6.1–6.9): a 3.7× median ratio, per-run
-// ratios 3.0–4.3×. Sampled also reports its cycle error against one
+// ns/op ratio is the estimator's wall-clock win: with -count 10 on a
+// shared 2-vCPU Xeon the median per-run ratio was 4.2× (IQR 4.0–5.0×,
+// per-run 3.2–6.0×; README, "Simulator performance"). Sampled also reports its cycle error against one
 // exact run (cycle-err-%, computed outside the timer);
 // TestSampledAccuracy in internal/sim is the ≤2% accuracy gate.
 // SampledPass times ARM16 and ARM8 in one sampled pass

@@ -27,8 +27,9 @@ echo "== fuzz: power meter against its per-cycle reference =="
 go test ./internal/power -run='^$' -fuzz='^FuzzMeterMatchesReference$' -fuzztime=10s -parallel=2
 
 echo "== fuzz: the executors and the assembler the shared passes rest on =="
-# The same short runs past the seeds for the compiled executor against
-# the Step interpreter, the segment memo against the plain cycle loop,
+# The same short runs past the seeds for the shipping executor
+# (stepCompiled and the superblock loop) against the test-only reference
+# interpreter, the segment memo against the plain cycle loop,
 # the sampled fast-forward's warm-once witness against the per-batch
 # one, builder-made programs on the simulator, and the assembler's
 # parser.
@@ -76,8 +77,8 @@ expect_zero_allocs "BenchmarkPipelineSteadyState/" 2 "pipeline steady-state cycl
 expect_zero_allocs "BenchmarkPipelineSharedPass" 1 "shared-pass cycle loop"
 # The tracing entry point, with a nil sink and with a ring sink.
 expect_zero_allocs "BenchmarkPipelineTraced/" 2 "traced pipeline entry"
-# The functional machine: Step loop, compiled table, superblocks.
-expect_zero_allocs "BenchmarkMachineSteadyState/" 3 "functional machine steady state"
+# The functional machine: the superblock run loop.
+expect_zero_allocs "BenchmarkMachineSteadyState/" 1 "functional machine steady state"
 
 echo "== sampled estimator: accuracy gate on one kernel =="
 # TestSampledAccuracy sweeps all 21 kernels x 4 configs asserting the

@@ -14,7 +14,7 @@
 //	fitsbench -archive .powerfits/runs # archive the full run record (see `powerfits diff`)
 //	fitsbench -window 4096 -archive suite.json -phases suite.csv  # + phase series and stalls
 //	fitsbench -cpuprofile cpu.pprof -memprofile mem.pprof -trace run.trace
-//	fitsbench -superblocks -sample    # fast path: fused-superblock profiling + sampled timing
+//	fitsbench -sample                 # fast path: sampled timing
 //	fitsbench -telemetry :6060        # live /metrics, /healthz, /progress, /debug/pprof while the run is up
 //	fitsbench -log-level debug -log-json   # structured engine/preparation logs
 //
@@ -90,18 +90,17 @@ func recordSuite(man *metrics.Manifest, scale int, suite *experiments.Suite, des
 func main() {
 	fs := flag.NewFlagSet("fitsbench", flag.ContinueOnError)
 	var (
-		scale       = fs.Int("scale", 0, "workload scale (0 = per-kernel default)")
-		exp         = fs.String("exp", "all", "experiment id: all, figs, fig3..fig14, headline, ablations, ablate-opwidth, ablate-dict, ablate-regs, ablate-mode")
-		quiet       = fs.Bool("q", false, "suppress progress output")
-		jobs        = fs.Int("j", 0, "parallel workers (0 = all cores, 1 = sequential)")
-		archiveTo   = fs.String("archive", "", "archive the complete run record: a .json path, or a run-store directory")
-		phasesPath  = fs.String("phases", "", "write every run's phase series as CSV (needs -window)")
-		window      = fs.Int("window", 0, "phase-sample window in cycles, carried by the -archive record and -phases CSV (0 = off)")
-		cpuProf     = fs.String("cpuprofile", "", "write a pprof CPU profile to this path")
-		memProf     = fs.String("memprofile", "", "write a pprof heap profile to this path")
-		traceOut    = fs.String("trace", "", "write a runtime/trace execution trace to this path")
-		superblocks = fs.Bool("superblocks", false, "profile kernels through the fused superblock executor (identical profiles, faster preparation)")
-		sample      = fs.Bool("sample", false, "replace full pipeline runs with the sampled timing estimator (exact outputs, ≤2% validated cycle/energy error)")
+		scale      = fs.Int("scale", 0, "workload scale (0 = per-kernel default)")
+		exp        = fs.String("exp", "all", "experiment id: all, figs, fig3..fig14, headline, ablations, ablate-opwidth, ablate-dict, ablate-regs, ablate-mode")
+		quiet      = fs.Bool("q", false, "suppress progress output")
+		jobs       = fs.Int("j", 0, "parallel workers (0 = all cores, 1 = sequential)")
+		archiveTo  = fs.String("archive", "", "archive the complete run record: a .json path, or a run-store directory")
+		phasesPath = fs.String("phases", "", "write every run's phase series as CSV (needs -window)")
+		window     = fs.Int("window", 0, "phase-sample window in cycles, carried by the -archive record and -phases CSV (0 = off)")
+		cpuProf    = fs.String("cpuprofile", "", "write a pprof CPU profile to this path")
+		memProf    = fs.String("memprofile", "", "write a pprof heap profile to this path")
+		traceOut   = fs.String("trace", "", "write a runtime/trace execution trace to this path")
+		sample     = fs.Bool("sample", false, "replace full pipeline runs with the sampled timing estimator (exact outputs, ≤2% validated cycle/energy error)")
 	)
 	tf := cli.RegisterFlags(fs)
 	log = cli.Parse("fitsbench", fs, tf, os.Args[1:])
@@ -146,8 +145,7 @@ func main() {
 		suite, err := experiments.RunSuite(experiments.Options{
 			Scale: *scale, Workers: *jobs,
 			Progress: experiments.MultiProgress(progress, tele.Progress()),
-			Log:      log, WindowCycles: *window,
-			Superblocks: *superblocks, Sampled: *sample})
+			Log:      log, WindowCycles: *window, Sampled: *sample})
 		if err != nil {
 			fatal(err)
 		}

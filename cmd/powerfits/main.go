@@ -10,7 +10,7 @@
 //	powerfits disasm -kernel crc32 [-fits]
 //	powerfits dump   -kernel crc32           # assembly text (re-assembles with `asm`)
 //	powerfits run    -kernel crc32 [-config FITS8] [-scale N]
-//	                 [-sample] [-superblocks]        # sampled timing / fused profiling
+//	                 [-sample]                       # sampled timing
 //	                 [-window N] [-archive out.json|runs/] [-phases out.csv]
 //	                 [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace run.trace]
 //	powerfits report -in <file|id> [-dir runs/] [-top N]  # render a run record
@@ -117,7 +117,6 @@ func main() {
 	dir := fs.String("dir", "", "run-store directory (default .powerfits/runs)")
 	savePath := fs.String("save", "", "archive the synthesis trace to this file (explain command)")
 	opN := fs.Int("op", -1, "explain one opcode point of the final spec (explain command)")
-	superblocks := fs.Bool("superblocks", false, "profile through the fused superblock executor (identical profile, faster preparation)")
 	sample := fs.Bool("sample", false, "use the sampled timing estimator instead of a full pipeline run (run/asm/trace/profile commands)")
 	outPath := fs.String("o", "", "output path (trace/profile commands; default stdout)")
 	limit := fs.Int("limit", 1<<16, "event ring capacity: the trace keeps the most recent N events (trace command)")
@@ -240,14 +239,14 @@ func main() {
 			fatal(perr)
 		}
 		s, err = sim.PrepareWith(userKernel(p), 1, sim.PrepareOptions{
-			Synth: synth.DefaultOptions(), Superblocks: *superblocks, Log: log})
+			Synth: synth.DefaultOptions(), Log: log})
 	} else {
 		k, kerr := kernels.Get(*kernel)
 		if kerr != nil {
 			fatal(kerr)
 		}
 		s, err = sim.PrepareWith(k, *scale, sim.PrepareOptions{
-			Synth: synth.DefaultOptions(), Superblocks: *superblocks, Log: log})
+			Synth: synth.DefaultOptions(), Log: log})
 	}
 	if err != nil {
 		fatal(err)

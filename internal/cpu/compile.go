@@ -1,35 +1,31 @@
 package cpu
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"powerfits/internal/isa"
 	"powerfits/internal/program"
 )
 
-// This file is the semantic predecode pass: the functional-interpreter
-// analogue of decode.go's timing predecode. Compile lowers a program
+// This file is the semantic predecode pass: the functional
+// counterpart of decode.go's timing predecode. Compile lowers a program
 // once into a flat micro-op table in which every per-instruction
-// decision Machine.Step used to re-derive per executed instruction —
-// the operand-2 form (immediate / register / shifted, with the shift
-// kind and amount baked in), the flag behaviour (the interpreter's
-// save/restore dance collapses into distinct flag-setting and
-// flag-preserving execute kinds), register indices, memory access
-// width/alignment, the BL return address, and the SWI service — is
-// resolved at compile time. The hot loop then dispatches through one
-// dense switch on a small uint8 instead of re-decoding isa.Instr
-// fields, and the steady state performs zero heap allocations.
+// decision is resolved ahead of execution: the operand-2 form
+// (immediate / register / shifted, with the shift kind and amount baked
+// in), the flag behaviour (distinct flag-setting and flag-preserving
+// execute kinds), register indices, memory access width, the BL return
+// address and the SWI service. Execution then dispatches on a small
+// uint8 kind and performs no heap allocations in the steady state.
 //
-// Architecture is bit-identical to Machine.Step by construction: every
-// execute kind reuses the same flag helpers (addFlags/subFlags/setNZ),
-// the same checkAddr fault strings, and the same Layout callbacks, and
-// the correspondence is pinned per instruction by FuzzCompiledVsStep,
-// the whole-kernel lockstep test in internal/sim, and the unchanged
-// golden tables.
+// The micro-op semantics are written once, in runFusedBlock
+// (superblock.go). stepCompiled below is the per-instruction path: it
+// adds the guards, predication and the control-flow kinds, and hands
+// every other kind to runFusedBlock as a block of one. The reference
+// interpreter the table is tested against (ref_test.go) works on
+// isa.Instr directly; FuzzCompiledVsStep, the whole-kernel tests and
+// the golden tables pin the two to each other.
 
-// Execute kinds. One per specialized form of Machine.Step's big switch:
-// the (operation × flag-behaviour × operand-2 form) product is
+// Execute kinds. One per specialized instruction form: the (operation × flag-behaviour × operand-2 form) product is
 // flattened so the hot loop consults neither Instr.SetFlags nor the
 // operand shape — the form dispatch folds into the single jump table.
 // Per data-processing op the three variants are consecutive (I =
@@ -38,10 +34,9 @@ import (
 // The enum must stay dense — the dispatch switch compiles to a jump
 // table.
 const (
-	kBad uint8 = iota // unimplemented op: faults like Step's default arm
+	kBad uint8 = iota // unimplemented op: always faults
 
-	// Arithmetic, flag-preserving (Step computed flags and restored
-	// them; here the flags are simply never touched).
+	// Arithmetic, flag-preserving (the flags are never touched).
 	kAddI
 	kAddR
 	kAddX
@@ -99,8 +94,8 @@ const (
 	kMvnR
 	kMvnX
 	// Logical / move, flag-setting. The I and R forms leave C untouched:
-	// their shifter carry-out is defined as the current C flag, so the
-	// interpreter's C = shC there is the identity.
+	// their shifter carry-out is defined as the current C flag, so
+	// C = shifter carry-out there is the identity.
 	kAndSI
 	kAndSR
 	kAndSX
@@ -157,7 +152,7 @@ const (
 
 	kSwiHalt // SWI #0
 	kSwiEmit // SWI #1
-	kSwiBad  // any other service: faults like Step
+	kSwiBad  // any other service: always faults
 
 	kNop
 )
@@ -218,7 +213,7 @@ type Compiled struct {
 
 // Compile lowers p (laid out by l) into its micro-op table. The layout
 // matters semantically: BL bakes the layout's return address and BX
-// resolves targets through it, exactly as Step does.
+// resolves targets through it.
 func Compile(p *program.Program, l Layout) *Compiled {
 	c := &Compiled{prog: p, layout: l, uops: make([]uop, len(p.Instrs))}
 	for i := range p.Instrs {
@@ -250,9 +245,9 @@ func (c *Compiled) check(m *Machine) error {
 	return nil
 }
 
-// fault builds the ExecError for a runtime fault at idx, identical to
-// the interpreter's (same Idx, Instr copy and Detail). Only the fault
-// path reaches it; the steady state allocates nothing.
+// fault builds the ExecError for a runtime fault at idx (its Idx, a
+// copy of its Instr and the Detail). Only the fault path reaches it;
+// the steady state allocates nothing.
 func (c *Compiled) fault(idx int, detail string) error {
 	return &ExecError{Idx: idx, Instr: c.prog.Instrs[idx], Detail: detail}
 }
@@ -520,35 +515,14 @@ func (m *Machine) effAddrC(u *uop) (uint32, bool) {
 	return base, false
 }
 
-// StepCompiled executes the instruction at PCIdx through the compiled
-// table and advances, with semantics bit-identical to Step. The table
-// must have been built from the machine's exact program and layout.
-func (m *Machine) StepCompiled(c *Compiled) (StepResult, error) {
-	if err := c.check(m); err != nil {
-		return StepResult{}, err
-	}
-	return m.stepCompiled(c)
-}
-
-// RunCompiled executes until the program halts or the budget is
-// exhausted, dispatching through the compiled table. With Output
-// pre-sized the steady state performs zero heap allocations (pinned by
-// TestStepZeroAlloc).
-func (m *Machine) RunCompiled(c *Compiled) error {
-	if err := c.check(m); err != nil {
-		return err
-	}
-	for !m.Halted {
-		if _, err := m.stepCompiled(c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// stepCompiled is the table-checked-elsewhere hot path: callers
-// (RunCompiled, the pipeline execute stage) have already verified the
-// table matches the machine's program.
+// stepCompiled executes the instruction at PCIdx and advances: the
+// per-instruction path of the pipeline's execute stage and of the
+// superblock executor's fallback. Callers have verified that the table
+// matches the machine's program. It keeps the guards (halt, budget, PC
+// range), predication (a failed condition counts the instruction and
+// falls through) and the kinds that end a fused block (control flow,
+// halt and the faulting kinds); every other kind executes as a fused
+// block of one, so the micro-op semantics live in runFusedBlock alone.
 func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 	if m.Halted {
 		return StepResult{}, fmt.Errorf("cpu: step after halt")
@@ -561,334 +535,21 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		return StepResult{}, fmt.Errorf("cpu: PC index %d out of range", idx)
 	}
 	u := &c.uops[idx]
+	holds := u.Cond == uint8(isa.AL) || m.CondHolds(isa.Cond(u.Cond))
+	if holds && fusibleKind(u.Kind) {
+		return StepResult{NextIdx: idx + 1, Executed: true}, m.runFusedBlock(c, idx, 1, m.DynCount)
+	}
 	m.InstrCount++
 	if m.DynCount != nil {
 		m.DynCount[idx]++
 	}
-
-	res := StepResult{NextIdx: idx + 1, Executed: true}
-	if u.Cond != uint8(isa.AL) && !m.CondHolds(isa.Cond(u.Cond)) {
-		res.Executed = false
+	res := StepResult{NextIdx: idx + 1, Executed: holds}
+	if !holds {
 		m.PCIdx = res.NextIdx
 		return res, nil
 	}
 
 	switch u.Kind {
-	case kAddI:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + u.Imm
-	case kAddR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.Regs[u.Rm&15]
-	case kAddX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.op2shifted(u)
-	case kAdcI, kAdcR, kAdcX:
-		carry := uint32(0)
-		if m.C {
-			carry = 1
-		}
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + m.op2plain(u) + carry
-	case kSubI:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - u.Imm
-	case kSubR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - m.Regs[u.Rm&15]
-	case kSubX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] - m.op2shifted(u)
-	case kSbcI, kSbcR, kSbcX:
-		carry := uint32(0)
-		if m.C {
-			carry = 1
-		}
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] + ^m.op2plain(u) + carry
-	case kRsbI, kRsbR, kRsbX:
-		m.Regs[u.Rd&15] = m.op2plain(u) - m.Regs[u.Rn&15]
-
-	case kAddSI:
-		m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], u.Imm, 0)
-	case kAddSR:
-		m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 0)
-	case kAddSX:
-		m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.op2shifted(u), 0)
-	case kAdcSI, kAdcSR, kAdcSX:
-		carry := uint32(0)
-		if m.C {
-			carry = 1
-		}
-		m.Regs[u.Rd&15] = m.addFlags(m.Regs[u.Rn&15], m.op2plain(u), carry)
-	case kSubSI:
-		m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], u.Imm, 1)
-	case kSubSR:
-		m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 1)
-	case kSubSX:
-		m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.op2shifted(u), 1)
-	case kSbcSI, kSbcSR, kSbcSX:
-		carry := uint32(0)
-		if m.C {
-			carry = 1
-		}
-		m.Regs[u.Rd&15] = m.subFlags(m.Regs[u.Rn&15], m.op2plain(u), carry)
-	case kRsbSI, kRsbSR, kRsbSX:
-		m.Regs[u.Rd&15] = m.subFlags(m.op2plain(u), m.Regs[u.Rn&15], 1)
-	case kCmpI:
-		m.subFlags(m.Regs[u.Rn&15], u.Imm, 1)
-	case kCmpR:
-		m.subFlags(m.Regs[u.Rn&15], m.Regs[u.Rm&15], 1)
-	case kCmpX:
-		m.subFlags(m.Regs[u.Rn&15], m.op2shifted(u), 1)
-	case kCmnI, kCmnR, kCmnX:
-		m.addFlags(m.Regs[u.Rn&15], m.op2plain(u), 0)
-
-	case kAndI:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & u.Imm
-	case kAndR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & m.Regs[u.Rm&15]
-	case kAndX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] & m.op2shifted(u)
-	case kOrrI:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | u.Imm
-	case kOrrR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | m.Regs[u.Rm&15]
-	case kOrrX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] | m.op2shifted(u)
-	case kEorI:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ u.Imm
-	case kEorR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ m.Regs[u.Rm&15]
-	case kEorX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] ^ m.op2shifted(u)
-	case kBicI, kBicR, kBicX:
-		m.Regs[u.Rd&15] = m.Regs[u.Rn&15] &^ m.op2plain(u)
-	case kMovI:
-		m.Regs[u.Rd&15] = u.Imm
-	case kMovR:
-		m.Regs[u.Rd&15] = m.Regs[u.Rm&15]
-	case kMovX:
-		m.Regs[u.Rd&15] = m.op2shifted(u)
-	case kMvnI, kMvnR, kMvnX:
-		m.Regs[u.Rd&15] = ^m.op2plain(u)
-
-	// Flag-setting logical I/R forms: the shifter carry-out is the
-	// current C, so C stays untouched (Step's C = shC is the identity).
-	case kAndSI:
-		r := m.Regs[u.Rn&15] & u.Imm
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kAndSR:
-		r := m.Regs[u.Rn&15] & m.Regs[u.Rm&15]
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kAndSX:
-		op2, shC := m.op2shiftedCarry(u)
-		r := m.Regs[u.Rn&15] & op2
-		m.setNZ(r)
-		m.C = shC
-		m.Regs[u.Rd&15] = r
-	case kOrrSI, kOrrSR:
-		r := m.Regs[u.Rn&15] | m.op2plain(u)
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kOrrSX:
-		op2, shC := m.op2shiftedCarry(u)
-		r := m.Regs[u.Rn&15] | op2
-		m.setNZ(r)
-		m.C = shC
-		m.Regs[u.Rd&15] = r
-	case kEorSI, kEorSR:
-		r := m.Regs[u.Rn&15] ^ m.op2plain(u)
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kEorSX:
-		op2, shC := m.op2shiftedCarry(u)
-		r := m.Regs[u.Rn&15] ^ op2
-		m.setNZ(r)
-		m.C = shC
-		m.Regs[u.Rd&15] = r
-	case kBicSI, kBicSR:
-		r := m.Regs[u.Rn&15] &^ m.op2plain(u)
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kBicSX:
-		op2, shC := m.op2shiftedCarry(u)
-		r := m.Regs[u.Rn&15] &^ op2
-		m.setNZ(r)
-		m.C = shC
-		m.Regs[u.Rd&15] = r
-	case kMovSI, kMovSR:
-		r := m.op2plain(u)
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kMovSX:
-		op2, shC := m.op2shiftedCarry(u)
-		m.setNZ(op2)
-		m.C = shC
-		m.Regs[u.Rd&15] = op2
-	case kMvnSI, kMvnSR:
-		r := ^m.op2plain(u)
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kMvnSX:
-		op2, shC := m.op2shiftedCarry(u)
-		r := ^op2
-		m.setNZ(r)
-		m.C = shC
-		m.Regs[u.Rd&15] = r
-	case kTstI:
-		m.setNZ(m.Regs[u.Rn&15] & u.Imm)
-	case kTstR:
-		m.setNZ(m.Regs[u.Rn&15] & m.Regs[u.Rm&15])
-	case kTstX:
-		op2, shC := m.op2shiftedCarry(u)
-		m.setNZ(m.Regs[u.Rn&15] & op2)
-		m.C = shC
-	case kTeqI, kTeqR:
-		m.setNZ(m.Regs[u.Rn&15] ^ m.op2plain(u))
-	case kTeqX:
-		op2, shC := m.op2shiftedCarry(u)
-		m.setNZ(m.Regs[u.Rn&15] ^ op2)
-		m.C = shC
-
-	case kMul:
-		m.Regs[u.Rd&15] = m.Regs[u.Rm&15] * m.Regs[u.Rs&15]
-	case kMulS:
-		r := m.Regs[u.Rm&15] * m.Regs[u.Rs&15]
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-	case kMla:
-		m.Regs[u.Rd&15] = m.Regs[u.Rm&15]*m.Regs[u.Rs&15] + m.Regs[u.Rn&15]
-	case kMlaS:
-		r := m.Regs[u.Rm&15]*m.Regs[u.Rs&15] + m.Regs[u.Rn&15]
-		m.setNZ(r)
-		m.Regs[u.Rd&15] = r
-
-	case kQadd:
-		m.Regs[u.Rd&15] = satAdd(m.Regs[u.Rn&15], m.Regs[u.Rm&15])
-	case kQsub:
-		m.Regs[u.Rd&15] = satAdd(m.Regs[u.Rn&15], uint32(-int32(m.Regs[u.Rm&15])))
-	case kClz:
-		m.Regs[u.Rd&15] = clz32(m.Regs[u.Rm&15])
-	case kRev:
-		v := m.Regs[u.Rm&15]
-		m.Regs[u.Rd&15] = v<<24 | v>>24 | v<<8&0xff0000 | v>>8&0xff00
-	case kMin:
-		a, b := int32(m.Regs[u.Rn&15]), int32(m.Regs[u.Rm&15])
-		if b < a {
-			a = b
-		}
-		m.Regs[u.Rd&15] = uint32(a)
-	case kMax:
-		a, b := int32(m.Regs[u.Rn&15]), int32(m.Regs[u.Rm&15])
-		if b > a {
-			a = b
-		}
-		m.Regs[u.Rd&15] = uint32(a)
-
-	case kLdr:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 4); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Regs[u.Rd&15] = binary.LittleEndian.Uint32(m.mem[ea:])
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kLdrb:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 1); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Regs[u.Rd&15] = uint32(m.mem[ea])
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kLdrh:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 2); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Regs[u.Rd&15] = uint32(binary.LittleEndian.Uint16(m.mem[ea:]))
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kLdrsb:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 1); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Regs[u.Rd&15] = uint32(int32(int8(m.mem[ea])))
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kLdrsh:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 2); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.Regs[u.Rd&15] = uint32(int32(int16(binary.LittleEndian.Uint16(m.mem[ea:]))))
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kStr:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 4); d != "" {
-			return res, c.fault(idx, d)
-		}
-		binary.LittleEndian.PutUint32(m.mem[ea:], m.Regs[u.Rd&15])
-		m.touch(ea)
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kStrb:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 1); d != "" {
-			return res, c.fault(idx, d)
-		}
-		m.mem[ea] = byte(m.Regs[u.Rd&15])
-		m.touch(ea)
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-	case kStrh:
-		ea, wb := m.effAddrC(u)
-		if d := m.checkAddr(ea, 2); d != "" {
-			return res, c.fault(idx, d)
-		}
-		binary.LittleEndian.PutUint16(m.mem[ea:], uint16(m.Regs[u.Rd&15]))
-		m.touch(ea)
-		if wb {
-			m.Regs[u.Rn&15] += u.Imm
-		}
-
-	case kLdc:
-		m.Regs[u.Rd&15] = u.Imm
-
-	case kPush:
-		sp := m.Regs[isa.SP] - u.Imm
-		if d := m.checkAddr(sp, int(u.Imm)); d != "" {
-			return res, c.fault(idx, d)
-		}
-		a := sp
-		list := uint16(u.Aux)
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if list&(1<<r) != 0 {
-				binary.LittleEndian.PutUint32(m.mem[a:], m.Regs[r])
-				a += 4
-			}
-		}
-		m.touchPush(sp, u.Imm)
-		m.Regs[isa.SP] = sp
-	case kPop:
-		sp := m.Regs[isa.SP]
-		if d := m.checkAddr(sp, int(u.Imm)); d != "" {
-			return res, c.fault(idx, d)
-		}
-		a := sp
-		list := uint16(u.Aux)
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if list&(1<<r) != 0 {
-				m.Regs[r] = binary.LittleEndian.Uint32(m.mem[a:])
-				a += 4
-			}
-		}
-		m.Regs[isa.SP] = sp + u.Imm
-
 	case kB:
 		res.Taken = true
 		res.NextIdx = int(u.Aux)
@@ -903,21 +564,14 @@ func (m *Machine) stepCompiled(c *Compiled) (StepResult, error) {
 		}
 		res.Taken = true
 		res.NextIdx = t
-
 	case kSwiHalt:
 		m.Halted = true
 		res.NextIdx = idx
-	case kSwiEmit:
-		m.Output = append(m.Output, m.Regs[isa.R0])
 	case kSwiBad:
 		return res, c.fault(idx, fmt.Sprintf("unknown SWI %d", u.Aux))
-
-	case kNop:
-		// nothing
 	default:
 		return res, c.fault(idx, "unimplemented op")
 	}
-
 	m.PCIdx = res.NextIdx
 	return res, nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // lockstepCompare runs two machines over the same program — one through
-// Step, one through the compiled table — asserting identical
+// the reference Step, one through stepCompiled — asserting identical
 // architectural state after every instruction and identical fault
 // behaviour at the end. Returns the executed instruction count.
 func lockstepCompare(t *testing.T, p *program.Program, maxInstrs uint64) uint64 {
@@ -31,7 +31,7 @@ func lockstepCompare(t *testing.T, p *program.Program, maxInstrs uint64) uint64 
 
 	for step := 0; ; step++ {
 		ri, erri := mi.Step()
-		rc, errc := mc.StepCompiled(c)
+		rc, errc := mc.stepCompiled(c)
 		if (erri == nil) != (errc == nil) {
 			t.Fatalf("step %d: fault divergence: interpreted %v, compiled %v", step, erri, errc)
 		}
@@ -149,8 +149,8 @@ func edgeProgram() *program.Program {
 	return b.MustBuild()
 }
 
-// TestCompiledStepEquivalence locksteps the compiled executor against
-// Step over the decode-dimension program and the hand-built edge-case
+// TestCompiledStepEquivalence locksteps stepCompiled against the
+// reference Step over the decode-dimension program and the hand-built edge-case
 // program, asserting identical registers, flags, memory, PC, halt state
 // and outputs after every single instruction.
 func TestCompiledStepEquivalence(t *testing.T) {
@@ -216,72 +216,33 @@ func TestCompiledFaultIdentity(t *testing.T) {
 
 // TestCompiledMismatchRejected mirrors TestDecodedMismatchRejected: a
 // compiled table built from one program cannot drive a machine running
-// another, and a nil table is rejected rather than dereferenced.
+// another, and a nil table is rejected rather than dereferenced. check
+// is the guard every exported entry point runs first.
 func TestCompiledMismatchRejected(t *testing.T) {
 	p1, p2 := straightLine(4), mixedProgram()
 	l1 := WordLayout(p1.TextBase, len(p1.Instrs))
-	wrong := Compile(p2, WordLayout(p2.TextBase, len(p2.Instrs)))
-	if _, err := New(p1, l1).StepCompiled(wrong); err == nil {
-		t.Error("StepCompiled accepted a foreign table")
+	m := New(p1, l1)
+	defer m.Release()
+	if err := Compile(p2, WordLayout(p2.TextBase, len(p2.Instrs))).check(m); err == nil {
+		t.Error("a foreign table passed the check")
 	}
-	if err := New(p1, l1).RunCompiled(wrong); err == nil {
-		t.Error("RunCompiled accepted a foreign table")
+	if err := (*Compiled)(nil).check(m); err == nil {
+		t.Error("a nil table passed the check")
 	}
-	if _, err := New(p1, l1).StepCompiled(nil); err == nil {
-		t.Error("StepCompiled accepted a nil table")
-	}
-	if err := New(p1, l1).RunCompiled(nil); err == nil {
-		t.Error("RunCompiled accepted a nil table")
-	}
-}
-
-// TestStepZeroAlloc pins the allocation guarantee on both interpreter
-// paths: with machines constructed up front and Output pre-sized,
-// neither the legacy Step loop nor the compiled run allocates in the
-// steady state (the per-step fault closure is gone from Step, and the
-// compiled path was born without one).
-func TestStepZeroAlloc(t *testing.T) {
-	p := mixedProgram()
-	l := WordLayout(p.TextBase, len(p.Instrs))
-	c := Compile(p, l)
-
-	const runs = 8
-	paths := []struct {
-		name string
-		run  func(m *Machine) error
-	}{
-		{"interpreted", func(m *Machine) error { return m.Run() }},
-		{"compiled", func(m *Machine) error { return m.RunCompiled(c) }},
-	}
-	for _, path := range paths {
-		t.Run(path.name, func(t *testing.T) {
-			machines := make([]*Machine, runs+1)
-			for i := range machines {
-				machines[i] = New(p, l)
-				machines[i].Output = make([]uint32, 0, 8) // pre-size for EmitWord
-			}
-			next := 0
-			allocs := testing.AllocsPerRun(runs, func() {
-				m := machines[next]
-				next++
-				if err := path.run(m); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%s steady state allocated %.1f times per run, want 0", path.name, allocs)
-			}
-		})
+	if err := Compile(p1, l1).check(m); err != nil {
+		t.Errorf("the machine's own table failed the check: %v", err)
 	}
 }
 
 // FuzzCompiledVsStep drives randomized instruction streams (the
 // internal/asm fuzz-harness recipe, widened to cover predication,
 // register shifts, stack ops, stores through any address and pushes
-// across 64 KiB chunk boundaries) through both executors in lockstep.
-// Any accepted program must produce bit-identical architectural state
-// per instruction and identical fault strings, and every executor's
-// dirty mask must cover what it wrote (checkCoverage).
+// across 64 KiB chunk boundaries) through the reference Step and
+// stepCompiled in lockstep, and through the reference and the
+// superblock executor as whole runs. Any accepted program must produce
+// bit-identical architectural state per instruction and identical fault
+// strings, and every executor's dirty mask must cover what it wrote
+// (checkCoverage).
 func FuzzCompiledVsStep(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0xFF, 0x00, 0x7A, 0x33, 9, 9, 9, 1})

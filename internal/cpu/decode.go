@@ -67,7 +67,7 @@ type Decoded struct {
 	// sem is the semantic micro-op table for the same (program, layout)
 	// pair, built alongside the timing records so the pipeline's execute
 	// stage dispatches through compiled micro-ops instead of re-decoding
-	// isa.Instr fields in Machine.Step.
+	// isa.Instr fields.
 	sem *Compiled
 }
 

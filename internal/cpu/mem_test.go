@@ -49,8 +49,10 @@ func checkCoverage(t *testing.T, m *Machine) {
 // chunkWriter stores into chunks 0..29 with each store kind the only
 // writer of its chunks: STR into 0..8, a PUSH whose 12-byte span
 // straddles the boundary between chunks 9 and 10, STRB into the last
-// byte of 11..19 and STRH into the middle of 20..29. Its loops run both
-// fused (superblocks) and per instruction (Step, compiled).
+// byte of 11..19 and STRH into the middle of 20..29. Each loop body
+// before its branch is one fused run, so the stores execute fused
+// (superblocks, the pipeline's segments) and per instruction (the
+// reference Step, stepCompiled).
 func chunkWriter() *program.Program {
 	b := asm.New("chunks")
 	b.Func("main")
@@ -81,15 +83,28 @@ func chunkWriter() *program.Program {
 	return b.MustBuild()
 }
 
-// executors are the three store paths, each running a machine to
-// completion.
+// executors run a machine to completion over each store path: the
+// reference interpreter, and the shipping switch reached per
+// instruction, as fused blocks, and through the timing pipeline's
+// segments (execSegment).
 var executors = []struct {
 	name string
 	run  func(m *Machine, c *Compiled) error
 }{
 	{"step", func(m *Machine, _ *Compiled) error { return m.Run() }},
-	{"compiled", func(m *Machine, c *Compiled) error { return m.RunCompiled(c) }},
+	{"compiled", func(m *Machine, c *Compiled) error {
+		for !m.Halted {
+			if _, err := m.stepCompiled(c); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
 	{"superblock", func(m *Machine, c *Compiled) error { return m.RunSuperblocks(c) }},
+	{"pipeline", func(m *Machine, _ *Compiled) error {
+		_, err := RunPipeline(m, DefaultPipeConfig(), nullPort{})
+		return err
+	}},
 }
 
 // holdFreeList empties the free list so the next lease is the next

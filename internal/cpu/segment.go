@@ -144,7 +144,9 @@ func mix(h, v uint64) uint64 {
 // after the instruction that redirects fetch (ended), at a halt, at a
 // step error (kept in q.err for the cycle loop to return where the step
 // would have issued) or at a bound; only an ended queue is a whole
-// segment. The cycle loop always issues the whole queue, since it holds
+// segment. A fused run executes in one runFusedBlock call, cut to the
+// room left in the segment and in the machine's budget; everything else
+// steps. The cycle loop always issues the whole queue, since it holds
 // no more than the run's instruction target allows; only the cycle
 // budget, a deadlock guard, can stop it inside one, and the machine is
 // then ahead of the timing by the rest of the queue.
@@ -158,6 +160,17 @@ func (p *PipelineRun) execSegment(limit uint64) {
 	}
 	// The outcome word being filled stays in w; bits holds the full ones.
 	n, w := 0, uint64(0)
+	// executed appends k Executed bits.
+	executed := func(k int) {
+		for k > 0 {
+			t := min(k, 64-n&63)
+			w |= (1<<t - 1) << (n & 63)
+			n, k = n+t, k-t
+			if n&63 == 0 {
+				q.bits[n>>6-1], w = w, 0
+			}
+		}
+	}
 	defer func() {
 		if n&63 != 0 {
 			q.bits[n>>6] = w
@@ -166,6 +179,16 @@ func (p *PipelineRun) execSegment(limit uint64) {
 	}()
 	for n < max {
 		idx := m.PCIdx
+		if k := p.fusedRoom(idx, max-n); k > 0 {
+			before := m.InstrCount
+			if err := m.runFusedBlock(sem, idx, k, m.DynCount); err != nil {
+				executed(int(m.InstrCount - before - 1))
+				q.err = err
+				return
+			}
+			executed(k)
+			continue
+		}
 		r, err := m.stepCompiled(sem)
 		if err != nil {
 			q.err = err
@@ -188,6 +211,28 @@ func (p *PipelineRun) execSegment(limit uint64) {
 			return // not straight-line: let the cycle loop follow the machine
 		}
 	}
+}
+
+// fusedRoom returns how many instructions from idx execSegment may run
+// as one fused block: the fused run there, cut to room and to the
+// machine's budget (0 where stepCompiled must step, so that it reports
+// the budget, a PC out of range or a non-fusible kind). Fused
+// instructions never branch, halt or leave the straight line.
+func (p *PipelineRun) fusedRoom(idx, room int) int {
+	m := p.m
+	if idx < 0 || idx >= len(p.sem.fuse) {
+		return 0
+	}
+	k := min(int(p.sem.fuse[idx]), room)
+	if m.MaxInstrs > 0 {
+		if m.InstrCount >= m.MaxInstrs {
+			return 0
+		}
+		if b := m.MaxInstrs - m.InstrCount; b < uint64(k) {
+			k = int(b)
+		}
+	}
+	return k
 }
 
 // replay times the segment at a boundary, executing at most limit

@@ -3,6 +3,7 @@ package cpu_test
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"powerfits/internal/asm"
@@ -29,16 +30,20 @@ type memoRun struct {
 }
 
 // runMemo times prog on a fresh cache of geometry geom, with the segment
-// memo on or (memo false) on the plain cycle loop. A positive window
-// runs it in RunUntil windows of that many instructions, as the sampled
-// simulator does, with a functional step and a Resync after each when
-// resync is set. The caller releases the returned machine.
-func runMemo(t testing.TB, prog *program.Program, im *program.Image, dec *cpu.Decoded, geom cache.Config, memo bool, window uint64, resync bool) (memoRun, error) {
+// memo on or (memo false) on the plain cycle loop, under the instruction
+// budget max (0 = 1<<32). A positive window runs it in RunUntil windows
+// of that many instructions, as the sampled simulator does, with a
+// functional step and a Resync after each when resync is set. The
+// caller releases the returned machine.
+func runMemo(t testing.TB, prog *program.Program, im *program.Image, dec *cpu.Decoded, geom cache.Config, memo bool, max, window uint64, resync bool) (memoRun, error) {
 	t.Helper()
 	c := cache.MustNew(geom)
 	meter := power.MustNewMeter(geom, power.DefaultCalibration())
 	pc := cpu.DefaultPipeConfig()
 	pc.MaxInstrs = 1 << 32
+	if max > 0 {
+		pc.MaxInstrs = max
+	}
 	m := cpu.New(prog, cpu.ImageLayout(im))
 	var r memoRun
 	r.m = m
@@ -109,11 +114,11 @@ func TestSegmentMemoMatchesCycleLoop(t *testing.T) {
 			if cfg.ISA == sim.ISAFITS {
 				prog, im, dec = s.Fits.Lowered, s.Fits.Image, s.FitsDecoded
 			}
-			on, err := runMemo(t, prog, im, dec, cfg.Cache, true, 0, false)
+			on, err := runMemo(t, prog, im, dec, cfg.Cache, true, 0, 0, false)
 			if err != nil {
 				t.Fatalf("%s@%d %s: %v", j.name, j.scale, cfg.Name, err)
 			}
-			off, err := runMemo(t, prog, im, dec, cfg.Cache, false, 0, false)
+			off, err := runMemo(t, prog, im, dec, cfg.Cache, false, 0, 0, false)
 			if err != nil {
 				t.Fatalf("%s@%d %s (no memo): %v", j.name, j.scale, cfg.Name, err)
 			}
@@ -158,12 +163,16 @@ func TestSegmentCountersCovered(t *testing.T) {
 // cache, so that evictions land mid-run, with the segment memo on and
 // off. The two runs must agree exactly: error, timing result and output,
 // cache statistics, power report, registers and memory. Some inputs run
-// in windows with Resyncs between, like the sampled simulator.
+// in windows with Resyncs between, like the sampled simulator, and a
+// non-zero budget sets PipeConfig.MaxInstrs, so that the budget runs out
+// inside a segment or a fused run.
 func FuzzMemoVsCycleLoop(f *testing.F) {
-	f.Add(byte(0), byte(7), uint16(0), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Add(byte(0x25), byte(30), uint16(13), []byte{0, 3, 3, 1, 6, 0, 4, 9, 7, 4, 0, 2, 5, 5, 5, 5})
-	f.Add(byte(0x10), byte(0xC3), uint16(0x8007), []byte{3, 0, 1, 9, 4, 2, 1, 8, 0, 6, 6, 1, 2, 2, 2, 2, 6, 7, 7, 7})
-	f.Fuzz(func(t *testing.T, geom, loop byte, windows uint16, raw []byte) {
+	f.Add(byte(0), byte(7), uint16(0), []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(0))
+	f.Add(byte(0x25), byte(30), uint16(13), []byte{0, 3, 3, 1, 6, 0, 4, 9, 7, 4, 0, 2, 5, 5, 5, 5}, uint16(0))
+	f.Add(byte(0x10), byte(0xC3), uint16(0x8007), []byte{3, 0, 1, 9, 4, 2, 1, 8, 0, 6, 6, 1, 2, 2, 2, 2, 6, 7, 7, 7}, uint16(0))
+	f.Add(byte(0x25), byte(30), uint16(0), []byte{0, 3, 3, 1, 6, 0, 4, 9, 7, 4, 0, 2, 5, 5, 5, 5}, uint16(57))
+	f.Add(byte(0x10), byte(0xC3), uint16(0x8007), []byte{3, 0, 1, 9, 4, 2, 1, 8, 0, 6, 6, 1, 2, 2, 2, 2, 6, 7, 7, 7}, uint16(200))
+	f.Fuzz(func(t *testing.T, geom, loop byte, windows uint16, raw []byte, budget uint16) {
 		b := asm.New("fuzz")
 		b.Zero("buf", 256)
 		b.Func("main")
@@ -191,8 +200,8 @@ func FuzzMemoVsCycleLoop(f *testing.F) {
 		g := cache.Config{LineBytes: line, Assoc: 1 << (geom / 3 % 3), SizeBytes: line << (geom / 3 % 3) << (geom / 9 % 4)}
 		d := cpu.Predecode(p, cpu.ImageLayout(im))
 		window, resync := uint64(windows&0x7FFF), windows&0x8000 != 0
-		on, onErr := runMemo(t, p, im, d, g, true, window, resync)
-		off, offErr := runMemo(t, p, im, d, g, false, window, resync)
+		on, onErr := runMemo(t, p, im, d, g, true, uint64(budget), window, resync)
+		off, offErr := runMemo(t, p, im, d, g, false, uint64(budget), window, resync)
 		defer on.m.Release()
 		defer off.m.Release()
 		if (onErr == nil) != (offErr == nil) || onErr != nil && onErr.Error() != offErr.Error() {
@@ -202,4 +211,92 @@ func FuzzMemoVsCycleLoop(f *testing.F) {
 			t.Fatalf("memoized run differs from the cycle loop in %s (cache %+v)", diff, g)
 		}
 	})
+}
+
+// TestMemoFusedRunFaults pins execSegment's fused runs at their edges: a
+// loop the memo records and replays, then one fused run in which the
+// j-th micro-op faults (a misaligned LDR, an STR past the end of memory,
+// a PUSH below address 0), early or late in the run, or the
+// instruction budget runs out inside it. The
+// segment memo, which executes that run in one fused call, and the plain
+// cycle loop, which steps it, must leave the same error, instruction
+// count, PC, timing result and memory.
+func TestMemoFusedRunFaults(t *testing.T) {
+	build := func(j int, fault func(b *asm.Builder)) *program.Program {
+		b := asm.New("fusedfault")
+		b.Zero("buf", 64)
+		b.Func("main")
+		b.Lea(isa.R1, "buf")
+		b.MovI(isa.R11, 6)
+		b.Label("loop")
+		b.Str(isa.R11, isa.R1, 4)
+		b.SubsI(isa.R11, isa.R11, 1)
+		b.Bne("loop")
+		for range j {
+			b.AddI(isa.R3, isa.R3, 5)
+		}
+		fault(b)
+		b.AddI(isa.R4, isa.R4, 9)
+		b.EmitWord()
+		b.Exit()
+		return b.MustBuild()
+	}
+	misaligned := func(b *asm.Builder) {
+		b.AddI(isa.R2, isa.R1, 2)
+		b.Ldr(isa.R0, isa.R2, 0)
+	}
+	pastEnd := func(b *asm.Builder) {
+		b.MovImm32(isa.R2, program.MemSize-2)
+		b.Str(isa.R0, isa.R2, 0)
+	}
+	belowZero := func(b *asm.Builder) {
+		b.MovI(isa.SP, 4)
+		b.Push(isa.R0, isa.R1, isa.R2)
+	}
+	cases := []struct {
+		name  string
+		j     int
+		fault func(b *asm.Builder)
+		max   uint64
+		want  string
+	}{
+		{"misaligned LDR early", 0, misaligned, 0, "misaligned 4-byte access"},
+		{"misaligned LDR late", 2, misaligned, 0, "misaligned 4-byte access"},
+		{"STR past memory early", 0, pastEnd, 0, "out of memory"},
+		{"STR past memory late", 4, pastEnd, 0, "out of memory"},
+		{"PUSH below zero early", 0, belowZero, 0, "out of memory"},
+		{"PUSH below zero late", 3, belowZero, 0, "out of memory"},
+		{"budget inside the run", 4, misaligned, 3 + 6*3 + 2, "budget"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := build(tc.j, tc.fault)
+			im, err := arm.Assemble(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := cpu.Predecode(p, cpu.ImageLayout(im))
+			g := sim.ARM16.Cache
+			on, onErr := runMemo(t, p, im, d, g, true, tc.max, 0, false)
+			off, offErr := runMemo(t, p, im, d, g, false, tc.max, 0, false)
+			defer on.m.Release()
+			defer off.m.Release()
+			if onErr == nil || offErr == nil {
+				t.Fatalf("no fault: memo %v, cycle loop %v", onErr, offErr)
+			}
+			if onErr.Error() != offErr.Error() {
+				t.Fatalf("errors differ:\nmemo:       %v\ncycle loop: %v", onErr, offErr)
+			}
+			if !strings.Contains(onErr.Error(), tc.want) {
+				t.Fatalf("error %q, want it to mention %q", onErr, tc.want)
+			}
+			if on.replayed == 0 {
+				t.Error("the memo replayed nothing before the fused run")
+			}
+			if d := sameRun(on, off); d != "" {
+				t.Fatalf("memoized run differs from the cycle loop in %s (InstrCount %d/%d, PC %d/%d)",
+					d, on.m.InstrCount, off.m.InstrCount, on.m.PCIdx, off.m.PCIdx)
+			}
+		})
+	}
 }

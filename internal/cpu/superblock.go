@@ -9,17 +9,19 @@ import (
 	"powerfits/internal/tracing"
 )
 
-// This file is the superblock layer on top of the compiled micro-op
-// table: straight-line runs of unconditional, non-control-flow micro-ops
-// are chained into fused superblocks executed back to back without the
-// per-instruction dispatch overhead of stepCompiled. Within a fused
-// block there is no halt check, no budget check, no condition check, no
-// PC store and no per-instruction InstrCount update — all of that
-// bookkeeping amortizes over the whole block and is settled once at the
-// block boundary. Fall-back to the per-µop path happens at block
-// boundaries, on faults and at every control-flow exit, so execution
-// remains bit-identical to Machine.Step (pinned by the lockstep and
-// fuzz tests and the unchanged golden tables).
+// This file is the functional executor over the compiled micro-op
+// table. runFusedBlock holds the one copy of the micro-op semantics: it
+// executes a straight-line run of unconditional, non-control-flow
+// micro-ops back to back, with no halt, budget or condition check and
+// no PC or InstrCount update between them; that bookkeeping is settled
+// once for the run. Three callers feed it: the superblock loop
+// (runSuperblocks) with whole fused blocks, the segment memo's
+// execSegment with the fused runs of a segment, and stepCompiled with
+// single instructions. Control flow, halts, failed predicates and the
+// budget's edge go through stepCompiled, so every fault and error
+// string is the per-instruction one (pinned against the reference
+// interpreter by FuzzCompiledVsStep, the whole-kernel tests and the
+// golden tables).
 //
 // Block formation is a single backward pass producing, per instruction
 // index, the length of the fusible straight-line run *starting* there.
@@ -79,10 +81,11 @@ func (c *Compiled) FuseLen(i int) int {
 
 // RunSuperblocks executes until the program halts or the budget is
 // exhausted, dispatching fused superblocks where the program structure
-// allows and falling back to the per-µop compiled path everywhere else.
-// Semantics are bit-identical to RunCompiled (and therefore to Run):
-// same architectural state, same DynCount profile, same fault errors at
-// the same instruction.
+// allows and falling back to stepCompiled everywhere else. It is the
+// functional run loop of profiling (profile.CollectWith) and of
+// RunFunctional. Semantics are bit-identical to the reference
+// interpreter's Run (ref_test.go): same architectural state, same
+// DynCount profile, same fault errors at the same instruction.
 func (m *Machine) RunSuperblocks(c *Compiled) error {
 	if err := c.check(m); err != nil {
 		return err
@@ -289,16 +292,15 @@ func (m *Machine) fusedFault(c *Compiled, idx, j, n int, dyn []uint64, detail st
 	return c.fault(idx+j, detail)
 }
 
-// runFusedBlock executes the fused block of n micro-ops starting at
-// idx. The caller has verified the block fits the instruction budget
-// and every micro-op is unconditional and non-control-flow, so the loop
-// body is the bare execute dispatch: the switch arms are stepCompiled's
-// with all per-instruction bookkeeping stripped — the DynCount profile
-// is settled for the whole block up front (rolled back on fault),
-// InstrCount and the PC advance once at the end, and the memory kinds
-// run checkAddr's range/alignment tests inline so the non-faulting path
-// makes no call per access (checkAddr itself runs only to format a
-// fault it already knows occurred).
+// runFusedBlock executes the n micro-ops starting at idx. The caller
+// has verified that they fit the instruction budget and that each is a
+// fusible kind whose condition holds (stepCompiled passes a predicated
+// one singly), so the loop body is the bare execute dispatch: the
+// DynCount profile is settled for the whole run up front (rolled back
+// on fault), InstrCount and the PC advance once at the end, and the
+// memory kinds run checkAddr's range/alignment tests inline so the
+// non-faulting path makes no call per access (checkAddr itself runs
+// only to format a fault it already knows occurred).
 func (m *Machine) runFusedBlock(c *Compiled, idx, n int, dyn []uint64) error {
 	uops := c.uops[idx : idx+n : idx+n]
 	if dyn != nil {
@@ -628,8 +630,7 @@ func (m *Machine) runFusedBlock(c *Compiled, idx, n int, dyn []uint64) error {
 		case kNop:
 			// nothing
 		default:
-			// Unreachable for well-formed fuse tables (non-fusible kinds
-			// never enter a block); mirrors stepCompiled's default arm.
+			// Unreachable: callers pass fusible kinds only.
 			return m.fusedFault(c, idx, j, n, dyn, "unimplemented op")
 		}
 	}

@@ -11,11 +11,11 @@ import (
 )
 
 // superblockCompare runs two machines over the same program — one
-// through the Step interpreter, one through the superblock executor —
+// through the reference Step, one through the superblock executor —
 // and asserts identical final architectural state, dynamic profile and
 // fault behaviour. Blocks execute atomically, so the comparison is
 // whole-run (the per-instruction lockstep lives in lockstepCompare for
-// the compiled path; superblock equivalence composes with it). Returns
+// stepCompiled; superblock equivalence composes with it). Returns
 // the executed instruction count.
 func superblockCompare(t *testing.T, p *program.Program, maxInstrs uint64) uint64 {
 	t.Helper()
@@ -389,9 +389,9 @@ func TestRunSuperblocksWarmOnce(t *testing.T) {
 	}
 }
 
-// TestSuperblockZeroAlloc extends the interpreter allocation pin to the
-// superblock path: with Output pre-sized, a whole-program run performs
-// zero heap allocations.
+// TestSuperblockZeroAlloc pins the allocation guarantee of the
+// functional run loop, stepCompiled fallbacks included: with Output
+// pre-sized, a whole-program run performs zero heap allocations.
 func TestSuperblockZeroAlloc(t *testing.T) {
 	p := mixedProgram()
 	l := WordLayout(p.TextBase, len(p.Instrs))

@@ -122,10 +122,9 @@ type Options struct {
 	// the per-run metrics.Series lands on each sim.Result. Ignored when
 	// Sampled is set — phase series require a full detailed run.
 	WindowCycles int
-	// Superblocks routes the profiling stage of every preparation
-	// through the fused superblock executor. Profiles are identical
-	// (the executors are equivalence-tested down to DynCount); only
-	// preparation wall-clock changes.
+	// Deprecated: profiling always runs on the superblock executor, so
+	// nothing reads this field. It is kept only for callers that still
+	// set it.
 	Superblocks bool
 	// Sampled replaces every full-pipeline timing pass with the sampled
 	// estimator (sim.Setup.RunPass with sample options): exact outputs
@@ -225,9 +224,8 @@ func RunSuite(opt Options) (*Suite, error) {
 			}
 			t0 := time.Now()
 			setup, err := sim.PrepareWith(k, opt.Scale, sim.PrepareOptions{
-				Synth:       synth.DefaultOptions(),
-				Superblocks: opt.Superblocks,
-				Log:         opt.Log,
+				Synth: synth.DefaultOptions(),
+				Log:   opt.Log,
 			})
 			kr.timing.PrepareSec = time.Since(t0).Seconds()
 			kr.timing.Worker = worker

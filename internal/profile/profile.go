@@ -71,19 +71,14 @@ type Profile struct {
 type CollectOptions struct {
 	// MaxInstrs bounds the run (0 = unlimited).
 	MaxInstrs uint64
-	// Superblocks executes the run through the fused superblock
-	// executor instead of per-instruction compiled dispatch. The
-	// resulting profile is identical (the executors are equivalence-
-	// tested down to DynCount); only wall-clock changes.
-	Superblocks bool
 }
 
 // Collect runs the program functionally (the paper's profile stage runs
 // the application to completion) and gathers all statistics. maxInstrs
-// bounds the run (0 = unlimited). The run dispatches through the
-// semantic micro-op table (cpu.Compile) — bit-identical to the Step
-// interpreter but substantially faster, which matters here because the
-// profiling run executes every dynamic instruction of the application.
+// bounds the run (0 = unlimited). The run executes on the superblock
+// executor over the compiled micro-op table (cpu.Compile), the fastest
+// functional path, which matters here because the profiling run
+// executes every dynamic instruction of the application.
 func Collect(p *program.Program, maxInstrs uint64) (*Profile, error) {
 	return CollectWith(p, CollectOptions{MaxInstrs: maxInstrs})
 }
@@ -95,14 +90,7 @@ func CollectWith(p *program.Program, opts CollectOptions) (*Profile, error) {
 	defer m.Release()
 	m.MaxInstrs = opts.MaxInstrs
 	m.DynCount = make([]uint64, len(p.Instrs))
-	c := cpu.Compile(p, l)
-	var err error
-	if opts.Superblocks {
-		err = m.RunSuperblocks(c)
-	} else {
-		err = m.RunCompiled(c)
-	}
-	if err != nil {
+	if err := m.RunSuperblocks(cpu.Compile(p, l)); err != nil {
 		return nil, err
 	}
 	return build(p, m.DynCount, m.Output), nil

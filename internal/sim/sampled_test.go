@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"powerfits/internal/cpu"
 	"powerfits/internal/kernels"
 	"powerfits/internal/power"
 	"powerfits/internal/synth"
@@ -190,77 +189,5 @@ func TestSampledOptionValidation(t *testing.T) {
 		if _, err := s.RunSampled(ARM16, cal, opt); err == nil {
 			t.Errorf("options %d: invalid schedule accepted: %+v", i, opt)
 		}
-	}
-}
-
-// TestSuperblocksMatchStepAllKernels runs every kernel on both images
-// to completion twice — once on the plain interpreter, once on the
-// superblock executor — and asserts identical architectural state,
-// outputs and DynCount profiles. This is the suite-level counterpart
-// of the per-program equivalence tests in internal/cpu, and the
-// property the synthesis pipeline depends on when profiling over the
-// fused executor.
-func TestSuperblocksMatchStepAllKernels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full suite twice per image")
-	}
-	for _, k := range kernels.All() {
-		k := k
-		t.Run(k.Name, func(t *testing.T) {
-			t.Parallel()
-			s, err := Prepare(k, 1, synth.DefaultOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			images := []struct {
-				tag    string
-				mk     func() *cpu.Machine
-				comp   *cpu.Compiled
-				instrs int
-			}{
-				{"ARM", func() *cpu.Machine { return cpu.New(s.Prog, cpu.ImageLayout(s.ArmImage)) }, s.ArmCompiled, len(s.Prog.Instrs)},
-				{"FITS", func() *cpu.Machine { return cpu.New(s.Fits.Lowered, cpu.ImageLayout(s.Fits.Image)) }, s.FitsCompiled, len(s.Fits.Lowered.Instrs)},
-			}
-			for _, im := range images {
-				mi := im.mk()
-				ms := im.mk()
-				mi.MaxInstrs = 2e8
-				ms.MaxInstrs = 2e8
-				mi.DynCount = make([]uint64, im.instrs)
-				ms.DynCount = make([]uint64, im.instrs)
-				erri := mi.Run()
-				errs := ms.RunSuperblocks(im.comp)
-				if (erri == nil) != (errs == nil) {
-					t.Fatalf("%s: fault divergence: step %v, superblock %v", im.tag, erri, errs)
-				}
-				if erri != nil && erri.Error() != errs.Error() {
-					t.Fatalf("%s: fault identity:\nstep:       %v\nsuperblock: %v", im.tag, erri, errs)
-				}
-				if mi.InstrCount != ms.InstrCount || mi.Halted != ms.Halted || mi.PCIdx != ms.PCIdx {
-					t.Fatalf("%s: run shape divergence: step (n=%d halted=%v pc=%d), superblock (n=%d halted=%v pc=%d)",
-						im.tag, mi.InstrCount, mi.Halted, mi.PCIdx, ms.InstrCount, ms.Halted, ms.PCIdx)
-				}
-				if mi.Regs != ms.Regs {
-					t.Fatalf("%s: register divergence", im.tag)
-				}
-				if !mi.MemEqual(ms) {
-					t.Fatalf("%s: memory divergence", im.tag)
-				}
-				for i := range mi.DynCount {
-					if mi.DynCount[i] != ms.DynCount[i] {
-						t.Fatalf("%s: DynCount[%d] = %d under superblocks, %d under Step",
-							im.tag, i, ms.DynCount[i], mi.DynCount[i])
-					}
-				}
-				if len(mi.Output) != len(ms.Output) {
-					t.Fatalf("%s: output length divergence", im.tag)
-				}
-				for i := range mi.Output {
-					if mi.Output[i] != ms.Output[i] {
-						t.Fatalf("%s: output[%d] divergence", im.tag, i)
-					}
-				}
-			}
-		})
 	}
 }

@@ -110,17 +110,12 @@ type Setup struct {
 type PrepareOptions struct {
 	// Synth parameterises the ISA synthesis stage.
 	Synth synth.Options
-	// Superblocks runs the profiling pass through the fused superblock
-	// executor (profile.CollectOptions.Superblocks). The resulting
-	// Setup is identical; only preparation wall-clock changes.
-	Superblocks bool
 	// Profiles, when non-nil, memoizes the profiling stage: the run is
 	// keyed by a content hash of the program (ARM text, load addresses,
 	// data segment, entry point) plus the effective profile budget, so
 	// repeated preparations of the same program — thousands of
 	// synthesis points in a design-space sweep — share one
-	// profile.Collect. Superblocks is deliberately excluded from the
-	// key: both executors produce bit-identical profiles.
+	// profile.Collect.
 	Profiles *profile.Cache
 	// Log, when non-nil, receives one Debug record per preparation with
 	// the wall-clock cost of every stage (build, assemble, profile,
@@ -166,7 +161,7 @@ func PrepareWith(k kernels.Kernel, scale int, popts PrepareOptions) (*Setup, err
 		return nil, fmt.Errorf("sim: %s: %w", k.Name, err)
 	}
 	prof, err := popts.Profiles.Collect(profileKey(p, armIm, budget), func() (*profile.Profile, error) {
-		return profile.CollectWith(p, profile.CollectOptions{MaxInstrs: budget, Superblocks: popts.Superblocks})
+		return profile.CollectWith(p, profile.CollectOptions{MaxInstrs: budget})
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: profile: %w", k.Name, err)

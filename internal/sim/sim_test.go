@@ -108,3 +108,13 @@ func TestDecoderConfigRoundTripAllKernels(t *testing.T) {
 		})
 	}
 }
+
+// TestPrepareRejectsNegativeBudget asserts Prepare surfaces the
+// ProfileBudget validation error before any profiling work starts.
+func TestPrepareRejectsNegativeBudget(t *testing.T) {
+	opts := synth.DefaultOptions()
+	opts.ProfileBudget = -5
+	if _, err := Prepare(kernels.MustGet("crc32"), 1, opts); err == nil {
+		t.Fatal("Prepare accepted a negative ProfileBudget")
+	}
+}
