@@ -49,7 +49,8 @@ go -C bench test ./...
 echo "== go test -race (parallel engine + sim + telemetry + serving plane + sweep) =="
 # The sweep's workers share the machine-memory free list (internal/cpu).
 go test -race ./internal/sim ./internal/experiments ./internal/telemetry ./cmd/internal/cli \
-    ./internal/serve ./internal/archive ./internal/sweep ./internal/profile ./internal/cpu
+    ./internal/serve ./internal/archive ./internal/sweep ./internal/profile ./internal/cpu \
+    ./internal/reuse
 
 echo "== benchmark smoke: one pass over every Go benchmark =="
 # One iteration of every benchmark in the root package and the serving

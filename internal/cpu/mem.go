@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"powerfits/internal/program"
+	"powerfits/internal/reuse"
 )
 
 // Machine memory is leased, not allocated. New takes a memory from a
@@ -31,24 +32,12 @@ const (
 var _ [32 - program.MemSize>>memChunkShift]struct{}
 
 var (
-	// memFree holds released, zeroed memories. A channel, so workers
-	// lease and release without a lock of their own.
-	memFree = make(chan *[program.MemSize]byte, memFreeCap)
+	// memFree holds released, zeroed memories.
+	memFree = reuse.NewFreeList[*[program.MemSize]byte](memFreeCap)
 	// memLive counts memories mapped and not yet unmapped: leased ones
 	// plus those on the free list.
 	memLive atomic.Int64
 )
-
-// leaseMem returns a zeroed memory, from the free list when it has one.
-func leaseMem() *[program.MemSize]byte {
-	select {
-	case mem := <-memFree:
-		return mem
-	default:
-	}
-	memLive.Add(1)
-	return mapMem()
-}
 
 // dropMem unmaps a memory that will not be leased again.
 func dropMem(mem *[program.MemSize]byte) {
@@ -59,18 +48,22 @@ func dropMem(mem *[program.MemSize]byte) {
 // returnMem puts a zeroed memory on the free list, or drops it when the
 // list is full.
 func returnMem(mem *[program.MemSize]byte) {
-	select {
-	case memFree <- mem:
-	default:
+	if !memFree.Put(mem) {
 		dropMem(mem)
 	}
 }
 
-// leaseFor gives m its memory and registers the cleanup that unmaps it
-// should m be dropped without Release.
+// leaseFor gives m a zeroed memory, from the free list when it has one,
+// and registers the cleanup that unmaps it should m be dropped without
+// Release.
 func (m *Machine) leaseFor() {
-	m.mem = leaseMem()
-	m.cleanup = runtime.AddCleanup(m, dropMem, m.mem)
+	mem, ok := memFree.Get()
+	if !ok {
+		memLive.Add(1)
+		mem = mapMem()
+	}
+	m.mem = mem
+	m.cleanup = runtime.AddCleanup(m, dropMem, mem)
 }
 
 // touch marks the chunk holding address a as written. Callers have

@@ -111,8 +111,8 @@ var executors = []struct {
 // release, and returns a function that puts the held memories back.
 func holdFreeList() func() {
 	var held []*[program.MemSize]byte
-	for len(memFree) > 0 {
-		held = append(held, <-memFree)
+	for mem, ok := memFree.Get(); ok; mem, ok = memFree.Get() {
+		held = append(held, mem)
 	}
 	return func() {
 		for _, mem := range held {

@@ -370,7 +370,10 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 		return p.cycles(target, false)
 	}
 	if p.memo == nil {
-		p.memo = leaseMemo()
+		var ok bool
+		if p.memo, ok = memoFree.Get(); !ok {
+			p.memo = new(segMemo)
+		}
 	}
 	m := p.m
 	unbounded := target == math.MaxUint64

@@ -3,7 +3,8 @@ package cpu
 import (
 	"math"
 	"slices"
-	"sync"
+
+	"powerfits/internal/reuse"
 )
 
 // The segment memo (FastSim-style memoization of the cycle loop).
@@ -411,25 +412,9 @@ func (s *segMemo) reset() {
 	s.entries, s.bits, s.gaps = s.entries[:0], s.bits[:0], s.gaps[:0]
 }
 
-// memoFree is a LIFO of released memos, so sequential runs reuse the
-// one already grown to their size.
-var memoFree struct {
-	sync.Mutex
-	n    int
-	list [memoFreeCap]*segMemo
-}
-
-func leaseMemo() *segMemo {
-	memoFree.Lock()
-	defer memoFree.Unlock()
-	if memoFree.n == 0 {
-		return new(segMemo)
-	}
-	memoFree.n--
-	s := memoFree.list[memoFree.n]
-	memoFree.list[memoFree.n] = nil
-	return s
-}
+// memoFree holds released memos, so sequential runs reuse the one
+// already grown to their size.
+var memoFree = reuse.NewFreeList[*segMemo](memoFreeCap)
 
 // releaseMemo empties s and puts it on the free list, or drops it when
 // the list is full or s has grown too large to keep.
@@ -438,10 +423,5 @@ func releaseMemo(s *segMemo) {
 		return
 	}
 	s.reset()
-	memoFree.Lock()
-	defer memoFree.Unlock()
-	if memoFree.n < memoFreeCap {
-		memoFree.list[memoFree.n] = s
-		memoFree.n++
-	}
+	memoFree.Put(s)
 }

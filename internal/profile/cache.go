@@ -1,8 +1,9 @@
 package profile
 
 import (
-	"container/list"
-	"sync"
+	"sync/atomic"
+
+	"powerfits/internal/reuse"
 )
 
 // CacheKey identifies one profiling run: the content hash of the
@@ -22,38 +23,27 @@ type CacheKey struct {
 	Budget uint64
 }
 
-// cacheEntry is one populated (or in-flight) profiling run. ready is
-// closed once prof/err are final; late arrivals block on it instead of
-// re-running the collection.
-type cacheEntry struct {
-	ready chan struct{}
-	prof  *Profile
-	err   error
-	key   CacheKey
-	elem  *list.Element
-}
-
 // Cache memoizes Collect results by CacheKey so many synthesis points
 // over the same program share one profiling run — the expensive stage
 // of preparation, since it executes every dynamic instruction of the
 // application. The design-space sweep threads one Cache through
 // thousands of sim.PrepareWith calls.
 //
-// A Cache is safe for concurrent use. Concurrent misses on the same
-// key are single-flight: the first caller runs the collection, the
-// rest block until it completes and share the outcome (including an
-// error, which is cached — the run is deterministic, so retrying
-// cannot succeed). The cached *Profile is shared read-only by every
-// caller; Profile has no mutating methods after build, which is the
-// same contract sim.Setup relies on across engine workers.
+// A Cache is safe for concurrent use. It is a single-flight
+// reuse.Memo: concurrent misses on one key run one collection and share
+// its outcome, including an error, which is cached as part of the
+// value — the run is deterministic, so retrying cannot succeed. The
+// cached *Profile is shared read-only by every caller; Profile has no
+// mutating methods after build, which is the same contract sim.Setup
+// relies on across engine workers.
 type Cache struct {
-	mu      sync.Mutex
-	entries map[CacheKey]*cacheEntry
-	order   *list.List // most recently used first
-	limit   int        // 0 = unbounded
-	hits    uint64
-	misses  uint64
-	evicted uint64
+	memo         *reuse.Memo[CacheKey, collected]
+	hits, misses atomic.Uint64
+}
+
+type collected struct {
+	prof *Profile
+	err  error
 }
 
 // NewCache returns an empty, unbounded profile cache — the right shape
@@ -63,18 +53,13 @@ func NewCache() *Cache {
 	return NewBoundedCache(0)
 }
 
-// NewBoundedCache returns a cache holding at most limit distinct keys,
-// evicting least-recently-used profiles past the bound (limit ≤ 0 is
-// unbounded). A long-running service over an open-ended program
+// NewBoundedCache returns a cache holding at most limit completed
+// profiles, evicting the least recently used past the bound (limit ≤ 0
+// is unbounded). A long-running service over an open-ended program
 // population needs the bound: profiles are large (per-address dynamic
 // counts), and an unbounded memo is a slow memory leak.
-//
-// Eviction forgets the memo without invalidating outstanding
-// references: callers already holding the shared *Profile (including
-// waiters blocked on an in-flight collection) are unaffected, the key
-// just pays a fresh collection next time.
 func NewBoundedCache(limit int) *Cache {
-	return &Cache{entries: make(map[CacheKey]*cacheEntry), order: list.New(), limit: limit}
+	return &Cache{memo: reuse.NewMemo[CacheKey, collected](limit)}
 }
 
 // Collect returns the memoized profile for key, running collect to
@@ -85,63 +70,25 @@ func (c *Cache) Collect(key CacheKey, collect func() (*Profile, error)) (*Profil
 	if c == nil {
 		return collect()
 	}
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.hits++
-		c.order.MoveToFront(e.elem)
-		c.mu.Unlock()
-		<-e.ready
-		return e.prof, e.err
+	r, out, _ := c.memo.Do(key, func() (collected, error) {
+		prof, err := collect()
+		return collected{prof, err}, nil
+	})
+	if out == reuse.Led {
+		c.misses.Add(1)
+	} else {
+		c.hits.Add(1)
 	}
-	e := &cacheEntry{ready: make(chan struct{}), key: key}
-	c.entries[key] = e
-	e.elem = c.order.PushFront(e)
-	c.misses++
-	if c.limit > 0 {
-		for len(c.entries) > c.limit {
-			oldest := c.order.Back()
-			old := oldest.Value.(*cacheEntry)
-			c.order.Remove(oldest)
-			delete(c.entries, old.key)
-			c.evicted++
-		}
-	}
-	c.mu.Unlock()
-
-	e.prof, e.err = collect()
-	close(e.ready)
-	return e.prof, e.err
+	return r.prof, r.err
 }
 
-// Stats returns the cumulative hit and miss counts. Misses equal the
-// number of profiling runs actually executed, which is what the
-// sweep's memo-sharing test asserts on.
+// Stats returns the cumulative hit and miss counts; a call that waited
+// on another's collection counts as a hit. Misses equal the number of
+// profiling runs actually executed, which is what the sweep's
+// memo-sharing test asserts on.
 func (c *Cache) Stats() (hits, misses uint64) {
 	if c == nil {
 		return 0, 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Evicted returns how many memoized profiles the capacity bound has
-// discarded.
-func (c *Cache) Evicted() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicted
-}
-
-// Len returns the number of distinct keys held.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
+	return c.hits.Load(), c.misses.Load()
 }

@@ -4,27 +4,30 @@
 // Clients POST a program plus options to /synth and receive the full
 // synthesized-ISA report.
 //
-// Three layers keep it fast under load:
+// Three layers keep it fast under load, and every memo among them is
+// one reuse.Memo, a bounded single-flight LRU:
 //
 //  1. Result cache — requests canonicalize to the config-hash identity
-//     scheme internal/archive uses for run IDs; identical requests are
-//     served byte-identically from an in-memory LRU backed by the
-//     archive store (so the cache survives restarts).
+//     scheme internal/archive uses for run IDs. Identical requests are
+//     served byte-identically from the response memo; its leader
+//     probes the archive store (so the cache survives restarts) before
+//     it computes, and identical requests arriving meanwhile join that
+//     one flight.
 //  2. Shared immutable state + admission control — cold requests share
 //     read-only predecode/compiled tables (sim.Prepare's concurrency
 //     contract) and a bounded profile.Cache, gated by a worker
 //     semaphore with a bounded accept queue and fast-fail 429s beyond
 //     it.
 //  3. Batching — concurrent requests sharing an image coalesce into
-//     one preparation (optionally held open for a small window) and
-//     fan back out; fully identical requests coalesce into one
-//     computation.
+//     one preparation through the setup memo (optionally held open for
+//     a small window) and fan back out.
 //
 // The daemon rides the telemetry plane: /metrics, /healthz, /progress
 // and pprof are mounted beside /synth.
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"log/slog"
@@ -37,6 +40,7 @@ import (
 	"powerfits/internal/experiments"
 	"powerfits/internal/metrics"
 	"powerfits/internal/profile"
+	"powerfits/internal/reuse"
 	"powerfits/internal/sim"
 	"powerfits/internal/telemetry"
 )
@@ -57,10 +61,6 @@ type Options struct {
 	BatchWindow time.Duration
 	// CacheEntries bounds the in-memory result LRU (default 512).
 	CacheEntries int
-	// SetupEntries bounds the prepared-image LRU (default 64).
-	SetupEntries int
-	// ProfileEntries bounds the profile memo (default 128 keys).
-	ProfileEntries int
 	// Store, when non-nil, persists responses as archive records —
 	// the durable cache tier. Nil serves from memory only.
 	Store *archive.Store
@@ -73,9 +73,15 @@ type Options struct {
 	Log *slog.Logger
 }
 
-// maxRequestBytes bounds a /synth request body; assembly sources are
-// text and comfortably fit.
-const maxRequestBytes = 4 << 20
+const (
+	// maxRequestBytes bounds a /synth request body; assembly sources
+	// are text and comfortably fit.
+	maxRequestBytes = 4 << 20
+	// setupEntries bounds the prepared-image memo.
+	setupEntries = 64
+	// profileEntries bounds the profile memo.
+	profileEntries = 128
+)
 
 // Service is the daemon's request plane. Create with New, mount
 // Handler, call Drain before shutting the HTTP server down.
@@ -86,13 +92,12 @@ type Service struct {
 	tracker  *telemetry.Tracker
 	store    *archive.Store
 	calBlob  []byte
-	results  *resultLRU
-	setups   *setupCache
+	results  *reuse.Memo[string, []byte]     // request key → response bytes
+	setups   *reuse.Memo[string, *sim.Setup] // image identity → prepared image
 	admit    *admitter
 	profiles *profile.Cache
 
 	mu       sync.Mutex
-	flights  map[string]*flight
 	draining bool
 	served   int // completed cold computations, for /progress
 
@@ -102,16 +107,11 @@ type Service struct {
 	errors   *metrics.Counter
 	hitLat   *metrics.Histogram
 	coldLat  *metrics.Histogram
-}
 
-// flight is one in-progress computation of a fully identical request:
-// later arrivals wait for the leader's outcome instead of re-entering
-// the admission queue.
-type flight struct {
-	done   chan struct{}
-	body   []byte
-	status int
-	errMsg string
+	// batch counts setup-memo outcomes, indexed by reuse.Outcome:
+	// serve/batch/memo_hits (a completed setup served), joined (an
+	// in-flight prepare shared) and leaders (prepares actually run).
+	batch [3]*metrics.Counter
 }
 
 // New builds a Service. The returned service has no listener of its
@@ -125,12 +125,6 @@ func New(opts Options) *Service {
 	}
 	if opts.CacheEntries <= 0 {
 		opts.CacheEntries = 512
-	}
-	if opts.SetupEntries <= 0 {
-		opts.SetupEntries = 64
-	}
-	if opts.ProfileEntries <= 0 {
-		opts.ProfileEntries = 128
 	}
 	if opts.Registry == nil {
 		opts.Registry = metrics.NewRegistry()
@@ -146,26 +140,30 @@ func New(opts Options) *Service {
 	reg := opts.Registry
 	cacheSc := reg.Scope("serve", "cache")
 	latSc := reg.Scope("serve", "latency")
-	s := &Service{
+	batchSc := reg.Scope("serve", "batch")
+	return &Service{
 		opts:     opts,
 		log:      opts.Log,
 		reg:      reg,
 		tracker:  opts.Tracker,
 		store:    opts.Store,
 		calBlob:  calBlob,
-		results:  newResultLRU(opts.CacheEntries),
-		setups:   newSetupCache(opts.SetupEntries, opts.BatchWindow, reg.Scope("serve", "batch")),
+		results:  reuse.NewMemo[string, []byte](opts.CacheEntries),
+		setups:   reuse.NewMemo[string, *sim.Setup](setupEntries),
 		admit:    newAdmitter(opts.Workers, opts.Queue, reg.Scope("serve", "admit")),
-		profiles: profile.NewBoundedCache(opts.ProfileEntries),
-		flights:  make(map[string]*flight),
+		profiles: profile.NewBoundedCache(profileEntries),
 		hits:     cacheSc.Counter("hits"),
 		storeGet: cacheSc.Counter("store_hits"),
 		misses:   cacheSc.Counter("misses"),
 		errors:   reg.Scope("serve").Counter("errors"),
 		hitLat:   latSc.Histogram("hit_sec", metrics.DurationBuckets),
 		coldLat:  latSc.Histogram("cold_sec", metrics.DurationBuckets),
+		batch: [...]*metrics.Counter{
+			reuse.Hit:    batchSc.Counter("memo_hits"),
+			reuse.Joined: batchSc.Counter("joined"),
+			reuse.Led:    batchSc.Counter("leaders"),
+		},
 	}
-	return s
 }
 
 // Registry returns the service's metrics registry.
@@ -189,7 +187,7 @@ func (s *Service) Handler() http.Handler {
 // only reads cheap state (an LRU length, a directory listing) — a
 // scrape must never block request handling.
 func (s *Service) gather(reg *metrics.Registry) {
-	reg.Scope("serve", "cache").Gauge("entries").Set(float64(s.results.len()))
+	reg.Scope("serve", "cache").Gauge("entries").Set(float64(s.results.Len()))
 	if s.store != nil {
 		if err := s.store.PublishStats(reg.Scope("archive")); err != nil {
 			s.log.Warn("archive stats unavailable", "err", err)
@@ -240,63 +238,42 @@ func (s *Service) handleSynth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Identical requests share one entry of the response memo. Its
+	// leader probes the durable tier and then computes; requests
+	// arriving meanwhile join the flight outside the admission queue
+	// (they consume no worker or queue slot) and receive its outcome.
 	start := time.Now()
-	if body, ok := s.results.get(c.Key); ok {
-		s.hits.Inc()
-		s.hitLat.Observe(time.Since(start).Seconds())
-		s.writeReport(w, c, body, "hit")
-		return
-	}
-	if body, ok := s.storeProbe(c); ok {
-		s.storeGet.Inc()
-		s.results.put(c.Key, body)
-		s.hitLat.Observe(time.Since(start).Seconds())
-		s.writeReport(w, c, body, "store")
-		return
-	}
-	s.misses.Inc()
-
-	// Identical concurrent requests coalesce: one leader computes,
-	// joiners wait outside the admission queue (they consume no worker
-	// or queue slot).
-	f, leader := s.joinFlight(c.Key)
-	if !leader {
-		<-f.done
-		if f.status != http.StatusOK {
-			if f.status == http.StatusTooManyRequests {
-				w.Header().Set("Retry-After", "1")
-			}
-			httpError(w, f.status, f.errMsg)
-			return
+	tier, lat := "cold", s.coldLat
+	body, out, err := s.results.Do(c.Key, func() ([]byte, error) {
+		if body, ok := s.storeProbe(c); ok {
+			tier = "store"
+			return body, nil
 		}
-		s.coldLat.Observe(time.Since(start).Seconds())
-		s.writeReport(w, c, f.body, "coalesced")
-		return
+		return s.compute(r, c)
+	})
+	switch {
+	case out == reuse.Hit:
+		tier, lat = "hit", s.hitLat
+		s.hits.Inc()
+	case out == reuse.Joined:
+		tier = "coalesced"
+		s.misses.Inc()
+	case tier == "store":
+		lat = s.hitLat
+		s.storeGet.Inc()
+	default:
+		s.misses.Inc()
 	}
-	defer s.finishFlight(c.Key, f)
-
-	release, err := s.admit.acquire(r.Context())
 	if err != nil {
-		f.status = statusForAdmit(err)
-		f.errMsg = err.Error()
-		if f.status == http.StatusTooManyRequests {
+		status := statusFor(err)
+		if status == http.StatusTooManyRequests {
 			w.Header().Set("Retry-After", "1")
 		}
-		httpError(w, f.status, f.errMsg)
+		httpError(w, status, err.Error())
 		return
 	}
-	defer release()
-
-	body, status, errMsg := s.compute(c)
-	f.body, f.status, f.errMsg = body, status, errMsg
-	if status != http.StatusOK {
-		s.errors.Inc()
-		s.log.Warn("synthesis request failed", "key", c.Key, "status", status, "err", errMsg)
-		httpError(w, status, errMsg)
-		return
-	}
-	s.coldLat.Observe(time.Since(start).Seconds())
-	s.writeReport(w, c, body, "cold")
+	lat.Observe(time.Since(start).Seconds())
+	s.writeReport(w, c, body, tier)
 }
 
 // storeProbe checks the durable tier for a cached response. Store
@@ -317,21 +294,27 @@ func (s *Service) storeProbe(c *Canonical) ([]byte, bool) {
 	return rec.Serve.Body, true
 }
 
-// compute runs the cold path: prepare (batched/memoized), simulate,
-// render, persist. It returns the response body and an HTTP status —
-// 422 for requests that are well-formed but uncomputable (assembly
-// that does not parse, synthesis constraints with no feasible
-// encoding).
-func (s *Service) compute(c *Canonical) (body []byte, status int, errMsg string) {
-	setup, err := s.setups.get(c.SetupKey, func() (*sim.Setup, error) {
+// compute runs the cold path once admission grants it a worker:
+// prepare (batched/memoized), simulate, render, persist. Its errors
+// map to statuses through statusFor.
+func (s *Service) compute(r *http.Request, c *Canonical) ([]byte, error) {
+	release, err := s.admit.acquire(r.Context())
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	var body []byte
+	var rep *Report
+	setup, err := s.prepare(c.SetupKey, func() (*sim.Setup, error) {
 		return c.Prepare(s.profiles, s.log)
 	})
-	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err.Error()
+	if err == nil {
+		body, rep, err = c.Evaluate(setup)
 	}
-	body, rep, err := c.Evaluate(setup)
 	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err.Error()
+		s.errors.Inc()
+		s.log.Warn("synthesis request failed", "key", c.Key, "status", statusFor(err), "err", err)
+		return nil, err
 	}
 
 	if s.store != nil {
@@ -341,9 +324,24 @@ func (s *Service) compute(c *Canonical) (body []byte, status int, errMsg string)
 			s.log.Warn("persisting response failed", "run_id", c.RunID, "err", err)
 		}
 	}
-	s.results.put(c.Key, body)
 	s.publishProgress(rep)
-	return body, http.StatusOK, ""
+	return body, nil
+}
+
+// prepare returns the prepared image for key from the setup memo,
+// running build once per flight (a failed build is not memoized). A
+// positive batch window holds the flight open before building, so
+// near-simultaneous requests join it instead of paying their own
+// prepare, which costs milliseconds to seconds.
+func (s *Service) prepare(key string, build func() (*sim.Setup, error)) (*sim.Setup, error) {
+	setup, out, err := s.setups.Do(key, func() (*sim.Setup, error) {
+		if s.opts.BatchWindow > 0 {
+			time.Sleep(s.opts.BatchWindow)
+		}
+		return build()
+	})
+	s.batch[out].Inc()
+	return setup, err
 }
 
 // publishProgress feeds the telemetry tracker one event per completed
@@ -362,24 +360,6 @@ func (s *Service) publishProgress(rep *Report) {
 	})
 }
 
-func (s *Service) joinFlight(key string) (*flight, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.flights[key]; ok {
-		return f, false
-	}
-	f := &flight{done: make(chan struct{})}
-	s.flights[key] = f
-	return f, true
-}
-
-func (s *Service) finishFlight(key string, f *flight) {
-	s.mu.Lock()
-	delete(s.flights, key)
-	s.mu.Unlock()
-	close(f.done)
-}
-
 func (s *Service) writeReport(w http.ResponseWriter, c *Canonical, body []byte, tier string) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
@@ -388,13 +368,21 @@ func (s *Service) writeReport(w http.ResponseWriter, c *Canonical, body []byte, 
 	w.Write(body)
 }
 
-func statusForAdmit(err error) int {
-	if errors.Is(err, errBusy) {
+// statusFor maps the error of a failed flight, which every request of
+// the flight receives, to its HTTP status.
+func statusFor(err error) int {
+	switch {
+	case errors.Is(err, errBusy):
 		return http.StatusTooManyRequests
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		// The client went away while queued; 503 is the conventional
+		// "not processed" answer for the rare case the write still
+		// lands.
+		return http.StatusServiceUnavailable
 	}
-	// The client went away while queued; 503 is the conventional
-	// "not processed" answer for the rare case the write still lands.
-	return http.StatusServiceUnavailable
+	// Well-formed but uncomputable: assembly that does not parse,
+	// synthesis constraints with no feasible encoding.
+	return http.StatusUnprocessableEntity
 }
 
 // httpError writes a small JSON error document.

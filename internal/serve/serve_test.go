@@ -331,7 +331,7 @@ func TestAdmitterBounds(t *testing.T) {
 
 func TestSetupCacheBatching(t *testing.T) {
 	reg := metrics.NewRegistry()
-	sc := newSetupCache(8, 10*time.Millisecond, reg.Scope("serve", "batch"))
+	svc := New(Options{Workers: 1, BatchWindow: 10 * time.Millisecond, Registry: reg})
 
 	var mu sync.Mutex
 	builds := 0
@@ -341,7 +341,7 @@ func TestSetupCacheBatching(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc.get("image-1", func() (*sim.Setup, error) {
+			svc.prepare("image-1", func() (*sim.Setup, error) {
 				mu.Lock()
 				builds++
 				mu.Unlock()
@@ -361,9 +361,52 @@ func TestSetupCacheBatching(t *testing.T) {
 
 	// A later request for the same image is a memo hit, not a new
 	// prepare.
-	sc.get("image-1", func() (*sim.Setup, error) { t.Fatal("rebuilt a memoized setup"); return nil, nil })
+	svc.prepare("image-1", func() (*sim.Setup, error) { t.Fatal("rebuilt a memoized setup"); return nil, nil })
 	if hits := reg.Scope("serve", "batch").Counter("memo_hits").Value(); hits != 1 {
 		t.Fatalf("memo_hits = %d, want 1", hits)
+	}
+}
+
+// TestServeCoalescedFailure: identical requests that fail while one of
+// them computes all receive the leader's status, and the failure is not
+// memoized — a later identical request computes again. The batch window
+// holds the failing prepare open so every request lands in its flight.
+func TestServeCoalescedFailure(t *testing.T) {
+	svc := New(Options{Workers: 1, BatchWindow: 100 * time.Millisecond})
+	h := svc.Handler()
+	bad := Request{Asm: "this is not assembly"}
+
+	codes := make([]int, 4)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i] = doPost(t, h, bad).Code
+		}(i)
+	}
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusUnprocessableEntity {
+			t.Fatalf("request %d: status %d, want 422", i, code)
+		}
+	}
+	batch := svc.reg.Scope("serve", "batch")
+	if leaders := batch.Counter("leaders").Value(); leaders != 1 {
+		t.Fatalf("concurrent identical failures ran %d prepares, want 1", leaders)
+	}
+	if errs := svc.reg.Scope("serve").Counter("errors").Value(); errs != 1 {
+		t.Fatalf("serve/errors = %d, want 1 (only the leader computed)", errs)
+	}
+
+	if w := doPost(t, h, bad); w.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("retry: status %d, want 422", w.Code)
+	}
+	if leaders := batch.Counter("leaders").Value(); leaders != 2 {
+		t.Fatalf("a failed request was memoized: %d prepares after the retry, want 2", leaders)
+	}
+	if _, _, misses := svc.CacheStats(); misses != 5 {
+		t.Fatalf("misses = %d, want 5", misses)
 	}
 }
 

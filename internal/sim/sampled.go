@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"powerfits/internal/cache"
 	"powerfits/internal/cpu"
 	"powerfits/internal/power"
+	"powerfits/internal/reuse"
 	"powerfits/internal/tracing"
 )
 
@@ -235,36 +235,20 @@ type sampleState struct {
 	meters      []meterSample
 }
 
-// sampleFreeCap bounds the free list of released sampleStates.
-const sampleFreeCap = 8
-
 // sampleFree recycles sampleStates (and the ratio slices and warm-once
-// sets they carry) across sampled runs: a LIFO, so sequential runs
-// reuse the state just released, and bounded, so it keeps at most one
-// state per concurrent run up to the cap. A one-shot CLI run never
+// sets they carry) across sampled runs. A one-shot CLI run never
 // notices, but the serve hot path issues one sampled pass per request
 // and pass, and without the list each pays the scratch allocations
 // anew.
-var sampleFree struct {
-	sync.Mutex
-	n    int
-	list [sampleFreeCap]*sampleState
-}
+var sampleFree = reuse.NewFreeList[*sampleState](8)
 
 // newSampleState leases a recycled (or fresh) sampleState, bound to
 // this pass's cache and geometry, with n meter samples, ratio capacity
 // of at least hint, and, when instrs is positive, a cleared warm-once
 // set of at least instrs bits.
 func newSampleState(c *cache.Cache, lineBytes, n, hint, instrs int) *sampleState {
-	sampleFree.Lock()
-	var st *sampleState
-	if sampleFree.n > 0 {
-		sampleFree.n--
-		st = sampleFree.list[sampleFree.n]
-		sampleFree.list[sampleFree.n] = nil
-	}
-	sampleFree.Unlock()
-	if st == nil {
+	st, ok := sampleFree.Get()
+	if !ok {
 		st = new(sampleState)
 	}
 	st.c = c
@@ -314,12 +298,7 @@ func (st *sampleState) release() {
 	for i := range st.meters {
 		st.meters[i].m = nil
 	}
-	sampleFree.Lock()
-	defer sampleFree.Unlock()
-	if sampleFree.n < sampleFreeCap {
-		sampleFree.list[sampleFree.n] = st
-		sampleFree.n++
-	}
+	sampleFree.Put(st)
 }
 
 // warm is the fast-forward's fetch witness: functional cache warming.

@@ -4,9 +4,11 @@
 // Pareto frontier of fetch energy vs code size vs cycles.
 //
 // Three layers make a sweep fast enough to explore thousands of
-// points. The profiling pass is memoized (profile.Cache threaded
+// points. The profiling pass is memoized (profile.Cache, the
+// single-flight reuse.Memo that serve's caches also use, threaded
 // through sim.PrepareWith), so every synthesis point of a kernel
-// shares one run of its most expensive stage. Every point has a
+// shares one run of its most expensive stage, even when the workers
+// reach it at once. Every point has a
 // deterministic run ID under the internal/archive scheme, probed
 // against the store before evaluation — a re-sweep after an interrupt,
 // or an extension of the grid, only simulates points it has never
