@@ -251,13 +251,15 @@ func BenchmarkTimingPipeline(b *testing.B) {
 }
 
 // benchSteadyState measures the predecoded timing loop in isolation:
-// per-iteration construction (cache, meter, machine) and the machine's
-// Release run with the timer stopped, so each run leases the memory the
-// last one released and ns/op is the cost of one full pipeline run over
-// the shared predecode table; allocs/op must be exactly 0 — the steady-state
-// cycle loop performs no heap allocations (Machine.Output is pre-sized
-// for the kernel's emitted words). cycles/s is the headline throughput
-// the predecode layer is gated on (see DESIGN.md §9).
+// per-iteration construction (cache, meter, port, machine) and the
+// machine's Release run with the timer stopped, so each run leases the
+// memory the last one released and ns/op is the cost of one full
+// pipeline run over the shared predecode table; allocs/op must be
+// exactly 0 — the steady-state cycle loop performs no heap allocations
+// (Machine.Output is pre-sized for the kernel's emitted words). The
+// port is the one the configuration's pass uses (fetchPort). cycles/s
+// is the headline throughput the predecode layer is gated on (see
+// DESIGN.md §9).
 func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 	cal := power.DefaultCalibration()
 	pc := cpu.DefaultPipeConfig()
@@ -266,7 +268,7 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 		prog, im, dec = s.Fits.Lowered, s.Fits.Image, s.FitsDecoded
 	}
 	var res cpu.PipeResult
-	replayed := replayedFrac(b, prog, im, dec, cfg.Cache) // also warms the memo free list
+	replayed, bulk := replayedFrac(b, prog, im, dec, cfg.Cache) // also warms the memo free list
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles uint64
@@ -274,7 +276,7 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 		b.StopTimer()
 		c := cache.MustNew(cfg.Cache)
 		stream := power.MustNewMeter(cfg.Cache, cal).Stream()
-		port := sim.NewFetchPort(c, im, pc.BlockBytes, stream)
+		port := fetchPort(c, im, stream)
 		m := cpu.New(prog, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		b.StartTimer()
@@ -290,20 +292,32 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 	b.ReportMetric(replayed, "replayed_frac")
+	b.ReportMetric(bulk, "bulk_frac")
+}
+
+// fetchPort returns the fetch port a pass over c uses: the holding port
+// when c holds the image text, the plain one otherwise.
+func fetchPort(c *cache.Cache, im *program.Image, stream *power.Stream) cpu.FetchPort {
+	block := cpu.DefaultPipeConfig().BlockBytes
+	if port, err := sim.NewHoldingFetchPort(c, im, block, stream); err == nil {
+		return port
+	}
+	return sim.NewFetchPort(c, im, block, stream)
 }
 
 // replayedFrac runs the image once, untimed, and returns the share of
-// its instructions the segment memo replayed: the runs are
-// deterministic, so it is every timed run's share too. The run leaves a
-// memo grown for the image on the free list, so the timed runs after
-// it allocate nothing.
-func replayedFrac(b *testing.B, prog *program.Program, im *program.Image, dec *cpu.Decoded, geom cache.Config) float64 {
+// its instructions the segment memo replayed and the share of replayed
+// fetches the port priced in bulk (the replay units' fetches past their
+// first PeakWindow cycles): the runs are deterministic, so they are
+// every timed run's shares too. The run leaves a memo grown for the
+// image on the free list, so the timed runs after it allocate nothing.
+func replayedFrac(b *testing.B, prog *program.Program, im *program.Image, dec *cpu.Decoded, geom cache.Config) (replayed, bulk float64) {
 	pc := cpu.DefaultPipeConfig()
 	stream := power.MustNewMeter(geom, power.DefaultCalibration()).Stream()
 	m := cpu.New(prog, cpu.ImageLayout(im))
 	defer m.Release()
 	var res cpu.PipeResult
-	run, err := cpu.NewPipelineRun(m, pc, sim.NewFetchPort(cache.MustNew(geom), im, pc.BlockBytes, stream), dec, &res)
+	run, err := cpu.NewPipelineRun(m, pc, fetchPort(cache.MustNew(geom), im, stream), dec, &res)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -311,7 +325,8 @@ func replayedFrac(b *testing.B, prog *program.Program, im *program.Image, dec *c
 	if err := run.RunUntil(math.MaxUint64); err != nil {
 		b.Fatal(err)
 	}
-	return float64(run.Replayed()) / float64(res.Instrs)
+	fetches, priced := run.ReplayedFetches()
+	return float64(run.Replayed()) / float64(res.Instrs), float64(priced) / float64(fetches)
 }
 
 // BenchmarkPipelineSteadyState is the pipeline's cycles/sec benchmark
@@ -344,7 +359,7 @@ func BenchmarkPipelineSharedPass(b *testing.B) {
 	pc := cpu.DefaultPipeConfig()
 	im := s.Fits.Image
 	var res cpu.PipeResult
-	replayed := replayedFrac(b, s.Fits.Lowered, im, s.FitsDecoded, sim.FITS16.Cache)
+	replayed, bulk := replayedFrac(b, s.Fits.Lowered, im, s.FitsDecoded, sim.FITS16.Cache)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var cycles uint64
@@ -355,7 +370,7 @@ func BenchmarkPipelineSharedPass(b *testing.B) {
 		if _, err := stream.NewMeter(sim.FITS8.Cache); err != nil {
 			b.Fatal(err)
 		}
-		port := sim.NewFetchPort(c, im, pc.BlockBytes, stream)
+		port := fetchPort(c, im, stream)
 		m := cpu.New(s.Fits.Lowered, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		b.StartTimer()
@@ -371,6 +386,7 @@ func BenchmarkPipelineSharedPass(b *testing.B) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 	b.ReportMetric(replayed, "replayed_frac")
+	b.ReportMetric(bulk, "bulk_frac")
 }
 
 // benchTracedSteadyState is benchSteadyState through the tracing entry
@@ -673,6 +689,30 @@ func BenchmarkPowerMeter(b *testing.B) {
 	}
 	if r := m.Report(); r.Cycles != uint64(b.N) || r.Accesses != uint64(b.N) {
 		b.Fatalf("meter counted %d cycles and %d accesses, want %d", r.Cycles, r.Accesses, b.N)
+	}
+}
+
+// BenchmarkStreamReplayRun measures the bulk update of the power
+// stream: one op applies a cached summary of a 64-cycle replay unit
+// (48 fetches of consecutive blocks, as the segment memo replays them),
+// in place of its 48 accesses and 64 ticks. ci.sh gates it at 0
+// allocs/op.
+func BenchmarkStreamReplayRun(b *testing.B) {
+	m := power.MustNewMeter(cache.SA1100ICache(), power.DefaultCalibration())
+	stream := m.Stream()
+	block := []byte{1, 2, 3, 4}
+	build := stream.BeginRun(nil)
+	for k := range 48 {
+		build.Access(uint32(k+k/3), uint32(k*4), block)
+	}
+	run := build.End(64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stream.ReplayRun(run)
+	}
+	if r := m.Report(); r.Cycles != 64*uint64(b.N) || r.Accesses != 48*uint64(b.N) {
+		b.Fatalf("meter counted %d cycles and %d accesses, want %d and %d", r.Cycles, r.Accesses, 64*b.N, 48*b.N)
 	}
 }
 

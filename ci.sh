@@ -72,6 +72,8 @@ expect_zero_allocs() {
 expect_zero_allocs "BenchmarkFetchPort" 1 "fetch port hot path"
 # The power model: stream accesses and cycles, priced by a meter.
 expect_zero_allocs "BenchmarkPowerMeter" 1 "power meter"
+# A cached replay-unit summary applied to the power stream in one step.
+expect_zero_allocs "BenchmarkStreamReplayRun" 1 "bulk replay unit"
 # The steady-state cycle loop over the shared predecode table, both ISAs.
 expect_zero_allocs "BenchmarkPipelineSteadyState/" 2 "pipeline steady-state cycle loop"
 # One pipeline run feeding one power stream priced by two meters (FITS16, FITS8).

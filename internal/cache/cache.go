@@ -229,6 +229,16 @@ func (c *Cache) hit(line uint32, base, i int) bool {
 	return true
 }
 
+// AddHits counts n accesses that hit resident lines, in one step and
+// without touching LRU stamps or hints. That equals n hits made by
+// Access only in a cache that cannot evict, such as one fed from a
+// range it holds (Config.Holds): there every miss finds an invalid way
+// in its set, Access picks the last one whatever the stamps say, and
+// the hints only speed up a scan whose answer they do not change. So
+// neither the stamps nor the hints a hit would set are ever read, and
+// Stats, Contains and every later Access read the same.
+func (c *Cache) AddHits(n uint64) { c.stats.Accesses += n }
+
 // Contains reports whether addr is resident without touching LRU state
 // or statistics.
 func (c *Cache) Contains(addr uint32) bool {

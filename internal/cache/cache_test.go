@@ -305,3 +305,57 @@ func TestHoldsEdges(t *testing.T) {
 		t.Error("an invalid geometry holds a range")
 	}
 }
+
+// TestAddHitsOnHoldingCache checks the bulk hit count of holding passes
+// against per-access hits: on a cache fed only from a range it holds,
+// two caches see the same first touches, but one makes each run of hits
+// to resident lines with Access and the other counts it with AddHits.
+// After every run their Stats and their Contains answers over the whole
+// range must agree, and so must the hit or miss of every later Access.
+// Geometries span one-byte to 64-byte lines, direct-mapped to 32-way,
+// and ranges ending at 2^32.
+func TestAddHitsOnHoldingCache(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	assocs := []int{1, 2, 4, 32}
+	for trial := 0; trial < 300; trial++ {
+		line := 1 << rng.Intn(7)
+		assoc := assocs[rng.Intn(len(assocs))]
+		g := Config{SizeBytes: line * assoc << rng.Intn(5), LineBytes: line, Assoc: assoc}
+		size := 1 + rng.Intn(g.SizeBytes)
+		base := uint32(rng.Int63n(1<<32 - int64(size) + 1))
+		if trial%8 == 0 {
+			base = uint32(1<<32 - int64(size))
+		}
+		if !g.Holds(base, size) {
+			continue
+		}
+		each, bulk := MustNew(g), MustNew(g)
+		var resident []uint32
+		for i := 0; i < 40; i++ {
+			// A fetch, then a run of hits on lines already resident.
+			addr := base + uint32(rng.Intn(size))
+			hitE, hitB := each.Access(addr), bulk.Access(addr)
+			if hitE != hitB {
+				t.Fatalf("%+v: access %d to %#x hit %t after per-access hits, %t after bulk hits", g, i, addr, hitE, hitB)
+			}
+			if !hitE {
+				resident = append(resident, addr)
+			}
+			n := rng.Intn(12)
+			for k := 0; k < n; k++ {
+				if !each.Access(resident[rng.Intn(len(resident))]) {
+					t.Fatalf("%+v: a resident line missed", g)
+				}
+			}
+			bulk.AddHits(uint64(n))
+			if each.Stats() != bulk.Stats() {
+				t.Fatalf("%+v: stats %+v after per-access hits, %+v after bulk hits", g, each.Stats(), bulk.Stats())
+			}
+			for a := uint64(base) &^ uint64(line-1); a < uint64(base)+uint64(size); a += uint64(line) {
+				if each.Contains(uint32(a)) != bulk.Contains(uint32(a)) {
+					t.Fatalf("%+v: Contains(%#x) differs after bulk hits", g, a)
+				}
+			}
+		}
+	}
+}

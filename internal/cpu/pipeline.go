@@ -22,26 +22,37 @@ type FetchPort interface {
 	// its per-cycle clock, leakage and peak-window effects from that
 	// count.
 	Tick()
-	// Resident reports, changing nothing, whether a FetchBlock of every
-	// block in [lo, hi) would return 0 stall cycles now. A memoized
-	// segment is replayed only when its fetched blocks are resident;
-	// false is always safe (the cycle loop then times the segment).
-	Resident(lo, hi uint32) bool
-	// Replay makes a replayed segment's fetches, which Resident has just
-	// vouched for: the FetchBlock and Tick calls of the cycle loop in
-	// bulk. The k-th fetch is of block lo + k×block, gaps[k] ticks after
-	// the previous fetch (or the segment's start), and the segment
-	// closes cycles ticks in all.
-	Replay(lo, block uint32, gaps []uint8, cycles uint32)
+	// Replay makes the cache side of a replayed segment's fetches, the
+	// n consecutive blocks from lo, if a FetchBlock of each would return
+	// 0 stall cycles now, and reports whether it did; otherwise it
+	// changes nothing. A memoized segment is replayed only when it
+	// returns true; false is always safe (the cycle loop then times the
+	// segment). The port may count the hits with the segment's replay
+	// unit (ReplayUnit) when its cache cannot evict.
+	Replay(lo, block uint32, n int) bool
+	// Summarize appends to dst the port's summary of a replay unit, a run
+	// of replayed segments whose k-th fetch is of block addr[k], at[k]
+	// ticks after the unit's start, and which closes cycles ticks in
+	// all. The pipeline keeps the summary and never looks inside it.
+	Summarize(dst []uint64, at, addr []uint32, cycles uint32) []uint64
+	// ReplayUnit makes the unit's fetches and ticks in bulk from sum,
+	// which starts with the unit's summary (words after it are not
+	// read): afterwards the port is where the unit's FetchBlock and
+	// Tick calls would have left it. The pipeline applies a unit before
+	// any other FetchBlock or Tick and before RunUntil returns. It
+	// returns the unit's fetches that the port priced in bulk, a
+	// diagnostic.
+	ReplayUnit(sum []uint64) (bulk int)
 }
 
 // nullPort satisfies FetchPort with an ideal (always-hit) memory.
 type nullPort struct{}
 
-func (nullPort) FetchBlock(uint32) int                  { return 0 }
-func (nullPort) Tick()                                  {}
-func (nullPort) Resident(uint32, uint32) bool           { return true }
-func (nullPort) Replay(uint32, uint32, []uint8, uint32) {}
+func (nullPort) FetchBlock(uint32) int                                    { return 0 }
+func (nullPort) Tick()                                                    {}
+func (nullPort) Replay(uint32, uint32, int) bool                          { return true }
+func (nullPort) Summarize(dst []uint64, _, _ []uint32, _ uint32) []uint64 { return dst }
+func (nullPort) ReplayUnit([]uint64) int                                  { return 0 }
 
 // NullFetchPort returns an ideal instruction memory (every access hits).
 var NullFetchPort FetchPort = nullPort{}
@@ -249,6 +260,11 @@ type PipelineRun struct {
 	lazy     bool
 	replayed uint64
 	noMemo   bool
+	// The pending replay unit's trie node + 1 (0 when none), and the
+	// fetches replayed and, of those, priced in bulk (ReplayedFetches).
+	unit            int32
+	replayedFetches uint64
+	bulkFetches     uint64
 }
 
 // NewPipelineRun validates the inputs and returns a run positioned at
@@ -322,6 +338,13 @@ func (p *PipelineRun) Release() {
 // diagnostic: the timing result does not depend on it.
 func (p *PipelineRun) Replayed() uint64 { return p.replayed }
 
+// ReplayedFetches returns how many of the run's fetches were replayed,
+// and how many of those the port priced in bulk (FetchPort.ReplayUnit).
+// It is a diagnostic like Replayed.
+func (p *PipelineRun) ReplayedFetches() (fetches, bulk uint64) {
+	return p.replayedFetches, p.bulkFetches
+}
+
 // Done reports whether the machine behind the run has halted.
 func (p *PipelineRun) Done() bool { return p.m.Halted }
 
@@ -335,6 +358,7 @@ func (p *PipelineRun) Cycles() uint64 { return p.cycle }
 // caller is expected to run an unmeasured warmup window before trusting
 // the timing again.
 func (p *PipelineRun) Resync() error {
+	p.flushUnit()
 	m := p.m
 	if m.Halted {
 		return nil
@@ -386,11 +410,13 @@ func (p *PipelineRun) RunUntil(target uint64) error {
 		if boundary && p.replay(limit) {
 			continue // a replay ends at a boundary
 		}
+		p.flushUnit()
 		if err := p.cycles(target, true); err != nil {
 			return err
 		}
 		boundary = !m.Halted && p.atBoundary()
 	}
+	p.flushUnit()
 	p.res.Cycles, p.res.Output = p.cycle, m.Output
 	return nil
 }

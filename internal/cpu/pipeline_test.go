@@ -40,15 +40,20 @@ func (c *countingPort) FetchBlock(addr uint32) int {
 	return 0
 }
 func (c *countingPort) Tick() {}
-func (c *countingPort) Replay(lo, block uint32, gaps []uint8, _ uint32) {
-	for range gaps {
+
+// Replay can promise hits only when the port never stalls.
+func (c *countingPort) Replay(lo, block uint32, n int) bool {
+	if c.every != 0 {
+		return false
+	}
+	for range n {
 		c.FetchBlock(lo)
 		lo += block
 	}
+	return true
 }
-
-// Resident can promise hits only when the port never stalls.
-func (c *countingPort) Resident(uint32, uint32) bool { return c.every == 0 }
+func (c *countingPort) Summarize(dst []uint64, _, _ []uint32, _ uint32) []uint64 { return dst }
+func (c *countingPort) ReplayUnit([]uint64) int                                  { return 0 }
 
 func straightLine(n int) *program.Program {
 	b := asm.New("straight")

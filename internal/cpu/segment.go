@@ -22,12 +22,21 @@ import (
 // RunUntil therefore executes a segment functionally first (execSegment)
 // and looks its (entry state, outcome string) up in the run's memo. On a
 // hit whose fetched lines are all resident it replays the segment: the
-// fetches go through the port at their recorded cycles, so the cache's
-// LRU order and statistics and the power stream stay exact, the idle
-// cycles advance in bulk, and the recorded counter deltas and exit
-// state are applied. Otherwise the one cycle loop times the segment
-// over the recorded outcomes (it never re-executes them) and, when
-// every fetch hit, records it.
+// recorded counter deltas and exit state are applied, the cache side of
+// its fetches is made through the port (FetchPort.Replay), and the
+// segment joins the pending replay unit. Otherwise the one cycle loop
+// times the segment over the recorded outcomes (it never re-executes
+// them) and, when every fetch hit, records it.
+//
+// A replay unit is a run of consecutive replays, a path in the memo's
+// trie keyed by (parent path, segment entry) and at most unitMaxCycles
+// cycles long (a longer segment is a unit of its own). Each path node
+// holds the port's summary of its fetches and ticks, built once
+// (FetchPort.Summarize), so the power stream takes a whole unit in one
+// step (FetchPort.ReplayUnit) with every count, the peak window and
+// every reading exact. The pending unit is applied before the cycle
+// loop makes its next fetch or tick and before RunUntil returns, so no
+// caller sees the stream between.
 
 const (
 	// segMaxInstrs bounds the outcome string: a longer straight-line
@@ -40,11 +49,21 @@ const (
 	memoMaxEntries = 1 << 13
 	// memoMaxGaps bounds the fetch-gap arena the same way.
 	memoMaxGaps = 1 << 20
+	// unitMaxCycles caps a replay unit's path: a segment joins the
+	// pending unit only while the unit stays within this many cycles.
+	unitMaxCycles = 64
+	// memoMaxNodes bounds the path trie: once it holds this many nodes a
+	// path with no node yet ends its unit instead. Every entry keeps its
+	// own one-segment node besides. No run of the suite at scale 4 needs
+	// more than ~10 200.
+	memoMaxNodes = 1 << 14
 	// memoFreeCap bounds the free list of released memos, and a memo
-	// grown past memoKeepEntries is not kept on it: the few runs that
-	// need one that large allocate their own.
+	// grown past memoKeepEntries entries or memoKeepNodes nodes is not
+	// kept on it: the few runs that need one that large allocate their
+	// own.
 	memoFreeCap     = 4
 	memoKeepEntries = 1 << 10
+	memoKeepNodes   = 1 << 12
 )
 
 // A boundary state packs, relative to the boundary's cycle, how many
@@ -250,16 +269,17 @@ func (p *PipelineRun) replay(limit uint64) bool {
 	}
 	q.st = st
 	q.hash = q.keyHash()
-	e := p.memo.find(q)
-	if e == nil {
+	ei := p.memo.find(q)
+	if ei < 0 {
 		q.record = true
 		return false
 	}
+	e := &p.memo.entries[ei]
 	block := uint32(p.cfg.BlockBytes)
-	if p.cycle+uint64(e.cycles) > p.maxCycles || !p.port.Resident(e.lo, e.lo+uint32(e.nfetch)*block) {
+	if p.cycle+uint64(e.cycles) > p.maxCycles || !p.port.Replay(e.lo, block, int(e.nfetch)) {
 		return false
 	}
-	p.port.Replay(e.lo, block, p.memo.gaps[e.gapsAt:e.gapsAt+uint32(e.nfetch)], e.cycles)
+	p.extendUnit(ei)
 	p.cycle += uint64(e.cycles)
 	p.res.addSegCounters(&e.delta)
 	p.st, p.lazy = e.out&(1<<stBubble-1), true
@@ -267,8 +287,45 @@ func (p *PipelineRun) replay(limit uint64) bool {
 	addr := p.recs[p.m.PCIdx].Addr
 	p.fStart, p.fEnd = addr, addr
 	p.replayed += uint64(q.n)
+	p.replayedFetches += uint64(e.nfetch)
 	q.n = 0
 	return true
+}
+
+// extendUnit adds the replayed segment entry ei to the pending replay
+// unit: the unit's path takes the trie edge to ei while it stays within
+// unitMaxCycles cycles and the trie has that node or room for it.
+// Otherwise the pending unit is applied and ei starts the next one.
+func (p *PipelineRun) extendUnit(ei int32) {
+	s := p.memo
+	if u := p.unit - 1; u >= 0 {
+		// The child the path last went on to is tried first; it exists,
+		// so it is within the cap.
+		if c := s.nodes[u].next - 1; c >= 0 && s.nodes[c].entry() == ei {
+			p.unit = c + 1
+			return
+		}
+		if uint64(s.nodes[u].cycles())+uint64(s.entries[ei].cycles) <= unitMaxCycles {
+			if c := s.child(u, ei); c >= 0 {
+				p.unit = c + 1
+				return
+			}
+		}
+		p.flushUnit()
+	}
+	if s.entries[ei].root == 0 {
+		s.entries[ei].root = s.addNode(-1, ei) + 1
+	}
+	p.unit = s.entries[ei].root
+}
+
+// flushUnit applies the pending replay unit, if any, through the port.
+func (p *PipelineRun) flushUnit() {
+	if p.unit == 0 {
+		return
+	}
+	p.bulkFetches += uint64(p.port.ReplayUnit(p.memo.summary(p, p.unit-1)))
+	p.unit = 0
 }
 
 // nSegCounters is the number of PipeResult counters besides Cycles.
@@ -315,7 +372,25 @@ type segEntry struct {
 	nfetch uint16
 	delta  [nSegCounters]uint16
 	taken  bool
+	root   int32 // the node of the unit of this segment alone, + 1; 0 until built
 }
+
+// pathNode is one replay unit in the memo's path trie: a root is one
+// segment, and a child extends its parent's path by one segment. Only
+// the paths a unit ends at are applied, so a node's summary is built
+// when it is first applied.
+type pathNode struct {
+	parent int32  // parent node, -1 for a root
+	last   uint32 // the path's last segment | its cycles, at most 255, <<24
+	next   int32  // the child the path last went on to, + 1; 0 for none
+	sumAt  uint32 // where the port's summary of the path starts in segMemo.sums; 0 until built
+}
+
+// entry returns the path's last segment.
+func (n *pathNode) entry() int32 { return int32(n.last & (1<<24 - 1)) }
+
+// cycles returns the path's cycles, or 255 for any more.
+func (n *pathNode) cycles() uint32 { return n.last >> 24 }
 
 // segMemo is one run's memo: an open-addressed table over entries, with
 // the variable-length parts in two arenas. It is leased per run and
@@ -328,23 +403,142 @@ type segMemo struct {
 	// gaps[k] is the number of ticks before a segment's k-th fetch
 	// since its previous fetch (or its start).
 	gaps []uint8
+
+	// The path trie: its nodes, an open-addressed table over the
+	// children (node index + 1, 0 when empty; a power of two long), and
+	// the nodes' summaries.
+	nodes    []pathNode
+	kids     []int32
+	children int // nodes in kids
+	sums     []uint64
+	// Scratch for building a summary: the path's entries and fetches.
+	path  []int32
+	at    []uint32
+	addrs []uint32
 }
 
-// find returns the entry keyed like q, or nil.
-func (s *segMemo) find(q *segQueue) *segEntry {
+// find returns the index of the entry keyed like q, or -1.
+func (s *segMemo) find(q *segQueue) int32 {
 	if len(s.slots) == 0 {
-		return nil
+		return -1
 	}
 	mask := len(s.slots) - 1
 	for i := int(q.hash) & mask; ; i = (i + 1) & mask {
 		j := s.slots[i]
 		if j == 0 {
-			return nil
+			return -1
 		}
 		e := &s.entries[j-1]
 		if e.hash == q.hash && e.st == q.st && e.bits0 == q.bits[0] && int(e.pc) == q.pc &&
 			int(e.n) == q.n && e.taken == q.taken && (q.n <= 64 || s.sameTail(e, q)) {
-			return e
+			return j - 1
+		}
+	}
+}
+
+// kidHash hashes a trie edge.
+func kidHash(parent, entry int32) uint64 { return mix(uint64(uint32(parent)), uint64(entry)) }
+
+// child returns the node extending node u by entry ei, adding it while
+// the trie has room, or -1, and makes it the child u last went on to.
+func (s *segMemo) child(u, ei int32) int32 {
+	c := s.findKid(u, ei)
+	if c < 0 {
+		if len(s.nodes) >= memoMaxNodes {
+			return -1
+		}
+		c = s.addNode(u, ei)
+		if s.children++; 4*s.children > 3*len(s.kids) {
+			s.growKids()
+		} else {
+			s.placeKid(c)
+		}
+	}
+	s.nodes[u].next = c + 1
+	return c
+}
+
+// findKid returns the node extending node u by entry ei, or -1.
+func (s *segMemo) findKid(u, ei int32) int32 {
+	if len(s.kids) == 0 {
+		return -1
+	}
+	mask := len(s.kids) - 1
+	for i := int(kidHash(u, ei)) & mask; ; i = (i + 1) & mask {
+		j := s.kids[i]
+		if j == 0 {
+			return -1
+		}
+		if n := &s.nodes[j-1]; n.parent == u && n.entry() == ei {
+			return j - 1
+		}
+	}
+}
+
+// addNode appends the node extending node parent (-1 for none) by entry
+// ei and returns its index.
+func (s *segMemo) addNode(parent, ei int32) int32 {
+	cycles := uint64(s.entries[ei].cycles)
+	if parent >= 0 {
+		cycles += uint64(s.nodes[parent].cycles())
+	}
+	s.nodes = append(s.nodes, pathNode{parent: parent, last: uint32(ei) | uint32(min(cycles, 255))<<24})
+	return int32(len(s.nodes) - 1)
+}
+
+// summary returns the port's summary of node u's path, building it on
+// first use from the path's fetches.
+func (s *segMemo) summary(p *PipelineRun, u int32) []uint64 {
+	if at := s.nodes[u].sumAt; at != 0 {
+		return s.sums[at:]
+	}
+	s.path = s.path[:0]
+	for v := u; v >= 0; v = s.nodes[v].parent {
+		s.path = append(s.path, s.nodes[v].entry())
+	}
+	slices.Reverse(s.path)
+	s.at, s.addrs = s.at[:0], s.addrs[:0]
+	block := uint32(p.cfg.BlockBytes)
+	var t uint32
+	for _, j := range s.path {
+		e := &s.entries[j]
+		at, addr := t, e.lo
+		for _, g := range s.gaps[e.gapsAt : e.gapsAt+uint32(e.nfetch)] {
+			at += uint32(g)
+			s.at, s.addrs = append(s.at, at), append(s.addrs, addr)
+			addr += block
+		}
+		t += e.cycles
+	}
+	if len(s.sums) == 0 {
+		s.sums = append(s.sums, 0) // offset 0 marks a node without a summary
+	}
+	at := len(s.sums)
+	s.sums = p.port.Summarize(s.sums, s.at, s.addrs, t)
+	s.nodes[u].sumAt = uint32(at)
+	return s.sums[at:]
+}
+
+// placeKid puts child node c into the first free slot of its probe.
+func (s *segMemo) placeKid(c int32) {
+	mask := len(s.kids) - 1
+	i := int(kidHash(s.nodes[c].parent, s.nodes[c].entry())) & mask
+	for s.kids[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.kids[i] = c + 1
+}
+
+// growKids doubles the child table and re-places every child node.
+func (s *segMemo) growKids() {
+	n := 2 * len(s.kids)
+	if n == 0 {
+		n = 256
+	}
+	s.kids = make([]int32, n)
+	for c := range s.nodes {
+		if s.nodes[c].parent >= 0 {
+			s.placeKid(int32(c))
 		}
 	}
 }
@@ -409,7 +603,10 @@ func (s *segMemo) grow() {
 // reset empties the memo, keeping its storage.
 func (s *segMemo) reset() {
 	clear(s.slots)
+	clear(s.kids)
+	s.children = 0
 	s.entries, s.bits, s.gaps = s.entries[:0], s.bits[:0], s.gaps[:0]
+	s.nodes, s.sums = s.nodes[:0], s.sums[:0]
 }
 
 // memoFree holds released memos, so sequential runs reuse the one
@@ -419,7 +616,7 @@ var memoFree = reuse.NewFreeList[*segMemo](memoFreeCap)
 // releaseMemo empties s and puts it on the free list, or drops it when
 // the list is full or s has grown too large to keep.
 func releaseMemo(s *segMemo) {
-	if cap(s.entries) > memoKeepEntries {
+	if cap(s.entries) > memoKeepEntries || cap(s.nodes) > memoKeepNodes {
 		return
 	}
 	s.reset()

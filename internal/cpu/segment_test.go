@@ -20,22 +20,36 @@ import (
 )
 
 // memoRun is everything a timing run leaves behind: its result, the
-// cache's statistics, the power report, and the machine.
+// cache's statistics, the power report and access energy, and the
+// machine.
 type memoRun struct {
 	pipe     cpu.PipeResult
 	stats    cache.Stats
 	report   power.Report
+	accessPJ float64
 	m        *cpu.Machine
 	replayed uint64
 }
 
-// runMemo times prog on a fresh cache of geometry geom, with the segment
-// memo on or (memo false) on the plain cycle loop, under the instruction
-// budget max (0 = 1<<32). A positive window runs it in RunUntil windows
-// of that many instructions, as the sampled simulator does, with a
-// functional step and a Resync after each when resync is set. The
-// caller releases the returned machine.
-func runMemo(t testing.TB, prog *program.Program, im *program.Image, dec *cpu.Decoded, geom cache.Config, memo bool, max, window uint64, resync bool) (memoRun, error) {
+// memoMode selects how runMemo times a program: on the plain cycle
+// loop, with the segment memo through the plain fetch port, or with the
+// memo through the port of a pass whose cache holds the text, which
+// trusts residency and counts replayed hits in bulk.
+type memoMode int
+
+const (
+	cycleLoop memoMode = iota
+	memoPlain
+	memoHolding
+)
+
+// runMemo times prog on a fresh cache of geometry geom in the given
+// mode, under the instruction budget max (0 = 1<<32). A positive window
+// runs it in RunUntil windows of that many instructions, as the sampled
+// simulator does, with a functional step and a Resync after each when
+// resync is set. The caller releases the returned machine. A holding
+// run is an error when the cache cannot hold the text.
+func runMemo(t testing.TB, prog *program.Program, im *program.Image, dec *cpu.Decoded, geom cache.Config, mode memoMode, max, window uint64, resync bool) (memoRun, error) {
 	t.Helper()
 	c := cache.MustNew(geom)
 	meter := power.MustNewMeter(geom, power.DefaultCalibration())
@@ -44,15 +58,22 @@ func runMemo(t testing.TB, prog *program.Program, im *program.Image, dec *cpu.De
 	if max > 0 {
 		pc.MaxInstrs = max
 	}
+	port := sim.NewFetchPort(c, im, pc.BlockBytes, meter.Stream())
+	if mode == memoHolding {
+		var err error
+		if port, err = sim.NewHoldingFetchPort(c, im, pc.BlockBytes, meter.Stream()); err != nil {
+			return memoRun{}, err
+		}
+	}
 	m := cpu.New(prog, cpu.ImageLayout(im))
 	var r memoRun
 	r.m = m
-	run, err := cpu.NewPipelineRun(m, pc, sim.NewFetchPort(c, im, pc.BlockBytes, meter.Stream()), dec, &r.pipe)
+	run, err := cpu.NewPipelineRun(m, pc, port, dec, &r.pipe)
 	if err != nil {
 		return r, err
 	}
 	defer run.Release()
-	if !memo {
+	if mode == cycleLoop {
 		cpu.NoMemo(run)
 	}
 	if window == 0 {
@@ -65,7 +86,7 @@ func runMemo(t testing.TB, prog *program.Program, im *program.Image, dec *cpu.De
 			}
 		}
 	}
-	r.stats, r.report, r.replayed = c.Stats(), meter.Report(), run.Replayed()
+	r.stats, r.report, r.accessPJ, r.replayed = c.Stats(), meter.Report(), meter.AccessPJ(), run.Replayed()
 	return r, err
 }
 
@@ -78,6 +99,8 @@ func sameRun(a, b memoRun) string {
 		return "cache stats"
 	case a.report != b.report:
 		return "power report"
+	case a.accessPJ != b.accessPJ:
+		return "access energy"
 	case a.m.Regs != b.m.Regs || a.m.N != b.m.N || a.m.Z != b.m.Z || a.m.C != b.m.C || a.m.V != b.m.V ||
 		a.m.PCIdx != b.m.PCIdx || a.m.InstrCount != b.m.InstrCount || a.m.Halted != b.m.Halted:
 		return "architectural state"
@@ -87,12 +110,22 @@ func sameRun(a, b memoRun) string {
 	return ""
 }
 
+// holdsText reports whether a cache of geometry geom holds im's text,
+// so that runMemo can time it through a holding port.
+func holdsText(geom cache.Config, im *program.Image) bool {
+	_, err := sim.NewHoldingFetchPort(cache.MustNew(geom), im, cpu.DefaultPipeConfig().BlockBytes,
+		power.MustNewMeter(geom, power.DefaultCalibration()).Stream())
+	return err == nil
+}
+
 // TestSegmentMemoMatchesCycleLoop runs every kernel on every
 // configuration with the segment memo on and off and requires the two
 // to agree field for field: timing result, output, cache statistics,
-// power report, registers and memory. At scale 4 (qsort and jpeg, the
-// suite's heaviest) it also requires the memo to engage: at least 90 %
-// of the instructions are timed by replay.
+// power report and access energy, registers and memory. A configuration
+// whose cache holds the text also runs the memo through the holding
+// port, as its pass does. At scale 4 (qsort and jpeg, the suite's
+// heaviest) it also requires the memo to engage: at least 90 % of the
+// instructions are timed by replay.
 func TestSegmentMemoMatchesCycleLoop(t *testing.T) {
 	type job struct {
 		name  string
@@ -104,6 +137,7 @@ func TestSegmentMemoMatchesCycleLoop(t *testing.T) {
 	}
 	jobs = append(jobs, job{"qsort", 4}, job{"jpeg", 4})
 	var replayed, instrs uint64
+	holding := 0
 	for _, j := range jobs {
 		s, err := sim.Prepare(kernels.MustGet(j.name), j.scale, synth.DefaultOptions())
 		if err != nil {
@@ -114,16 +148,28 @@ func TestSegmentMemoMatchesCycleLoop(t *testing.T) {
 			if cfg.ISA == sim.ISAFITS {
 				prog, im, dec = s.Fits.Lowered, s.Fits.Image, s.FitsDecoded
 			}
-			on, err := runMemo(t, prog, im, dec, cfg.Cache, true, 0, 0, false)
+			on, err := runMemo(t, prog, im, dec, cfg.Cache, memoPlain, 0, 0, false)
 			if err != nil {
 				t.Fatalf("%s@%d %s: %v", j.name, j.scale, cfg.Name, err)
 			}
-			off, err := runMemo(t, prog, im, dec, cfg.Cache, false, 0, 0, false)
+			off, err := runMemo(t, prog, im, dec, cfg.Cache, cycleLoop, 0, 0, false)
 			if err != nil {
 				t.Fatalf("%s@%d %s (no memo): %v", j.name, j.scale, cfg.Name, err)
 			}
 			if d := sameRun(on, off); d != "" {
 				t.Errorf("%s@%d %s: memoized run differs from the cycle loop in %s", j.name, j.scale, cfg.Name, d)
+			}
+			if holdsText(cfg.Cache, im) {
+				holding++
+				hold, err := runMemo(t, prog, im, dec, cfg.Cache, memoHolding, 0, 0, false)
+				if err != nil {
+					t.Fatalf("%s@%d %s (holding): %v", j.name, j.scale, cfg.Name, err)
+				}
+				if d := sameRun(hold, off); d != "" {
+					t.Errorf("%s@%d %s: memoized run through the holding port differs from the cycle loop in %s",
+						j.name, j.scale, cfg.Name, d)
+				}
+				hold.m.Release()
 			}
 			if off.replayed != 0 {
 				t.Errorf("%s@%d %s: plain cycle loop replayed %d instructions", j.name, j.scale, cfg.Name, off.replayed)
@@ -136,8 +182,11 @@ func TestSegmentMemoMatchesCycleLoop(t *testing.T) {
 			off.m.Release()
 		}
 	}
+	if holding == 0 {
+		t.Error("no configuration ran through the holding port")
+	}
 	frac := float64(replayed) / float64(instrs)
-	t.Logf("scale 4: %.1f %% of %d instructions replayed", 100*frac, instrs)
+	t.Logf("scale 4: %.1f %% of %d instructions replayed; %d runs through the holding port", 100*frac, instrs, holding)
 	if frac < 0.9 {
 		t.Errorf("scale 4: the memo replayed %.1f %% of instructions, want at least 90 %%", 100*frac)
 	}
@@ -161,8 +210,10 @@ func TestSegmentCountersCovered(t *testing.T) {
 // generator of FuzzBuilderProgramExecution) with a fuzzer-chosen
 // conditional branch between them, and times it on a small fuzzer-chosen
 // cache, so that evictions land mid-run, with the segment memo on and
-// off. The two runs must agree exactly: error, timing result and output,
-// cache statistics, power report, registers and memory. Some inputs run
+// off, and, when the cache holds the text, with the memo through the
+// holding port too. The runs must agree exactly: error, timing result
+// and output, cache statistics, power report and access energy,
+// registers and memory. Some inputs run
 // in windows with Resyncs between, like the sampled simulator, and a
 // non-zero budget sets PipeConfig.MaxInstrs, so that the budget runs out
 // inside a segment or a fused run.
@@ -200,15 +251,21 @@ func FuzzMemoVsCycleLoop(f *testing.F) {
 		g := cache.Config{LineBytes: line, Assoc: 1 << (geom / 3 % 3), SizeBytes: line << (geom / 3 % 3) << (geom / 9 % 4)}
 		d := cpu.Predecode(p, cpu.ImageLayout(im))
 		window, resync := uint64(windows&0x7FFF), windows&0x8000 != 0
-		on, onErr := runMemo(t, p, im, d, g, true, uint64(budget), window, resync)
-		off, offErr := runMemo(t, p, im, d, g, false, uint64(budget), window, resync)
-		defer on.m.Release()
+		off, offErr := runMemo(t, p, im, d, g, cycleLoop, uint64(budget), window, resync)
 		defer off.m.Release()
-		if (onErr == nil) != (offErr == nil) || onErr != nil && onErr.Error() != offErr.Error() {
-			t.Fatalf("errors differ: memo %v, cycle loop %v", onErr, offErr)
+		modes := []memoMode{memoPlain}
+		if holdsText(g, im) {
+			modes = append(modes, memoHolding)
 		}
-		if diff := sameRun(on, off); diff != "" {
-			t.Fatalf("memoized run differs from the cycle loop in %s (cache %+v)", diff, g)
+		for _, mode := range modes {
+			on, onErr := runMemo(t, p, im, d, g, mode, uint64(budget), window, resync)
+			defer on.m.Release()
+			if (onErr == nil) != (offErr == nil) || onErr != nil && onErr.Error() != offErr.Error() {
+				t.Fatalf("errors differ: memo %v (holding %t), cycle loop %v", onErr, mode == memoHolding, offErr)
+			}
+			if diff := sameRun(on, off); diff != "" {
+				t.Fatalf("memoized run (holding %t) differs from the cycle loop in %s (cache %+v)", mode == memoHolding, diff, g)
+			}
 		}
 	})
 }
@@ -277,8 +334,8 @@ func TestMemoFusedRunFaults(t *testing.T) {
 			}
 			d := cpu.Predecode(p, cpu.ImageLayout(im))
 			g := sim.ARM16.Cache
-			on, onErr := runMemo(t, p, im, d, g, true, tc.max, 0, false)
-			off, offErr := runMemo(t, p, im, d, g, false, tc.max, 0, false)
+			on, onErr := runMemo(t, p, im, d, g, memoPlain, tc.max, 0, false)
+			off, offErr := runMemo(t, p, im, d, g, cycleLoop, tc.max, 0, false)
 			defer on.m.Release()
 			defer off.m.Release()
 			if onErr == nil || offErr == nil {

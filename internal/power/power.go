@@ -231,24 +231,8 @@ func (s *Stream) Access(addr uint32, block []byte, miss bool) {
 	}
 	s.open, s.at = true, s.cycles
 
-	n := len(block)
-	if n > 16 {
-		n = 16
-	}
 	var dataToggles int
-	if s.cal.UseHamming {
-		var cur [2]uint64
-		for i := 0; i < n; i++ {
-			cur[i/8] |= uint64(block[i]) << (8 * (i % 8))
-		}
-		dataToggles = bits.OnesCount64(cur[0]^s.prevData[0]) +
-			bits.OnesCount64(cur[1]^s.prevData[1])
-		s.prevData = cur
-	} else {
-		// Default fast path: the fixed 50 % activity factor depends only
-		// on the delivered width, so the block bytes are never packed.
-		dataToggles = n * 8 / 2
-	}
+	dataToggles, s.prevData = busToggles(block, s.prevData, s.cal.UseHamming)
 	t := dataToggles + bits.OnesCount32(addr^s.prevAddr)
 	s.prevAddr = addr
 
@@ -260,13 +244,28 @@ func (s *Stream) Access(addr uint32, block []byte, miss bool) {
 	}
 }
 
+// busToggles returns the output-bus toggles of delivering block (its
+// first 16 bytes) after a block that left the bus holding prev, and the
+// bus's new contents. Under hamming they are the Hamming distance;
+// otherwise the fixed 50 % activity factor depends only on the
+// delivered width, so the bytes are never packed and the bus keeps
+// prev.
+func busToggles(block []byte, prev [2]uint64, hamming bool) (int, [2]uint64) {
+	n := min(len(block), 16)
+	if !hamming {
+		return n * 8 / 2, prev
+	}
+	var cur [2]uint64
+	for i := 0; i < n; i++ {
+		cur[i/8] |= uint64(block[i]) << (8 * (i % 8))
+	}
+	return bits.OnesCount64(cur[0]^prev[0]) + bits.OnesCount64(cur[1]^prev[1]), cur
+}
+
 // Tick closes one cycle. It only counts: the per-cycle energies are
 // priced from the count when read, and the closed cycle's accesses
 // enter the peak window at the next Access or Report.
 func (s *Stream) Tick() { s.cycles++ }
-
-// TickN closes n cycles: n calls of Tick.
-func (s *Stream) TickN(n uint64) { s.cycles += n }
 
 // fold moves the open access cycle, which has been closed, into the
 // peak window and offers the access energy of the window ending there

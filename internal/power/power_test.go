@@ -373,11 +373,17 @@ func (m *refMeter) Report() Report {
 }
 
 // refRig drives meters of several geometries on one stream and a
-// reference meter per geometry with the same accesses and cycles.
+// reference meter per geometry with the same accesses and cycles, plus
+// the same meters on a second stream that takes each all-hit unit
+// (refRig.unit) in one ReplayRun instead of access by access.
 type refRig struct {
 	stream *Stream
 	meters []*Meter
 	refs   []*refMeter
+
+	bulk       *Stream
+	bulkMeters []*Meter
+	run        []uint64
 }
 
 // refGeoms are the geometries every rig prices: the paper's 16 and
@@ -394,13 +400,16 @@ func newRefRig(tb testing.TB, cal Calibration) *refRig {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rig := &refRig{stream: s}
+	bulk, _ := NewStream(cal, 32)
+	rig := &refRig{stream: s, bulk: bulk}
 	for _, g := range refGeoms {
 		m, err := s.NewMeter(g)
 		if err != nil {
 			tb.Fatal(err)
 		}
+		bm, _ := bulk.NewMeter(g)
 		rig.meters = append(rig.meters, m)
+		rig.bulkMeters = append(rig.bulkMeters, bm)
 		rig.refs = append(rig.refs, newRefMeter(g, cal))
 	}
 	return rig
@@ -408,6 +417,7 @@ func newRefRig(tb testing.TB, cal Calibration) *refRig {
 
 func (r *refRig) access(addr uint32, block []byte, miss bool) {
 	r.stream.Access(addr, block, miss)
+	r.bulk.Access(addr, block, miss)
 	for _, ref := range r.refs {
 		ref.Access(addr, block, miss)
 	}
@@ -415,15 +425,52 @@ func (r *refRig) access(addr uint32, block []byte, miss bool) {
 
 func (r *refRig) tick() {
 	r.stream.Tick()
+	r.bulk.Tick()
 	for _, ref := range r.refs {
 		ref.Tick()
 	}
 }
 
-// check requires every reading of every meter to equal its reference
-// with ==.
+// unit feeds an all-hit unit: access k, of blocks[k] at addrs[k], comes
+// gaps[k] ticks after the one before it (or the unit's start), and the
+// unit closes trailing ticks after its last access. The per-access
+// stream and the references take it access by access, the bulk stream
+// as one summary built by a RunBuilder and applied by ReplayRun.
+func (r *refRig) unit(gaps []int, addrs []uint32, blocks [][]byte, trailing int) {
+	b := r.bulk.BeginRun(r.run[:0])
+	at := 0
+	for k, gap := range gaps {
+		for range gap {
+			r.stream.Tick()
+			for _, ref := range r.refs {
+				ref.Tick()
+			}
+		}
+		at += gap
+		r.stream.Access(addrs[k], blocks[k], false)
+		for _, ref := range r.refs {
+			ref.Access(addrs[k], blocks[k], false)
+		}
+		b.Access(uint32(at), addrs[k], blocks[k])
+	}
+	for range trailing {
+		r.stream.Tick()
+		for _, ref := range r.refs {
+			ref.Tick()
+		}
+	}
+	r.run = b.End(uint32(at + trailing))
+	r.bulk.ReplayRun(r.run)
+}
+
+// check requires the bulk stream's state to equal the per-access
+// stream's, every reading of every meter to equal its reference with
+// ==, and every bulk meter's reading to equal its per-access meter's.
 func (r *refRig) check(tb testing.TB, at string) {
 	tb.Helper()
+	if d := diffStreams(r.bulk, r.stream); d != "" {
+		tb.Fatalf("%s: bulk stream differs in %s", at, d)
+	}
 	for i, m := range r.meters {
 		ref := r.refs[i]
 		if got, want := m.Report(), ref.Report(); got != want {
@@ -440,7 +487,46 @@ func (r *refRig) check(tb testing.TB, at string) {
 		if got, want := m.LastAccessPJ(), ref.lastAccessPJ; got != want {
 			tb.Fatalf("%s, %d B cache: LastAccessPJ %v, want %v", at, refGeoms[i].SizeBytes, got, want)
 		}
+		bm := r.bulkMeters[i]
+		if got, want := bm.Report(), m.Report(); got != want {
+			tb.Fatalf("%s, %d B cache: bulk report %+v, want %+v", at, refGeoms[i].SizeBytes, got, want)
+		}
+		bsw, bin, blk := bm.EnergyPJ()
+		if bsw != sw || bin != in || blk != lk {
+			tb.Fatalf("%s, %d B cache: bulk EnergyPJ (%v %v %v), want (%v %v %v)", at, refGeoms[i].SizeBytes,
+				bsw, bin, blk, sw, in, lk)
+		}
+		if got, want := bm.AccessPJ(), m.AccessPJ(); got != want {
+			tb.Fatalf("%s, %d B cache: bulk AccessPJ %v, want %v", at, refGeoms[i].SizeBytes, got, want)
+		}
+		if got, want := bm.LastAccessPJ(), m.LastAccessPJ(); got != want {
+			tb.Fatalf("%s, %d B cache: bulk LastAccessPJ %v, want %v", at, refGeoms[i].SizeBytes, got, want)
+		}
 	}
+}
+
+// diffStreams names the first part of two streams' state that differs,
+// or returns "": every count, the open access cycle, and the peak
+// window's marks from oldest to newest, bases and largest candidate.
+func diffStreams(a, b *Stream) string {
+	switch {
+	case a.cycles != b.cycles || a.accesses != b.accesses || a.toggles != b.toggles || a.misses != b.misses:
+		return "counts"
+	case a.prevData != b.prevData || a.prevAddr != b.prevAddr || a.lastToggles != b.lastToggles || a.lastMiss != b.lastMiss:
+		return "the last access"
+	case a.open != b.open || a.open && a.at != b.at:
+		return "the open access cycle"
+	case a.baseT != b.baseT || a.baseM != b.baseM || a.peakAcPJ != b.peakAcPJ:
+		return "the peak window's bases or maximum"
+	case a.tail-a.head != b.tail-b.head:
+		return "the number of window marks"
+	}
+	for k := uint64(0); k < a.tail-a.head; k++ {
+		if a.marks[(a.head+k)&a.mask] != b.marks[(b.head+k)&b.mask] {
+			return fmt.Sprintf("window mark %d", k)
+		}
+	}
+	return ""
 }
 
 // randomRun feeds rig a random stream: idle cycles, then cycles of
@@ -498,6 +584,48 @@ func TestMeterMatchesPerCycleReference(t *testing.T) {
 				for _, dense := range []bool{true, false} {
 					name := fmt.Sprintf("window %d hamming %v seed %d dense %v", window, hamming, seed, dense)
 					randomRun(t, newRefRig(t, cal), rand.New(rand.NewSource(seed)), idle, cycles, dense, name)
+				}
+			}
+		}
+	}
+}
+
+// TestReplayRunMatchesAccesses holds the bulk stream to the stream fed
+// access by access over long random units (up to 400 accesses, so the
+// RunBuilder drops marks no window reaches), short ones, units right
+// after a miss or an open access cycle, and back-to-back units, for
+// several windows (one too long for 32-bit marks) and both switching
+// models.
+func TestReplayRunMatchesAccesses(t *testing.T) {
+	for _, window := range []int{1, 3, 8, 16, 300} {
+		for _, hamming := range []bool{false, true} {
+			cal := DefaultCalibration()
+			cal.PeakWindow, cal.UseHamming = window, hamming
+			rig := newRefRig(t, cal)
+			r := rand.New(rand.NewSource(int64(window)))
+			var gaps []int
+			var addrs []uint32
+			var blocks [][]byte
+			for u := 0; u < 60; u++ {
+				n := 1 + r.Intn(12)
+				if u%3 == 0 {
+					n = 1 + r.Intn(400)
+				}
+				gaps, addrs, blocks = gaps[:0], addrs[:0], blocks[:0]
+				base := uint32(r.Intn(1 << 12))
+				for k := 0; k < n; k++ {
+					gaps = append(gaps, r.Intn(4))
+					addrs = append(addrs, (base+uint32(k))*4)
+					blocks = append(blocks, []byte{byte(r.Intn(256)), byte(k), byte(r.Intn(256)), 7})
+				}
+				rig.unit(gaps, addrs, blocks, r.Intn(3))
+				name := fmt.Sprintf("window %d hamming %v unit %d", window, hamming, u)
+				rig.check(t, name)
+				switch r.Intn(4) {
+				case 0:
+					rig.access(uint32(r.Intn(1<<12))*4, blocks[0], true)
+				case 1:
+					rig.tick()
 				}
 			}
 		}
@@ -632,14 +760,20 @@ func TestMeterPricesNonDyadicExactly(t *testing.T) {
 }
 
 // FuzzMeterMatchesReference decodes a calibration and an
-// access/idle/miss stream from the fuzz input and holds every meter to
-// the per-cycle reference with ==. Unit costs are multiples of 1/8 pJ,
-// so no sum in either form rounds. The first seven bytes set the
-// calibration: the peak window (1–32), the switching model, and the
-// five unit costs. Each later byte is one operation: an access (its
-// low two bits 0; the next byte is the address, the one after seeds
-// the block contents), a cycle, a run of idle cycles, or a read. The
-// seed corpus lives in testdata/fuzz/FuzzMeterMatchesReference.
+// access/idle/miss/unit stream from the fuzz input and holds every
+// meter to the per-cycle reference with ==, and every meter of the bulk
+// stream, which takes each all-hit unit in one ReplayRun, to the meter
+// fed access by access. Unit costs are multiples of 1/8 pJ, so no sum
+// in either form rounds. The first seven bytes set the calibration:
+// the peak window (1–32), the switching model, and the five unit costs.
+// Each later byte is one operation: an access (its low two bits 0; the
+// next byte is the address, the one after seeds the block contents), a
+// cycle, a run of idle cycles, a read, or a unit (low three bits 7): 1–16
+// accesses of consecutive 4-byte blocks from the next byte's address,
+// with 0–7 trailing ticks from the byte after, then one byte per access
+// for its gap (0–3 ticks, so several accesses may share a cycle) and its
+// contents, and a read after it. The seed corpus lives in
+// testdata/fuzz/FuzzMeterMatchesReference.
 func FuzzMeterMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 7 {
@@ -656,19 +790,21 @@ func FuzzMeterMatchesReference(f *testing.F) {
 		rig := newRefRig(t, cal)
 		block := make([]byte, 32)
 		ops := data[7:]
+		next := func(i *int) byte {
+			if *i+1 < len(ops) {
+				*i++
+				return ops[*i]
+			}
+			return 0
+		}
+		var gaps []int
+		var addrs []uint32
+		var blocks [][]byte
 		for i := 0; i < len(ops); i++ {
 			op := ops[i]
 			switch op & 3 {
 			case 0: // access: length 1–32 and miss from op, address and contents from the next bytes
-				var addr, seed byte
-				if i+1 < len(ops) {
-					i++
-					addr = ops[i]
-				}
-				if i+1 < len(ops) {
-					i++
-					seed = ops[i]
-				}
+				addr, seed := next(&i), next(&i)
 				n := 1 + int(op>>2)&31
 				for j := range block[:n] {
 					block[j] = seed * byte(j+1)
@@ -681,7 +817,20 @@ func FuzzMeterMatchesReference(f *testing.F) {
 					rig.tick()
 				}
 			case 3:
-				rig.check(t, fmt.Sprintf("op %d", i))
+				if op&4 == 0 {
+					rig.check(t, fmt.Sprintf("op %d", i))
+					break
+				}
+				base, trailing := uint32(next(&i)), int(next(&i)&7)
+				gaps, addrs, blocks = gaps[:0], addrs[:0], blocks[:0]
+				for k := range 1 + int(op>>3)&15 {
+					g := next(&i)
+					gaps = append(gaps, int(g&3))
+					addrs = append(addrs, (base+uint32(k))*4)
+					blocks = append(blocks, []byte{g, g >> 2, g * 3, byte(k)})
+				}
+				rig.unit(gaps, addrs, blocks, trailing)
+				rig.check(t, fmt.Sprintf("unit at op %d", i))
 			}
 		}
 		rig.check(t, "end")

@@ -193,12 +193,6 @@ func (pr *Profile) DispCoverage(bits int) float64 {
 	return float64(in) / float64(total)
 }
 
-// FromCounts builds a profile from externally obtained dynamic counts
-// (e.g. a timing run); used by tests.
-func FromCounts(p *program.Program, dyn []uint64) *Profile {
-	return build(p, dyn, nil)
-}
-
 // RankedRegs returns the registers ordered by narrow-position weight,
 // descending — the synthesized register window ordering.
 func (pr *Profile) RankedRegs() []isa.Reg {

@@ -292,13 +292,14 @@ type icachePort struct {
 	lineShift uint32 // log2 of the cache's line size
 
 	// holds is set when the cache holds the image text (Setup.holds):
-	// it never evicts, so Resident needs no probe.
+	// it never evicts, so Replay needs no residency probe and replayed
+	// hits are counted in one step per unit.
 	holds bool
 }
 
-// probeHolding, when set (by tests only, before any run starts), keeps
-// the residency probe in holding passes and receives each probe's
-// answer there, which the no-eviction invariant says is always true.
+// probeHolding, when set (by tests only, before any run starts), makes
+// holding passes probe residency before each replay and receives each
+// probe's answer, which the no-eviction invariant says is always true.
 var probeHolding func(resident bool)
 
 func newICachePort(c *cache.Cache, im *program.Image, blockBytes int, stream *power.Stream) *icachePort {
@@ -317,57 +318,95 @@ func NewFetchPort(c *cache.Cache, im *program.Image, blockBytes int, stream *pow
 	return newICachePort(c, im, blockBytes, stream)
 }
 
+// NewHoldingFetchPort is NewFetchPort for a cache that holds the image
+// text, the port of a shared pass: it trusts residency without probing
+// and counts replayed hits in bulk. It is an error when c cannot hold
+// the text.
+func NewHoldingFetchPort(c *cache.Cache, im *program.Image, blockBytes int, stream *power.Stream) (cpu.FetchPort, error) {
+	if !holdsText(c.Config(), im, blockBytes) {
+		return nil, fmt.Errorf("sim: a %+v cache does not hold a %d-byte text", c.Config(), len(im.Text))
+	}
+	p := newICachePort(c, im, blockBytes, stream)
+	p.holds = true
+	return p, nil
+}
+
 func (p *icachePort) FetchBlock(addr uint32) int {
 	hit := p.c.Access(addr)
-	off := int64(addr) - int64(p.textBase)
-	blk := p.buf
-	if off >= 0 && off+int64(p.block) <= int64(len(p.text)) {
-		blk = p.text[off : off+int64(p.block)]
-	} else {
-		for i := range blk {
-			b := byte(0)
-			if o := off + int64(i); o >= 0 && o < int64(len(p.text)) {
-				b = p.text[o]
-			}
-			blk[i] = b
-		}
-	}
-	p.stream.Access(addr, blk, !hit)
+	p.stream.Access(addr, p.fetched(addr), !hit)
 	if hit {
 		return 0
 	}
 	return MissPenalty
 }
 
-func (p *icachePort) Tick() { p.stream.Tick() }
-
-// Replay makes a replayed segment's fetches (all hits) at their ticks.
-func (p *icachePort) Replay(lo, block uint32, gaps []uint8, cycles uint32) {
-	for _, gap := range gaps {
-		p.stream.TickN(uint64(gap))
-		cycles -= uint32(gap)
-		p.FetchBlock(lo)
-		lo += block
+// fetched returns the bytes the block at addr delivers: the image text
+// it overlaps, zero outside it.
+func (p *icachePort) fetched(addr uint32) []byte {
+	off := int64(addr) - int64(p.textBase)
+	if off >= 0 && off+int64(p.block) <= int64(len(p.text)) {
+		return p.text[off : off+int64(p.block)]
 	}
-	p.stream.TickN(uint64(cycles))
+	blk := p.buf
+	for i := range blk {
+		b := byte(0)
+		if o := off + int64(i); o >= 0 && o < int64(len(p.text)) {
+			b = p.text[o]
+		}
+		blk[i] = b
+	}
+	return blk
 }
 
-// Resident reports whether every line under [lo, hi) is in the cache:
-// then a fetch of any block there hits, and hits evict nothing. A
-// holding port answers without probing: the pipeline asks only about
-// a memoized segment's blocks, a segment is memoized only when every
-// one of its fetches hit, and a cache that holds the text never evicts
-// a line once filled.
-func (p *icachePort) Resident(lo, hi uint32) bool {
-	if !p.holds {
-		return p.resident(lo, hi)
-	}
-	if probeHolding == nil {
+func (p *icachePort) Tick() { p.stream.Tick() }
+
+// Replay makes the cache side of a replayed segment's n fetches of
+// consecutive blocks from lo when every line under them is resident:
+// then each fetch hits, and hits evict nothing. Any port but a holding
+// one probes the cache first and makes the hits one by one, in order,
+// before the pipeline's next probe or fetch, so its LRU order stays
+// exact.
+//
+// A holding port neither probes nor makes them. The pipeline asks only
+// about a memoized segment's blocks, a segment is memoized only when
+// every one of its fetches hit, and a cache that holds the text never
+// evicts a line once filled, so they are resident. Their hits are
+// counted with their unit (ReplayUnit): such a cache never reads the
+// LRU stamps and hints they would set (cache.Cache.AddHits).
+func (p *icachePort) Replay(lo, block uint32, n int) bool {
+	if p.holds {
+		if probeHolding != nil {
+			probeHolding(p.resident(lo, lo+uint32(n)*block))
+		}
 		return true
 	}
-	ok := p.resident(lo, hi)
-	probeHolding(ok)
-	return ok
+	if !p.resident(lo, lo+uint32(n)*block) {
+		return false
+	}
+	for ; n > 0; n-- {
+		p.c.Access(lo)
+		lo += block
+	}
+	return true
+}
+
+// Summarize appends the stream summary of a replay unit (power.RunBuilder).
+func (p *icachePort) Summarize(dst []uint64, at, addr []uint32, cycles uint32) []uint64 {
+	b := p.stream.BeginRun(dst)
+	for k, a := range addr {
+		b.Access(at[k], a, p.fetched(a))
+	}
+	return b.End(cycles)
+}
+
+// ReplayUnit applies a unit summary to the stream in one step, and in a
+// holding port adds the unit's hits to the cache's statistics.
+func (p *icachePort) ReplayUnit(sum []uint64) int {
+	n, bulk := p.stream.ReplayRun(sum)
+	if p.holds {
+		p.c.AddHits(uint64(n))
+	}
+	return int(bulk)
 }
 
 // resident probes the cache for every line under [lo, hi).
@@ -450,9 +489,14 @@ func (s *Setup) image(i ISA) *program.Image {
 // fetch address lies in the image text, widened down to a block
 // boundary.
 func (s *Setup) holds(cfg Config) bool {
-	im := s.image(cfg.ISA)
-	lo := im.TextBase &^ uint32(cpu.DefaultPipeConfig().BlockBytes-1)
-	return cfg.Cache.Holds(lo, int(im.TextBase-lo)+len(im.Text))
+	return holdsText(cfg.Cache, s.image(cfg.ISA), cpu.DefaultPipeConfig().BlockBytes)
+}
+
+// holdsText reports whether a cache of geometry geom holds every block
+// of block bytes that overlaps im's text.
+func holdsText(geom cache.Config, im *program.Image, block int) bool {
+	lo := im.TextBase &^ uint32(block-1)
+	return geom.Holds(lo, int(im.TextBase-lo)+len(im.Text))
 }
 
 // passKey is what configurations must share to share a pass: the image

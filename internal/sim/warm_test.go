@@ -156,9 +156,10 @@ func FuzzWarmOnce(f *testing.F) {
 }
 
 // TestHoldingPassResidencyNeverFails keeps the residency probe in
-// holding passes, where Resident answers without it, and requires that
-// the probe never finds a line missing: a segment is memoized only
-// when every fetch hit, and a cache that holds the text never evicts.
+// holding passes, where Replay trusts residency without it, and
+// requires that the probe never finds a line missing: a segment is
+// memoized only when every fetch hit, and a cache that holds the text
+// never evicts.
 // It covers every kernel at scales 1 and 4, exact and sampled, with
 // each image's configurations grouped into passes as the suite runs
 // them.

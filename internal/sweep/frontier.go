@@ -122,22 +122,6 @@ func (d *Document) WriteFile(path string) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-// ReadDocument parses a document written by WriteFile.
-func ReadDocument(path string) (*Document, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var d Document
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, fmt.Errorf("sweep: parse %s: %w", path, err)
-	}
-	if d.Schema != DocSchema {
-		return nil, fmt.Errorf("sweep: %s is %q, want %q", path, d.Schema, DocSchema)
-	}
-	return &d, nil
-}
-
 // FrontierTable renders the frontier through the standard experiment
 // table machinery (one row per frontier point).
 func (r *Result) FrontierTable() *experiments.Table {
