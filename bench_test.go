@@ -44,7 +44,7 @@ func preparedSetups(b *testing.B) []*sim.Setup {
 	b.Helper()
 	prepOnce.Do(func() {
 		for _, k := range kernels.All() {
-			s, err := sim.Prepare(k, 1, synth.DefaultOptions())
+			s, err := sim.PrepareWith(k, 1, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 			if err != nil {
 				prepErr = err
 				return
@@ -237,7 +237,7 @@ func BenchmarkFunctionalSimulator(b *testing.B) {
 // BenchmarkTimingPipeline measures the cycle-accurate pipeline with
 // cache and power models attached.
 func BenchmarkTimingPipeline(b *testing.B) {
-	s, err := sim.Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := sim.PrepareWith(kernels.MustGet("crc32"), 1, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func benchSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config) {
 		m := cpu.New(prog, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		b.StartTimer()
-		if err := cpu.RunPipelineInto(m, pc, port, dec, &res); err != nil {
+		if err := cpu.RunPipeline(m, pc, port, dec, &res, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -333,7 +333,7 @@ func replayedFrac(b *testing.B, prog *program.Program, im *program.Image, dec *c
 // pair, one per ISA: the dominant inner loop of every experiment. ci.sh
 // runs it with -benchtime=1x asserting 0 allocs/op.
 func BenchmarkPipelineSteadyState(b *testing.B) {
-	s, err := sim.Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := sim.PrepareWith(kernels.MustGet("crc32"), 1, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -342,13 +342,13 @@ func BenchmarkPipelineSteadyState(b *testing.B) {
 }
 
 // BenchmarkPipelineSharedPass is the steady-state loop of a shared
-// timing pass (sim.Setup.RunPass): one pipeline run over the crc32 FITS
+// timing pass (sim.Setup.Passes): one pipeline run over the crc32 FITS
 // image feeding the one power stream that FITS16's and FITS8's meters
 // price, as the suite times both sizes of an image whose text both
 // caches hold. ci.sh gates it at 0 allocs/op beside
 // BenchmarkPipelineSteadyState.
 func BenchmarkPipelineSharedPass(b *testing.B) {
-	s, err := sim.Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := sim.PrepareWith(kernels.MustGet("crc32"), 1, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func BenchmarkPipelineSharedPass(b *testing.B) {
 		m := cpu.New(s.Fits.Lowered, cpu.ImageLayout(im))
 		m.Output = make([]uint32, 0, 64)
 		b.StartTimer()
-		if err := cpu.RunPipelineInto(m, pc, port, s.FitsDecoded, &res); err != nil {
+		if err := cpu.RunPipeline(m, pc, port, s.FitsDecoded, &res, nil); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -389,9 +389,9 @@ func BenchmarkPipelineSharedPass(b *testing.B) {
 	b.ReportMetric(bulk, "bulk_frac")
 }
 
-// benchTracedSteadyState is benchSteadyState through the tracing entry
-// point: the same timing loop with an event sink attached (or the nil
-// sink, under which every Emit guard is not taken).
+// benchTracedSteadyState is benchSteadyState with a sink passed to
+// cpu.RunPipeline: the same timing loop with an event sink attached (or
+// the nil sink, under which every Emit guard is not taken).
 func benchTracedSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, mkSink func() tracing.EventSink) {
 	cal := power.DefaultCalibration()
 	pc := cpu.DefaultPipeConfig()
@@ -413,7 +413,7 @@ func benchTracedSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, mkSink f
 		m.Output = make([]uint32, 0, 64)
 		sink := mkSink()
 		b.StartTimer()
-		if err := cpu.RunPipelineTraced(m, pc, port, dec, &res, sink); err != nil {
+		if err := cpu.RunPipeline(m, pc, port, dec, &res, sink); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()
@@ -426,15 +426,15 @@ func benchTracedSteadyState(b *testing.B, s *sim.Setup, cfg sim.Config, mkSink f
 	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
 }
 
-// BenchmarkPipelineTraced measures the tracing entry point of the
-// timing loop. NilSink is the overhead contract ci.sh gates: a nil
+// BenchmarkPipelineTraced measures the timing loop with a sink
+// argument. NilSink is the overhead contract ci.sh gates: a nil
 // sink must stay at 0 allocs/op (tracing costs an untraced run one
 // not-taken branch per Emit site). Ring captures every event into a
 // preallocated ring — the sink Emit path is itself allocation-free, so
 // this too must report 0 allocs/op; its ns/op vs NilSink is the tracing
 // overhead quoted in DESIGN.md §12.
 func BenchmarkPipelineTraced(b *testing.B) {
-	s, err := sim.Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := sim.PrepareWith(kernels.MustGet("crc32"), 1, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func BenchmarkMachineSteadyState(b *testing.B) {
 	l := cpu.WordLayout(p.TextBase, len(p.Instrs))
 	c := cpu.Compile(p, l)
 	b.Run("Superblock", func(b *testing.B) {
-		benchMachineRun(b, p, l, func(m *cpu.Machine) error { return m.RunSuperblocks(c) })
+		benchMachineRun(b, p, l, func(m *cpu.Machine) error { return m.RunSuperblocks(c, math.MaxUint64, nil, nil, nil) })
 	})
 }
 
@@ -497,13 +497,13 @@ func BenchmarkMachineSteadyState(b *testing.B) {
 // per-run 3.2–6.0×; README, "Simulator performance"). Sampled also reports its cycle error against one
 // exact run (cycle-err-%, computed outside the timer);
 // TestSampledAccuracy in internal/sim is the ≤2% accuracy gate.
-// SampledPass times ARM16 and ARM8 in one sampled pass
-// (sim.Setup.RunPass with sample options), as a sampled suite does:
+// SampledPass times ARM16 and ARM8 in one sampled pass (sim.Setup.RunAll
+// with sample options), as a sampled suite does:
 // with -count 10 on the same host its median was 6.7 ms (IQR 6.2–6.8)
 // against Sampled's 6.8 ms (IQR 6.4–7.7) in the same run, so the
 // second cache size costs next to nothing.
 func BenchmarkSampledPipeline(b *testing.B) {
-	s, err := sim.Prepare(kernels.MustGet("bitcount"), 1, synth.DefaultOptions())
+	s, err := sim.PrepareWith(kernels.MustGet("bitcount"), 1, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -538,10 +538,10 @@ func BenchmarkSampledPipeline(b *testing.B) {
 		if len(s.Passes(pass)) != 1 {
 			b.Fatal("bitcount ARM16 and ARM8 do not share a pass")
 		}
-		opt := &sim.SampleOptions{}
+		opt := sim.RunOptions{Sample: &sim.SampleOptions{}}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.RunPass(pass, cal, opt); err != nil {
+			if _, err := s.RunAll(pass, cal, opt); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -557,7 +557,7 @@ func BenchmarkPrepare(b *testing.B) {
 	opts := synth.DefaultOptions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Prepare(k, 1, opts); err != nil {
+		if _, err := sim.PrepareWith(k, 1, sim.PrepareOptions{Synth: opts}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -614,7 +614,7 @@ func BenchmarkARMAssemble(b *testing.B) {
 // allocate in the steady state (the port aliases the image text and
 // reuses a per-port scratch buffer).
 func BenchmarkFetchPort(b *testing.B) {
-	s, err := sim.Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := sim.PrepareWith(kernels.MustGet("crc32"), 1, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func cmdExplain(kernelName string, scale, op int, savePath, inPath, dir string) 
 	}
 	opts := synth.DefaultOptions()
 	opts.Trace = synth.NewTrace()
-	s, err := sim.Prepare(k, scale, opts)
+	s, err := sim.PrepareWith(k, scale, sim.PrepareOptions{Synth: opts})
 	if err != nil {
 		fatal(err)
 	}

@@ -428,10 +428,11 @@ func run(s *sim.Setup, cfgName string, out runOutputs) {
 	if out.Sample {
 		opt.Sample = &sim.SampleOptions{}
 	}
-	r, err := s.RunWith(cfg, cal, opt)
+	rs, err := s.RunAll([]sim.Config{cfg}, cal, opt)
 	if err != nil {
 		fatal(err)
 	}
+	r := rs[0]
 	if tele != nil {
 		publishRun(tele.Scope("run", s.Kernel.Name, cfg.Name), r)
 		tele.Publish(experiments.ProgressEvent{Kernel: s.Kernel.Name, Done: 1, Total: 1,

@@ -35,7 +35,11 @@ func runTraced(s *sim.Setup, cfg sim.Config, sample bool, sink tracing.EventSink
 	if sample {
 		opt.Sample = &sim.SampleOptions{}
 	}
-	return s.RunWith(cfg, power.DefaultCalibration(), opt)
+	rs, err := s.RunAll([]sim.Config{cfg}, power.DefaultCalibration(), opt)
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
 }
 
 // cmdTrace generates the Chrome trace-event export.

@@ -91,7 +91,7 @@ type Record struct {
 	// configuration.
 	ConfigHash string `json:"config_hash,omitempty"`
 	// Sampled marks a record whose timing runs used the sampled
-	// estimator (see sim.RunSampled): cycles and energy are
+	// estimator (sim.RunOptions.Sample): cycles and energy are
 	// extrapolated within a validated ≤2 % error bound, outputs and
 	// instruction counts exact. The marker participates in the run ID,
 	// so a sampled record never overwrites a full-simulation baseline.
@@ -312,7 +312,7 @@ type SweepPoint struct {
 	CacheBytes int    `json:"cache_bytes"`
 	CacheLine  int    `json:"cache_line"`
 	CacheAssoc int    `json:"cache_assoc"`
-	// Sampled marks an estimate from sim.RunSampled (≤2 % validated
+	// Sampled marks an estimate of the sampled estimator (≤2 % validated
 	// cycle/energy error); false means an exact full-pipeline run.
 	// Part of the identity, so an exact record never collides with a
 	// sampled one.

@@ -10,9 +10,11 @@ import (
 	"testing"
 
 	"powerfits/internal/experiments"
+	"powerfits/internal/kernels"
 	"powerfits/internal/metrics"
 	"powerfits/internal/power"
 	"powerfits/internal/sim"
+	"powerfits/internal/synth"
 )
 
 // stubRecord builds a small valid record by hand.
@@ -259,17 +261,17 @@ func TestFromSuiteDeterministicID(t *testing.T) {
 // phase run carrying its stall breakdown only when the run was
 // observed.
 func TestFromRunRecord(t *testing.T) {
-	s, err := sim.PrepareByName("crc32", 1)
+	s, err := sim.PrepareWith(kernels.MustGet("crc32"), 1, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cal := power.DefaultCalibration()
 	record := func(cfg sim.Config, opt sim.RunOptions) (*Record, *sim.Result) {
-		r, err := s.RunWith(cfg, cal, opt)
+		rs, err := s.RunAll([]sim.Config{cfg}, cal, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return FromRun(metrics.NewManifest("test"), nil, s, cal, r), r
+		return FromRun(metrics.NewManifest("test"), nil, s, cal, rs[0]), rs[0]
 	}
 	plain, _ := record(sim.FITS8, sim.RunOptions{})
 	observed, r := record(sim.FITS8, sim.RunOptions{WindowCycles: 2048})

@@ -190,7 +190,7 @@ type uop struct {
 // Compiled is the semantic micro-op table for one (program, layout)
 // pair, built once by Compile. Like Decoded it is immutable and carries
 // no run state, so one table may back any number of concurrent Machines
-// over the same program — sim.Prepare builds one per target image
+// over the same program — sim.PrepareWith builds one per target image
 // (Setup.ArmCompiled/FitsCompiled) shared by every configuration and
 // engine worker, and profile.Collect builds one over the word layout
 // for the profiling run.
@@ -205,7 +205,7 @@ type Compiled struct {
 
 	// addrs and ends are the per-instruction encoded address ranges
 	// flattened out of the layout, so the superblock fetch-stream
-	// witness (RunSuperblocksWarm) reads two slices instead of making
+	// witness (RunSuperblocks' touch) reads two slices instead of making
 	// two interface calls per executed batch.
 	addrs []uint32
 	ends  []uint32

@@ -103,10 +103,10 @@ func TestPredecodeRecords(t *testing.T) {
 	}
 }
 
-// TestDecodedPathEquivalence pins bit-identical timing: the wrapper
-// (which predecodes internally), an explicitly shared table, and a
-// caller-provided result must produce exactly the same PipeResult,
-// including the CPI stack, with misses injected.
+// TestDecodedPathEquivalence pins bit-identical timing: a run over a
+// fresh predecode table and a run over an explicitly shared table into
+// a caller-provided result (which the run must reset) produce exactly
+// the same PipeResult, including the CPI stack, with misses injected.
 func TestDecodedPathEquivalence(t *testing.T) {
 	p := mixedProgram()
 	im, err := arm.Assemble(p)
@@ -117,24 +117,17 @@ func TestDecodedPathEquivalence(t *testing.T) {
 	d := Predecode(p, ImageLayout(im))
 
 	mkPort := func() FetchPort { return &countingPort{stall: 24, every: 3} }
-	viaWrapper, err := RunPipeline(New(p, ImageLayout(im)), cfg, mkPort())
+	viaFresh, err := runPipeline(New(p, ImageLayout(im)), cfg, mkPort())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaDecoded, err := RunPipelineDecoded(New(p, ImageLayout(im)), cfg, mkPort(), d)
-	if err != nil {
+	var viaShared PipeResult
+	viaShared.Cycles = 123 // must be reset by the run
+	if err := RunPipeline(New(p, ImageLayout(im)), cfg, mkPort(), d, &viaShared, nil); err != nil {
 		t.Fatal(err)
 	}
-	var viaInto PipeResult
-	viaInto.Cycles = 123 // must be reset by the run
-	if err := RunPipelineInto(New(p, ImageLayout(im)), cfg, mkPort(), d, &viaInto); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(viaWrapper, viaDecoded) {
-		t.Errorf("wrapper vs decoded:\n%+v\n%+v", viaWrapper, viaDecoded)
-	}
-	if !reflect.DeepEqual(*viaDecoded, viaInto) {
-		t.Errorf("decoded vs into:\n%+v\n%+v", *viaDecoded, viaInto)
+	if !reflect.DeepEqual(*viaFresh, viaShared) {
+		t.Errorf("fresh vs shared table:\n%+v\n%+v", *viaFresh, viaShared)
 	}
 }
 
@@ -151,11 +144,11 @@ func TestDecodedMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrong := Predecode(p2, ImageLayout(im2))
-	if _, err := RunPipelineDecoded(New(p1, ImageLayout(im1)), DefaultPipeConfig(), nil, wrong); err == nil {
+	var res PipeResult
+	if err := RunPipeline(New(p1, ImageLayout(im1)), DefaultPipeConfig(), nil, wrong, &res, nil); err == nil {
 		t.Error("foreign decoded table accepted")
 	}
-	var res PipeResult
-	if err := RunPipelineInto(New(p1, ImageLayout(im1)), DefaultPipeConfig(), nil, nil, &res); err == nil {
+	if err := RunPipeline(New(p1, ImageLayout(im1)), DefaultPipeConfig(), nil, nil, &res, nil); err == nil {
 		t.Error("nil decoded table accepted")
 	}
 }
@@ -183,7 +176,7 @@ func TestPipelineSteadyStateZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(runs, func() {
 		m := machines[next]
 		next++
-		if err := RunPipelineInto(m, cfg, NullFetchPort, d, &res); err != nil {
+		if err := RunPipeline(m, cfg, NullFetchPort, d, &res, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -210,7 +203,7 @@ func TestCycleBudgetOverflow(t *testing.T) {
 	} {
 		cfg := DefaultPipeConfig()
 		cfg.MaxInstrs = maxInstrs
-		if _, err := RunPipeline(New(p, ImageLayout(im)), cfg, nil); err != nil {
+		if _, err := runPipeline(New(p, ImageLayout(im)), cfg, nil); err != nil {
 			t.Errorf("MaxInstrs=%d: healthy run aborted: %v", maxInstrs, err)
 		}
 	}
@@ -220,7 +213,7 @@ func TestCycleBudgetOverflow(t *testing.T) {
 	cfg.MaxInstrs = math.MaxUint64
 	m := New(p, ImageLayout(im))
 	m.InstrCount = math.MaxUint64 // next Step errors: budget exhausted
-	if _, err := RunPipeline(m, cfg, nil); err == nil {
+	if _, err := runPipeline(m, cfg, nil); err == nil {
 		t.Error("exhausted instruction budget not reported")
 	}
 }

@@ -11,3 +11,15 @@ const SegCounters = nSegCounters
 // the lockstep tests outside the package. The reference it is compared
 // with, Machine.Step, is defined in ref_test.go.
 func (m *Machine) StepCompiled(c *Compiled) (StepResult, error) { return m.stepCompiled(c) }
+
+// MemEqual reports whether two machines' memories hold the same bytes.
+func (m *Machine) MemEqual(o *Machine) bool { return *m.mem == *o.mem }
+
+// FuseLen returns the length of the fusible straight-line run starting
+// at instruction index i (0 when i is out of range or not fusible).
+func (c *Compiled) FuseLen(i int) int {
+	if i < 0 || i >= len(c.fuse) {
+		return 0
+	}
+	return int(c.fuse[i])
+}

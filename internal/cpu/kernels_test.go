@@ -1,6 +1,7 @@
 package cpu_test
 
 import (
+	"math"
 	"testing"
 
 	"powerfits/internal/cpu"
@@ -85,7 +86,7 @@ func forEachKernel(t *testing.T, f func(t *testing.T, ims []image)) {
 	for _, k := range kernels.All() {
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			s, err := sim.Prepare(k, 1, synth.DefaultOptions())
+			s, err := sim.PrepareWith(k, 1, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +136,7 @@ func TestSuperblocksMatchStepAllKernels(t *testing.T) {
 			mi.DynCount = make([]uint64, len(im.prog.Instrs))
 			ms.DynCount = make([]uint64, len(im.prog.Instrs))
 			erri := mi.Run()
-			errs := ms.RunSuperblocks(im.c)
+			errs := ms.RunSuperblocks(im.c, math.MaxUint64, nil, nil, nil)
 			if (erri == nil) != (errs == nil) {
 				t.Fatalf("%s: fault divergence: step %v, superblock %v", im.tag, erri, errs)
 			}

@@ -7,6 +7,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"powerfits/internal/isa"
@@ -271,7 +272,7 @@ func RunFunctional(p *program.Program, maxInstrs uint64) (*Machine, error) {
 	l := WordLayout(p.TextBase, len(p.Instrs))
 	m := New(p, l)
 	m.MaxInstrs = maxInstrs
-	if err := m.RunSuperblocks(Compile(p, l)); err != nil {
+	if err := m.RunSuperblocks(Compile(p, l), math.MaxUint64, nil, nil, nil); err != nil {
 		m.Release()
 		return nil, err
 	}

@@ -104,6 +104,3 @@ func (m *Machine) Release() {
 	m.dirty = 0
 	returnMem(mem)
 }
-
-// MemEqual reports whether two machines' memories hold the same bytes.
-func (m *Machine) MemEqual(o *Machine) bool { return *m.mem == *o.mem }

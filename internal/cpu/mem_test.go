@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -100,9 +101,9 @@ var executors = []struct {
 		}
 		return nil
 	}},
-	{"superblock", func(m *Machine, c *Compiled) error { return m.RunSuperblocks(c) }},
+	{"superblock", func(m *Machine, c *Compiled) error { return m.RunSuperblocks(c, math.MaxUint64, nil, nil, nil) }},
 	{"pipeline", func(m *Machine, _ *Compiled) error {
-		_, err := RunPipeline(m, DefaultPipeConfig(), nullPort{})
+		_, err := runPipeline(m, DefaultPipeConfig(), nullPort{})
 		return err
 	}},
 }

@@ -154,46 +154,24 @@ func (r *PipeResult) IPC() float64 {
 	return float64(r.Instrs) / float64(r.Cycles)
 }
 
-// RunPipeline executes the machine's program through the timing model,
-// fetching encoded instruction bytes through port. The machine must be
-// freshly constructed with the image layout of the target encoding.
-// Concurrent RunPipeline calls are safe as long as each has its own
-// machine and port: the run mutates only those two (the program and
-// layout behind them are read-only).
+// RunPipeline executes the machine's program through the timing model
+// from start to halt, fetching encoded instruction bytes through port
+// (nil is an ideal memory) and writing the timing result into res,
+// which it resets first. d is the predecode table (Predecode), built
+// from the machine's exact program and layout; it is read-only, so any
+// number of concurrent runs may share one. The machine must be freshly
+// constructed with the image layout of the target encoding, and
+// concurrent runs are safe as long as each has its own machine and
+// port: the run mutates only those two.
 //
-// RunPipeline predecodes the program on entry; callers running the same
-// image repeatedly should Predecode once and use RunPipelineDecoded.
-func RunPipeline(m *Machine, cfg PipeConfig, port FetchPort) (*PipeResult, error) {
-	return RunPipelineDecoded(m, cfg, port, Predecode(m.prog, m.layout))
-}
-
-// RunPipelineDecoded is RunPipeline over a prebuilt predecode table,
-// which must have been built from the machine's exact program and
-// layout. The table is read-only: any number of concurrent runs may
-// share one.
-func RunPipelineDecoded(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded) (*PipeResult, error) {
-	var res PipeResult
-	if err := RunPipelineInto(m, cfg, port, d, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-// RunPipelineInto is RunPipelineDecoded writing into a caller-provided
-// result (which it resets first). The run itself performs no heap
+// A non-nil sink receives every fetch, miss, zero-issue cycle, branch
+// and mispredict as a cycle-stamped event; the results are
+// bit-identical to an untraced run. The run itself performs no heap
 // allocations, so a caller that reuses res — and pre-sizes
 // Machine.Output when the program emits — keeps the whole timing loop
 // allocation-free (pinned by TestPipelineSteadyStateZeroAlloc and the
 // ci.sh benchmark smoke).
-func RunPipelineInto(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult) error {
-	return RunPipelineTraced(m, cfg, port, d, res, nil)
-}
-
-// RunPipelineTraced is RunPipelineInto with a tracing.EventSink
-// attached: every fetch, miss, zero-issue cycle, branch and mispredict
-// is emitted as a cycle-stamped event record. The results are
-// bit-identical to an untraced run; a nil sink is RunPipelineInto.
-func RunPipelineTraced(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult, sink tracing.EventSink) error {
+func RunPipeline(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, res *PipeResult, sink tracing.EventSink) error {
 	var p PipelineRun
 	if err := p.init(m, cfg, port, d, res); err != nil {
 		return err
@@ -204,16 +182,14 @@ func RunPipelineTraced(m *Machine, cfg PipeConfig, port FetchPort, d *Decoded, r
 }
 
 // PipelineRun is the timing model's cycle loop packaged as a resumable
-// state machine. RunPipelineInto drives one from start to halt in a
-// single call; the sampled simulator interleaves bounded RunUntil
-// windows with functional fast-forwards, calling Resync after each
-// fast-forward to discard the stale fetch and interlock state. An
-// untraced run memoizes the cycle loop per segment (segment.go); its
-// memo is leased on the first RunUntil and handed back by Release.
+// state machine. RunPipeline drives one from start to halt in a single
+// call; the sampled simulator interleaves bounded RunUntil windows with
+// functional fast-forwards, calling Resync after each fast-forward to
+// discard the stale fetch and interlock state. An untraced run
+// memoizes the cycle loop per segment (segment.go); its memo is leased
+// on the first RunUntil and handed back by Release.
 //
-// The zero value is not usable; construct with NewPipelineRun (or, to
-// stay off the heap, embed the struct and call init via a full run
-// entry point such as RunPipelineInto).
+// The zero value is not usable; construct with NewPipelineRun.
 type PipelineRun struct {
 	m    *Machine
 	cfg  PipeConfig
@@ -324,8 +300,8 @@ func (p *PipelineRun) SetSink(sink tracing.EventSink) { p.sink = sink }
 
 // Release hands the run's segment memo back for reuse by a later run.
 // The run stays usable (a later RunUntil leases a fresh memo).
-// RunPipelineInto and RunPipelineTraced release their own runs; owners
-// of a NewPipelineRun defer it.
+// RunPipeline releases its own run; owners of a NewPipelineRun defer
+// it.
 func (p *PipelineRun) Release() {
 	if p.memo != nil {
 		releaseMemo(p.memo)

@@ -9,6 +9,16 @@ import (
 	"powerfits/internal/program"
 )
 
+// runPipeline runs m to halt through RunPipeline over a fresh predecode
+// of its program into a fresh result, untraced.
+func runPipeline(m *Machine, cfg PipeConfig, port FetchPort) (*PipeResult, error) {
+	var res PipeResult
+	if err := RunPipeline(m, cfg, port, Predecode(m.prog, m.layout), &res, nil); err != nil {
+		return nil, err
+	}
+	return &res, nil
+}
+
 // pipeRun assembles a program to ARM and runs the timing pipeline over
 // the given fetch port.
 func pipeRun(t *testing.T, p *program.Program, port FetchPort) *PipeResult {
@@ -18,7 +28,7 @@ func pipeRun(t *testing.T, p *program.Program, port FetchPort) *PipeResult {
 		t.Fatal(err)
 	}
 	m := New(p, ImageLayout(im))
-	res, err := RunPipeline(m, DefaultPipeConfig(), port)
+	res, err := runPipeline(m, DefaultPipeConfig(), port)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +149,7 @@ func TestLoadUseStall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunPipeline(New(p, ImageLayout(im)), wide, nil)
+		res, err := runPipeline(New(p, ImageLayout(im)), wide, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,7 +253,7 @@ func TestPipeConfigValidation(t *testing.T) {
 		if err := tc.cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, tc.cfg)
 		}
-		if _, err := RunPipeline(New(p, ImageLayout(im)), tc.cfg, nil); err == nil {
+		if _, err := runPipeline(New(p, ImageLayout(im)), tc.cfg, nil); err == nil {
 			t.Errorf("%s: RunPipeline accepted %+v", tc.name, tc.cfg)
 		}
 	}
@@ -286,7 +296,7 @@ func TestCPIStackAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(b.MustBuild(), ImageLayout(im))
-	res2, err := RunPipeline(m, wide, nil)
+	res2, err := runPipeline(m, wide, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

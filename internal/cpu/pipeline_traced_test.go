@@ -25,9 +25,9 @@ func tracedPair(t *testing.T, p *program.Program, mkPort func() FetchPort, sink 
 	d := Predecode(p, ImageLayout(im))
 
 	m1 := New(p, ImageLayout(im))
-	perr = RunPipelineInto(m1, cfg, mkPort(), d, &plain)
+	perr = RunPipeline(m1, cfg, mkPort(), d, &plain, nil)
 	m2 := New(p, ImageLayout(im))
-	terr = RunPipelineTraced(m2, cfg, mkPort(), d, &traced, sink)
+	terr = RunPipeline(m2, cfg, mkPort(), d, &traced, sink)
 	return plain, traced, perr, terr
 }
 
@@ -130,8 +130,8 @@ func TestTracedPipelineFaultIdentity(t *testing.T) {
 	}
 }
 
-// TestTracedNilSinkDelegates asserts RunPipelineTraced with a nil sink
-// is exactly the untraced run.
+// TestTracedNilSinkDelegates asserts RunPipeline with a nil sink is
+// exactly the untraced run.
 func TestTracedNilSinkDelegates(t *testing.T) {
 	for name, p := range tracedPrograms() {
 		plain, traced, perr, terr := tracedPair(t, p, func() FetchPort { return nil }, nil)

@@ -139,7 +139,7 @@ func TestSegmentMemoMatchesCycleLoop(t *testing.T) {
 	var replayed, instrs uint64
 	holding := 0
 	for _, j := range jobs {
-		s, err := sim.Prepare(kernels.MustGet(j.name), j.scale, synth.DefaultOptions())
+		s, err := sim.PrepareWith(kernels.MustGet(j.name), j.scale, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -69,115 +69,71 @@ func buildFuse(uops []uop) []uint16 {
 	return fuse
 }
 
-// FuseLen returns the length of the fusible straight-line run starting
-// at instruction index i (0 when i is out of range or not fusible).
-// Exposed for tests and diagnostics.
-func (c *Compiled) FuseLen(i int) int {
-	if i < 0 || i >= len(c.fuse) {
-		return 0
-	}
-	return int(c.fuse[i])
-}
-
-// RunSuperblocks executes until the program halts or the budget is
-// exhausted, dispatching fused superblocks where the program structure
-// allows and falling back to stepCompiled everywhere else. It is the
-// functional run loop of profiling (profile.CollectWith) and of
-// RunFunctional. Semantics are bit-identical to the reference
-// interpreter's Run (ref_test.go): same architectural state, same
-// DynCount profile, same fault errors at the same instruction.
-func (m *Machine) RunSuperblocks(c *Compiled) error {
+// RunSuperblocks executes at most n further instructions (math.MaxUint64
+// runs to halt), dispatching fused superblocks where the program
+// structure allows and falling back to stepCompiled everywhere else. It
+// returns with the machine stopped at an exact instruction boundary
+// once InstrCount has advanced by n, or when the program halts or the
+// machine's MaxInstrs budget runs out, whichever comes first. It is the
+// functional run loop of profiling (profile.Collect), of RunFunctional
+// and of the sampled timing simulator's fast-forwards. Semantics are
+// bit-identical to the reference interpreter's Run (ref_test.go): same
+// architectural state, same DynCount profile, same fault errors at the
+// same instruction.
+//
+// touch, when non-nil, is the fetch-stream witness: it is called with
+// the instruction-address range [lo, hi) of every executed batch (one
+// fused block, or one instruction on the fallback path). The sampled
+// simulator uses it to keep the I-cache warm across functional
+// fast-forwards; without it, every measured window would start from an
+// artificially cold cache and the extrapolated miss counts would be
+// badly biased (the classic functional-warming requirement of sampled
+// simulation).
+//
+// seen, when non-nil, is a warm-once set for a witness that needs each
+// batch only once: one bit per instruction index (at least one per
+// instruction of the program), and a batch whose first instruction's
+// bit is set is not witnessed again. A bit is set once its whole batch
+// was witnessed; a fused block the instruction bound cut short is
+// witnessed, as one instruction, but leaves its bit clear. The bits
+// persist across calls, so a caller that keeps seen between
+// fast-forwards witnesses each block once per run. That is exact for a
+// witness whose effect on a repeated range is none, as cache warming
+// is when the cache holds the whole text (it never evicts, so a line
+// touched once stays resident).
+//
+// sink, when non-nil, receives one KindSuperblock event per executed
+// batch, carrying the machine's InstrCount at entry in Cycle
+// (functional execution has no cycle clock), the batch's first encoded
+// address in PC and its encoded length in Payload. A traced run
+// witnesses every batch, so it takes no warm-once set. A nil sink adds
+// nothing to the loop.
+func (m *Machine) RunSuperblocks(c *Compiled, n uint64, touch func(lo, hi uint32), seen []uint64, sink tracing.EventSink) error {
 	if err := c.check(m); err != nil {
 		return err
 	}
-	return m.runSuperblocks(c, math.MaxUint64, nil, nil)
-}
-
-// RunSuperblocksN is RunSuperblocks bounded to at most n further
-// instructions: it returns with the machine stopped at an exact
-// instruction boundary once InstrCount has advanced by n (or the
-// program halts, whichever comes first). The sampled timing simulator
-// uses it to fast-forward between measured windows.
-func (m *Machine) RunSuperblocksN(c *Compiled, n uint64) error {
-	if err := c.check(m); err != nil {
-		return err
-	}
-	if n > math.MaxUint64-m.InstrCount {
-		n = math.MaxUint64 - m.InstrCount
-	}
-	return m.runSuperblocks(c, m.InstrCount+n, nil, nil)
-}
-
-// RunSuperblocksWarm is RunSuperblocksN with a fetch-stream witness:
-// touch is called with the instruction-address range [lo, hi) of every
-// executed batch (one fused block, or one instruction on the fallback
-// path). The sampled timing simulator uses it to keep the I-cache
-// contents warm across functional fast-forwards — without it, every
-// measured window would start from an artificially cold cache and the
-// extrapolated miss counts would be badly biased (the classic
-// functional-warming requirement of sampled simulation).
-func (m *Machine) RunSuperblocksWarm(c *Compiled, n uint64, touch func(lo, hi uint32)) error {
-	if err := c.check(m); err != nil {
-		return err
-	}
-	if n > math.MaxUint64-m.InstrCount {
-		n = math.MaxUint64 - m.InstrCount
-	}
-	return m.runSuperblocks(c, m.InstrCount+n, touch, nil)
-}
-
-// RunSuperblocksWarmOnce is RunSuperblocksWarm for a witness that needs
-// each batch only once: seen holds one bit per instruction index, and
-// a batch whose first instruction's bit is set is not witnessed again.
-// A bit is set once its whole batch (the fused block, or the single
-// non-fusible instruction) was witnessed; a fused block the instruction
-// budget cut short is witnessed, as one instruction, but leaves its bit
-// clear. The bits persist across calls, so a caller that keeps seen
-// between fast-forwards witnesses each block once per run. That is
-// exact for a witness whose effect on a repeated range is none, as
-// cache warming is when the cache holds the whole text (it never
-// evicts, so a line touched once stays resident). seen must have at
-// least one bit per instruction of the program.
-func (m *Machine) RunSuperblocksWarmOnce(c *Compiled, n uint64, touch func(lo, hi uint32), seen []uint64) error {
-	if err := c.check(m); err != nil {
-		return err
-	}
-	if len(seen)*64 < len(c.uops) {
+	if seen != nil && len(seen)*64 < len(c.uops) {
 		return fmt.Errorf("cpu: warm-once set of %d bits for %d instructions", len(seen)*64, len(c.uops))
 	}
 	if n > math.MaxUint64-m.InstrCount {
 		n = math.MaxUint64 - m.InstrCount
 	}
-	return m.runSuperblocks(c, m.InstrCount+n, touch, seen)
-}
-
-// RunSuperblocksTraced is RunSuperblocksWarm with a tracing sink: one
-// KindSuperblock event per executed batch (a fused block, or a single
-// fallback instruction), carrying the machine's InstrCount at entry in
-// Cycle (functional execution has no cycle clock), the batch's first
-// encoded address in PC and its encoded length in Payload. A nil sink
-// delegates straight to RunSuperblocksWarm, so the fast-forward hot
-// path pays nothing when tracing is off.
-func (m *Machine) RunSuperblocksTraced(c *Compiled, n uint64, touch func(lo, hi uint32), sink tracing.EventSink) error {
-	if sink == nil {
-		return m.RunSuperblocksWarm(c, n, touch)
-	}
-	emit := func(lo, hi uint32) {
-		if touch != nil {
-			touch(lo, hi)
+	if sink != nil {
+		if seen != nil {
+			return fmt.Errorf("cpu: a traced run witnesses every batch; it takes no warm-once set")
 		}
-		sink.Emit(tracing.Event{
-			Cycle: m.InstrCount, PC: lo,
-			Payload: hi - lo, Kind: tracing.KindSuperblock,
-		})
+		witness := touch
+		touch = func(lo, hi uint32) {
+			if witness != nil {
+				witness(lo, hi)
+			}
+			sink.Emit(tracing.Event{
+				Cycle: m.InstrCount, PC: lo,
+				Payload: hi - lo, Kind: tracing.KindSuperblock,
+			})
+		}
 	}
-	if err := c.check(m); err != nil {
-		return err
-	}
-	if n > math.MaxUint64-m.InstrCount {
-		n = math.MaxUint64 - m.InstrCount
-	}
-	return m.runSuperblocks(c, m.InstrCount+n, emit, nil)
+	return m.runSuperblocks(c, m.InstrCount+n, touch, seen)
 }
 
 // runSuperblocks is the dispatch loop: fused blocks when a whole block
@@ -187,7 +143,7 @@ func (m *Machine) RunSuperblocksTraced(c *Compiled, n uint64, touch func(lo, hi 
 // BX, bad ops, budget exhaustion and out-of-range PCs — so every error
 // message stays byte-identical to the per-µop path). touch, when
 // non-nil, witnesses each batch, except those seen marks as witnessed
-// whole before (RunSuperblocksWarmOnce; nil witnesses every batch).
+// whole before (a warm-once set; nil witnesses every batch).
 func (m *Machine) runSuperblocks(c *Compiled, target uint64, touch func(lo, hi uint32), seen []uint64) error {
 	uops := c.uops
 	fuse := c.fuse

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"powerfits/internal/asm"
 	"powerfits/internal/isa"
 	"powerfits/internal/program"
+	"powerfits/internal/tracing"
 )
 
 // superblockCompare runs two machines over the same program — one
@@ -30,7 +32,7 @@ func superblockCompare(t *testing.T, p *program.Program, maxInstrs uint64) uint6
 	ms.DynCount = make([]uint64, len(p.Instrs))
 
 	erri := mi.Run()
-	errs := ms.RunSuperblocks(Compile(p, l))
+	errs := ms.RunSuperblocks(Compile(p, l), math.MaxUint64, nil, nil, nil)
 
 	if (erri == nil) != (errs == nil) {
 		t.Fatalf("fault divergence: interpreted %v, superblock %v", erri, errs)
@@ -181,7 +183,7 @@ func TestSuperblockFaultMidBlock(t *testing.T) {
 	// And directly: the fault is an ExecError naming the load.
 	l := WordLayout(p.TextBase, len(p.Instrs))
 	m := New(p, l)
-	err := m.RunSuperblocks(c)
+	err := m.RunSuperblocks(c, math.MaxUint64, nil, nil, nil)
 	if err == nil {
 		t.Fatal("mid-block fault did not surface")
 	}
@@ -252,22 +254,22 @@ func TestSuperblockExitBranchFinal(t *testing.T) {
 
 // TestSuperblockMismatchRejected mirrors the compiled-path test: a
 // table built from a foreign program, or no table at all, is rejected
-// up front on both entry points.
+// up front, by a run to halt and by a bounded run.
 func TestSuperblockMismatchRejected(t *testing.T) {
 	p1, p2 := straightLine(4), mixedProgram()
 	l1 := WordLayout(p1.TextBase, len(p1.Instrs))
 	wrong := Compile(p2, WordLayout(p2.TextBase, len(p2.Instrs)))
-	if err := New(p1, l1).RunSuperblocks(wrong); err == nil {
+	if err := New(p1, l1).RunSuperblocks(wrong, math.MaxUint64, nil, nil, nil); err == nil {
 		t.Error("RunSuperblocks accepted a foreign table")
 	}
-	if err := New(p1, l1).RunSuperblocks(nil); err == nil {
+	if err := New(p1, l1).RunSuperblocks(nil, math.MaxUint64, nil, nil, nil); err == nil {
 		t.Error("RunSuperblocks accepted a nil table")
 	}
-	if err := New(p1, l1).RunSuperblocksN(wrong, 10); err == nil {
-		t.Error("RunSuperblocksN accepted a foreign table")
+	if err := New(p1, l1).RunSuperblocks(wrong, 10, nil, nil, nil); err == nil {
+		t.Error("bounded RunSuperblocks accepted a foreign table")
 	}
-	if err := New(p1, l1).RunSuperblocksN(nil, 10); err == nil {
-		t.Error("RunSuperblocksN accepted a nil table")
+	if err := New(p1, l1).RunSuperblocks(nil, 10, nil, nil, nil); err == nil {
+		t.Error("bounded RunSuperblocks accepted a nil table")
 	}
 }
 
@@ -284,7 +286,7 @@ func TestRunSuperblocksN(t *testing.T) {
 	mi := New(p, l)
 	var total uint64
 	for _, n := range []uint64{1, 2, 3, 5, 8, 13, 100, 1, 7} {
-		if err := ms.RunSuperblocksN(c, n); err != nil {
+		if err := ms.RunSuperblocks(c, n, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		for i := uint64(0); i < n && !mi.Halted; i++ {
@@ -307,7 +309,7 @@ func TestRunSuperblocksN(t *testing.T) {
 	}
 	if !ms.Halted {
 		// Finish both and confirm they still agree.
-		if err := ms.RunSuperblocks(c); err != nil {
+		if err := ms.RunSuperblocks(c, math.MaxUint64, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := mi.Run(); err != nil {
@@ -323,7 +325,8 @@ func TestRunSuperblocksN(t *testing.T) {
 // body is one fused block: a block the budget cuts short is witnessed
 // as one instruction and stays unmarked, a whole batch is witnessed
 // once and marked, and the machine ends where the per-batch witness's
-// run does. A set too small for the program is an error.
+// run does. A set too small for the program is an error, and so is a
+// set on a traced run, which witnesses every batch.
 func TestRunSuperblocksWarmOnce(t *testing.T) {
 	b := asm.New("warmonce")
 	b.Func("main")
@@ -349,13 +352,13 @@ func TestRunSuperblocksWarmOnce(t *testing.T) {
 	defer mo.Release()
 	seen := make([]uint64, 1)
 	rec := func(lo, hi uint32) { once = append(once, span{lo, hi}) }
-	if err := mo.RunSuperblocksWarmOnce(c, 1, rec, seen); err != nil {
+	if err := mo.RunSuperblocks(c, 1, rec, seen, nil); err != nil {
 		t.Fatal(err)
 	}
 	if seen[0] != 0 {
 		t.Errorf("a block cut short by the budget was marked: set %#b", seen[0])
 	}
-	if err := mo.RunSuperblocksWarmOnce(c, 1<<20, rec, seen); err != nil {
+	if err := mo.RunSuperblocks(c, 1<<20, rec, seen, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := []span{{addr(0), addr(1)}, {addr(1), addr(5)}, {addr(5), addr(6)}, {addr(6), addr(7)}}
@@ -368,10 +371,10 @@ func TestRunSuperblocksWarmOnce(t *testing.T) {
 
 	me := New(p, l)
 	defer me.Release()
-	if err := me.RunSuperblocksWarm(c, 1, func(lo, hi uint32) { every = append(every, span{lo, hi}) }); err != nil {
+	if err := me.RunSuperblocks(c, 1, func(lo, hi uint32) { every = append(every, span{lo, hi}) }, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := me.RunSuperblocksWarm(c, 1<<20, func(lo, hi uint32) { every = append(every, span{lo, hi}) }); err != nil {
+	if err := me.RunSuperblocks(c, 1<<20, func(lo, hi uint32) { every = append(every, span{lo, hi}) }, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(every) != 8 {
@@ -384,8 +387,12 @@ func TestRunSuperblocksWarmOnce(t *testing.T) {
 
 	mb := New(p, l)
 	defer mb.Release()
-	if err := mb.RunSuperblocksWarmOnce(c, 1, rec, nil); err == nil {
+	if err := mb.RunSuperblocks(c, 1, rec, []uint64{}, nil); err == nil {
 		t.Error("an empty warm-once set was accepted")
+	}
+	var events tracing.Counts
+	if err := mb.RunSuperblocks(c, 1, rec, make([]uint64, 1), &events); err == nil {
+		t.Error("a warm-once set on a traced run was accepted")
 	}
 }
 
@@ -406,7 +413,7 @@ func TestSuperblockZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(runs, func() {
 		m := machines[next]
 		next++
-		if err := m.RunSuperblocks(c); err != nil {
+		if err := m.RunSuperblocks(c, math.MaxUint64, nil, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

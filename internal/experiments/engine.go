@@ -5,11 +5,11 @@
 // byte-identical at any parallelism (see TestParallelMatchesSequential).
 //
 // Goroutine-safety contract (audited per package):
-//   - sim.Setup is immutable after Prepare; Setup.Run and
-//     Setup.RunPass build all mutable state (cache.Cache, power.Meter,
-//     cpu.Machine, layout) per call. Each machine leases its memory
-//     and releases it when the run returns; the free list the workers
-//     share is a channel (cpu.Machine.Release).
+//   - sim.Setup is immutable after PrepareWith; Setup.RunAll builds
+//     all mutable state (cache.Cache, power.Meter, cpu.Machine, layout)
+//     per call. Each machine leases its memory and releases it when
+//     the run returns; the workers share its free list, a mutex-guarded
+//     reuse.FreeList (cpu.Machine.Release).
 //   - the predecoded instruction tables (Setup.ArmDecoded /
 //     Setup.FitsDecoded, see cpu.Predecode) are built once in Prepare
 //     and shared read-only by every configuration run of a kernel —
@@ -127,11 +127,11 @@ type Options struct {
 	// set it.
 	Superblocks bool
 	// Sampled replaces every full-pipeline timing pass with the sampled
-	// estimator (sim.Setup.RunPass with sample options): exact outputs
-	// and instruction counts, extrapolated cycles and energy with ≤2 %
-	// validated error. Configurations share a sampled pass exactly as
-	// they share an exact one, so a sampled suite costs one pass per
-	// image whose text the caches hold.
+	// estimator (sim.RunOptions.Sample): exact outputs and instruction
+	// counts, extrapolated cycles and energy with ≤2 % validated error.
+	// Configurations share a sampled pass exactly as they share an
+	// exact one, so a sampled suite costs one pass per image whose text
+	// the caches hold.
 	Sampled bool
 	// Sample parameterises the estimator when Sampled is set; the zero
 	// value selects sim.DefaultSampleOptions.
@@ -247,14 +247,15 @@ func RunSuite(opt Options) (*Suite, error) {
 			// Fan out one job per timing pass: exact and sampled runs
 			// of an image share a pass across the cache sizes that
 			// hold its text (sim.Setup.Passes); phase-sampled runs
-			// time one configuration each through RunWith.
-			var sample *sim.SampleOptions
+			// time one configuration each.
+			var ro sim.RunOptions
 			if opt.Sampled {
-				sample = &opt.Sample
+				ro.Sample = &opt.Sample
+			} else if opt.WindowCycles > 0 {
+				ro.WindowCycles = opt.WindowCycles
 			}
-			phased := sample == nil && opt.WindowCycles > 0
 			var passes [][]sim.Config
-			if phased {
+			if ro.WindowCycles > 0 {
 				for _, cfg := range sim.Configs {
 					passes = append(passes, []sim.Config{cfg})
 				}
@@ -273,15 +274,7 @@ func RunSuite(opt Options) (*Suite, error) {
 						return
 					}
 					t0 := time.Now()
-					var rs []*sim.Result
-					var err error
-					if phased {
-						var r *sim.Result
-						r, err = setup.RunWith(pass[0], s.Cal, sim.RunOptions{WindowCycles: opt.WindowCycles})
-						rs = []*sim.Result{r}
-					} else {
-						rs, err = setup.RunPass(pass, s.Cal, sample)
-					}
+					rs, err := setup.RunAll(pass, s.Cal, ro)
 					// A pass's wall time is split evenly across its
 					// configurations, so RunSec still sums to the
 					// simulation time.

@@ -27,7 +27,7 @@ func ExtSwitchingModel(scale int) (*Table, error) {
 		Unit: "% saving vs ARM16", Columns: []string{"fixed activity", "hamming"},
 		Note: "The paper's model charges fixed switching capacitance per access; measured Hamming toggles penalise the denser FITS stream slightly. The headline survives either way."}
 	for _, k := range kernels.All() {
-		s, err := sim.Prepare(k, scale, synth.DefaultOptions())
+		s, err := sim.PrepareWith(k, scale, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +75,7 @@ func ExtGeometry(scale int) (*Table, error) {
 	cal := power.DefaultCalibration()
 	for _, name := range extKernels {
 		k := kernels.MustGet(name)
-		s, err := sim.Prepare(k, scale, synth.DefaultOptions())
+		s, err := sim.PrepareWith(k, scale, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +92,7 @@ func ExtGeometry(scale int) (*Table, error) {
 			}
 			cfgs = append(cfgs, mk(sim.ISAARM, 16*1024), mk(sim.ISAFITS, 8*1024))
 		}
-		rs, err := s.RunAll(cfgs, cal, nil)
+		rs, err := s.RunAll(cfgs, cal, sim.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +115,7 @@ func ExtEnergy(scale int) (*Table, error) {
 		Note: "The paper's Section 6.3 infers energy savings from power savings because its runtimes barely differ; that holds here wherever the runtime ratio is near 100 % (blowfish, crc32, gsm). On fetch-bound kernels our FITS core also finishes sooner, so its energy saving exceeds its average-power saving — FITS does strictly better than the paper's inference assumes."}
 	cal := power.DefaultCalibration()
 	for _, k := range kernels.All() {
-		s, err := sim.Prepare(k, scale, synth.DefaultOptions())
+		s, err := sim.PrepareWith(k, scale, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 		if err != nil {
 			return nil, err
 		}
@@ -144,11 +144,11 @@ func ExtTraffic(scale int) (*Table, error) {
 		Unit: "accesses/instr", Columns: []string{"ARM16", "ARM8", "FITS16", "FITS8"}}
 	cal := power.DefaultCalibration()
 	for _, k := range kernels.All() {
-		s, err := sim.Prepare(k, scale, synth.DefaultOptions())
+		s, err := sim.PrepareWith(k, scale, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 		if err != nil {
 			return nil, err
 		}
-		rs, err := s.RunAll(sim.Configs, cal, nil)
+		rs, err := s.RunAll(sim.Configs, cal, sim.RunOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -173,7 +173,7 @@ func ExtCPI(scale int) (*Table, error) {
 		Note: "dual = cycles issuing the full width; fetch0/hazard0/miss0 = zero-issue cycles starved by the fetch port, blocked by interlocks, or stalled on I-cache misses. The 16-bit ISA relieves the 32-bit fetch port, converting fetch-starved cycles into dual-issue cycles."}
 	cal := power.DefaultCalibration()
 	for _, k := range kernels.All() {
-		s, err := sim.Prepare(k, scale, synth.DefaultOptions())
+		s, err := sim.PrepareWith(k, scale, sim.PrepareOptions{Synth: synth.DefaultOptions()})
 		if err != nil {
 			return nil, err
 		}

@@ -40,7 +40,8 @@ type ConfigOutcome struct {
 	Savings *PowerSavings `json:"savings,omitempty"`
 
 	// Sample describes the sampling estimator behind the result when
-	// it came from sim.RunSampled; nil for exact runs.
+	// it came from a sampled run (sim.RunOptions.Sample); nil for exact
+	// runs.
 	Sample *SampleInfo `json:"sample,omitempty"`
 }
 

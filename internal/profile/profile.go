@@ -6,6 +6,7 @@
 package profile
 
 import (
+	"math"
 	"sort"
 
 	"powerfits/internal/cpu"
@@ -67,12 +68,6 @@ type Profile struct {
 	Output []uint32
 }
 
-// CollectOptions parameterises the profiling run.
-type CollectOptions struct {
-	// MaxInstrs bounds the run (0 = unlimited).
-	MaxInstrs uint64
-}
-
 // Collect runs the program functionally (the paper's profile stage runs
 // the application to completion) and gathers all statistics. maxInstrs
 // bounds the run (0 = unlimited). The run executes on the superblock
@@ -80,17 +75,12 @@ type CollectOptions struct {
 // functional path, which matters here because the profiling run
 // executes every dynamic instruction of the application.
 func Collect(p *program.Program, maxInstrs uint64) (*Profile, error) {
-	return CollectWith(p, CollectOptions{MaxInstrs: maxInstrs})
-}
-
-// CollectWith is Collect with full options.
-func CollectWith(p *program.Program, opts CollectOptions) (*Profile, error) {
 	l := cpu.WordLayout(p.TextBase, len(p.Instrs))
 	m := cpu.New(p, l)
 	defer m.Release()
-	m.MaxInstrs = opts.MaxInstrs
+	m.MaxInstrs = maxInstrs
 	m.DynCount = make([]uint64, len(p.Instrs))
-	if err := m.RunSuperblocks(cpu.Compile(p, l)); err != nil {
+	if err := m.RunSuperblocks(cpu.Compile(p, l), math.MaxUint64, nil, nil, nil); err != nil {
 		return nil, err
 	}
 	return build(p, m.DynCount, m.Output), nil

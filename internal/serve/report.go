@@ -74,11 +74,11 @@ func serveRunID(c *Canonical) string {
 // layer stores and replays).
 func (c *Canonical) Evaluate(s *sim.Setup) ([]byte, *Report, error) {
 	cal := power.DefaultCalibration()
-	var sample *sim.SampleOptions
+	var ro sim.RunOptions
 	if c.Req.Sampled {
-		sample = &sim.SampleOptions{}
+		ro.Sample = &sim.SampleOptions{}
 	}
-	rs, err := s.RunAll(c.Configs, cal, sample)
+	rs, err := s.RunAll(c.Configs, cal, ro)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -14,7 +14,7 @@
 //     it computes, and identical requests arriving meanwhile join that
 //     one flight.
 //  2. Shared immutable state + admission control — cold requests share
-//     read-only predecode/compiled tables (sim.Prepare's concurrency
+//     read-only predecode/compiled tables (sim.Setup's concurrency
 //     contract) and a bounded profile.Cache, gated by a worker
 //     semaphore with a bounded accept queue and fast-fail 429s beyond
 //     it.

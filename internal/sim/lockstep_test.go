@@ -22,7 +22,7 @@ func TestLockstepEquivalence(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			s, err := Prepare(kernels.MustGet(name), 1, synth.DefaultOptions())
+			s, err := PrepareWith(kernels.MustGet(name), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func TestLockstepEquivalence(t *testing.T) {
 			var steps uint64
 			for !armM.Halted {
 				origIdx := armM.PCIdx
-				if err := armM.RunSuperblocksN(s.ArmCompiled, 1); err != nil {
+				if err := armM.RunSuperblocks(s.ArmCompiled, 1, nil, nil, nil); err != nil {
 					t.Fatalf("arm step: %v", err)
 				}
 				steps++
@@ -66,7 +66,7 @@ func TestLockstepEquivalence(t *testing.T) {
 					if fitsM.Halted {
 						break
 					}
-					if err := fitsM.RunSuperblocksN(s.FitsCompiled, 1); err != nil {
+					if err := fitsM.RunSuperblocks(s.FitsCompiled, 1, nil, nil, nil); err != nil {
 						t.Fatalf("fits step: %v", err)
 					}
 				}

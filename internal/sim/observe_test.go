@@ -13,7 +13,7 @@ import (
 // observedSetup prepares crc32 once for the observation tests.
 func observedSetup(t *testing.T) *Setup {
 	t.Helper()
-	s, err := Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := PrepareWith(kernels.MustGet("crc32"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		obs, err := s.RunWith(cfg, cal, RunOptions{WindowCycles: 512})
+		obs, err := first(s.RunAll([]Config{cfg}, cal, RunOptions{WindowCycles: 512}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +50,7 @@ func TestObservedRunMatchesPlainRun(t *testing.T) {
 func TestPhaseSeriesConsistency(t *testing.T) {
 	s := observedSetup(t)
 	cal := power.DefaultCalibration()
-	r, err := s.RunWith(FITS8, cal, RunOptions{WindowCycles: 256})
+	r, err := first(s.RunAll([]Config{FITS8}, cal, RunOptions{WindowCycles: 256}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestPhaseSeriesConsistency(t *testing.T) {
 func TestHotspotAttribution(t *testing.T) {
 	s := observedSetup(t)
 	cal := power.DefaultCalibration()
-	r, err := s.RunWith(ARM16, cal, RunOptions{WindowCycles: 1024})
+	r, err := first(s.RunAll([]Config{ARM16}, cal, RunOptions{WindowCycles: 1024}))
 	if err != nil {
 		t.Fatal(err)
 	}

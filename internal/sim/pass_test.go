@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -52,14 +53,30 @@ func passMatrix() ([]Config, map[string]power.Calibration) {
 	return cfgs, cals
 }
 
+// shuffledMix returns cfgs plus a 32-byte cache for each ISA, which
+// holds no kernel's text, in a fixed shuffled order: holding and
+// non-holding configurations of both ISAs interleaved, so RunAll must
+// scatter each pass's results back to their places in cfgs.
+func shuffledMix(cfgs []Config) []Config {
+	tiny := cache.Config{SizeBytes: 32, LineBytes: 16, Assoc: 2}
+	mix := append(slices.Clone(cfgs),
+		Config{Name: "ARM32B", ISA: ISAARM, Cache: tiny},
+		Config{Name: "FITS32B", ISA: ISAFITS, Cache: tiny})
+	rand.New(rand.NewSource(1)).Shuffle(len(mix), func(i, j int) { mix[i], mix[j] = mix[j], mix[i] })
+	return mix
+}
+
 // TestSharedPassMatchesSeparateRuns holds the shared timing pass to the
 // standalone runs it replaces: for every kernel at scale 1, RunAll over
-// both ISAs at 16, 8 and 4 KB returns, configuration by configuration,
-// exactly what Run returns, under the default calibration and under a
-// non-dyadic Hamming one. It also pins the grouping: at 16 and 8 KB only
-// jpeg's ARM image is too large to share a pass.
+// both ISAs at 16, 8 and 4 KB, and over a shuffled mix of those with
+// caches too small to hold the text (shuffledMix), returns,
+// configuration by configuration and in cfgs order, exactly what Run
+// returns, under the default calibration and under a non-dyadic Hamming
+// one. It also pins the grouping: at 16 and 8 KB only jpeg's ARM image
+// is too large to share a pass.
 func TestSharedPassMatchesSeparateRuns(t *testing.T) {
 	cfgs, cals := passMatrix()
+	mix := shuffledMix(cfgs)
 
 	type split struct{ kernel, isa string }
 	splits := make(chan split, 2*len(kernels.All()))
@@ -69,7 +86,7 @@ func TestSharedPassMatchesSeparateRuns(t *testing.T) {
 			k := k
 			t.Run(k.Name, func(t *testing.T) {
 				t.Parallel()
-				s, err := Prepare(k, 1, synth.DefaultOptions())
+				s, err := PrepareWith(k, 1, PrepareOptions{Synth: synth.DefaultOptions()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,17 +100,24 @@ func TestSharedPassMatchesSeparateRuns(t *testing.T) {
 						threeWay <- k.Name
 					}
 				}
-				for name, cal := range cals {
-					got, err := s.RunAll(cfgs, cal, nil)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
+				for _, isa := range []ISA{ISAARM, ISAFITS} {
+					if !slices.ContainsFunc(mix, func(c Config) bool { return c.ISA == isa && !s.holds(c) }) {
+						t.Fatalf("the shuffled mix holds every %s configuration", isa)
 					}
-					for i, cfg := range cfgs {
-						want, err := s.Run(cfg, cal)
+				}
+				for name, cal := range cals {
+					for _, in := range [][]Config{cfgs, mix} {
+						got, err := s.RunAll(in, cal, RunOptions{})
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
-						sameResult(t, got[i], want)
+						for i, cfg := range in {
+							want, err := s.Run(cfg, cal)
+							if err != nil {
+								t.Fatalf("%s: %v", name, err)
+							}
+							sameResult(t, got[i], want)
+						}
 					}
 				}
 			})
@@ -130,13 +154,13 @@ func TestSampledPassMatchesSeparateRuns(t *testing.T) {
 	for _, k := range kernels.All() {
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			s, err := Prepare(k, 1, synth.DefaultOptions())
+			s, err := PrepareWith(k, 1, PrepareOptions{Synth: synth.DefaultOptions()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for cname, cal := range cals {
 				for oname, opt := range opts {
-					got, err := s.RunAll(cfgs, cal, &opt)
+					got, err := s.RunAll(cfgs, cal, RunOptions{Sample: &opt})
 					if err != nil {
 						t.Fatalf("%s/%s: %v", cname, oname, err)
 					}
@@ -153,12 +177,13 @@ func TestSampledPassMatchesSeparateRuns(t *testing.T) {
 	}
 }
 
-// TestRunPassRejectsUnsharablePasses checks that RunPass refuses
-// configurations whose runs could diverge, exact or sampled: different
-// ISAs, different line sizes, or a cache too small to hold the image
-// text.
+// TestRunPassRejectsUnsharablePasses checks that a pass (runPass, or
+// runSampled with sample options) refuses configurations whose runs
+// could diverge: different ISAs, different line sizes, or a cache too
+// small to hold the image text. RunAll splits such sets into passes
+// (TestSharedPassMatchesSeparateRuns).
 func TestRunPassRejectsUnsharablePasses(t *testing.T) {
-	s, err := Prepare(kernels.MustGet("jpeg"), 1, synth.DefaultOptions())
+	s, err := PrepareWith(kernels.MustGet("jpeg"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +192,13 @@ func TestRunPassRejectsUnsharablePasses(t *testing.T) {
 	cal := power.DefaultCalibration()
 	for _, sample := range []*SampleOptions{nil, {}} {
 		for _, pass := range [][]Config{{}, {ARM16, FITS16}, {FITS16, wide}, {ARM16, ARM8}} {
-			if _, err := s.RunPass(pass, cal, sample); err == nil {
-				t.Errorf("RunPass(sample %v) accepted %s", sample, passName(pass))
+			if _, err := s.runOnePass(pass, cal, RunOptions{Sample: sample}); err == nil {
+				t.Errorf("pass (sample %v) accepted %s", sample, passName(pass))
 			}
 		}
-		rs, err := s.RunPass([]Config{FITS16, FITS8}, cal, sample)
+		rs, err := s.runOnePass([]Config{FITS16, FITS8}, cal, RunOptions{Sample: sample})
 		if err != nil || len(rs) != 2 {
-			t.Fatalf("RunPass(FITS16+FITS8, sample %v) = %d results, %v", sample, len(rs), err)
+			t.Fatalf("pass FITS16+FITS8 (sample %v) = %d results, %v", sample, len(rs), err)
 		}
 	}
 }

@@ -16,7 +16,7 @@ import (
 // sequential runs. Under -race this is also the proof that Setup.Run
 // shares no mutable state across goroutines.
 func TestConcurrentRunsMatchSequential(t *testing.T) {
-	s, err := Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := PrepareWith(kernels.MustGet("crc32"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestFetchPortBlockContents(t *testing.T) {
 // TestFetchPortZeroAlloc proves the steady-state fetch path allocates
 // nothing, on both the aliasing and the scratch-buffer paths.
 func TestFetchPortZeroAlloc(t *testing.T) {
-	s, err := Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := PrepareWith(kernels.MustGet("crc32"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

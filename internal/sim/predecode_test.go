@@ -83,7 +83,7 @@ func TestPredecodeMatchesLiveMetadata(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			s, err := Prepare(k, 1, synth.DefaultOptions())
+			s, err := PrepareWith(k, 1, PrepareOptions{Synth: synth.DefaultOptions()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,7 +21,7 @@ func TestPrepareAllocsPinned(t *testing.T) {
 	k := kernels.MustGet("crc32")
 	opts := synth.DefaultOptions()
 	avg := testing.AllocsPerRun(10, func() {
-		if _, err := Prepare(k, 1, opts); err != nil {
+		if _, err := PrepareWith(k, 1, PrepareOptions{Synth: opts}); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -18,7 +18,7 @@ func TestPrepareSharesProfileCache(t *testing.T) {
 	k := kernels.MustGet("crc32")
 	cache := profile.NewCache()
 
-	base, err := Prepare(k, 1, synth.DefaultOptions())
+	base, err := PrepareWith(k, 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

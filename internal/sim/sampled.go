@@ -224,7 +224,7 @@ type sampleState struct {
 	covIdx int
 
 	// seen is the warm-once set of a pass whose cache holds the text
-	// (cpu.Machine.RunSuperblocksWarmOnce): one bit per instruction
+	// (cpu.Machine.RunSuperblocks): one bit per instruction
 	// index, set once the batch starting there has been witnessed
 	// whole; nil when every batch is witnessed. witnessed counts the
 	// witness calls, for the tests.
@@ -325,26 +325,12 @@ func (st *sampleState) resetWarm() {
 	st.cov = [4]covRange{}
 }
 
-// RunSampled executes the prepared kernel under one configuration with
-// sampled timing: the whole instruction stream runs functionally (so
-// outputs and instruction counts are exact), but only a detailed head
-// plus periodic warmup+measure windows pass through the cycle-accurate
-// pipeline. Cycles, stalls, cache and energy totals are extrapolated
-// with the ratio estimator described in DESIGN.md §11, and the Result
-// carries a SampleStats with the window count and 95 % confidence
-// intervals. Runs that halt before MinWindows windows fall back to an
-// exact full simulation.
-//
-// RunSampled is a sampled pass of one (RunPass with sample options),
-// calling the pass directly so opt and the result slice stay off the
-// heap. Like Run, it is safe to call concurrently on one Setup.
+// RunSampled is RunAll of one configuration with the sampled
+// estimator (runSampled; DESIGN.md §11): outputs and instruction counts
+// are exact, cycles and energy are extrapolated from periodic detailed
+// windows, and the Result carries a SampleStats.
 func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions) (*Result, error) {
-	cfgs := [1]Config{cfg}
-	var out [1]*Result
-	if err := s.runSampled(cfgs[:], cal, opt, nil, out[:], nil); err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	return first(s.RunAll([]Config{cfg}, cal, RunOptions{Sample: &opt}))
 }
 
 // runSampled times one pass of Passes with the sampled estimator and
@@ -358,7 +344,7 @@ func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions)
 // energies use exactly its standalone run's expressions: every result
 // is bit-identical to a pass of one.
 //
-// A sink observes single-configuration passes only (RunWith). The
+// A sink observes single-configuration passes only (RunAll). The
 // detailed segments stream the same pipeline events an exact run
 // would, the fast-forwards emit one KindSuperblock event per executed
 // batch, and every sampling boundary (head end, warmup start, measure
@@ -372,10 +358,11 @@ func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions)
 // untraced pass whose caches hold the text: such a cache never evicts,
 // so once a batch's lines have been touched every later touch of them
 // hits, and the fast-forward witnesses each block only the first time
-// it runs whole (cpu.Machine.RunSuperblocksWarmOnce). The extra touches
-// would change only LRU stamps and the access count, which no result
-// reads. A non-nil probe is the tests' window on this: it can force the
-// per-batch witness and receives the witness call count.
+// it runs whole (the warm-once set of cpu.Machine.RunSuperblocks). The
+// extra touches would change only LRU stamps and the access count,
+// which no result reads. A non-nil probe is the tests' window on this:
+// it can force the per-batch witness and receives the witness call
+// count.
 func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink, out []*Result, probe *warmProbe) error {
 	opt = opt.withDefaults()
 	if err := opt.Validate(); err != nil {
@@ -466,12 +453,7 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptio
 		// architectural state (and Output) advances exactly; the
 		// stream stands still and the cache sees only warming touches.
 		st.resetWarm()
-		if st.seen != nil {
-			err = m.RunSuperblocksWarmOnce(comp, ff, warm, st.seen)
-		} else {
-			err = m.RunSuperblocksTraced(comp, ff, warm, sink)
-		}
-		if err != nil {
+		if err := m.RunSuperblocks(comp, ff, warm, st.seen, sink); err != nil {
 			return wrap(err)
 		}
 		if m.Halted {

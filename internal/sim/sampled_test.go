@@ -32,7 +32,7 @@ func TestSampledAccuracy(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			s, err := Prepare(k, 1, synth.DefaultOptions())
+			s, err := PrepareWith(k, 1, PrepareOptions{Synth: synth.DefaultOptions()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -101,7 +101,7 @@ func TestSampledAccuracy(t *testing.T) {
 // returns the exact simulation bit-for-bit.
 func TestSampledExactFallback(t *testing.T) {
 	cal := power.DefaultCalibration()
-	s, err := Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := PrepareWith(kernels.MustGet("crc32"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestSampledExactFallback(t *testing.T) {
 // holds it to the result on the prepared Setup it copies.
 func TestRunSampledOnLiteralSetup(t *testing.T) {
 	cal := power.DefaultCalibration()
-	s, err := Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := PrepareWith(kernels.MustGet("crc32"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRunSampledOnLiteralSetup(t *testing.T) {
 // TestSampledOptionValidation exercises the schedule validator.
 func TestSampledOptionValidation(t *testing.T) {
 	cal := power.DefaultCalibration()
-	s, err := Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := PrepareWith(kernels.MustGet("crc32"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}

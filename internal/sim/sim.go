@@ -73,9 +73,9 @@ const MissPenalty = 24
 
 // Setup holds everything derived from one kernel before timing runs.
 //
-// A Setup is immutable once Prepare returns: Run and RunPass only read
-// it, so one Setup may serve any number of concurrent runs (the
-// parallel experiment engine relies on this). Each run builds its own
+// A Setup is immutable once PrepareWith returns: RunAll only reads it,
+// so one Setup may serve any number of concurrent runs (the parallel
+// experiment engine relies on this). Each run builds its own
 // cache, power meters, layout and machine, leasing the machine's memory
 // and releasing it when the run returns; the shared Program and Images
 // are treated as read-only by the pipeline.
@@ -92,8 +92,8 @@ type Setup struct {
 
 	// ArmDecoded and FitsDecoded are the predecoded static-instruction
 	// tables (cpu.Predecode) for the two target images. They are built
-	// once in Prepare and shared read-only by every configuration run
-	// and engine worker, so the timing pipeline never re-derives
+	// once in PrepareWith and shared read-only by every configuration
+	// run and engine worker, so the timing pipeline never re-derives
 	// per-instruction metadata per cycle.
 	ArmDecoded  *cpu.Decoded
 	FitsDecoded *cpu.Decoded
@@ -106,7 +106,7 @@ type Setup struct {
 	FitsCompiled *cpu.Compiled
 }
 
-// PrepareOptions extends Prepare beyond the synthesis options.
+// PrepareOptions parameterises PrepareWith.
 type PrepareOptions struct {
 	// Synth parameterises the ISA synthesis stage.
 	Synth synth.Options
@@ -124,13 +124,8 @@ type PrepareOptions struct {
 	Log *slog.Logger
 }
 
-// Prepare builds, profiles, synthesizes and translates one kernel.
+// PrepareWith builds, profiles, synthesizes and translates one kernel.
 // scale ≤ 0 selects the kernel's default scale.
-func Prepare(k kernels.Kernel, scale int, opts synth.Options) (*Setup, error) {
-	return PrepareWith(k, scale, PrepareOptions{Synth: opts})
-}
-
-// PrepareWith is Prepare with full options.
 func PrepareWith(k kernels.Kernel, scale int, popts PrepareOptions) (*Setup, error) {
 	opts := popts.Synth
 	if scale <= 0 {
@@ -161,7 +156,7 @@ func PrepareWith(k kernels.Kernel, scale int, popts PrepareOptions) (*Setup, err
 		return nil, fmt.Errorf("sim: %s: %w", k.Name, err)
 	}
 	prof, err := popts.Profiles.Collect(profileKey(p, armIm, budget), func() (*profile.Profile, error) {
-		return profile.CollectWith(p, profile.CollectOptions{MaxInstrs: budget})
+		return profile.Collect(p, budget)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: profile: %w", k.Name, err)
@@ -217,15 +212,6 @@ func profileKey(p *program.Program, armIm *program.Image, budget uint64) profile
 	}
 }
 
-// PrepareByName is Prepare for a kernel name with default options.
-func PrepareByName(name string, scale int) (*Setup, error) {
-	k, err := kernels.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return Prepare(k, scale, synth.DefaultOptions())
-}
-
 // Result is the outcome of one configuration's timing run.
 type Result struct {
 	Config Config
@@ -238,8 +224,8 @@ type Result struct {
 	Phases *metrics.Series
 
 	// Sampled describes how the estimate was formed when the result
-	// came from the sampled estimator (RunSampled, or RunPass with
-	// sample options); nil for exact (full-pipeline) runs.
+	// came from the sampled estimator (RunOptions.Sample); nil for
+	// exact (full-pipeline) runs.
 	Sampled *SampleStats
 
 	// AccessPJ is the power meter's total of per-access fetch energies
@@ -253,8 +239,8 @@ type Result struct {
 
 // target resolves the configuration's ISA to its program, image and
 // shared predecode/compile tables, predecoding per run for Setups
-// constructed outside Prepare (tests, literals) — still once per run
-// rather than once per cycle.
+// constructed outside PrepareWith (tests, literals) — still once per
+// run rather than once per cycle.
 func (s *Setup) target(cfg Config) (prog *program.Program, im *program.Image, dec *cpu.Decoded, comp *cpu.Compiled) {
 	switch cfg.ISA {
 	case ISAARM:
@@ -272,7 +258,7 @@ func (s *Setup) target(cfg Config) (prog *program.Program, im *program.Image, de
 }
 
 // icachePort implements cpu.FetchPort over one cache and the power
-// stream that every meter of a pass prices (Setup.RunPass); a plain run
+// stream that every meter of a pass prices (Setup.Passes); a plain run
 // is a pass of one. Each fetch is one stream access and each cycle one
 // stream tick, however many meters the pass has. A port is owned by
 // exactly one pipeline run (it is not safe for concurrent use). The
@@ -423,52 +409,35 @@ func (p *icachePort) resident(lo, hi uint32) bool {
 	return true
 }
 
-// RunOptions selects how a run is simulated and what observes it. The
-// zero value is a plain exact run (Run).
+// RunOptions selects how RunAll simulates and what observes the run.
+// The zero value is a plain exact run.
 type RunOptions struct {
 	// Sample, when non-nil, replaces the exact pipeline run with the
-	// sampled estimator under these options (RunSampled).
+	// sampled estimator under these options.
 	Sample *SampleOptions
-	// Sink, when non-nil, receives the run's event stream: every fetch,
-	// miss, zero-issue cycle, branch and mispredict of the detailed
-	// pipeline, plus, on a sampled run, one KindSuperblock event per
-	// fast-forward batch and a KindWindow event at every sampling
-	// boundary. Results are bit-identical to an unobserved run. A sink
-	// that attributes energy (tracing.Profiler) is bound to the run's
-	// power meter before the first cycle, so its total matches
-	// Result.AccessPJ.
+	// Sink, when non-nil, receives the event stream of a run of one
+	// configuration: every fetch, miss, zero-issue cycle, branch and
+	// mispredict of the detailed pipeline, plus, on a sampled run, one
+	// KindSuperblock event per fast-forward batch and a KindWindow
+	// event at every sampling boundary. Results are bit-identical to an
+	// unobserved run. A sink that attributes energy (tracing.Profiler)
+	// is bound to the run's power meter before the first cycle, so its
+	// total matches Result.AccessPJ.
 	Sink tracing.EventSink
 	// WindowCycles, when positive, attaches the phase sampler:
 	// Result.Phases carries the cycle-windowed series and the
-	// basic-block fetch-energy hotspots. It requires an exact run
-	// (Sample nil); a negative value is an error.
+	// basic-block fetch-energy hotspots. It requires an exact run of
+	// one configuration (Sample nil); a negative value is an error.
 	WindowCycles int
 }
 
-// Run executes the prepared kernel under one configuration. It is safe
-// to call concurrently on the same Setup: every piece of mutable state
-// (cache, meter, layout index, machine) is created per call.
+// Run is RunAll of one configuration, exact and unobserved.
 func (s *Setup) Run(cfg Config, cal power.Calibration) (*Result, error) {
-	return s.RunWith(cfg, cal, RunOptions{})
+	return first(s.RunAll([]Config{cfg}, cal, RunOptions{}))
 }
 
-// RunWith is the single run entry point: an exact or sampled run of one
-// configuration, observed as opt requests. Like Run, it is safe to call
-// concurrently on one Setup.
-func (s *Setup) RunWith(cfg Config, cal power.Calibration, opt RunOptions) (*Result, error) {
-	switch {
-	case opt.WindowCycles < 0:
-		return nil, fmt.Errorf("sim: negative sample window %d", opt.WindowCycles)
-	case opt.WindowCycles > 0 && opt.Sample != nil:
-		return nil, fmt.Errorf("sim: phase sampling requires an exact run, not the sampled estimator")
-	case opt.Sample != nil:
-		var out [1]*Result
-		if err := s.runSampled([]Config{cfg}, cal, *opt.Sample, opt.Sink, out[:], nil); err != nil {
-			return nil, err
-		}
-		return out[0], nil
-	}
-	rs, err := s.runPass([]Config{cfg}, cal, opt.Sink, opt.WindowCycles)
+// first returns the only result of a one-configuration RunAll.
+func first(rs []*Result, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -546,35 +515,38 @@ func (s *Setup) Passes(cfgs []Config) [][]Config {
 	return passes
 }
 
-// RunPass times one pass of Passes: exactly, in a single pipeline run
-// with one cache, one power stream, and one meter per configuration
-// pricing it, or, with sample options, in a single sampled run that
-// shares the fast-forward and the detailed windows in the same way.
-// Each result is bit-identical to Run (or RunSampled) of its
-// configuration. Configurations that cannot share a pass are an error.
-// Like Run, it is safe to call concurrently on one Setup.
-func (s *Setup) RunPass(cfgs []Config, cal power.Calibration, sample *SampleOptions) ([]*Result, error) {
-	if sample == nil {
-		return s.runPass(cfgs, cal, nil, 0)
+// RunAll times cfgs and returns the results in cfgs order: exactly, or
+// with the sampled estimator when opt.Sample is set, in one timing run
+// per pass of Passes. An exact pass is a single pipeline run with one
+// cache, one power stream and one meter per configuration pricing it; a
+// sampled pass shares the fast-forward and the detailed windows in the
+// same way. Each result is bit-identical to a run of its configuration
+// alone. A sink or a phase window observes one configuration, so an
+// observed run of several is an error, as are a negative window and a
+// window on a sampled run. It is safe to call concurrently on one
+// Setup: every piece of mutable state (cache, meters, layout, machine)
+// is created per call.
+func (s *Setup) RunAll(cfgs []Config, cal power.Calibration, opt RunOptions) ([]*Result, error) {
+	switch {
+	case opt.WindowCycles < 0:
+		return nil, fmt.Errorf("sim: negative sample window %d", opt.WindowCycles)
+	case opt.WindowCycles > 0 && opt.Sample != nil:
+		return nil, fmt.Errorf("sim: phase sampling requires an exact run, not the sampled estimator")
+	case (opt.Sink != nil || opt.WindowCycles > 0) && len(cfgs) != 1:
+		return nil, fmt.Errorf("sim: an observed run times one configuration, not %d", len(cfgs))
 	}
-	out := make([]*Result, len(cfgs))
-	if err := s.runSampled(cfgs, cal, *sample, nil, out, nil); err != nil {
-		return nil, err
+	// Callers that already grouped cfgs into one pass (Run, RunSampled,
+	// the experiment engine) skip the grouping and its allocations.
+	if s.sharesPass(cfgs) {
+		return s.runOnePass(cfgs, cal, opt)
 	}
-	return out, nil
-}
-
-// RunAll times cfgs, one RunPass per pass of Passes, and returns the
-// results in cfgs order: exactly when sample is nil, with the sampled
-// estimator otherwise.
-func (s *Setup) RunAll(cfgs []Config, cal power.Calibration, sample *SampleOptions) ([]*Result, error) {
 	out := make([]*Result, len(cfgs))
 	for _, is := range s.passIndices(cfgs) {
 		pass := make([]Config, len(is))
 		for j, i := range is {
 			pass[j] = cfgs[i]
 		}
-		rs, err := s.RunPass(pass, cal, sample)
+		rs, err := s.runOnePass(pass, cal, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -585,21 +557,41 @@ func (s *Setup) RunAll(cfgs []Config, cal power.Calibration, sample *SampleOptio
 	return out, nil
 }
 
-// checkPass rejects configurations that cannot share a pass: none at
-// all, or several that differ in ISA or line size or whose caches do
-// not all hold the text.
-func (s *Setup) checkPass(cfgs []Config) error {
-	if len(cfgs) == 0 {
-		return fmt.Errorf("sim: %s: empty pass", s.Kernel.Name)
+// runOnePass times one pass of Passes, exactly or sampled as opt asks.
+func (s *Setup) runOnePass(cfgs []Config, cal power.Calibration, opt RunOptions) ([]*Result, error) {
+	if opt.Sample == nil {
+		return s.runPass(cfgs, cal, opt.Sink, opt.WindowCycles)
 	}
+	out := make([]*Result, len(cfgs))
+	if err := s.runSampled(cfgs, cal, *opt.Sample, opt.Sink, out, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// sharesPass reports whether cfgs form one pass: a single
+// configuration, or several of one ISA and line size whose caches all
+// hold the text.
+func (s *Setup) sharesPass(cfgs []Config) bool {
 	if len(cfgs) == 1 {
-		return nil
+		return true
 	}
-	cfg := cfgs[0]
-	for _, other := range cfgs {
-		if other.ISA != cfg.ISA || other.Cache.LineBytes != cfg.Cache.LineBytes || !s.holds(other) {
-			return fmt.Errorf("sim: %s on %s: configurations cannot share a pass", s.Kernel.Name, passName(cfgs))
+	for _, cfg := range cfgs {
+		if cfg.ISA != cfgs[0].ISA || cfg.Cache.LineBytes != cfgs[0].Cache.LineBytes || !s.holds(cfg) {
+			return false
 		}
+	}
+	return len(cfgs) > 0
+}
+
+// checkPass rejects configurations that cannot share a pass: none at
+// all, or several that sharesPass refuses.
+func (s *Setup) checkPass(cfgs []Config) error {
+	switch {
+	case len(cfgs) == 0:
+		return fmt.Errorf("sim: %s: empty pass", s.Kernel.Name)
+	case !s.sharesPass(cfgs):
+		return fmt.Errorf("sim: %s on %s: configurations cannot share a pass", s.Kernel.Name, passName(cfgs))
 	}
 	return nil
 }
@@ -607,7 +599,7 @@ func (s *Setup) checkPass(cfgs []Config) error {
 // runPass runs the full cycle-accurate pipeline once for a pass,
 // streaming its events to sink and, when window is positive, to the
 // phase sampler and the hotspot profiler behind Result.Phases. Sinks
-// and windows observe single-configuration passes only (RunWith).
+// and windows observe single-configuration passes only (RunAll).
 func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.EventSink, window int) ([]*Result, error) {
 	if err := s.checkPass(cfgs); err != nil {
 		return nil, err
@@ -648,7 +640,7 @@ func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.Event
 	pipe := new(cpu.PipeResult)
 	port := newICachePort(c, im, pc.BlockBytes, stream)
 	port.holds = s.holds(cfg)
-	if err := cpu.RunPipelineTraced(m, pc, port, dec, pipe, sink); err != nil {
+	if err := cpu.RunPipeline(m, pc, port, dec, pipe, sink); err != nil {
 		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, passName(cfgs), err)
 	}
 	out := make([]*Result, len(cfgs))

@@ -19,7 +19,7 @@ func TestAllKernelsEquivalentUnderFITS(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			s, err := Prepare(k, 1, synth.DefaultOptions())
+			s, err := PrepareWith(k, 1, PrepareOptions{Synth: synth.DefaultOptions()})
 			if err != nil {
 				t.Fatalf("prepare: %v", err)
 			}
@@ -82,7 +82,7 @@ func TestDecoderConfigRoundTripAllKernels(t *testing.T) {
 		k := k
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
-			s, err := Prepare(k, 1, synth.DefaultOptions())
+			s, err := PrepareWith(k, 1, PrepareOptions{Synth: synth.DefaultOptions()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +114,7 @@ func TestDecoderConfigRoundTripAllKernels(t *testing.T) {
 func TestPrepareRejectsNegativeBudget(t *testing.T) {
 	opts := synth.DefaultOptions()
 	opts.ProfileBudget = -5
-	if _, err := Prepare(kernels.MustGet("crc32"), 1, opts); err == nil {
+	if _, err := PrepareWith(kernels.MustGet("crc32"), 1, PrepareOptions{Synth: opts}); err == nil {
 		t.Fatal("Prepare accepted a negative ProfileBudget")
 	}
 }

@@ -19,7 +19,7 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden trace files")
 // tracedSetup prepares crc32 once for the tracing tests.
 func tracedSetup(t *testing.T) *Setup {
 	t.Helper()
-	s, err := Prepare(kernels.MustGet("crc32"), 1, synth.DefaultOptions())
+	s, err := PrepareWith(kernels.MustGet("crc32"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		var c tracing.Counts
-		traced, err := s.RunWith(cfg, cal, RunOptions{Sink: &c})
+		traced, err := first(s.RunAll([]Config{cfg}, cal, RunOptions{Sink: &c}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,12 +79,12 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 				c.Kind[tracing.KindBranch], c.Kind[tracing.KindMispredict], p.Branches, p.Mispredicts)
 		}
 	}
-	// Nil sink: RunWith degenerates to Run exactly.
+	// Nil sink: an observed run degenerates to Run exactly.
 	plain, err := s.Run(FITS8, cal)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nilTraced, err := s.RunWith(FITS8, cal, RunOptions{Sink: nil})
+	nilTraced, err := first(s.RunAll([]Config{FITS8}, cal, RunOptions{Sink: nil}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestProfilerConservation(t *testing.T) {
 		names = names[:1]
 	}
 	for _, name := range names {
-		s, err := Prepare(kernels.MustGet(name), 1, synth.DefaultOptions())
+		s, err := PrepareWith(kernels.MustGet(name), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestProfilerConservation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r, err := s.RunWith(cfg, cal, RunOptions{Sink: prof})
+			r, err := first(s.RunAll([]Config{cfg}, cal, RunOptions{Sink: prof}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestSampledTracedMatchesSampled(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c tracing.Counts
-	traced, err := s.RunWith(ARM16, cal, RunOptions{Sample: &SampleOptions{}, Sink: &c})
+	traced, err := first(s.RunAll([]Config{ARM16}, cal, RunOptions{Sample: &SampleOptions{}, Sink: &c}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestSampledTracedFallbackConserves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := s.RunWith(ARM16, cal, RunOptions{Sample: &SampleOptions{MinWindows: 1 << 20}, Sink: prof})
+	r, err := first(s.RunAll([]Config{ARM16}, cal, RunOptions{Sample: &SampleOptions{MinWindows: 1 << 20}, Sink: prof}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +209,12 @@ func TestSampledAllocsPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The budget is the measured steady state (21: machine, cache,
-	// meter, pipeline run, result — the sampleState scratch, meter
-	// samples, ratio series and warm-once set come from the sampleFree
-	// list) plus a little slack — far below one allocation per window,
-	// the regression this test exists to catch.
+	// The budget is the measured steady state (23: machine, cache,
+	// meter, pipeline run, result, and the SampleOptions and result
+	// slice of the RunAll call behind RunSampled — the sampleState
+	// scratch, meter samples, ratio series and warm-once set come from
+	// the sampleFree list), far below one allocation per window, the
+	// regression this test exists to catch.
 	t.Logf("sampled ARM16 run: %v allocs", allocs)
 	if allocs > 23 {
 		t.Errorf("sampled run costs %v allocs, want ≤ 23", allocs)
@@ -223,12 +224,12 @@ func TestSampledAllocsPinned(t *testing.T) {
 	// second result with its own PipeResult, output and SampleStats, and
 	// nothing per window: measured 27, pinned with the same slack of 2.
 	pass := []Config{FITS16, FITS8}
-	opt := &SampleOptions{}
-	if _, err := s.RunPass(pass, cal, opt); err != nil {
+	opt := RunOptions{Sample: &SampleOptions{}}
+	if _, err := s.RunAll(pass, cal, opt); err != nil {
 		t.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(5, func() {
-		if _, err := s.RunPass(pass, cal, opt); err != nil {
+		if _, err := s.RunAll(pass, cal, opt); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -238,17 +239,35 @@ func TestSampledAllocsPinned(t *testing.T) {
 	}
 }
 
-// TestRunWithRejectsBadWindow asserts the option checks: a negative
+// TestRunAllRejectsBadOptions asserts the option checks: a negative
 // window is an error, and so is phase sampling on the sampled
-// estimator (its windows would span extrapolated cycles).
-func TestRunWithRejectsBadWindow(t *testing.T) {
+// estimator (its windows would span extrapolated cycles), and so is an
+// observed run of more than one configuration (a sink or a window
+// observes one run), even when the configurations share a pass.
+func TestRunAllRejectsBadOptions(t *testing.T) {
 	s := tracedSetup(t)
 	cal := power.DefaultCalibration()
-	if _, err := s.RunWith(FITS8, cal, RunOptions{WindowCycles: -5}); err == nil {
+	if _, err := s.RunAll([]Config{FITS8}, cal, RunOptions{WindowCycles: -5}); err == nil {
 		t.Error("negative window accepted")
 	}
-	if _, err := s.RunWith(FITS8, cal, RunOptions{WindowCycles: 512, Sample: &SampleOptions{}}); err == nil {
+	if _, err := s.RunAll([]Config{FITS8}, cal, RunOptions{WindowCycles: 512, Sample: &SampleOptions{}}); err == nil {
 		t.Error("phase sampling on a sampled run accepted")
+	}
+	pass := []Config{FITS16, FITS8}
+	if got := s.Passes(pass); len(got) != 1 {
+		t.Fatalf("FITS16+FITS8 form %d passes, want 1", len(got))
+	}
+	for _, opt := range []RunOptions{
+		{Sink: &tracing.Counts{}},
+		{WindowCycles: 512},
+		{Sample: &SampleOptions{}, Sink: &tracing.Counts{}},
+	} {
+		if _, err := s.RunAll(pass, cal, opt); err == nil {
+			t.Errorf("observed run of %s accepted (%+v)", passName(pass), opt)
+		}
+		if _, err := s.RunAll(Configs, cal, opt); err == nil {
+			t.Errorf("observed run of all configurations accepted (%+v)", opt)
+		}
 	}
 }
 
@@ -261,7 +280,7 @@ func TestRunWithRejectsBadWindow(t *testing.T) {
 func TestGoldenChromeTrace(t *testing.T) {
 	s := tracedSetup(t)
 	ring := tracing.MustNewRing(256)
-	r, err := s.RunWith(FITS8, power.DefaultCalibration(), RunOptions{Sink: ring})
+	r, err := first(s.RunAll([]Config{FITS8}, power.DefaultCalibration(), RunOptions{Sink: ring}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestWarmOnceMatchesEveryBatchWitness(t *testing.T) {
 		t.Run(k.Name, func(t *testing.T) {
 			t.Parallel()
 			for _, scale := range []int{1, k.DefaultScale} {
-				s, err := Prepare(k, scale, synth.DefaultOptions())
+				s, err := PrepareWith(k, scale, PrepareOptions{Synth: synth.DefaultOptions()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,14 +181,14 @@ func TestHoldingPassResidencyNeverFails(t *testing.T) {
 			t.Run(k.Name, func(t *testing.T) {
 				t.Parallel()
 				for _, scale := range []int{1, 4} {
-					s, err := Prepare(k, scale, synth.DefaultOptions())
+					s, err := PrepareWith(k, scale, PrepareOptions{Synth: synth.DefaultOptions()})
 					if err != nil {
 						t.Fatal(err)
 					}
-					if _, err := s.RunAll(Configs, cal, nil); err != nil {
+					if _, err := s.RunAll(Configs, cal, RunOptions{}); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := s.RunAll(Configs, cal, &SampleOptions{}); err != nil {
+					if _, err := s.RunAll(Configs, cal, RunOptions{Sample: &SampleOptions{}}); err != nil {
 						t.Fatal(err)
 					}
 				}

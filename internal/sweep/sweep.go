@@ -457,12 +457,12 @@ func (e *engine) evaluateImage(pts []Point, idx []int, sampled bool, done func(j
 			for m, n := range missing {
 				cfgs[m] = sim.Config{Name: out[n].Label, ISA: sim.ISAFITS, Cache: out[n].Point.Cache}
 			}
-			var sample *sim.SampleOptions
+			var ro sim.RunOptions
 			if sampled {
 				so := e.opt.Sample
-				sample = &so
+				ro.Sample = &so
 			}
-			rs, err := s.RunAll(cfgs, e.cal, sample)
+			rs, err := s.RunAll(cfgs, e.cal, ro)
 			if err != nil {
 				// Run errors name the pass's configurations: the labels.
 				return fmt.Errorf("sweep: %w", err)

@@ -58,7 +58,7 @@ func NewSampler(windowCycles int, energy EnergySource, instrs func() uint64) (*S
 
 // Emit implements EventSink. The stream must come from an exact
 // pipeline run: a sampled run's fast-forward events carry no pipeline
-// cycle stamp (sim.RunWith rejects the combination).
+// cycle stamp (sim.Setup.RunAll rejects the combination).
 func (s *Sampler) Emit(e Event) {
 	if e.Cycle > s.next {
 		s.close(e.Cycle - 1)

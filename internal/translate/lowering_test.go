@@ -167,9 +167,9 @@ func TestRandomProgramEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		m := cpu.New(res.Lowered, cpu.ImageLayout(res.Image))
-		pipe, err := cpu.RunPipeline(m, cpu.DefaultPipeConfig(), nil)
-		if err != nil {
+		l := cpu.ImageLayout(res.Image)
+		var pipe cpu.PipeResult
+		if err := cpu.RunPipeline(cpu.New(res.Lowered, l), cpu.DefaultPipeConfig(), nil, cpu.Predecode(res.Lowered, l), &pipe, nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if len(pipe.Output) != len(ref.Output) {
@@ -242,9 +242,9 @@ func TestSkipBranchSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := cpu.New(res.Lowered, cpu.ImageLayout(res.Image))
-	pipe, err := cpu.RunPipeline(m, cpu.DefaultPipeConfig(), nil)
-	if err != nil {
+	l := cpu.ImageLayout(res.Image)
+	var pipe cpu.PipeResult
+	if err := cpu.RunPipeline(cpu.New(res.Lowered, l), cpu.DefaultPipeConfig(), nil, cpu.Predecode(res.Lowered, l), &pipe, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref.Output {

@@ -133,14 +133,13 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Timing runs under both encodings must produce identical output.
-	armM := cpu.New(p, cpu.ImageLayout(armIm))
-	armRes, err := cpu.RunPipeline(armM, cpu.DefaultPipeConfig(), nil)
-	if err != nil {
+	var armRes, fitsRes cpu.PipeResult
+	armL := cpu.ImageLayout(armIm)
+	if err := cpu.RunPipeline(cpu.New(p, armL), cpu.DefaultPipeConfig(), nil, cpu.Predecode(p, armL), &armRes, nil); err != nil {
 		t.Fatalf("arm pipeline: %v", err)
 	}
-	fitsM := cpu.New(res.Lowered, cpu.ImageLayout(res.Image))
-	fitsRes, err := cpu.RunPipeline(fitsM, cpu.DefaultPipeConfig(), nil)
-	if err != nil {
+	fitsL := cpu.ImageLayout(res.Image)
+	if err := cpu.RunPipeline(cpu.New(res.Lowered, fitsL), cpu.DefaultPipeConfig(), nil, cpu.Predecode(res.Lowered, fitsL), &fitsRes, nil); err != nil {
 		t.Fatalf("fits pipeline: %v", err)
 	}
 	if len(armRes.Output) != 1 || armRes.Output[0] != ref.Output[0] {

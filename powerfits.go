@@ -219,13 +219,13 @@ func KernelByName(name string) (Kernel, error) { return kernels.Get(name) }
 // Prepare builds, profiles, synthesizes and translates one kernel
 // (scale ≤ 0 uses the kernel's default workload scale).
 func Prepare(k Kernel, scale int, opts SynthOptions) (*Setup, error) {
-	return sim.Prepare(k, scale, opts)
+	return sim.PrepareWith(k, scale, sim.PrepareOptions{Synth: opts})
 }
 
 // PrepareProgram runs the whole design flow over a user-authored
 // program with default options.
 func PrepareProgram(p *Program) (*Setup, error) {
-	return sim.Prepare(Kernel{
+	return Prepare(Kernel{
 		Name:         p.Name,
 		Group:        "user",
 		Build:        func(int) *Program { return p },
