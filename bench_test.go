@@ -352,7 +352,7 @@ func BenchmarkPipelineSharedPass(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if len(s.Passes([]sim.Config{sim.FITS16, sim.FITS8})) != 1 {
+	if ps, err := s.Passes([]sim.Config{sim.FITS16, sim.FITS8}); err != nil || len(ps) != 1 {
 		b.Fatal("crc32 FITS16 and FITS8 do not share a pass")
 	}
 	cal := power.DefaultCalibration()
@@ -535,7 +535,7 @@ func BenchmarkSampledPipeline(b *testing.B) {
 	})
 	b.Run("SampledPass", func(b *testing.B) {
 		pass := []sim.Config{sim.ARM16, sim.ARM8}
-		if len(s.Passes(pass)) != 1 {
+		if ps, err := s.Passes(pass); err != nil || len(ps) != 1 {
 			b.Fatal("bitcount ARM16 and ARM8 do not share a pass")
 		}
 		opt := sim.RunOptions{Sample: &sim.SampleOptions{}}

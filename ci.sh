@@ -104,6 +104,9 @@ go test ./internal/sim -run 'TestSampledPassMatchesSeparateRuns/jpeg' -count=1
 # jpeg runs both functional-warming witnesses: warm-once in its holding
 # passes, every batch in ARM8, whose cache does not hold the text.
 go test ./internal/sim -run 'TestWarmOnceMatchesEveryBatchWitness/jpeg' -count=1
+# The suite profiles each kernel from its counted ARM pass; jpeg's ARM16
+# and ARM8 passes split, so both must count what profile.Collect counts.
+go test ./internal/sim -run 'TestCountedPassProfileMatchesCollect/jpeg' -count=1
 
 echo "== trace export: generate + validate round trip =="
 # `powerfits trace` must emit a document its own -check accepts (the

@@ -190,10 +190,11 @@ type uop struct {
 // Compiled is the semantic micro-op table for one (program, layout)
 // pair, built once by Compile. Like Decoded it is immutable and carries
 // no run state, so one table may back any number of concurrent Machines
-// over the same program — sim.PrepareWith builds one per target image
-// (Setup.ArmCompiled/FitsCompiled) shared by every configuration and
-// engine worker, and profile.Collect builds one over the word layout
-// for the profiling run.
+// over the same program — a sim.Setup holds one per target image
+// (ArmCompiled from sim.PrepareBaseline, FitsCompiled from WithFITS)
+// shared by every configuration and engine worker, and profile.Collect
+// builds one over the word layout for a profiling run of its own (the
+// suite instead counts its ARM timing pass).
 type Compiled struct {
 	prog   *program.Program
 	layout Layout

@@ -129,17 +129,3 @@ func TestTracedPipelineFaultIdentity(t *testing.T) {
 		t.Errorf("fault strings diverge:\nplain:  %v\ntraced: %v", perr, terr)
 	}
 }
-
-// TestTracedNilSinkDelegates asserts RunPipeline with a nil sink is
-// exactly the untraced run.
-func TestTracedNilSinkDelegates(t *testing.T) {
-	for name, p := range tracedPrograms() {
-		plain, traced, perr, terr := tracedPair(t, p, func() FetchPort { return nil }, nil)
-		if perr != nil || terr != nil {
-			t.Fatalf("%s: errors %v / %v", name, perr, terr)
-		}
-		if !reflect.DeepEqual(plain, traced) {
-			t.Errorf("%s: nil-sink traced run diverges from plain run", name)
-		}
-	}
-}

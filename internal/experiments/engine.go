@@ -1,19 +1,21 @@
-// The parallel experiment engine: a bounded worker pool that fans out
-// per-kernel preparation and per-pass timing runs (sim.Setup.Passes)
-// as independent jobs. Results are keyed and sorted exactly as the
-// sequential path produced them, so the rendered tables are
-// byte-identical at any parallelism (see TestParallelMatchesSequential).
+// The parallel experiment engine: a bounded worker pool that runs one
+// preparation job per kernel (its ARM baseline, the ARM timing pass
+// that yields the profile, and the FITS half) and then fans out the
+// kernel's remaining timing passes (sim.Setup.Passes) as independent
+// jobs. Results are keyed and sorted exactly as the sequential path
+// produced them, so the rendered tables are byte-identical at any
+// parallelism (see TestParallelMatchesSequential).
 //
 // Goroutine-safety contract (audited per package):
-//   - sim.Setup is immutable after PrepareWith; Setup.RunAll builds
+//   - sim.Setup is immutable once made; Setup.RunAll builds
 //     all mutable state (cache.Cache, power.Meter, cpu.Machine, layout)
 //     per call. Each machine leases its memory and releases it when
 //     the run returns; the workers share its free list, a mutex-guarded
 //     reuse.FreeList (cpu.Machine.Release).
 //   - the predecoded instruction tables (Setup.ArmDecoded /
-//     Setup.FitsDecoded, see cpu.Predecode) are built once in Prepare
-//     and shared read-only by every configuration run of a kernel —
-//     the timing pipeline only indexes them.
+//     Setup.FitsDecoded, see cpu.Predecode) are built once per
+//     preparation and shared read-only by every configuration run of a
+//     kernel — the timing pipeline only indexes them.
 //   - program.Program and program.Image are read-only during runs; the
 //     fetch port aliases Image.Text without copying.
 //   - cache.Cache and power.Meter are single-owner (one per pass) and
@@ -26,7 +28,9 @@ package experiments
 import (
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,15 +39,18 @@ import (
 	"powerfits/internal/kernels"
 	"powerfits/internal/metrics"
 	"powerfits/internal/power"
+	"powerfits/internal/profile"
 	"powerfits/internal/sim"
 	"powerfits/internal/synth"
 )
 
 // KernelTiming records the wall-clock cost of one kernel: preparation
-// (build, profile, synthesis, translation, Thumb sizing) and the timing
-// runs summed over the four configurations (a shared pass's wall time
-// split evenly across its configurations), plus the worker slot the
-// preparation ran on.
+// (build, assemble, Thumb sizing, predecode, profile, synthesis,
+// translation) and the timing runs summed over the four configurations
+// (a shared pass's wall time split evenly across its configurations),
+// plus the worker slot the preparation ran on. PrepareSec excludes the
+// ARM pass that the profile is counted from: that pass is a timing run,
+// in RunSec.
 type KernelTiming struct {
 	Kernel     string  `json:"kernel"`
 	PrepareSec float64 `json:"prepare_sec"`
@@ -52,51 +59,80 @@ type KernelTiming struct {
 }
 
 // engine is the bounded worker pool shared by every job of one suite
-// generation. Jobs acquire a numbered slot before running; the first
-// error cancels all jobs that have not yet started (in-flight jobs
-// finish).
+// generation. Jobs acquire a numbered slot before running; a freed slot
+// goes to the waiting job of highest priority, the earliest queued
+// among equals. The first error cancels all jobs that have not yet
+// started (in-flight jobs finish).
 type engine struct {
-	ids  chan int
-	done chan struct{}
-	once sync.Once
-	err  error
+	mu    sync.Mutex
+	wake  *sync.Cond
+	free  []int     // idle slot ids
+	queue []*waiter // jobs blocked in acquire, in arrival order
+	err   error
 }
 
+type waiter struct{ prio uint64 }
+
 func newEngine(workers int) *engine {
-	e := &engine{ids: make(chan int, workers), done: make(chan struct{})}
-	for i := 0; i < workers; i++ {
-		e.ids <- i
+	e := &engine{}
+	for i := workers - 1; i >= 0; i-- {
+		e.free = append(e.free, i)
 	}
+	e.wake = sync.NewCond(&e.mu)
 	return e
 }
 
 // fail records the first error and cancels outstanding work.
 func (e *engine) fail(err error) {
-	e.once.Do(func() {
+	e.mu.Lock()
+	if e.err == nil {
 		e.err = err
-		close(e.done)
-	})
+		e.wake.Broadcast()
+	}
+	e.mu.Unlock()
 }
 
-// acquire blocks until a worker slot is free and returns its id; ok is
-// false when the engine has been cancelled, in which case the job must
-// not run.
-func (e *engine) acquire() (id int, ok bool) {
-	select {
-	case <-e.done:
-		return 0, false
-	case id = <-e.ids:
+// acquire blocks until a worker slot is free and no waiting job of
+// higher priority, or of equal priority queued earlier, is left, and
+// returns the slot's id; ok is false when the engine has been
+// cancelled, in which case the job must not run.
+func (e *engine) acquire(prio uint64) (id int, ok bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	w := &waiter{prio}
+	e.queue = append(e.queue, w)
+	for e.err == nil && (len(e.free) == 0 || e.next() != w) {
+		e.wake.Wait()
 	}
-	select {
-	case <-e.done:
-		e.ids <- id
+	e.queue = slices.DeleteFunc(e.queue, func(q *waiter) bool { return q == w })
+	if e.err != nil {
 		return 0, false
-	default:
-		return id, true
 	}
+	id = e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	if len(e.free) > 0 {
+		e.wake.Broadcast() // the next waiter may take another slot
+	}
+	return id, true
 }
 
-func (e *engine) release(id int) { e.ids <- id }
+// next returns the waiting job the next free slot goes to.
+func (e *engine) next() *waiter {
+	best := e.queue[0]
+	for _, w := range e.queue[1:] {
+		if w.prio > best.prio {
+			best = w
+		}
+	}
+	return best
+}
+
+func (e *engine) release(id int) {
+	e.mu.Lock()
+	e.free = append(e.free, id)
+	e.wake.Broadcast()
+	e.mu.Unlock()
+}
 
 // Options parameterises one suite generation.
 type Options struct {
@@ -114,8 +150,9 @@ type Options struct {
 	// Log, when non-nil, receives leveled structured engine logs:
 	// per-kernel prepare/run timing at Debug, the suite summary at
 	// Info. The logger's handler must be safe for concurrent use (every
-	// stdlib slog handler is); it is also threaded into sim.PrepareWith
-	// for per-stage preparation logs.
+	// stdlib slog handler is); it is also threaded into
+	// sim.PrepareBaseline and Setup.WithFITS for per-stage preparation
+	// logs.
 	Log *slog.Logger
 	// WindowCycles, when positive, runs every kernel × configuration
 	// simulation with the phase sampler attached at this window length;
@@ -200,15 +237,14 @@ func RunSuite(opt Options) (*Suite, error) {
 	// the lines themselves.
 	var completed atomic.Uint64
 
-	// Per-kernel result slots, written only by that kernel's goroutines.
-	type kernelRun struct {
-		setup   *sim.Setup
-		results []*sim.Result // indexed as sim.Configs
-		timing  KernelTiming
-		reg     *metrics.Registry
+	var ro sim.RunOptions
+	if opt.Sampled {
+		ro.Sample = &opt.Sample
+	} else if opt.WindowCycles > 0 {
+		ro.WindowCycles = opt.WindowCycles
 	}
-	runs := make([]kernelRun, len(ks))
 
+	runs := make([]kernelRun, len(ks))
 	eng := newEngine(workers)
 	var wg sync.WaitGroup
 	for i := range ks {
@@ -217,24 +253,23 @@ func RunSuite(opt Options) (*Suite, error) {
 			defer wg.Done()
 			kr.timing.Kernel = k.Name
 			kr.reg = metrics.NewRegistry()
+			kr.results = make([]*sim.Result, len(sim.Configs))
+			kr.runSec = make([]float64, len(sim.Configs))
 			kscope := kr.reg.Scope("kernel", k.Name)
-			worker, ok := eng.acquire()
+			// Preparations go first; the passes they leave queue
+			// longest first by the ARM pass's instruction count, so the
+			// suite does not end on one long kernel's passes.
+			worker, ok := eng.acquire(math.MaxUint64)
 			if !ok {
 				return
 			}
-			t0 := time.Now()
-			setup, err := sim.PrepareWith(k, opt.Scale, sim.PrepareOptions{
-				Synth: synth.DefaultOptions(),
-				Log:   opt.Log,
-			})
-			kr.timing.PrepareSec = time.Since(t0).Seconds()
+			rest, err := kr.prepare(k, opt, ro, s.Cal)
 			kr.timing.Worker = worker
 			eng.release(worker)
 			if err != nil {
 				eng.fail(err)
 				return
 			}
-			kr.setup = setup
 			if opt.Log != nil {
 				opt.Log.Debug("kernel prepared", "kernel", k.Name,
 					"worker", worker, "prepare_sec", kr.timing.PrepareSec)
@@ -244,55 +279,26 @@ func RunSuite(opt Options) (*Suite, error) {
 			kr.reg.Histogram("engine/prepare_sec", metrics.DurationBuckets).
 				Observe(kr.timing.PrepareSec)
 
-			// Fan out one job per timing pass: exact and sampled runs
-			// of an image share a pass across the cache sizes that
-			// hold its text (sim.Setup.Passes); phase-sampled runs
-			// time one configuration each.
-			var ro sim.RunOptions
-			if opt.Sampled {
-				ro.Sample = &opt.Sample
-			} else if opt.WindowCycles > 0 {
-				ro.WindowCycles = opt.WindowCycles
-			}
-			var passes [][]sim.Config
-			if ro.WindowCycles > 0 {
-				for _, cfg := range sim.Configs {
-					passes = append(passes, []sim.Config{cfg})
-				}
-			} else {
-				passes = setup.Passes(sim.Configs)
-			}
-			kr.results = make([]*sim.Result, len(sim.Configs))
-			runSec := make([]float64, len(sim.Configs))
+			// Fan out one job per remaining timing pass.
+			prio := kr.results[0].Pipe.Instrs
 			var cwg sync.WaitGroup
-			for _, pass := range passes {
+			for _, pass := range rest {
 				cwg.Add(1)
 				go func(pass []sim.Config) {
 					defer cwg.Done()
-					worker, ok := eng.acquire()
+					worker, ok := eng.acquire(prio)
 					if !ok {
 						return
 					}
-					t0 := time.Now()
-					rs, err := setup.RunAll(pass, s.Cal, ro)
-					// A pass's wall time is split evenly across its
-					// configurations, so RunSec still sums to the
-					// simulation time.
-					sec := time.Since(t0).Seconds() / float64(len(pass))
+					err := kr.run(kr.setup, pass, s.Cal, ro)
 					eng.release(worker)
 					if err != nil {
 						eng.fail(err)
-						return
-					}
-					for _, r := range rs {
-						ci := configIndex(r.Config.Name)
-						runSec[ci] = sec
-						kr.results[ci] = r
 					}
 				}(pass)
 			}
 			cwg.Wait()
-			for ci, sec := range runSec {
+			for ci, sec := range kr.runSec {
 				kr.timing.RunSec += sec
 				kscope.Scope(sim.Configs[ci].Name).Gauge("run_sec").Set(sec)
 				kr.reg.Histogram("engine/run_sec", metrics.DurationBuckets).Observe(sec)
@@ -362,6 +368,96 @@ func RunSuite(opt Options) (*Suite, error) {
 			"workers", workers, "wall_sec", s.WallSec, "sampled", opt.Sampled)
 	}
 	return s, nil
+}
+
+// kernelRun is one kernel's share of a suite: its Setup, its results
+// and per-configuration run seconds indexed as sim.Configs, its timing
+// and a private metrics registry. Only the kernel's own goroutines
+// write it, each pass its own configurations' slots.
+type kernelRun struct {
+	setup   *sim.Setup
+	results []*sim.Result
+	runSec  []float64
+	timing  KernelTiming
+	reg     *metrics.Registry
+}
+
+// prepare prepares one kernel as the paper's flow does, profiling the
+// application on the baseline before synthesizing: the ARM baseline,
+// then the timing pass holding ARM16, which counts every instruction it
+// executes, then the FITS half synthesized from the profile built from
+// those counts (profile.FromCounts). It returns the passes left to
+// time. The ARM pass is a timing run (RunSec); the rest is preparation
+// (PrepareSec), logged as "prepare stages" records.
+func (kr *kernelRun) prepare(k kernels.Kernel, opt Options, ro sim.RunOptions, cal power.Calibration) ([][]sim.Config, error) {
+	t0 := time.Now()
+	base, err := sim.PrepareBaseline(k, opt.Scale, opt.Log)
+	prep := time.Since(t0)
+	if err != nil {
+		return nil, err
+	}
+	var arm []sim.Config
+	for _, cfg := range sim.Configs {
+		if cfg.ISA == sim.ISAARM {
+			arm = append(arm, cfg)
+		}
+	}
+	armPasses, err := passesOf(base, arm, ro)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]uint64, len(base.Prog.Instrs))
+	ro.Counts = counts
+	if err := kr.run(base, armPasses[0], cal, ro); err != nil {
+		return nil, err
+	}
+	arm16 := kr.results[0].Pipe // sim.Configs[0] is ARM16
+	t0 = time.Now()
+	kr.setup, err = base.WithFITS(func() (*profile.Profile, error) {
+		return profile.FromCounts(base.Prog, counts, slices.Clone(arm16.Output)), nil
+	}, synth.DefaultOptions(), opt.Log)
+	kr.timing.PrepareSec = (prep + time.Since(t0)).Seconds()
+	if err != nil {
+		return nil, err
+	}
+	passes, err := passesOf(kr.setup, sim.Configs, ro)
+	if err != nil {
+		return nil, err
+	}
+	// Passes lists passes in order of first appearance, so the first
+	// is the ARM pass already run.
+	return passes[1:], nil
+}
+
+// passesOf groups cfgs into one kernel's timing jobs: the passes of
+// Setup.Passes, or one per configuration for phase-sampled runs.
+func passesOf(s *sim.Setup, cfgs []sim.Config, ro sim.RunOptions) ([][]sim.Config, error) {
+	if ro.WindowCycles == 0 {
+		return s.Passes(cfgs)
+	}
+	passes := make([][]sim.Config, len(cfgs))
+	for i, cfg := range cfgs {
+		passes[i] = []sim.Config{cfg}
+	}
+	return passes, nil
+}
+
+// run times one pass and stores its results. A pass's wall time is
+// split evenly across its configurations, so RunSec still sums to the
+// simulation time.
+func (kr *kernelRun) run(s *sim.Setup, pass []sim.Config, cal power.Calibration, ro sim.RunOptions) error {
+	t0 := time.Now()
+	rs, err := s.RunAll(pass, cal, ro)
+	sec := time.Since(t0).Seconds() / float64(len(pass))
+	if err != nil {
+		return err
+	}
+	for _, r := range rs {
+		ci := configIndex(r.Config.Name)
+		kr.runSec[ci] = sec
+		kr.results[ci] = r
+	}
+	return nil
 }
 
 // configIndex returns the position of the named configuration in

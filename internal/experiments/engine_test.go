@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -208,7 +210,10 @@ func TestSuiteMetricsRegistry(t *testing.T) {
 		runSec := func(cfg sim.Config) float64 {
 			return gauges["kernel/"+setup.Kernel.Name+"/"+cfg.Name+"/run_sec"]
 		}
-		passes := setup.Passes(sim.Configs)
+		passes, err := setup.Passes(sim.Configs)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(passes) >= len(sim.Configs) {
 			t.Errorf("%s: %d passes for %d configurations, want shared passes", setup.Kernel.Name, len(passes), len(sim.Configs))
 		}
@@ -292,4 +297,48 @@ func TestHeartbeatFormat(t *testing.T) {
 	if zero := heartbeat("sha", 99, 1, 21, 0); strings.Contains(zero, "ETA") {
 		t.Errorf("zero-elapsed line %q divides by zero elapsed time", zero)
 	}
+}
+
+// TestEnginePriorityOrder pins the pool's queueing rule: a freed slot
+// goes to the waiting job of highest priority, the earliest queued
+// among equals, and a failure turns every waiting job away.
+func TestEnginePriorityOrder(t *testing.T) {
+	e := newEngine(1)
+	held, _ := e.acquire(0)
+	prios := []uint64{1, 3, 2, 3}
+	order := make(chan int, len(prios))
+	for i, p := range prios {
+		go func() {
+			id, ok := e.acquire(p)
+			if ok {
+				order <- i
+				e.release(id)
+			}
+		}()
+		// Queue the jobs one at a time, so arrival order is i's order.
+		for queued := 0; queued <= i; {
+			time.Sleep(time.Millisecond)
+			e.mu.Lock()
+			queued = len(e.queue)
+			e.mu.Unlock()
+		}
+	}
+	e.release(held)
+	for _, want := range []int{1, 3, 2, 0} {
+		if got := <-order; got != want {
+			t.Fatalf("job %d ran, want job %d (priorities %v)", got, want, prios)
+		}
+	}
+
+	held, _ = e.acquire(0)
+	turned := make(chan bool)
+	go func() {
+		_, ok := e.acquire(math.MaxUint64)
+		turned <- !ok
+	}()
+	e.fail(errors.New("stop"))
+	if !<-turned {
+		t.Error("a waiting job ran after the engine failed")
+	}
+	e.release(held)
 }

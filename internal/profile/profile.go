@@ -83,11 +83,18 @@ func Collect(p *program.Program, maxInstrs uint64) (*Profile, error) {
 	if err := m.RunSuperblocks(cpu.Compile(p, l), math.MaxUint64, nil, nil, nil); err != nil {
 		return nil, err
 	}
-	return build(p, m.DynCount, m.Output), nil
+	return FromCounts(p, m.DynCount, m.Output), nil
 }
 
-// build assembles a profile from per-instruction dynamic counts.
-func build(p *program.Program, dyn []uint64, output []uint32) *Profile {
+// FromCounts assembles the profile of a finished run of p from its
+// per-instruction execution counts (dyn[i] for instruction i, as
+// cpu.Machine.DynCount gathers them) and its output; the profile keeps
+// both. A run of p laid out as its ARM image, such as a counted timing
+// pass (sim.RunOptions.Counts), gives the counts Collect gathers over
+// the word layout whenever p's behaviour does not depend on its code
+// addresses, which holds for every shipped kernel (sim's
+// TestCountedPassProfileMatchesCollect).
+func FromCounts(p *program.Program, dyn []uint64, output []uint32) *Profile {
 	pr := &Profile{
 		Prog:   p,
 		Dyn:    dyn,

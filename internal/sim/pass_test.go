@@ -91,11 +91,15 @@ func TestSharedPassMatchesSeparateRuns(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, pair := range [][]Config{{ARM16, ARM8}, {FITS16, FITS8}} {
-					if len(s.Passes(pair)) != 1 {
+					if ps, err := s.Passes(pair); err != nil || len(ps) != 1 {
 						splits <- split{k.Name, pair[0].ISA.String()}
 					}
 				}
-				for _, p := range s.Passes(cfgs) {
+				passes, err := s.Passes(cfgs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range passes {
 					if len(p) == 3 {
 						threeWay <- k.Name
 					}
@@ -190,15 +194,15 @@ func TestRunPassRejectsUnsharablePasses(t *testing.T) {
 	wide := FITS16
 	wide.Name, wide.Cache.LineBytes = "FITS16/64B", 64
 	cal := power.DefaultCalibration()
-	for _, sample := range []*SampleOptions{nil, {}} {
+	for _, po := range []passOptions{{}, {sampled: true}} {
 		for _, pass := range [][]Config{{}, {ARM16, FITS16}, {FITS16, wide}, {ARM16, ARM8}} {
-			if _, err := s.runOnePass(pass, cal, RunOptions{Sample: sample}); err == nil {
-				t.Errorf("pass (sample %v) accepted %s", sample, passName(pass))
+			if err := s.runOnePass(pass, cal, po, make([]*Result, len(pass))); err == nil {
+				t.Errorf("pass (sampled %t) accepted %s", po.sampled, passName(pass))
 			}
 		}
-		rs, err := s.runOnePass([]Config{FITS16, FITS8}, cal, RunOptions{Sample: sample})
-		if err != nil || len(rs) != 2 {
-			t.Fatalf("pass FITS16+FITS8 (sample %v) = %d results, %v", sample, len(rs), err)
+		out := make([]*Result, 2)
+		if err := s.runOnePass([]Config{FITS16, FITS8}, cal, po, out); err != nil || out[1] == nil {
+			t.Fatalf("pass FITS16+FITS8 (sampled %t): %v", po.sampled, err)
 		}
 	}
 }

@@ -330,7 +330,7 @@ func (st *sampleState) resetWarm() {
 // are exact, cycles and energy are extrapolated from periodic detailed
 // windows, and the Result carries a SampleStats.
 func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions) (*Result, error) {
-	return first(s.RunAll([]Config{cfg}, cal, RunOptions{Sample: &opt}))
+	return s.runOne(cfg, cal, passOptions{sampled: true, sample: opt})
 }
 
 // runSampled times one pass of Passes with the sampled estimator and
@@ -352,7 +352,8 @@ func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions)
 // cycles from extrapolated ones. When the pass halts before MinWindows
 // measured windows, it is re-run exactly (runPass); a traced fallback's
 // events follow the aborted sampled prefix's in the same sink, with a
-// fresh meter bound for energy attribution.
+// fresh meter bound for energy attribution, and its counts replace the
+// prefix's in po.counts.
 //
 // Functional warming witnesses every fast-forward batch, except in an
 // untraced pass whose caches hold the text: such a cache never evicts,
@@ -363,12 +364,9 @@ func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions)
 // which no result reads. A non-nil probe is the tests' window on this:
 // it can force the per-batch witness and receives the witness call
 // count.
-func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptions, sink tracing.EventSink, out []*Result, probe *warmProbe) error {
-	opt = opt.withDefaults()
+func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, po passOptions, out []*Result, probe *warmProbe) error {
+	opt, sink := po.sample.withDefaults(), po.sink
 	if err := opt.Validate(); err != nil {
-		return err
-	}
-	if err := s.checkPass(cfgs); err != nil {
 		return err
 	}
 	cfg := cfgs[0]
@@ -414,6 +412,7 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptio
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
 	defer m.Release()
+	m.DynCount = po.counts
 	port := newICachePort(c, im, pc.BlockBytes, stream)
 	port.holds = holds
 
@@ -514,19 +513,18 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, opt SampleOptio
 		// Too short to estimate: fall back to the exact full pipeline
 		// (traced when a sink is attached, so the event stream and any
 		// bound energy attribution follow the run that produced the
-		// result).
-		rs, err := s.runPass(cfgs, cal, sink, 0)
-		if err != nil {
+		// result, and the counts are that run's alone).
+		clear(po.counts)
+		if err := s.runPass(cfgs, cal, passOptions{sink: sink, counts: po.counts}, out); err != nil {
 			return err
 		}
-		for i, res := range rs {
+		for _, res := range out {
 			res.Sampled = &SampleStats{
 				Windows:        windows,
 				TotalInstrs:    res.Pipe.Instrs,
 				DetailedInstrs: res.Pipe.Instrs,
 				Exact:          true,
 			}
-			out[i] = res
 		}
 		return nil
 	}

@@ -73,12 +73,16 @@ const MissPenalty = 24
 
 // Setup holds everything derived from one kernel before timing runs.
 //
-// A Setup is immutable once PrepareWith returns: RunAll only reads it,
-// so one Setup may serve any number of concurrent runs (the parallel
-// experiment engine relies on this). Each run builds its own
+// A Setup is immutable once the call that made it returns: RunAll only
+// reads it, so one Setup may serve any number of concurrent runs (the
+// parallel experiment engine relies on this). Each run builds its own
 // cache, power meters, layout and machine, leasing the machine's memory
 // and releasing it when the run returns; the shared Program and Images
 // are treated as read-only by the pipeline.
+//
+// A baseline Setup (PrepareBaseline) holds the ARM half only: Profile,
+// Synth, Fits, FitsDecoded and FitsCompiled are nil, and it times ARM
+// configurations only. WithFITS adds the FITS half.
 type Setup struct {
 	Kernel kernels.Kernel
 	Scale  int
@@ -92,7 +96,7 @@ type Setup struct {
 
 	// ArmDecoded and FitsDecoded are the predecoded static-instruction
 	// tables (cpu.Predecode) for the two target images. They are built
-	// once in PrepareWith and shared read-only by every configuration
+	// once per preparation and shared read-only by every configuration
 	// run and engine worker, so the timing pipeline never re-derives
 	// per-instruction metadata per cycle.
 	ArmDecoded  *cpu.Decoded
@@ -124,72 +128,143 @@ type PrepareOptions struct {
 	Log *slog.Logger
 }
 
-// PrepareWith builds, profiles, synthesizes and translates one kernel.
-// scale ≤ 0 selects the kernel's default scale.
+// PrepareWith builds, profiles, synthesizes and translates one kernel:
+// PrepareBaseline, then WithFITS over a profile.Collect run (memoized
+// by popts.Profiles). scale ≤ 0 selects the kernel's default scale.
 func PrepareWith(k kernels.Kernel, scale int, popts PrepareOptions) (*Setup, error) {
-	opts := popts.Synth
+	budget, err := popts.Synth.EffectiveProfileBudget()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %s: %w", k.Name, err)
+	}
+	clk := stageClock{log: popts.Log, last: time.Now()}
+	base, err := prepareBaseline(k, scale, &clk)
+	if err != nil {
+		return nil, err
+	}
+	s, err := base.withFITS(func() (*profile.Profile, error) {
+		return popts.Profiles.Collect(profileKey(base.Prog, base.ArmImage, budget), func() (*profile.Profile, error) {
+			return profile.Collect(base.Prog, budget)
+		})
+	}, popts.Synth, &clk)
+	if err != nil {
+		return nil, err
+	}
+	clk.emit(k.Name, s.Scale)
+	return s, nil
+}
+
+// PrepareBaseline builds the ARM half of a Setup: the program, its ARM
+// image, the Thumb sizing and the ARM predecode and micro-op tables.
+// scale ≤ 0 selects the kernel's default scale. log, when non-nil,
+// receives one "prepare stages" record with the build, assemble, thumb
+// and predecode stages.
+func PrepareBaseline(k kernels.Kernel, scale int, log *slog.Logger) (*Setup, error) {
+	clk := stageClock{log: log, last: time.Now()}
+	s, err := prepareBaseline(k, scale, &clk)
+	if err != nil {
+		return nil, err
+	}
+	clk.emit(k.Name, s.Scale)
+	return s, nil
+}
+
+func prepareBaseline(k kernels.Kernel, scale int, clk *stageClock) (*Setup, error) {
 	if scale <= 0 {
 		scale = k.DefaultScale
 	}
-	// stage records per-stage wall-clock when logging is requested; with
-	// Log nil it degenerates to two time.Now calls per stage and no
-	// allocation beyond the fixed slice.
-	var stages []slog.Attr
-	last := time.Now()
-	stage := func(name string) {
-		if popts.Log == nil {
-			return
-		}
-		now := time.Now()
-		stages = append(stages, slog.Float64(name+"_sec", now.Sub(last).Seconds()))
-		last = now
-	}
 	p := k.Build(scale)
-	stage("build")
+	clk.mark("build")
 	armIm, err := arm.Assemble(p)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", k.Name, err)
 	}
-	stage("assemble")
-	budget, err := opts.EffectiveProfileBudget()
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s: %w", k.Name, err)
-	}
-	prof, err := popts.Profiles.Collect(profileKey(p, armIm, budget), func() (*profile.Profile, error) {
-		return profile.Collect(p, budget)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s: profile: %w", k.Name, err)
-	}
-	stage("profile")
-	syn, err := synth.Synthesize(prof, opts)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s: synth: %w", k.Name, err)
-	}
-	stage("synth")
-	res, err := translate.Translate(p, syn.Spec)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s: translate: %w", k.Name, err)
-	}
-	stage("translate")
+	clk.mark("assemble")
 	ts, err := thumb.Translate(p)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: thumb: %w", k.Name, err)
 	}
-	stage("thumb")
+	clk.mark("thumb")
 	armDec := cpu.Predecode(p, cpu.ImageLayout(armIm))
-	fitsDec := cpu.Predecode(res.Lowered, cpu.ImageLayout(res.Image))
-	s := &Setup{Kernel: k, Scale: scale, Prog: p, ArmImage: armIm,
-		Profile: prof, Synth: syn, Fits: res, Thumb: ts,
-		ArmDecoded: armDec, FitsDecoded: fitsDec,
-		ArmCompiled: armDec.Compiled(), FitsCompiled: fitsDec.Compiled(),
-	}
-	if popts.Log != nil {
-		stage("predecode")
-		popts.Log.LogAttrs(context.Background(), slog.LevelDebug, "prepare stages",
-			append([]slog.Attr{slog.String("kernel", k.Name), slog.Int("scale", scale)}, stages...)...)
-	}
+	s := &Setup{Kernel: k, Scale: scale, Prog: p, ArmImage: armIm, Thumb: ts,
+		ArmDecoded: armDec, ArmCompiled: armDec.Compiled()}
+	clk.mark("predecode")
 	return s, nil
+}
+
+// WithFITS returns a copy of s with the FITS half added: the profile
+// that profileFn returns, the ISA synthesized from it under opts, the
+// FITS translation and its predecode and micro-op tables. The copy
+// shares s's ARM half, and s is left unchanged. profileFn runs as the
+// profile stage; log, when non-nil, receives one "prepare stages"
+// record with the profile, synth, translate and predecode stages.
+func (s *Setup) WithFITS(profileFn func() (*profile.Profile, error), opts synth.Options, log *slog.Logger) (*Setup, error) {
+	clk := stageClock{log: log, last: time.Now()}
+	f, err := s.withFITS(profileFn, opts, &clk)
+	if err != nil {
+		return nil, err
+	}
+	clk.emit(s.Kernel.Name, s.Scale)
+	return f, nil
+}
+
+func (s *Setup) withFITS(profileFn func() (*profile.Profile, error), opts synth.Options, clk *stageClock) (*Setup, error) {
+	prof, err := profileFn()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %s: profile: %w", s.Kernel.Name, err)
+	}
+	clk.mark("profile")
+	syn, err := synth.Synthesize(prof, opts)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %s: synth: %w", s.Kernel.Name, err)
+	}
+	clk.mark("synth")
+	res, err := translate.Translate(s.Prog, syn.Spec)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %s: translate: %w", s.Kernel.Name, err)
+	}
+	clk.mark("translate")
+	f := *s
+	f.Profile, f.Synth, f.Fits = prof, syn, res
+	f.FitsDecoded = cpu.Predecode(res.Lowered, cpu.ImageLayout(res.Image))
+	f.FitsCompiled = f.FitsDecoded.Compiled()
+	clk.mark("predecode")
+	return &f, nil
+}
+
+// stageClock times preparation stages for a "prepare stages" record,
+// one "<stage>_sec" attribute per stage in the order first marked. With
+// no logger it marks and emits nothing.
+type stageClock struct {
+	log   *slog.Logger
+	last  time.Time
+	attrs []slog.Attr
+}
+
+// mark charges the time since the previous mark to stage: the ARM and
+// FITS predecodes of one preparation add up to one predecode time.
+func (c *stageClock) mark(stage string) {
+	if c.log == nil {
+		return
+	}
+	now := time.Now()
+	d := now.Sub(c.last).Seconds()
+	c.last = now
+	key := stage + "_sec"
+	for i := range c.attrs {
+		if c.attrs[i].Key == key {
+			c.attrs[i].Value = slog.Float64Value(c.attrs[i].Value.Float64() + d)
+			return
+		}
+	}
+	c.attrs = append(c.attrs, slog.Float64(key, d))
+}
+
+// emit logs one record with every stage marked so far.
+func (c *stageClock) emit(kernel string, scale int) {
+	if c.log != nil {
+		c.log.LogAttrs(context.Background(), slog.LevelDebug, "prepare stages",
+			append([]slog.Attr{slog.String("kernel", kernel), slog.Int("scale", scale)}, c.attrs...)...)
+	}
 }
 
 // profileKey derives the memoization key of the profiling stage: a
@@ -239,8 +314,8 @@ type Result struct {
 
 // target resolves the configuration's ISA to its program, image and
 // shared predecode/compile tables, predecoding per run for Setups
-// constructed outside PrepareWith (tests, literals) — still once per
-// run rather than once per cycle.
+// constructed as literals (tests) — still once per run rather than once
+// per cycle.
 func (s *Setup) target(cfg Config) (prog *program.Program, im *program.Image, dec *cpu.Decoded, comp *cpu.Compiled) {
 	switch cfg.ISA {
 	case ISAARM:
@@ -429,19 +504,42 @@ type RunOptions struct {
 	// basic-block fetch-energy hotspots. It requires an exact run of
 	// one configuration (Sample nil); a negative value is an error.
 	WindowCycles int
+	// Counts, when non-nil, makes the run add its machine's
+	// per-instruction execution counts (cpu.Machine.DynCount) into
+	// Counts[i] for instruction i of the pass's program. It requires
+	// configurations that form one pass and one slot per instruction
+	// of that program. A sampled pass that falls back to an exact run
+	// clears Counts first, so a zeroed slice ends holding the counts of
+	// one whole run, the input of profile.FromCounts.
+	Counts []uint64
+}
+
+// passOptions is RunOptions as a pass reads it, with the sampling
+// schedule by value: every sampled run leaks its sink to the heap, and
+// a schedule behind a pointer in the same struct would leak with it
+// (TestSampledAllocsPinned).
+type passOptions struct {
+	sampled bool
+	sample  SampleOptions
+	sink    tracing.EventSink
+	window  int
+	counts  []uint64
 }
 
 // Run is RunAll of one configuration, exact and unobserved.
 func (s *Setup) Run(cfg Config, cal power.Calibration) (*Result, error) {
-	return first(s.RunAll([]Config{cfg}, cal, RunOptions{}))
+	return s.runOne(cfg, cal, passOptions{})
 }
 
-// first returns the only result of a one-configuration RunAll.
-func first(rs []*Result, err error) (*Result, error) {
-	if err != nil {
+// runOne times one configuration as a pass of one, with the
+// configuration and result slices on the stack.
+func (s *Setup) runOne(cfg Config, cal power.Calibration, po passOptions) (*Result, error) {
+	cfgs := [1]Config{cfg}
+	var out [1]*Result
+	if err := s.runOnePass(cfgs[:], cal, po, out[:]); err != nil {
 		return nil, err
 	}
-	return rs[0], nil
+	return out[0], nil
 }
 
 // image returns the image an ISA's configurations fetch from.
@@ -450,6 +548,20 @@ func (s *Setup) image(i ISA) *program.Image {
 		return s.Fits.Image
 	}
 	return s.ArmImage
+}
+
+// checkTargets rejects FITS configurations on a Setup that has no FITS
+// half (a baseline Setup).
+func (s *Setup) checkTargets(cfgs []Config) error {
+	if s.Fits != nil {
+		return nil
+	}
+	for _, cfg := range cfgs {
+		if cfg.ISA == ISAFITS {
+			return fmt.Errorf("sim: %s on %s: the Setup has no FITS image (see WithFITS)", s.Kernel.Name, cfg.Name)
+		}
+	}
+	return nil
 }
 
 // holds reports whether cfg's cache keeps every line its image's fetch
@@ -503,8 +615,12 @@ func (s *Setup) passIndices(cfgs []Config) [][]int {
 // every geometry in a pass sees the same hit/miss sequence, the
 // pipeline the same stalls, and the pass's one power stream exactly the
 // accesses and cycles each standalone run would count. The grouping
-// depends only on the image and the geometries.
-func (s *Setup) Passes(cfgs []Config) [][]Config {
+// depends only on the image and the geometries. A FITS configuration on
+// a baseline Setup is an error.
+func (s *Setup) Passes(cfgs []Config) ([][]Config, error) {
+	if err := s.checkTargets(cfgs); err != nil {
+		return nil, err
+	}
 	idx := s.passIndices(cfgs)
 	passes := make([][]Config, len(idx))
 	for p, is := range idx {
@@ -512,7 +628,7 @@ func (s *Setup) Passes(cfgs []Config) [][]Config {
 			passes[p] = append(passes[p], cfgs[i])
 		}
 	}
-	return passes
+	return passes, nil
 }
 
 // RunAll times cfgs and returns the results in cfgs order: exactly, or
@@ -522,10 +638,11 @@ func (s *Setup) Passes(cfgs []Config) [][]Config {
 // sampled pass shares the fast-forward and the detailed windows in the
 // same way. Each result is bit-identical to a run of its configuration
 // alone. A sink or a phase window observes one configuration, so an
-// observed run of several is an error, as are a negative window and a
-// window on a sampled run. It is safe to call concurrently on one
-// Setup: every piece of mutable state (cache, meters, layout, machine)
-// is created per call.
+// observed run of several is an error, as are a negative window, a
+// window on a sampled run, counts over more than one pass or of the
+// wrong length, and a FITS configuration on a baseline Setup. It is
+// safe to call concurrently on one Setup: every piece of mutable state
+// (cache, meters, layout, machine) is created per call.
 func (s *Setup) RunAll(cfgs []Config, cal power.Calibration, opt RunOptions) ([]*Result, error) {
 	switch {
 	case opt.WindowCycles < 0:
@@ -535,19 +652,32 @@ func (s *Setup) RunAll(cfgs []Config, cal power.Calibration, opt RunOptions) ([]
 	case (opt.Sink != nil || opt.WindowCycles > 0) && len(cfgs) != 1:
 		return nil, fmt.Errorf("sim: an observed run times one configuration, not %d", len(cfgs))
 	}
-	// Callers that already grouped cfgs into one pass (Run, RunSampled,
-	// the experiment engine) skip the grouping and its allocations.
-	if s.sharesPass(cfgs) {
-		return s.runOnePass(cfgs, cal, opt)
+	if err := s.checkTargets(cfgs); err != nil {
+		return nil, err
+	}
+	po := passOptions{sink: opt.Sink, window: opt.WindowCycles, counts: opt.Counts}
+	if opt.Sample != nil {
+		po.sampled, po.sample = true, *opt.Sample
 	}
 	out := make([]*Result, len(cfgs))
+	// Callers that already grouped cfgs into one pass (the experiment
+	// engine, the sweep) skip the grouping and its allocations.
+	if s.sharesPass(cfgs) {
+		if err := s.runOnePass(cfgs, cal, po, out); err != nil {
+			return nil, err
+		}
+		return out, nil
+	}
+	if opt.Counts != nil {
+		return nil, fmt.Errorf("sim: %s on %s: counts need configurations that share one pass", s.Kernel.Name, passName(cfgs))
+	}
 	for _, is := range s.passIndices(cfgs) {
 		pass := make([]Config, len(is))
 		for j, i := range is {
 			pass[j] = cfgs[i]
 		}
-		rs, err := s.runOnePass(pass, cal, opt)
-		if err != nil {
+		rs := make([]*Result, len(is))
+		if err := s.runOnePass(pass, cal, po, rs); err != nil {
 			return nil, err
 		}
 		for j, i := range is {
@@ -557,16 +687,16 @@ func (s *Setup) RunAll(cfgs []Config, cal power.Calibration, opt RunOptions) ([]
 	return out, nil
 }
 
-// runOnePass times one pass of Passes, exactly or sampled as opt asks.
-func (s *Setup) runOnePass(cfgs []Config, cal power.Calibration, opt RunOptions) ([]*Result, error) {
-	if opt.Sample == nil {
-		return s.runPass(cfgs, cal, opt.Sink, opt.WindowCycles)
+// runOnePass times one pass of Passes, exactly or sampled as po asks,
+// and stores the results in out, in cfgs order.
+func (s *Setup) runOnePass(cfgs []Config, cal power.Calibration, po passOptions, out []*Result) error {
+	if err := s.checkPass(cfgs, po.counts); err != nil {
+		return err
 	}
-	out := make([]*Result, len(cfgs))
-	if err := s.runSampled(cfgs, cal, *opt.Sample, opt.Sink, out, nil); err != nil {
-		return nil, err
+	if po.sampled {
+		return s.runSampled(cfgs, cal, po, out, nil)
 	}
-	return out, nil
+	return s.runPass(cfgs, cal, po, out)
 }
 
 // sharesPass reports whether cfgs form one pass: a single
@@ -584,55 +714,63 @@ func (s *Setup) sharesPass(cfgs []Config) bool {
 	return len(cfgs) > 0
 }
 
-// checkPass rejects configurations that cannot share a pass: none at
-// all, or several that sharesPass refuses.
-func (s *Setup) checkPass(cfgs []Config) error {
+// checkPass rejects what cannot run as one pass: no configurations, a
+// FITS configuration on a baseline Setup, several configurations that
+// sharesPass refuses, and counts whose length is not the instruction
+// count of the pass's program.
+func (s *Setup) checkPass(cfgs []Config, counts []uint64) error {
+	if err := s.checkTargets(cfgs); err != nil {
+		return err
+	}
 	switch {
 	case len(cfgs) == 0:
 		return fmt.Errorf("sim: %s: empty pass", s.Kernel.Name)
 	case !s.sharesPass(cfgs):
 		return fmt.Errorf("sim: %s on %s: configurations cannot share a pass", s.Kernel.Name, passName(cfgs))
+	case counts != nil && len(counts) != len(s.image(cfgs[0].ISA).InstrAddr):
+		return fmt.Errorf("sim: %s on %s: %d counts for %d instructions", s.Kernel.Name, passName(cfgs),
+			len(counts), len(s.image(cfgs[0].ISA).InstrAddr))
 	}
 	return nil
 }
 
 // runPass runs the full cycle-accurate pipeline once for a pass,
-// streaming its events to sink and, when window is positive, to the
-// phase sampler and the hotspot profiler behind Result.Phases. Sinks
-// and windows observe single-configuration passes only (RunAll).
-func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.EventSink, window int) ([]*Result, error) {
-	if err := s.checkPass(cfgs); err != nil {
-		return nil, err
-	}
+// streaming its events to po.sink and, when po.window is positive, to
+// the phase sampler and the hotspot profiler behind Result.Phases, and
+// counting executions into po.counts. Sinks and windows observe
+// single-configuration passes only (RunAll).
+func (s *Setup) runPass(cfgs []Config, cal power.Calibration, po passOptions, out []*Result) error {
 	cfg := cfgs[0]
 	prog, im, dec, _ := s.target(cfg)
 	c, err := cache.New(cfg.Cache)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	stream, err := power.NewStream(cal, cfg.Cache.LineBytes)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	meters := make([]*power.Meter, len(cfgs))
 	for i := range cfgs {
 		if meters[i], err = stream.NewMeter(cfgs[i].Cache); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	meter := meters[0]
+	sink := po.sink
 	bindEnergy(sink, meter)
 	pc := cpu.DefaultPipeConfig()
 	m := cpu.New(prog, cpu.ImageLayout(im))
 	defer m.Release()
+	m.DynCount = po.counts
 	var sampler *tracing.Sampler
 	var prof *tracing.Profiler
-	if window > 0 {
-		if sampler, err = tracing.NewSampler(window, meter, func() uint64 { return m.InstrCount }); err != nil {
-			return nil, err
+	if po.window > 0 {
+		if sampler, err = tracing.NewSampler(po.window, meter, func() uint64 { return m.InstrCount }); err != nil {
+			return err
 		}
 		if prof, err = s.NewProfiler(cfg); err != nil {
-			return nil, err
+			return err
 		}
 		prof.BindEnergy(meter)
 		sink = tracing.Tee(sampler, prof, sink)
@@ -641,9 +779,8 @@ func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.Event
 	port := newICachePort(c, im, pc.BlockBytes, stream)
 	port.holds = s.holds(cfg)
 	if err := cpu.RunPipeline(m, pc, port, dec, pipe, sink); err != nil {
-		return nil, fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, passName(cfgs), err)
+		return fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, passName(cfgs), err)
 	}
-	out := make([]*Result, len(cfgs))
 	for i := range cfgs {
 		out[i] = &Result{Config: cfgs[i], Pipe: ownPipe(pipe, i), Cache: c.Stats(), Power: meters[i].Report(), AccessPJ: meters[i].AccessPJ()}
 	}
@@ -651,7 +788,7 @@ func (s *Setup) runPass(cfgs []Config, cal power.Calibration, sink tracing.Event
 		out[0].Phases = sampler.Series(pipe.Cycles)
 		out[0].Phases.Hotspots = prof.Hotspots()
 	}
-	return out, nil
+	return nil
 }
 
 // ownPipe returns the PipeResult of a pass's i-th result: p itself for

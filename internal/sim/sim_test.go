@@ -10,6 +10,14 @@ import (
 	"powerfits/internal/translate"
 )
 
+// first returns the only result of a one-configuration RunAll.
+func first(rs []*Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
 // TestAllKernelsEquivalentUnderFITS is the central correctness claim:
 // for every kernel, the synthesized FITS ISA, its translation and its
 // 16-bit image must execute to the same architectural output as the ARM

@@ -23,7 +23,7 @@ import (
 func warmRun(s *Setup, cfg Config, opt SampleOptions, once bool) (*Result, int, error) {
 	var out [1]*Result
 	probe := warmProbe{everyBatch: !once}
-	err := s.runSampled([]Config{cfg}, power.DefaultCalibration(), opt, nil, out[:], &probe)
+	err := s.runSampled([]Config{cfg}, power.DefaultCalibration(), passOptions{sampled: true, sample: opt}, out[:], &probe)
 	return out[0], probe.witnessed, err
 }
 

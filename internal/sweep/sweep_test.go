@@ -333,8 +333,8 @@ func perPointResults(t *testing.T, g Grid, passes int) (sampled, exact []*PointR
 				for c, geom := range g.Caches {
 					cfgs[c] = sim.Config{Name: CacheLabel(geom), ISA: sim.ISAFITS, Cache: geom}
 				}
-				if got := len(s.Passes(cfgs)); got != passes {
-					t.Fatalf("%s: %d timing passes over the grid's caches, want %d", p.Label(), got, passes)
+				if got, err := s.Passes(cfgs); err != nil || len(got) != passes {
+					t.Fatalf("%s: %d timing passes over the grid's caches (%v), want %d", p.Label(), len(got), err, passes)
 				}
 				checked = true
 			}
