@@ -6,7 +6,6 @@ import (
 	"powerfits/internal/kernels"
 	"powerfits/internal/profile"
 	"powerfits/internal/synth"
-	"powerfits/internal/translate"
 
 	"powerfits/internal/isa/arm"
 )
@@ -38,10 +37,7 @@ func ablationRun(name string, opts synth.Options) (mapping, size float64) {
 	if err != nil {
 		return math.NaN(), math.NaN()
 	}
-	res, err := translate.Translate(p, syn.Spec)
-	if err != nil {
-		return math.NaN(), math.NaN()
-	}
+	res := syn.Translation()
 	return 100 * res.StaticMappingRate(), 100 * float64(res.Image.Size()) / float64(armIm.Size())
 }
 

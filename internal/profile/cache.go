@@ -13,7 +13,7 @@ import (
 //
 // Callers build the Image field from everything the functional run can
 // observe — encoded text, load addresses, the data segment and the
-// entry point (sim.PrepareWith hashes exactly that set). The budget is
+// entry point (sim.Setup.Profiler hashes exactly that set). The budget is
 // part of the key because a tighter budget can truncate the run and
 // change every dynamic count.
 type CacheKey struct {
@@ -27,7 +27,7 @@ type CacheKey struct {
 // over the same program share one profiling run — the expensive stage
 // of preparation, since it executes every dynamic instruction of the
 // application. The design-space sweep threads one Cache through
-// thousands of sim.PrepareWith calls.
+// thousands of preparations (sim.Setup.Profiler).
 //
 // A Cache is safe for concurrent use. It is a single-flight
 // reuse.Memo: concurrent misses on one key run one collection and share

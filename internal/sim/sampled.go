@@ -410,7 +410,7 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, po passOptions,
 	}
 	bindEnergy(sink, meters[0].m)
 	pc := cpu.DefaultPipeConfig()
-	m := cpu.New(prog, cpu.ImageLayout(im))
+	m := cpu.New(prog, comp.Layout())
 	defer m.Release()
 	m.DynCount = po.counts
 	port := newICachePort(c, im, pc.BlockBytes, stream)

@@ -4,11 +4,12 @@
 // Pareto frontier of fetch energy vs code size vs cycles.
 //
 // Three layers make a sweep fast enough to explore thousands of
-// points. The profiling pass is memoized (profile.Cache, the
-// single-flight reuse.Memo that serve's caches also use, threaded
-// through sim.PrepareWith), so every synthesis point of a kernel
-// shares one run of its most expensive stage, even when the workers
-// reach it at once. Every point has a
+// points. Preparation runs once per input it depends on: one ARM
+// baseline per run (sim.PrepareBaseline), and a memoized profiling pass
+// (profile.Cache, the single-flight reuse.Memo that serve's caches also
+// use, through sim.Setup.Profiler), so every synthesis point of a
+// kernel shares one build and one run of its most expensive stage, even
+// when the workers reach it at once. Every point has a
 // deterministic run ID under the internal/archive scheme, probed
 // against the store before evaluation — a re-sweep after an interrupt,
 // or an extension of the grid, only simulates points it has never

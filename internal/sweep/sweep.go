@@ -145,15 +145,20 @@ type Result struct {
 
 // Run executes a sweep.
 func Run(opt Options) (*Result, error) {
-	start := time.Now()
-	g := opt.Grid
-	if err := g.Validate(); err != nil {
+	if err := opt.Grid.Validate(); err != nil {
 		return nil, err
 	}
-	k, err := kernels.Get(g.Kernel)
+	k, err := kernels.Get(opt.Grid.Kernel)
 	if err != nil {
 		return nil, err
 	}
+	return run(opt, k)
+}
+
+// run is Run over the grid's kernel k.
+func run(opt Options, k kernels.Kernel) (*Result, error) {
+	start := time.Now()
+	g := opt.Grid
 	if g.Scale <= 0 {
 		g.Scale = k.DefaultScale
 	}
@@ -188,7 +193,6 @@ func Run(opt Options) (*Result, error) {
 	e := &engine{
 		opt:       opt,
 		grid:      g,
-		kernel:    k,
 		cal:       cal,
 		calBlob:   calBlob,
 		profiles:  profiles,
@@ -198,6 +202,9 @@ func Run(opt Options) (*Result, error) {
 		start:     start,
 		results:   make([]*PointResult, n),
 	}
+	e.baseline = sync.OnceValues(func() (*sim.Setup, error) {
+		return sim.PrepareBaseline(k, g.Scale, opt.Log)
+	})
 	if opt.Metrics != nil {
 		e.gauges = newGauges(opt.Metrics, fuel)
 	}
@@ -277,7 +284,6 @@ func Run(opt Options) (*Result, error) {
 type engine struct {
 	opt      Options
 	grid     Grid
-	kernel   kernels.Kernel
 	cal      power.Calibration
 	calBlob  []byte
 	profiles *profile.Cache
@@ -288,6 +294,12 @@ type engine struct {
 	workers   int
 	total     int
 	start     time.Time
+
+	// baseline builds the kernel's ARM half on its first call, by the
+	// first image job with a missing point, and returns that Setup to
+	// every later call. It lives only as long as the run: a warm store
+	// builds none.
+	baseline func() (*sim.Setup, error)
 
 	results []*PointResult
 
@@ -418,11 +430,14 @@ func (e *engine) resolve(pts []Point, sampled bool, done func(j int, pr *PointRe
 
 // evaluateImage is one evaluation job: the points pts[idx] of one
 // synthesis image, each probed in the store by its run ID. The missing
-// ones share one preparation and one RunAll, so every geometry whose
-// cache holds the image's text rides a single timing pass; each result
-// is bit-identical to a standalone run of its point. The Setup is not
-// kept past the job: holding a kernel's Setups for the refinement pass
-// would grow the sweep's resident set by every image it prepared.
+// ones share one preparation, the image's FITS half on the run's
+// baseline (sim.Setup.WithFITS), and one RunAll, so every geometry
+// whose cache holds the image's text rides a single timing pass; each
+// result is bit-identical to a standalone run of its point. The FITS
+// half is not kept past the job: holding a kernel's Setups for the
+// refinement pass would grow the sweep's resident set by every image it
+// prepared. A baseline that fails to build fails the sweep: it is a
+// fault of the kernel, not of the design point.
 func (e *engine) evaluateImage(pts []Point, idx []int, sampled bool, done func(j int, pr *PointResult, evaluated bool)) error {
 	popts := pts[idx[0]].Options(e.opt.Synth)
 	out := make([]*PointResult, len(idx))
@@ -440,11 +455,11 @@ func (e *engine) evaluateImage(pts []Point, idx []int, sampled bool, done func(j
 		}
 	}
 	if len(missing) > 0 {
-		s, err := sim.PrepareWith(e.kernel, e.grid.Scale, sim.PrepareOptions{
-			Synth:    popts,
-			Profiles: e.profiles,
-			Log:      e.opt.Log,
-		})
+		base, err := e.baseline()
+		if err != nil {
+			return fmt.Errorf("sweep: %w", err)
+		}
+		s, err := base.WithFITS(base.Profiler(e.profiles, popts), popts, e.opt.Log)
 		if err != nil {
 			// A synthesis failure is a fact about the design point (e.g. a
 			// forced opcode width the kernel cannot encode), not a fault:

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"powerfits/internal/archive"
@@ -14,6 +15,7 @@ import (
 	"powerfits/internal/metrics"
 	"powerfits/internal/power"
 	"powerfits/internal/profile"
+	"powerfits/internal/program"
 	"powerfits/internal/sim"
 	"powerfits/internal/synth"
 )
@@ -62,9 +64,28 @@ func TestSweepLogsPrepareStages(t *testing.T) {
 	}
 }
 
+// stageRecords counts the "prepare stages" records in a text log: the
+// baselines (sim.PrepareBaseline, which times the build) and the FITS
+// halves (Setup.WithFITS, which times synthesis).
+func stageRecords(log string) (baselines, fits int) {
+	for _, line := range strings.Split(log, "\n") {
+		if !strings.Contains(line, `msg="prepare stages"`) {
+			continue
+		}
+		if strings.Contains(line, "build_sec=") {
+			baselines++
+		}
+		if strings.Contains(line, "synth_sec=") {
+			fits++
+		}
+	}
+	return baselines, fits
+}
+
 // TestSweepPreparesOncePerImage: the cache geometries of one synthesis
-// image share its preparation, so a sweep logs one "prepare stages"
-// record per feasible image, not one per feasible point.
+// image share its preparation, so a sweep logs one FITS-half "prepare
+// stages" record per feasible image, not one per feasible point, beside
+// its one baseline record.
 func TestSweepPreparesOncePerImage(t *testing.T) {
 	var buf bytes.Buffer
 	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
@@ -75,8 +96,78 @@ func TestSweepPreparesOncePerImage(t *testing.T) {
 	if feasible := res.Stats.Points - res.Stats.Infeasible; feasible != 4 {
 		t.Fatalf("%d feasible points, want 4 (2 images x 2 caches)", feasible)
 	}
-	if n := strings.Count(buf.String(), `msg="prepare stages"`); n != 2 {
-		t.Fatalf("%d prepare stages records, want 2 (one per feasible image)", n)
+	if baselines, fits := stageRecords(buf.String()); baselines != 1 || fits != 2 {
+		t.Fatalf("%d baseline and %d FITS-half records, want 1 and 2 (one per feasible image)", baselines, fits)
+	}
+}
+
+// TestSweepBuildsBaselineOnce: a sweep builds its kernel's ARM baseline
+// once however many images and workers it has, across the sampled
+// phase and the exact refinement alike, and a warm re-sweep builds
+// none. The kernel's Build counts the builds beside the stage records.
+func TestSweepBuildsBaselineOnce(t *testing.T) {
+	k := kernels.MustGet("crc32")
+	var builds atomic.Int32
+	build := k.Build
+	k.Build = func(scale int) *program.Program {
+		builds.Add(1)
+		return build(scale)
+	}
+	store := archive.NewStore(t.TempDir())
+	for _, cold := range []bool{true, false} {
+		builds.Store(0)
+		var buf bytes.Buffer
+		log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+		res, err := run(Options{Grid: testGrid(), Workers: 4, Store: store, Log: log}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cold: one baseline, the two feasible sampled images, then the
+		// frontier's images refined exactly. Warm: nothing.
+		wantBaselines, wantFits := 0, 0
+		if cold {
+			if res.Stats.Refined == 0 {
+				t.Fatal("cold run refined nothing")
+			}
+			wantBaselines, wantFits = 1, 2+countImages(res.Frontier)
+		}
+		baselines, fits := stageRecords(buf.String())
+		if baselines != wantBaselines || int(builds.Load()) != wantBaselines || fits != wantFits {
+			t.Fatalf("cold=%v: %d baseline records, %d builds and %d FITS-half records, want %d, %d and %d",
+				cold, baselines, builds.Load(), fits, wantBaselines, wantBaselines, wantFits)
+		}
+	}
+}
+
+// countImages counts the distinct synthesis images among prs.
+func countImages(prs []*PointResult) int {
+	keys := map[string]bool{}
+	for _, pr := range prs {
+		keys[pr.Point.Options(synth.Options{}).Key()] = true
+	}
+	return len(keys)
+}
+
+// TestSweepBaselineFailureIsAnError: a kernel whose baseline cannot be
+// built fails the sweep instead of marking its points infeasible.
+func TestSweepBaselineFailureIsAnError(t *testing.T) {
+	k := kernels.MustGet("crc32")
+	build := k.Build
+	k.Build = func(scale int) *program.Program {
+		p := build(scale)
+		p.Entry = -1
+		return p
+	}
+	store := archive.NewStore(t.TempDir())
+	res, err := run(Options{Grid: testGrid(), Store: store}, k)
+	if err == nil {
+		t.Fatalf("sweep over an unbuildable baseline succeeded: %+v", res.Stats)
+	}
+	if !strings.Contains(err.Error(), "entry -1 out of range") {
+		t.Fatalf("sweep error %q does not name the baseline's fault", err)
+	}
+	if ids, err := store.List(); err != nil || len(ids) != 0 {
+		t.Fatalf("failed sweep archived %d points (%v)", len(ids), err)
 	}
 }
 

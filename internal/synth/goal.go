@@ -57,10 +57,7 @@ func SynthesizeToGoal(prof *profile.Profile, base Options, goal Goal) (*GoalResu
 		if err != nil {
 			return nil, err
 		}
-		res, err := translate.Translate(prof.Prog, syn.Spec)
-		if err != nil {
-			return nil, err
-		}
+		res := syn.Translation()
 		gr := &GoalResult{
 			Synthesis:     syn,
 			Result:        res,
