@@ -29,7 +29,33 @@ func TestGoldenRenderScale1(t *testing.T) {
 		t.Fatal("rendered tables depend on parallelism — golden comparison would be meaningless")
 	}
 
-	golden := filepath.Join("testdata", "golden_scale1.txt")
+	compareGolden(t, filepath.Join("testdata", "golden_scale1.txt"), got)
+}
+
+// TestGoldenAblationsExtensions pins the rendered ablation and
+// extension tables (extensions at scale 1, as fitsbench runs them) the
+// same way; EXPERIMENTS.md quotes them.
+func TestGoldenAblationsExtensions(t *testing.T) {
+	var sb strings.Builder
+	for _, f := range []func() []*Table{AblateOpcodeWidth, AblateDict, AblateWindow, AblateModes} {
+		for _, tb := range f() {
+			tb.Render(&sb)
+		}
+	}
+	for _, f := range []func(int) (*Table, error){ExtSwitchingModel, ExtGeometry, ExtEnergy, ExtTraffic, ExtCPI} {
+		tb, err := f(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.Render(&sb)
+	}
+	compareGolden(t, filepath.Join("testdata", "golden_ext_scale1.txt"), sb.String())
+}
+
+// compareGolden fails t where got differs from the golden file, or
+// rewrites the file under -update.
+func compareGolden(t *testing.T, golden, got string) {
+	t.Helper()
 	if *update {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
