@@ -17,6 +17,11 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+echo "== simplicity metric (informational, not a gate) =="
+# The ROADMAP measures design progress as net non-test Go lines outside
+# bench/; printed so every run records it.
+echo "non-test Go lines outside bench/: $(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+
 echo "== go test =="
 go test ./...
 

@@ -1,15 +1,22 @@
 // Command fitsbench regenerates the paper's evaluation: it prepares and
 // simulates the 21-kernel suite under the four processor configurations
 // (ARM16, ARM8, FITS16, FITS8) and prints the table behind every figure
-// (Figures 3–14), the abstract's headline averages, and the synthesis
-// ablations.
+// (Figures 3–14), the abstract's headline averages, the synthesis
+// ablations and the extension studies.
+//
+// -exp picks tables by id (fig3..fig14, headline, ablate-opwidth-map,
+// ext-cpi, ...), by a prefix of their ids (fig6, ablate-dict), by group
+// (figs, ablations, extensions) or all of them (all). The extensions
+// (ext-activity, ext-geometry, ext-energy, ext-traffic, ext-cpi) always
+// run at scale 1, whatever -scale says.
 //
 // Usage:
 //
-//	fitsbench                 # every figure at default scale, all cores
+//	fitsbench                 # every table at default scale, all cores
 //	fitsbench -j 1            # sequential engine (identical tables)
 //	fitsbench -exp fig11      # one figure
 //	fitsbench -exp ablations  # the four synthesis ablations
+//	fitsbench -exp extensions # the five extension studies (scale 1)
 //	fitsbench -scale 1 -q     # quick run, no progress lines
 //	fitsbench -archive .powerfits/runs # archive the full run record (see `powerfits diff`)
 //	fitsbench -window 4096 -archive suite.json -phases suite.csv  # + phase series and stalls
@@ -91,7 +98,7 @@ func main() {
 	fs := flag.NewFlagSet("fitsbench", flag.ContinueOnError)
 	var (
 		scale      = fs.Int("scale", 0, "workload scale (0 = per-kernel default)")
-		exp        = fs.String("exp", "all", "experiment id: all, figs, fig3..fig14, headline, ablations, ablate-opwidth, ablate-dict, ablate-regs, ablate-mode")
+		exp        = fs.String("exp", "all", "experiment: all, a group (figs, ablations, extensions), or a table id or id prefix: fig3..fig14, headline, ablate-opwidth, ablate-dict, ablate-regs, ablate-mode, ext-activity, ext-geometry, ext-energy, ext-traffic, ext-cpi (extensions always run at scale 1)")
 		quiet      = fs.Bool("q", false, "suppress progress output")
 		jobs       = fs.Int("j", 0, "parallel workers (0 = all cores, 1 = sequential)")
 		archiveTo  = fs.String("archive", "", "archive the complete run record: a .json path, or a run-store directory")
@@ -129,17 +136,23 @@ func main() {
 		progress = experiments.LineProgress(func(line string) { cli.Rawln(line) })
 	}
 
+	// -exp picks a table by its id, a prefix of its id, its group's
+	// name (figs, ablations, extensions) or "all". A group runs only if
+	// it may hold a picked table: the ablation ids all start "ablate-",
+	// the extension ids "ext-", and the suite runs otherwise.
 	want := strings.ToLower(*exp)
 	var tables []*experiments.Table
-
-	needSuite := true
-	switch want {
-	case "ablations", "ablate-opwidth", "ablate-dict", "ablate-regs", "ablate-mode",
-		"extensions", "ext-activity", "ext-geometry", "ext-energy", "ext-traffic", "ext-cpi":
-		needSuite = false
+	pick := func(group string, ts []*experiments.Table) {
+		for _, t := range ts {
+			if want == "all" || want == group || want == t.ID || strings.HasPrefix(t.ID, want) {
+				tables = append(tables, t)
+			}
+		}
 	}
+	ablations := want == "all" || want == "ablations" || strings.HasPrefix(want, "ablate-")
+	extensions := want == "all" || want == "extensions" || strings.HasPrefix(want, "ext-")
 
-	if needSuite {
+	if want == "all" || !ablations && !extensions {
 		man := metrics.NewManifest("fitsbench")
 		tele.Begin(len(kernels.All()))
 		suite, err := experiments.RunSuite(experiments.Options{
@@ -153,11 +166,7 @@ func main() {
 		if !*quiet {
 			log.Info("suite generated", "wall_sec", suite.WallSec, "workers", suite.Workers)
 		}
-		for _, t := range suite.AllFigures() {
-			if want == "all" || want == "figs" || want == t.ID || strings.HasPrefix(t.ID, want) {
-				tables = append(tables, t)
-			}
-		}
+		pick("figs", suite.AllFigures())
 		if *archiveTo != "" || *phasesPath != "" {
 			recordSuite(man, *scale, suite, *archiveTo, *phasesPath)
 		}
@@ -167,47 +176,16 @@ func main() {
 	} else if *phasesPath != "" || *archiveTo != "" {
 		fatal(fmt.Errorf("-phases/-archive require a suite experiment (not ablations/extensions)"))
 	}
-
-	ext := func(f func(int) (*experiments.Table, error)) *experiments.Table {
-		t, err := f(1)
+	if ablations {
+		pick("ablations", experiments.Ablations())
+	}
+	if extensions {
+		// Extensions always run at scale 1, whatever -scale says.
+		ext, err := experiments.Extensions(1)
 		if err != nil {
 			fatal(err)
 		}
-		return t
-	}
-	switch want {
-	case "all", "ablations":
-		tables = append(tables, experiments.AblateOpcodeWidth()...)
-		tables = append(tables, experiments.AblateDict()...)
-		tables = append(tables, experiments.AblateWindow()...)
-		tables = append(tables, experiments.AblateModes()...)
-		if want == "all" {
-			tables = append(tables, ext(experiments.ExtSwitchingModel),
-				ext(experiments.ExtGeometry), ext(experiments.ExtEnergy),
-				ext(experiments.ExtTraffic), ext(experiments.ExtCPI))
-		}
-	case "ablate-opwidth":
-		tables = experiments.AblateOpcodeWidth()
-	case "ablate-dict":
-		tables = experiments.AblateDict()
-	case "ablate-regs":
-		tables = experiments.AblateWindow()
-	case "ablate-mode":
-		tables = experiments.AblateModes()
-	case "extensions":
-		tables = []*experiments.Table{ext(experiments.ExtSwitchingModel),
-			ext(experiments.ExtGeometry), ext(experiments.ExtEnergy),
-			ext(experiments.ExtTraffic), ext(experiments.ExtCPI)}
-	case "ext-activity":
-		tables = []*experiments.Table{ext(experiments.ExtSwitchingModel)}
-	case "ext-geometry":
-		tables = []*experiments.Table{ext(experiments.ExtGeometry)}
-	case "ext-energy":
-		tables = []*experiments.Table{ext(experiments.ExtEnergy)}
-	case "ext-traffic":
-		tables = []*experiments.Table{ext(experiments.ExtTraffic)}
-	case "ext-cpi":
-		tables = []*experiments.Table{ext(experiments.ExtCPI)}
+		pick("extensions", ext)
 	}
 
 	if len(tables) == 0 {

@@ -61,7 +61,6 @@ import (
 	"powerfits/internal/kernels"
 	"powerfits/internal/metrics"
 	"powerfits/internal/power"
-	"powerfits/internal/program"
 	"powerfits/internal/sim"
 	"powerfits/internal/synth"
 )
@@ -238,7 +237,7 @@ func main() {
 		if perr != nil {
 			fatal(perr)
 		}
-		s, err = sim.PrepareWith(userKernel(p), 1, sim.PrepareOptions{
+		s, err = sim.PrepareWith(kernels.FromProgram(p), 1, sim.PrepareOptions{
 			Synth: synth.DefaultOptions(), Log: log})
 	} else {
 		k, kerr := kernels.Get(*kernel)
@@ -291,17 +290,6 @@ func finish() {
 	if err := stopProfiles(); err != nil {
 		log.Error("flushing profiles failed", "err", err)
 		os.Exit(1)
-	}
-}
-
-// userKernel wraps a parsed program as a one-off kernel.
-func userKernel(p *program.Program) kernels.Kernel {
-	return kernels.Kernel{
-		Name:         p.Name,
-		Group:        "user",
-		Build:        func(int) *program.Program { return p },
-		Ref:          func(int) []uint32 { return nil },
-		DefaultScale: 1,
 	}
 }
 

@@ -5,107 +5,95 @@ import (
 
 	"powerfits/internal/kernels"
 	"powerfits/internal/profile"
+	"powerfits/internal/sim"
 	"powerfits/internal/synth"
-
-	"powerfits/internal/isa/arm"
 )
 
-// Ablations quantify the synthesis design choices DESIGN.md calls out:
-// the opcode-width search, the immediate dictionary, the profile-ranked
-// register window, and the two-operand / implied-base point variants.
-// They run at scale 1 (the encodings, not the timing, are under study).
-
-// ablationRun synthesizes one kernel under the given options and
-// reports (static mapping %, FITS size % of ARM). NaN marks an
-// infeasible configuration.
-func ablationRun(name string, opts synth.Options) (mapping, size float64) {
-	k := kernels.MustGet(name)
-	p := k.Build(1)
-	armIm, err := arm.Assemble(p)
-	if err != nil {
-		return math.NaN(), math.NaN()
-	}
-	budget, err := opts.EffectiveProfileBudget()
-	if err != nil {
-		return math.NaN(), math.NaN()
-	}
-	prof, err := profile.Collect(p, budget)
-	if err != nil {
-		return math.NaN(), math.NaN()
-	}
-	syn, err := synth.Synthesize(prof, opts)
-	if err != nil {
-		return math.NaN(), math.NaN()
-	}
-	res := syn.Translation()
-	return 100 * res.StaticMappingRate(), 100 * float64(res.Image.Size()) / float64(armIm.Size())
+// ablationVariant is one column of an ablation: a change to the default
+// synthesis options (nil keeps them).
+type ablationVariant struct {
+	name string
+	edit func(*synth.Options)
 }
 
-// ablate builds a two-metric table over option variants.
-func ablate(id, title string, variants []string, opts []synth.Options) []*Table {
-	mapT := &Table{ID: id + "-map", Title: title + " — static 1:1 mapping", Unit: "%", Columns: variants}
-	sizeT := &Table{ID: id + "-size", Title: title + " — FITS code size", Unit: "% of ARM", Columns: variants}
-	for _, name := range kernels.Names() {
-		mRow := Row{Name: name}
-		sRow := Row{Name: name}
-		for _, o := range opts {
-			m, s := ablationRun(name, o)
-			mRow.Vals = append(mRow.Vals, m)
-			sRow.Vals = append(sRow.Vals, s)
+// ablationFamilies are the synthesis design choices DESIGN.md calls
+// out, each a two-table family (static mapping, code size) over its
+// variants.
+var ablationFamilies = []struct {
+	id, title string
+	variants  []ablationVariant
+}{
+	// Each opcode width k forced (the search normally picks the
+	// cheapest; k=4 is typically infeasible once BIS+SIS exceed 16
+	// points — reported as NaN).
+	{"ablate-opwidth", "Opcode field width", []ablationVariant{
+		{"k=4", func(o *synth.Options) { o.ForceK = 4 }},
+		{"k=5", func(o *synth.Options) { o.ForceK = 5 }},
+		{"k=6", func(o *synth.Options) { o.ForceK = 6 }},
+		{"search", nil},
+	}},
+	// The per-point immediate dictionaries (Section 3.3's
+	// utilization-based immediate synthesis) shrunk or disabled.
+	{"ablate-dict", "Immediate dictionary", []ablationVariant{
+		{"dict=256", nil},
+		{"dict=16", func(o *synth.Options) { o.DictCap = 16 }},
+		{"none", func(o *synth.Options) { o.NoDict = true }},
+	}},
+	// The profile-ranked register window against the identity window
+	// (the programmable register decoder ablation).
+	{"ablate-regs", "Register window ranking", []ablationVariant{
+		{"ranked", nil},
+		{"identity", func(o *synth.Options) { o.NoWindowRanking = true }},
+	}},
+	// The two-operand and implied-base point variants (the paper's
+	// operand address-mode heuristic) disabled.
+	{"ablate-mode", "Operand-mode variants", []ablationVariant{
+		{"full", nil},
+		{"no 2-op", func(o *synth.Options) { o.NoTwoOp = true }},
+		{"no base", func(o *synth.Options) { o.NoBasePoints = true }},
+		{"neither", func(o *synth.Options) { o.NoTwoOp, o.NoBasePoints = true, true }},
+	}},
+}
+
+// Ablations synthesizes every kernel under every ablation variant and
+// returns each family's static 1:1 mapping and FITS code size tables,
+// in family order. They run at scale 1 (the encodings, not the timing,
+// are under study): one baseline and one memoized profile per kernel.
+// NaN marks an infeasible variant.
+func Ablations() []*Table {
+	var tables []*Table
+	for _, f := range ablationFamilies {
+		cols := make([]string, len(f.variants))
+		for i, v := range f.variants {
+			cols[i] = v.name
 		}
-		mapT.Rows = append(mapT.Rows, mRow)
-		sizeT.Rows = append(sizeT.Rows, sRow)
+		tables = append(tables,
+			&Table{ID: f.id + "-map", Title: f.title + " — static 1:1 mapping", Unit: "%", Columns: cols},
+			&Table{ID: f.id + "-size", Title: f.title + " — FITS code size", Unit: "% of ARM", Columns: cols})
 	}
-	return []*Table{mapT, sizeT}
-}
-
-// AblateOpcodeWidth forces each opcode width k (the search normally
-// picks the cheapest; k=4 is typically infeasible once BIS+SIS exceed
-// 16 points — reported as NaN).
-func AblateOpcodeWidth() []*Table {
-	mk := func(k int) synth.Options {
-		o := synth.DefaultOptions()
-		o.ForceK = k
-		return o
+	for _, k := range kernels.All() {
+		base, baseErr := sim.PrepareBaseline(k, 1, nil)
+		profiles := profile.NewCache()
+		for i, f := range ablationFamilies {
+			mapRow, sizeRow := Row{Name: k.Name}, Row{Name: k.Name}
+			for _, v := range f.variants {
+				m, size := math.NaN(), math.NaN()
+				opts := synth.DefaultOptions()
+				if v.edit != nil {
+					v.edit(&opts)
+				}
+				if baseErr == nil {
+					if s, err := base.WithFITS(base.Profiler(profiles, opts), opts, nil); err == nil {
+						m = 100 * s.Fits.StaticMappingRate()
+						size = 100 * float64(s.Fits.Image.Size()) / float64(base.ArmImage.Size())
+					}
+				}
+				mapRow.Vals = append(mapRow.Vals, m)
+				sizeRow.Vals = append(sizeRow.Vals, size)
+			}
+			tables[2*i].Rows = append(tables[2*i].Rows, mapRow)
+			tables[2*i+1].Rows = append(tables[2*i+1].Rows, sizeRow)
+		}
 	}
-	return ablate("ablate-opwidth", "Opcode field width",
-		[]string{"k=4", "k=5", "k=6", "search"},
-		[]synth.Options{mk(4), mk(5), mk(6), synth.DefaultOptions()})
-}
-
-// AblateDict disables the per-point immediate dictionaries
-// (Section 3.3's utilization-based immediate synthesis).
-func AblateDict() []*Table {
-	no := synth.DefaultOptions()
-	no.NoDict = true
-	small := synth.DefaultOptions()
-	small.DictCap = 16
-	return ablate("ablate-dict", "Immediate dictionary",
-		[]string{"dict=256", "dict=16", "none"},
-		[]synth.Options{synth.DefaultOptions(), small, no})
-}
-
-// AblateWindow replaces the profile-ranked register window with the
-// identity window (the programmable register decoder ablation).
-func AblateWindow() []*Table {
-	no := synth.DefaultOptions()
-	no.NoWindowRanking = true
-	return ablate("ablate-regs", "Register window ranking",
-		[]string{"ranked", "identity"},
-		[]synth.Options{synth.DefaultOptions(), no})
-}
-
-// AblateModes disables the two-operand and implied-base point variants
-// (the paper's operand address-mode heuristic).
-func AblateModes() []*Table {
-	noTwo := synth.DefaultOptions()
-	noTwo.NoTwoOp = true
-	noBase := synth.DefaultOptions()
-	noBase.NoBasePoints = true
-	both := synth.DefaultOptions()
-	both.NoTwoOp = true
-	both.NoBasePoints = true
-	return ablate("ablate-mode", "Operand-mode variants",
-		[]string{"full", "no 2-op", "no base", "neither"},
-		[]synth.Options{synth.DefaultOptions(), noTwo, noBase, both})
+	return tables
 }

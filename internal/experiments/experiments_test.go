@@ -219,19 +219,22 @@ func TestTableRender(t *testing.T) {
 // switching model and to cache geometry, and energy savings are at
 // least as large as average-power savings.
 func TestExtensions(t *testing.T) {
-	act, err := ExtSwitchingModel(1)
+	tables, err := Extensions(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	byID := make(map[string]*Table, len(tables))
+	for _, tb := range tables {
+		byID[tb.ID] = tb
+	}
+
+	act := byID["ext-activity"]
 	avg := act.Average()
 	if avg[0] < 35 || avg[1] < 35 {
 		t.Errorf("headline not robust to switching model: %v", avg)
 	}
 
-	geo, err := ExtGeometry(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	geo := byID["ext-geometry"]
 	for _, r := range geo.Rows {
 		for i, v := range r.Vals {
 			if v < 25 {
@@ -240,11 +243,7 @@ func TestExtensions(t *testing.T) {
 		}
 	}
 
-	en, err := ExtEnergy(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range en.Rows {
+	for _, r := range byID["ext-energy"].Rows {
 		energy, pow, runtime := r.Vals[0], r.Vals[1], r.Vals[2]
 		if energy+1e-9 < pow {
 			t.Errorf("%s: energy saving %.1f%% below power saving %.1f%%", r.Name, energy, pow)

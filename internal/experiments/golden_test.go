@@ -36,17 +36,12 @@ func TestGoldenRenderScale1(t *testing.T) {
 // extension tables (extensions at scale 1, as fitsbench runs them) the
 // same way; EXPERIMENTS.md quotes them.
 func TestGoldenAblationsExtensions(t *testing.T) {
-	var sb strings.Builder
-	for _, f := range []func() []*Table{AblateOpcodeWidth, AblateDict, AblateWindow, AblateModes} {
-		for _, tb := range f() {
-			tb.Render(&sb)
-		}
+	ext, err := Extensions(1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range []func(int) (*Table, error){ExtSwitchingModel, ExtGeometry, ExtEnergy, ExtTraffic, ExtCPI} {
-		tb, err := f(1)
-		if err != nil {
-			t.Fatal(err)
-		}
+	var sb strings.Builder
+	for _, tb := range append(Ablations(), ext...) {
 		tb.Render(&sb)
 	}
 	compareGolden(t, filepath.Join("testdata", "golden_ext_scale1.txt"), sb.String())

@@ -40,6 +40,18 @@ type Kernel struct {
 	DefaultScale int
 }
 
+// FromProgram wraps a user-authored program as a one-off kernel of
+// group "user": every scale builds p, and it has no reference output.
+func FromProgram(p *program.Program) Kernel {
+	return Kernel{
+		Name:         p.Name,
+		Group:        "user",
+		Build:        func(int) *program.Program { return p },
+		Ref:          func(int) []uint32 { return nil },
+		DefaultScale: 1,
+	}
+}
+
 var registry = map[string]Kernel{}
 
 func register(k Kernel) {

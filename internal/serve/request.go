@@ -9,7 +9,6 @@ import (
 	"powerfits/internal/kernels"
 	"powerfits/internal/metrics"
 	"powerfits/internal/profile"
-	"powerfits/internal/program"
 	"powerfits/internal/sim"
 	"powerfits/internal/synth"
 )
@@ -194,13 +193,7 @@ func (c *Canonical) kernel() (kernels.Kernel, error) {
 	if err != nil {
 		return kernels.Kernel{}, err
 	}
-	return kernels.Kernel{
-		Name:         p.Name,
-		Group:        "user",
-		Build:        func(int) *program.Program { return p },
-		Ref:          func(int) []uint32 { return nil },
-		DefaultScale: 1,
-	}, nil
+	return kernels.FromProgram(p), nil
 }
 
 // Prepare runs the design flow (profile → synthesize → translate →

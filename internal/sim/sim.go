@@ -125,32 +125,27 @@ type PrepareOptions struct {
 	// synthesis points in a design-space sweep — share one
 	// profile.Collect.
 	Profiles *profile.Cache
-	// Log, when non-nil, receives one Debug record per preparation with
-	// the wall-clock cost of every stage (build, assemble, profile,
-	// synth, translate, thumb, predecode). The produced Setup is
-	// identical with or without logging.
+	// Log, when non-nil, receives the two Debug "prepare stages"
+	// records of PrepareBaseline and WithFITS: the wall-clock cost of
+	// build, assemble, thumb and predecode, then of profile, synth,
+	// translate and predecode. The produced Setup is identical with or
+	// without logging.
 	Log *slog.Logger
 }
 
 // PrepareWith builds, profiles, synthesizes and translates one kernel:
-// the baseline step of PrepareBaseline, then the FITS step of WithFITS
-// over the baseline's Profiler. scale ≤ 0 selects the kernel's default
-// scale. An invalid profile budget is an error before any work starts.
+// PrepareBaseline, then WithFITS over the baseline's Profiler. scale ≤ 0
+// selects the kernel's default scale. An invalid profile budget is an
+// error before any work starts.
 func PrepareWith(k kernels.Kernel, scale int, popts PrepareOptions) (*Setup, error) {
 	if _, err := popts.Synth.EffectiveProfileBudget(); err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", k.Name, err)
 	}
-	clk := stageClock{log: popts.Log, last: time.Now()}
-	base, err := prepareBaseline(k, scale, &clk)
+	base, err := PrepareBaseline(k, scale, popts.Log)
 	if err != nil {
 		return nil, err
 	}
-	s, err := base.withFITS(base.Profiler(popts.Profiles, popts.Synth), popts.Synth, &clk)
-	if err != nil {
-		return nil, err
-	}
-	clk.emit(k.Name, s.Scale)
-	return s, nil
+	return base.WithFITS(base.Profiler(popts.Profiles, popts.Synth), popts.Synth, popts.Log)
 }
 
 // Profiler returns the profile source PrepareWith hands WithFITS: a
@@ -176,15 +171,6 @@ func (s *Setup) Profiler(profiles *profile.Cache, opts synth.Options) func() (*p
 // and predecode stages.
 func PrepareBaseline(k kernels.Kernel, scale int, log *slog.Logger) (*Setup, error) {
 	clk := stageClock{log: log, last: time.Now()}
-	s, err := prepareBaseline(k, scale, &clk)
-	if err != nil {
-		return nil, err
-	}
-	clk.emit(k.Name, s.Scale)
-	return s, nil
-}
-
-func prepareBaseline(k kernels.Kernel, scale int, clk *stageClock) (*Setup, error) {
 	if scale <= 0 {
 		scale = k.DefaultScale
 	}
@@ -204,6 +190,7 @@ func prepareBaseline(k kernels.Kernel, scale int, clk *stageClock) (*Setup, erro
 	s := &Setup{Kernel: k, Scale: scale, Prog: p, ArmImage: armIm, Thumb: ts,
 		ArmDecoded: armDec, ArmCompiled: armDec.Compiled()}
 	clk.mark("predecode")
+	clk.emit(k.Name, scale)
 	return s, nil
 }
 
@@ -218,15 +205,6 @@ func prepareBaseline(k kernels.Kernel, scale int, clk *stageClock) (*Setup, erro
 // synthesis that translated the chosen spec.
 func (s *Setup) WithFITS(profileFn func() (*profile.Profile, error), opts synth.Options, log *slog.Logger) (*Setup, error) {
 	clk := stageClock{log: log, last: time.Now()}
-	f, err := s.withFITS(profileFn, opts, &clk)
-	if err != nil {
-		return nil, err
-	}
-	clk.emit(s.Kernel.Name, s.Scale)
-	return f, nil
-}
-
-func (s *Setup) withFITS(profileFn func() (*profile.Profile, error), opts synth.Options, clk *stageClock) (*Setup, error) {
 	prof, err := profileFn()
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: profile: %w", s.Kernel.Name, err)
@@ -246,6 +224,7 @@ func (s *Setup) withFITS(profileFn func() (*profile.Profile, error), opts synth.
 	f.FitsDecoded = cpu.Predecode(res.Lowered, cpu.ImageLayout(res.Image))
 	f.FitsCompiled = f.FitsDecoded.Compiled()
 	clk.mark("predecode")
+	clk.emit(s.Kernel.Name, s.Scale)
 	return &f, nil
 }
 
@@ -258,8 +237,7 @@ type stageClock struct {
 	attrs []slog.Attr
 }
 
-// mark charges the time since the previous mark to stage: the ARM and
-// FITS predecodes of one preparation add up to one predecode time.
+// mark charges the time since the previous mark to stage.
 func (c *stageClock) mark(stage string) {
 	if c.log == nil {
 		return

@@ -193,49 +193,61 @@ func TestSampledTracedFallbackConserves(t *testing.T) {
 	}
 }
 
-// TestSampledAllocsPinned pins the sampled estimator's steady-state
-// allocation count: the per-window scratch is hoisted into one
-// sampleState and the ratio series are preallocated, so a whole
-// sampled pass stays within a small fixed budget (machine, cache,
-// meters, pipeline state, results — nothing per window).
+// TestSampledAllocsPinned pins the steady-state allocation count of a
+// timing run, sampled and exact, one configuration and a shared pass of
+// two. The sampled estimator hoists its per-window scratch into one
+// sampleState and preallocates the ratio series, so a whole sampled
+// pass stays within a small fixed budget (machine, cache, meters,
+// pipeline state, results — nothing per window).
 func TestSampledAllocsPinned(t *testing.T) {
 	s := tracedSetup(t)
 	cal := power.DefaultCalibration()
-	if _, err := s.RunSampled(ARM16, cal, SampleOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := s.RunSampled(ARM16, cal, SampleOptions{}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The budget is the measured steady state (21: machine, cache,
-	// meter, pipeline run and result — the schedule and the result
-	// slot stay on RunSampled's stack, and the sampleState scratch,
-	// meter samples, ratio series and warm-once set come from the
-	// sampleFree list) with a slack of 2, far below one allocation per
-	// window, the regression this test exists to catch.
-	t.Logf("sampled ARM16 run: %v allocs", allocs)
-	if allocs > 23 {
-		t.Errorf("sampled run costs %v allocs, want ≤ 23", allocs)
-	}
-
-	// A two-configuration pass adds a meter, the result slice and a
-	// second result with its own PipeResult, output and SampleStats, and
-	// nothing per window: measured 27, pinned with the same slack of 2.
 	pass := []Config{FITS16, FITS8}
-	opt := RunOptions{Sample: &SampleOptions{}}
-	if _, err := s.RunAll(pass, cal, opt); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(5, func() {
-		if _, err := s.RunAll(pass, cal, opt); err != nil {
+	sampled := RunOptions{Sample: &SampleOptions{}}
+	for _, c := range []struct {
+		what string
+		run  func() error
+		max  float64
+	}{
+		// The sampled steady state (16: machine, cache, meter, pipeline
+		// run and result — the schedule and the result slot stay on
+		// RunSampled's stack, and the sampleState scratch, meter samples,
+		// ratio series and warm-once set come from the sampleFree list)
+		// with a slack of 2, far below one allocation per window, the
+		// regression this test exists to catch.
+		{"sampled ARM16 run", func() error {
+			_, err := s.RunSampled(ARM16, cal, SampleOptions{})
+			return err
+		}, 18},
+		// A two-configuration pass adds a meter, the result slice and a
+		// second result with its own PipeResult, output and SampleStats,
+		// and nothing per window: measured 22.
+		{"sampled FITS16+FITS8 pass", func() error {
+			_, err := s.RunAll(pass, cal, sampled)
+			return err
+		}, 24},
+		// The exact side, measured 15 and 20, with the same slack.
+		{"exact ARM16 run", func() error {
+			_, err := s.Run(ARM16, cal)
+			return err
+		}, 17},
+		{"exact FITS16+FITS8 pass", func() error {
+			_, err := s.RunAll(pass, cal, RunOptions{})
+			return err
+		}, 22},
+	} {
+		if err := c.run(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("sampled FITS16+FITS8 pass: %v allocs", allocs)
-	if allocs > 29 {
-		t.Errorf("sampled FITS16+FITS8 pass costs %v allocs, want ≤ 29", allocs)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := c.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %v allocs", c.what, allocs)
+		if allocs > c.max {
+			t.Errorf("%s costs %v allocs, want ≤ %v", c.what, allocs, c.max)
+		}
 	}
 }
 

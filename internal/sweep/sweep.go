@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"powerfits/internal/archive"
@@ -396,7 +397,8 @@ func (e *engine) identity(p Point, popts synth.Options, sampled bool) archive.Sw
 // order of first appearance. Cache geometry is the grid's innermost
 // axis, so a kernel's images are its (K, dictionary, ablation) triples.
 // done receives every point's result once, with whether it was
-// evaluated this run rather than reused from the store.
+// evaluated this run rather than reused from the store. The first error
+// is returned; once a job has failed no queued job starts.
 func (e *engine) resolve(pts []Point, sampled bool, done func(j int, pr *PointResult, evaluated bool)) error {
 	var images [][]int
 	byKey := map[string]int{}
@@ -413,14 +415,20 @@ func (e *engine) resolve(pts []Point, sampled bool, done func(j int, pr *PointRe
 	var wg sync.WaitGroup
 	var errOnce sync.Once
 	var firstErr error
+	var failed atomic.Bool
 	for _, idx := range images {
 		wg.Add(1)
 		go func(idx []int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			// After a failure no queued job starts; jobs in flight finish.
+			if failed.Load() {
+				return
+			}
 			if err := e.evaluateImage(pts, idx, sampled, done); err != nil {
 				errOnce.Do(func() { firstErr = err })
+				failed.Store(true)
 			}
 		}(idx)
 	}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -98,6 +100,27 @@ func TestSweepPreparesOncePerImage(t *testing.T) {
 	}
 	if baselines, fits := stageRecords(buf.String()); baselines != 1 || fits != 2 {
 		t.Fatalf("%d baseline and %d FITS-half records, want 1 and 2 (one per feasible image)", baselines, fits)
+	}
+}
+
+// TestSweepStopsAfterFirstError: once an image job fails, no queued
+// job starts. With one worker and a store whose directory is a regular
+// file, the first image's save fails, so of the grid's 8 images only
+// that one is prepared.
+func TestSweepStopsAfterFirstError(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "runs")
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	g := testGrid()
+	g.Ks, g.DictCaps = []int{5, 6}, []int{16, 32, 64, 128}
+	var buf bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	if _, err := Run(Options{Grid: g, Workers: 1, Store: archive.NewStore(dir), Log: log}); err == nil {
+		t.Fatal("sweep into an unwritable store succeeded")
+	}
+	if _, fits := stageRecords(buf.String()); fits != 1 {
+		t.Fatalf("%d FITS-half records after the first failed job, want 1", fits)
 	}
 }
 

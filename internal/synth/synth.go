@@ -606,16 +606,3 @@ func cost(res *translate.Result, dyn []uint64) uint64 {
 	}
 	return total
 }
-
-// SynthesizeProgram profiles and synthesizes in one call.
-func SynthesizeProgram(p *program.Program, maxInstrs uint64, opts Options) (*profile.Profile, *Synthesis, error) {
-	prof, err := profile.Collect(p, maxInstrs)
-	if err != nil {
-		return nil, nil, err
-	}
-	syn, err := Synthesize(prof, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return prof, syn, nil
-}

@@ -38,7 +38,11 @@ func buildProg(t testing.TB) *program.Program {
 
 func synthFor(t testing.TB, opts Options) (*profile.Profile, *Synthesis) {
 	t.Helper()
-	prof, syn, err := SynthesizeProgram(buildProg(t), 1e6, opts)
+	prof, err := profile.Collect(buildProg(t), 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := Synthesize(prof, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

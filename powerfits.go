@@ -225,13 +225,7 @@ func Prepare(k Kernel, scale int, opts SynthOptions) (*Setup, error) {
 // PrepareProgram runs the whole design flow over a user-authored
 // program with default options.
 func PrepareProgram(p *Program) (*Setup, error) {
-	return Prepare(Kernel{
-		Name:         p.Name,
-		Group:        "user",
-		Build:        func(int) *Program { return p },
-		Ref:          func(int) []uint32 { return nil },
-		DefaultScale: 1,
-	}, 1, DefaultSynthOptions())
+	return Prepare(kernels.FromProgram(p), 1, DefaultSynthOptions())
 }
 
 // RunFunctional executes a program on the functional interpreter and
