@@ -413,9 +413,8 @@ func (e *engine) resolve(pts []Point, sampled bool, done func(j int, pr *PointRe
 	}
 	sem := make(chan struct{}, e.workers)
 	var wg sync.WaitGroup
-	var errOnce sync.Once
-	var firstErr error
 	var failed atomic.Bool
+	var firstErr error // written once, by the job that sets failed
 	for _, idx := range images {
 		wg.Add(1)
 		go func(idx []int) {
@@ -426,9 +425,8 @@ func (e *engine) resolve(pts []Point, sampled bool, done func(j int, pr *PointRe
 			if failed.Load() {
 				return
 			}
-			if err := e.evaluateImage(pts, idx, sampled, done); err != nil {
-				errOnce.Do(func() { firstErr = err })
-				failed.Store(true)
+			if err := e.evaluateImage(pts, idx, sampled, done); err != nil && failed.CompareAndSwap(false, true) {
+				firstErr = err
 			}
 		}(idx)
 	}
