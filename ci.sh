@@ -211,14 +211,16 @@ echo "== incremental sweep gate: warm re-sweep does zero simulation =="
 # of the grid from the archive (evaluated=0 in the structured log, skip
 # count == point count) and reproduce the frontier document byte for
 # byte — the determinism + incrementality contract of internal/sweep.
+# A non-full ablation rides the grid so its embedded synth.Options JSON
+# and run IDs pass through the same cold/warm identity check.
 sweep_tmp=$(mktemp -d)
 trap 'rm -rf "$sweep_tmp" "$serve_tmp" "$trace_tmp" "$tele_tmp"' EXIT
-sweep_axes="-kernel crc32 -scale 1 -ks 4,5,6 -dicts 16,64 -caches 4K,8K"
+sweep_axes="-kernel crc32 -scale 1 -ks 4,5,6 -dicts 16,64 -ablations full,nodict -caches 4K,8K"
 go run ./cmd/powerfits sweep $sweep_axes -dir "$sweep_tmp/store" \
     -o "$sweep_tmp/cold.json" 2>"$sweep_tmp/cold.log" >/dev/null
 go run ./cmd/powerfits sweep $sweep_axes -dir "$sweep_tmp/store" \
     -o "$sweep_tmp/warm.json" 2>"$sweep_tmp/warm.log" >/dev/null
-if ! grep -q "points=12 evaluated=0 archive_skips=12" "$sweep_tmp/warm.log"; then
+if ! grep -q "points=24 evaluated=0 archive_skips=24" "$sweep_tmp/warm.log"; then
     echo "ci.sh: warm re-sweep simulated points it should have skipped:" >&2
     grep "sweep done" "$sweep_tmp/warm.log" >&2 || cat "$sweep_tmp/warm.log" >&2
     exit 1

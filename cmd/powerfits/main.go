@@ -62,6 +62,7 @@ import (
 	"powerfits/internal/metrics"
 	"powerfits/internal/power"
 	"powerfits/internal/sim"
+	"powerfits/internal/sweep"
 	"powerfits/internal/synth"
 )
 
@@ -94,7 +95,7 @@ func main() {
 	jobs := fs.Int("j", 0, "parallel workers for sweep (0 = all cores, 1 = sequential)")
 	sweepKs := fs.String("ks", "", "sweep opcode-width axis, e.g. 4,5,6 (0 = search; default 4,5,6)")
 	sweepDicts := fs.String("dicts", "", "sweep dictionary-budget axis, e.g. 16,64,256")
-	sweepAbl := fs.String("ablations", "", "sweep ablation axis: full, nodict, nowin, no2op, nobase, or all")
+	sweepAbl := fs.String("ablations", "", "sweep ablation axis: "+sweep.AblationNames()+", or all")
 	sweepCaches := fs.String("caches", "", "sweep cache-geometry axis, e.g. 4K,8K,16K or 8K:16:4")
 	strategy := fs.String("strategy", "grid", "sweep visit order: grid, random, anneal")
 	seed := fs.Int64("seed", 1, "seed for stochastic sweep strategies")

@@ -9,11 +9,11 @@ import (
 	"powerfits/internal/synth"
 )
 
-// ablationVariant is one column of an ablation: a change to the default
-// synthesis options (nil keeps them).
+// ablationVariant is one column of an ablation: options applied over
+// the defaults with synth.Options.With (the zero value keeps them).
 type ablationVariant struct {
 	name string
-	edit func(*synth.Options)
+	opts synth.Options
 }
 
 // ablationFamilies are the synthesis design choices DESIGN.md calls
@@ -27,31 +27,31 @@ var ablationFamilies = []struct {
 	// cheapest; k=4 is typically infeasible once BIS+SIS exceed 16
 	// points — reported as NaN).
 	{"ablate-opwidth", "Opcode field width", []ablationVariant{
-		{"k=4", func(o *synth.Options) { o.ForceK = 4 }},
-		{"k=5", func(o *synth.Options) { o.ForceK = 5 }},
-		{"k=6", func(o *synth.Options) { o.ForceK = 6 }},
-		{"search", nil},
+		{"k=4", synth.Options{ForceK: 4}},
+		{"k=5", synth.Options{ForceK: 5}},
+		{"k=6", synth.Options{ForceK: 6}},
+		{"search", synth.Options{}},
 	}},
 	// The per-point immediate dictionaries (Section 3.3's
 	// utilization-based immediate synthesis) shrunk or disabled.
 	{"ablate-dict", "Immediate dictionary", []ablationVariant{
-		{"dict=256", nil},
-		{"dict=16", func(o *synth.Options) { o.DictCap = 16 }},
-		{"none", func(o *synth.Options) { o.NoDict = true }},
+		{"dict=256", synth.Options{}},
+		{"dict=16", synth.Options{DictCap: 16}},
+		{"none", synth.Options{NoDict: true}},
 	}},
 	// The profile-ranked register window against the identity window
 	// (the programmable register decoder ablation).
 	{"ablate-regs", "Register window ranking", []ablationVariant{
-		{"ranked", nil},
-		{"identity", func(o *synth.Options) { o.NoWindowRanking = true }},
+		{"ranked", synth.Options{}},
+		{"identity", synth.Options{NoWindowRanking: true}},
 	}},
 	// The two-operand and implied-base point variants (the paper's
 	// operand address-mode heuristic) disabled.
 	{"ablate-mode", "Operand-mode variants", []ablationVariant{
-		{"full", nil},
-		{"no 2-op", func(o *synth.Options) { o.NoTwoOp = true }},
-		{"no base", func(o *synth.Options) { o.NoBasePoints = true }},
-		{"neither", func(o *synth.Options) { o.NoTwoOp, o.NoBasePoints = true, true }},
+		{"full", synth.Options{}},
+		{"no 2-op", synth.Options{NoTwoOp: true}},
+		{"no base", synth.Options{NoBasePoints: true}},
+		{"neither", synth.Options{NoTwoOp: true, NoBasePoints: true}},
 	}},
 }
 
@@ -78,10 +78,7 @@ func Ablations() []*Table {
 			mapRow, sizeRow := Row{Name: k.Name}, Row{Name: k.Name}
 			for _, v := range f.variants {
 				m, size := math.NaN(), math.NaN()
-				opts := synth.DefaultOptions()
-				if v.edit != nil {
-					v.edit(&opts)
-				}
+				opts := synth.DefaultOptions().With(v.opts)
 				if baseErr == nil {
 					if s, err := base.WithFITS(base.Profiler(profiles, opts), opts, nil); err == nil {
 						m = 100 * s.Fits.StaticMappingRate()

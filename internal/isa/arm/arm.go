@@ -599,8 +599,8 @@ func decodeHalf(in isa.Instr, word uint32) (isa.Instr, error) {
 }
 
 // DecodeImage decodes every instruction slot of an assembled image back
-// to semantic form. Used by the simulator loader and the round-trip
-// tests.
+// to semantic form. Only the round-trip tests call it; the simulator
+// runs the program it assembled and never decodes the image.
 func DecodeImage(p *program.Program, im *program.Image) ([]isa.Instr, error) {
 	addrToIdx := make(map[uint32]int, len(im.InstrAddr))
 	for i, a := range im.InstrAddr {

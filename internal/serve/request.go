@@ -40,37 +40,10 @@ type Request struct {
 	Synth SynthKnobs `json:"synth,omitzero"`
 }
 
-// SynthKnobs is the request's face of synth.Options (Trace is a local
-// observer and has no place on the wire).
-type SynthKnobs struct {
-	ForceK          int   `json:"force_k,omitempty"`
-	DictCap         int   `json:"dict_cap,omitempty"`
-	NoDict          bool  `json:"no_dict,omitempty"`
-	NoWindowRanking bool  `json:"no_window_ranking,omitempty"`
-	NoTwoOp         bool  `json:"no_two_op,omitempty"`
-	NoBasePoints    bool  `json:"no_base_points,omitempty"`
-	ProfileBudget   int64 `json:"profile_budget,omitempty"`
-}
-
-// options lowers the knobs onto synth.Options, resolving the zero
-// DictCap to the paper default so an empty knob set is identical to
-// synth.DefaultOptions() — the canonicalization that makes
-// `{"kernel":"crc32"}` and an explicit dict_cap=256 one cache entry.
-func (k SynthKnobs) options() synth.Options {
-	o := synth.Options{
-		ForceK:          k.ForceK,
-		DictCap:         k.DictCap,
-		NoDict:          k.NoDict,
-		NoWindowRanking: k.NoWindowRanking,
-		NoTwoOp:         k.NoTwoOp,
-		NoBasePoints:    k.NoBasePoints,
-		ProfileBudget:   k.ProfileBudget,
-	}
-	if o.DictCap <= 0 {
-		o.DictCap = synth.DefaultOptions().DictCap
-	}
-	return o
-}
+// SynthKnobs is the request's face of synth.Options, which declares
+// the wire keys (force_k … profile_budget); Trace is a local observer
+// with no wire form.
+type SynthKnobs = synth.Options
 
 // Canonical is a validated, normalized request plus its derived
 // identities. Key is the config hash every cache layer shares; RunID
@@ -79,8 +52,7 @@ func (k SynthKnobs) options() synth.Options {
 // concurrent requests batch on — two requests differing only in
 // Configs or Sampled share one preparation.
 type Canonical struct {
-	Req      Request // normalized echo (resolved scale, configs, knobs)
-	Opts     synth.Options
+	Req      Request // normalized echo (resolved scale, configs, synthesis options)
 	Configs  []sim.Config
 	Key      string
 	RunID    string
@@ -91,7 +63,8 @@ type Canonical struct {
 // the serialized power calibration (part of the identity: recalibrated
 // daemons must not serve stale cached energies). Errors are
 // client-side (HTTP 400): unknown kernels, unknown configurations,
-// contradictory fields. Assembly source is deliberately NOT parsed
+// contradictory fields, synthesis options out of range
+// (synth.Options.Validate). Assembly source is deliberately NOT parsed
 // here — its identity is its bytes, and the hit path must not pay a
 // parse; a malformed program fails at compute time instead.
 func Canonicalize(req Request, cal []byte) (*Canonical, error) {
@@ -145,18 +118,11 @@ func Canonicalize(req Request, cal []byte) (*Canonical, error) {
 		}
 	}
 
-	c.Opts = c.Req.Synth.options()
-	if c.Opts.ProfileBudget < 0 {
-		return nil, fmt.Errorf("profile_budget must be ≥ 0")
-	}
-	c.Req.Synth = SynthKnobs{
-		ForceK:          c.Opts.ForceK,
-		DictCap:         c.Opts.DictCap,
-		NoDict:          c.Opts.NoDict,
-		NoWindowRanking: c.Opts.NoWindowRanking,
-		NoTwoOp:         c.Opts.NoTwoOp,
-		NoBasePoints:    c.Opts.NoBasePoints,
-		ProfileBudget:   c.Opts.ProfileBudget,
+	// Zero knobs resolve to the paper defaults, so `{"kernel":"crc32"}`
+	// and an explicit dict_cap=256 are one cache entry.
+	c.Req.Synth = synth.DefaultOptions().With(req.Synth)
+	if err := c.Req.Synth.Validate(); err != nil {
+		return nil, err
 	}
 
 	// The image identity: program source × scale × synthesis options.
@@ -166,7 +132,7 @@ func Canonicalize(req Request, cal []byte) (*Canonical, error) {
 		[]byte("powerfits-serve-setup/v1/"),
 		[]byte(fmt.Sprintf("kernel=%s/name=%s/scale=%d/", c.Req.Kernel, c.Req.Name, c.Req.Scale)),
 		[]byte(c.Req.Asm),
-		[]byte(c.Opts.Key()),
+		[]byte(c.Req.Synth.Key()),
 	)
 	// The full request identity adds the run selection and the power
 	// calibration; sampled-vs-exact land on distinct keys, so an
@@ -205,7 +171,7 @@ func (c *Canonical) Prepare(profiles *profile.Cache, log *slog.Logger) (*sim.Set
 		return nil, err
 	}
 	return sim.PrepareWith(k, c.Req.Scale, sim.PrepareOptions{
-		Synth:    c.Opts,
+		Synth:    c.Req.Synth,
 		Profiles: profiles,
 		Log:      log,
 	})

@@ -231,6 +231,10 @@ func TestServeRequestErrors(t *testing.T) {
 		{"unknown kernel", Request{Kernel: "nope"}, http.StatusBadRequest},
 		{"unknown config", Request{Kernel: "crc32", Configs: []string{"ARM32"}}, http.StatusBadRequest},
 		{"negative budget", Request{Kernel: "crc32", Synth: SynthKnobs{ProfileBudget: -1}}, http.StatusBadRequest},
+		{"force_k -1", Request{Kernel: "crc32", Synth: SynthKnobs{ForceK: -1}}, http.StatusBadRequest},
+		{"force_k 3", Request{Kernel: "crc32", Synth: SynthKnobs{ForceK: 3}}, http.StatusBadRequest},
+		{"force_k 9", Request{Kernel: "crc32", Synth: SynthKnobs{ForceK: 9}}, http.StatusBadRequest},
+		{"negative dict_cap", Request{Kernel: "crc32", Synth: SynthKnobs{DictCap: -1}}, http.StatusBadRequest},
 		{"bad asm", Request{Asm: "this is not assembly"}, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
@@ -241,6 +245,9 @@ func TestServeRequestErrors(t *testing.T) {
 
 	if w := doPostRaw(h, []byte(`{"kernel":"crc32","bogus":1}`)); w.Code != http.StatusBadRequest {
 		t.Errorf("unknown field accepted: %d", w.Code)
+	}
+	if w := doPostRaw(h, []byte(`{"kernel":"crc32","synth":{"Trace":{}}}`)); w.Code != http.StatusBadRequest {
+		t.Errorf("synthesis trace accepted on the wire: %d", w.Code)
 	}
 }
 

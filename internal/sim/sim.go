@@ -135,10 +135,10 @@ type PrepareOptions struct {
 
 // PrepareWith builds, profiles, synthesizes and translates one kernel:
 // PrepareBaseline, then WithFITS over the baseline's Profiler. scale ≤ 0
-// selects the kernel's default scale. An invalid profile budget is an
+// selects the kernel's default scale. Invalid synthesis options are an
 // error before any work starts.
 func PrepareWith(k kernels.Kernel, scale int, popts PrepareOptions) (*Setup, error) {
-	if _, err := popts.Synth.EffectiveProfileBudget(); err != nil {
+	if err := popts.Synth.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", k.Name, err)
 	}
 	base, err := PrepareBaseline(k, scale, popts.Log)
@@ -150,14 +150,14 @@ func PrepareWith(k kernels.Kernel, scale int, popts PrepareOptions) (*Setup, err
 
 // Profiler returns the profile source PrepareWith hands WithFITS: a
 // profile.Collect run of s's program under opts' profile budget,
-// memoized by profiles (nil = a run per call). An invalid budget is an
+// memoized by profiles (nil = a run per call). Invalid options are an
 // error before any profiling work starts.
 func (s *Setup) Profiler(profiles *profile.Cache, opts synth.Options) func() (*profile.Profile, error) {
 	return func() (*profile.Profile, error) {
-		budget, err := opts.EffectiveProfileBudget()
-		if err != nil {
+		if err := opts.Validate(); err != nil {
 			return nil, err
 		}
+		budget := opts.EffectiveProfileBudget()
 		return profiles.Collect(profileKey(s.Prog, s.ArmImage, budget), func() (*profile.Profile, error) {
 			return profile.Collect(s.Prog, budget)
 		})

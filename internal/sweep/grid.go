@@ -34,13 +34,12 @@ import (
 )
 
 // Ablation is one setting of the synthesizer's feature switches — the
-// grid axis that answers "which mechanism buys how much".
+// grid axis that answers "which mechanism buys how much". Its switches
+// are synth.Options' own, with their wire keys:
+// {"name":"nodict","no_dict":true}.
 type Ablation struct {
-	Name            string `json:"name"`
-	NoDict          bool   `json:"no_dict,omitempty"`
-	NoWindowRanking bool   `json:"no_window_ranking,omitempty"`
-	NoTwoOp         bool   `json:"no_two_op,omitempty"`
-	NoBasePoints    bool   `json:"no_base_points,omitempty"`
+	Name string `json:"name"`
+	synth.Options
 }
 
 // FullISA is the everything-enabled point of the ablation axis.
@@ -51,11 +50,20 @@ func FullISA() Ablation { return Ablation{Name: "full"} }
 func AllAblations() []Ablation {
 	return []Ablation{
 		FullISA(),
-		{Name: "nodict", NoDict: true},
-		{Name: "nowin", NoWindowRanking: true},
-		{Name: "no2op", NoTwoOp: true},
-		{Name: "nobase", NoBasePoints: true},
+		{"nodict", synth.Options{NoDict: true}},
+		{"nowin", synth.Options{NoWindowRanking: true}},
+		{"no2op", synth.Options{NoTwoOp: true}},
+		{"nobase", synth.Options{NoBasePoints: true}},
 	}
+}
+
+// AblationNames lists AllAblations' names, comma-separated.
+func AblationNames() string {
+	var names []string
+	for _, a := range AllAblations() {
+		names = append(names, a.Name)
+	}
+	return strings.Join(names, ", ")
 }
 
 // Grid is the design space of one sweep: the cartesian product of the
@@ -97,8 +105,9 @@ func DefaultGrid(kernel string, scale int) Grid {
 	}
 }
 
-// Validate checks the axes: every one non-empty, every K in range (or
-// 0), every geometry accepted by the cache model.
+// Validate checks the axes: every one non-empty, every K and dictionary
+// budget accepted by synth.Options.Validate, every geometry accepted by
+// the cache model.
 func (g *Grid) Validate() error {
 	if g.Kernel == "" {
 		return fmt.Errorf("sweep: grid has no kernel")
@@ -108,13 +117,10 @@ func (g *Grid) Validate() error {
 			len(g.Ks), len(g.DictCaps), len(g.Ablations), len(g.Caches))
 	}
 	for _, k := range g.Ks {
-		if k != 0 && (k < fits.MinK || k > fits.MaxK) {
-			return fmt.Errorf("sweep: opcode width %d outside [%d,%d] (0 = search)", k, fits.MinK, fits.MaxK)
-		}
-	}
-	for _, d := range g.DictCaps {
-		if d < 0 {
-			return fmt.Errorf("sweep: negative dictionary budget %d", d)
+		for _, d := range g.DictCaps {
+			if err := (synth.Options{ForceK: k, DictCap: d}).Validate(); err != nil {
+				return fmt.Errorf("sweep: %w", err)
+			}
 		}
 	}
 	for _, c := range g.Caches {
@@ -187,17 +193,13 @@ type Point struct {
 
 // Options folds the point into a base synthesis configuration. The
 // base contributes sweep-wide settings (ProfileBudget above all); the
-// point overrides the explored axes. Trace is cleared — a sweep never
-// traces, and a shared trace across workers would race.
+// point overrides the explored axes and adds its ablation's switches.
+// Trace is cleared — a sweep never traces, and a shared trace across
+// workers would race.
 func (p Point) Options(base synth.Options) synth.Options {
-	base.ForceK = p.K
-	base.DictCap = p.DictCap
-	base.NoDict = base.NoDict || p.Ablation.NoDict
-	base.NoWindowRanking = base.NoWindowRanking || p.Ablation.NoWindowRanking
-	base.NoTwoOp = base.NoTwoOp || p.Ablation.NoTwoOp
-	base.NoBasePoints = base.NoBasePoints || p.Ablation.NoBasePoints
-	base.Trace = nil
-	return base
+	o := base.With(p.Ablation.Options)
+	o.ForceK, o.DictCap, o.Trace = p.K, p.DictCap, nil
+	return o
 }
 
 // Label renders the point's human-readable name, e.g. "k5.d64.full.8K".
@@ -314,7 +316,7 @@ func ParseAblations(s string) ([]Ablation, error) {
 		}
 		a, ok := byName[part]
 		if !ok {
-			return nil, fmt.Errorf("sweep: unknown ablation %q (have full, nodict, nowin, no2op, nobase)", part)
+			return nil, fmt.Errorf("sweep: unknown ablation %q (have %s)", part, AblationNames())
 		}
 		out = append(out, a)
 	}

@@ -1,6 +1,9 @@
 package sweep
 
 import (
+	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"powerfits/internal/cache"
@@ -45,7 +48,7 @@ func TestGridIndexRoundTrip(t *testing.T) {
 func TestPointOptionsFoldsAxes(t *testing.T) {
 	base := synth.DefaultOptions()
 	base.ProfileBudget = 12345
-	p := Point{K: 5, DictCap: 64, Ablation: Ablation{Name: "nodict", NoDict: true}}
+	p := Point{K: 5, DictCap: 64, Ablation: Ablation{"nodict", synth.Options{NoDict: true}}}
 	o := p.Options(base)
 	if o.ForceK != 5 || o.DictCap != 64 || !o.NoDict {
 		t.Fatalf("point axes not applied: %+v", o)
@@ -58,6 +61,43 @@ func TestPointOptionsFoldsAxes(t *testing.T) {
 	}
 }
 
+// TestAblationsCoverEverySwitch: each bool switch of synth.Options is
+// knocked out alone by exactly one AllAblations entry, so a new switch
+// cannot miss the sweep's ablation axis.
+func TestAblationsCoverEverySwitch(t *testing.T) {
+	typ := reflect.TypeOf(synth.Options{})
+	single := map[string]int{} // switch name → single-switch entries setting it
+	for _, a := range AllAblations() {
+		v := reflect.ValueOf(a.Options)
+		var set []string
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).Type.Kind() == reflect.Bool && v.Field(i).Bool() {
+				set = append(set, typ.Field(i).Name)
+			}
+		}
+		if len(set) == 1 {
+			single[set[0]]++
+		}
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Type.Kind() == reflect.Bool && single[f.Name] != 1 {
+			t.Errorf("synth.Options.%s is set alone by %d AllAblations entries, want 1", f.Name, single[f.Name])
+		}
+	}
+}
+
+// TestAblationWireForm pins an ablation's JSON: its name, then only the
+// switches it sets, under synth.Options' wire keys.
+func TestAblationWireForm(t *testing.T) {
+	b, err := json.Marshal(AllAblations()[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"name":"nodict","no_dict":true}`; string(b) != want {
+		t.Fatalf("ablation marshals as %s, want %s", b, want)
+	}
+}
+
 func TestGridValidateRejects(t *testing.T) {
 	bad := []Grid{
 		{},                // no kernel
@@ -65,6 +105,9 @@ func TestGridValidateRejects(t *testing.T) {
 		{Kernel: "crc32", Ks: []int{3}, // K out of range
 			DictCaps: []int{16}, Ablations: []Ablation{FullISA()},
 			Caches: []cache.Config{{SizeBytes: 4096, LineBytes: 32, Assoc: 32}}},
+		{Kernel: "crc32", Ks: []int{5}, DictCaps: []int{-1}, // negative dictionary budget
+			Ablations: []Ablation{FullISA()},
+			Caches:    []cache.Config{{SizeBytes: 4096, LineBytes: 32, Assoc: 32}}},
 		{Kernel: "crc32", Ks: []int{5}, // duplicate ablation names
 			DictCaps:  []int{16},
 			Ablations: []Ablation{FullISA(), FullISA()},
@@ -111,8 +154,8 @@ func TestParseAxes(t *testing.T) {
 	if all, err := ParseAblations("all"); err != nil || len(all) != len(AllAblations()) {
 		t.Fatalf("ParseAblations(all): %+v %v", all, err)
 	}
-	if _, err := ParseAblations("bogus"); err == nil {
-		t.Fatal("ParseAblations accepted an unknown name")
+	if _, err := ParseAblations("bogus"); err == nil || !strings.Contains(err.Error(), AblationNames()) {
+		t.Fatalf("ParseAblations(bogus) = %v, want an error naming %s", err, AblationNames())
 	}
 
 	if CacheLabel(cache.Config{SizeBytes: 8192, LineBytes: 32, Assoc: 32}) != "8K" {

@@ -2,7 +2,10 @@ package synth
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+
+	"powerfits/internal/isa/fits"
 )
 
 // optionsKeyFields is the authoritative split of Options fields for
@@ -42,7 +45,9 @@ func perturb(t *testing.T, field string) Options {
 }
 
 // TestOptionsKeyCoversAllFields fails when an Options field is neither
-// folded into Key() nor explicitly listed as a non-identity observer.
+// folded into Key() nor explicitly listed as a non-identity observer,
+// when an identity field has no wire key or is dropped by With, and
+// when an observer has a wire form.
 func TestOptionsKeyCoversAllFields(t *testing.T) {
 	typ := reflect.TypeOf(Options{})
 	zero := Options{}.Key()
@@ -53,11 +58,53 @@ func TestOptionsKeyCoversAllFields(t *testing.T) {
 			t.Errorf("Options.%s is not classified in optionsKeyFields: fold it into Options.Key() (or list it as a non-identity observer) before shipping — an unkeyed field serves stale memo entries", f.Name)
 			continue
 		}
+		tag := f.Tag.Get("json")
 		if !identity {
+			if tag != "-" {
+				t.Errorf("observer Options.%s has json tag %q, want \"-\": it has no wire form", f.Name, tag)
+			}
 			continue
 		}
-		if got := perturb(t, f.Name).Key(); got == zero {
+		if key, _, _ := strings.Cut(tag, ","); key == "" || key == "-" {
+			t.Errorf("identity field Options.%s has no JSON key (tag %q): serve and sweep marshal Options as their wire form", f.Name, tag)
+		}
+		p := perturb(t, f.Name)
+		if got := p.Key(); got == zero {
 			t.Errorf("Options.Key() ignores identity field %s: perturbing it left the key at %q", f.Name, zero)
+		}
+		want := reflect.ValueOf(p).Field(i).Interface()
+		if got := reflect.ValueOf(DefaultOptions().With(p)).Field(i).Interface(); got != want {
+			t.Errorf("Options.With drops identity field %s: overlaying %v gave %v", f.Name, want, got)
+		}
+	}
+}
+
+// TestOptionsWithOverlays pins With's rules: zero numbers keep the
+// base, switches are ORed in, and the base's Trace survives.
+func TestOptionsWithOverlays(t *testing.T) {
+	tr := &Trace{}
+	base := Options{ForceK: 5, DictCap: 64, NoDict: true, Trace: tr, ProfileBudget: 99}
+	if got := base.With(Options{}); got != base {
+		t.Fatalf("empty overlay changed the base: %+v", got)
+	}
+	got := base.With(Options{DictCap: 16, NoTwoOp: true, Trace: &Trace{}})
+	want := Options{ForceK: 5, DictCap: 16, NoDict: true, NoTwoOp: true, Trace: tr, ProfileBudget: 99}
+	if got != want {
+		t.Fatalf("overlay = %+v, want %+v", got, want)
+	}
+}
+
+// TestOptionsValidate pins the bounds: ForceK is 0 or a width in
+// [fits.MinK, fits.MaxK], DictCap and ProfileBudget are not negative.
+func TestOptionsValidate(t *testing.T) {
+	for _, o := range []Options{{}, DefaultOptions(), {ForceK: fits.MinK}, {ForceK: fits.MaxK}, {ProfileBudget: 1}} {
+		if err := o.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", o, err)
+		}
+	}
+	for _, o := range []Options{{ForceK: -1}, {ForceK: fits.MinK - 1}, {ForceK: fits.MaxK + 1}, {DictCap: -1}, {ProfileBudget: -1}} {
+		if err := o.Validate(); err == nil {
+			t.Errorf("%+v accepted", o)
 		}
 	}
 }

@@ -12,6 +12,7 @@
 package synth
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -52,36 +53,40 @@ func sortSigs(sigs []fits.Signature) {
 	}
 }
 
-// Options controls synthesis; use DefaultOptions as the base.
+// Options controls synthesis; use DefaultOptions as the base. The
+// struct is also the options' wire form: serve's /synth requests and
+// sweep's ablation axis marshal it as is, so each field's JSON key is
+// declared here and nowhere else.
 type Options struct {
 	// ForceK pins the opcode width (0 = search MinK..MaxK).
-	ForceK int
+	ForceK int `json:"force_k,omitempty"`
 	// DictCap caps the total programmable immediate storage (value
 	// table entries summed over all points).
-	DictCap int
+	DictCap int `json:"dict_cap,omitempty"`
 	// NoDict disables dictionary-mode points entirely (ablation).
-	NoDict bool
+	NoDict bool `json:"no_dict,omitempty"`
 	// NoWindowRanking uses the identity register window r0..r15 instead
 	// of profile ranking (ablation of the programmable register
 	// decoder).
-	NoWindowRanking bool
+	NoWindowRanking bool `json:"no_window_ranking,omitempty"`
 	// NoTwoOp disables two-operand point variants (ablation of the
 	// paper's operand-mode heuristic).
-	NoTwoOp bool
+	NoTwoOp bool `json:"no_two_op,omitempty"`
 	// NoBasePoints disables implied-base memory variants (ablation).
-	NoBasePoints bool
+	NoBasePoints bool `json:"no_base_points,omitempty"`
 	// Trace, when non-nil, receives the synthesizer's decision log
 	// (candidate rankings, SIS closure rounds, immediate-mode
 	// assignments, per-width costs). A nil Trace adds no work and no
-	// allocations to the synthesis path.
-	Trace *Trace
+	// allocations to the synthesis path. It is a local observer and has
+	// no wire form.
+	Trace *Trace `json:"-"`
 
 	// ProfileBudget bounds the dynamic profiling run that feeds
 	// synthesis (instructions executed before the profiler gives up on a
 	// runaway program). 0 means DefaultProfileBudget; negative values
 	// are rejected. Sweeps can lower it to trade profile fidelity for
 	// preparation speed.
-	ProfileBudget int64
+	ProfileBudget int64 `json:"profile_budget,omitempty"`
 }
 
 // Key returns the canonical identity of the options: every field that
@@ -90,16 +95,45 @@ type Options struct {
 // and run-ID key for design-space sweeps and result caches. Trace is
 // deliberately excluded — a decision log observes the synthesis, it
 // never alters the outcome. TestOptionsKeyCoversAllFields enforces by
-// reflection that a newly added field lands either here or on that
-// explicit non-identity list, so a forgotten field fails the build's
-// tests instead of silently serving stale memo entries.
+// reflection that a newly added field lands either here (and in With
+// and the wire form) or on that explicit non-identity list, so a
+// forgotten field fails the build's tests instead of silently serving
+// stale memo entries.
 func (o Options) Key() string {
-	budget := o.ProfileBudget
-	if budget == 0 {
-		budget = DefaultProfileBudget
-	}
 	return fmt.Sprintf("synth/v1 k=%d dict=%d nodict=%t nowin=%t notwoop=%t nobase=%t budget=%d",
-		o.ForceK, o.DictCap, o.NoDict, o.NoWindowRanking, o.NoTwoOp, o.NoBasePoints, budget)
+		o.ForceK, o.DictCap, o.NoDict, o.NoWindowRanking, o.NoTwoOp, o.NoBasePoints,
+		cmp.Or(o.ProfileBudget, DefaultProfileBudget))
+}
+
+// With overlays v on o: each non-zero number in v replaces o's, and
+// each switch set in v is set in the result. o's Trace is kept (v's is
+// ignored), so an overlay never attaches an observer. An ablation, a
+// request's knobs or a sweep point is applied to a base this way.
+func (o Options) With(v Options) Options {
+	o.ForceK = cmp.Or(v.ForceK, o.ForceK)
+	o.DictCap = cmp.Or(v.DictCap, o.DictCap)
+	o.ProfileBudget = cmp.Or(v.ProfileBudget, o.ProfileBudget)
+	o.NoDict = o.NoDict || v.NoDict
+	o.NoWindowRanking = o.NoWindowRanking || v.NoWindowRanking
+	o.NoTwoOp = o.NoTwoOp || v.NoTwoOp
+	o.NoBasePoints = o.NoBasePoints || v.NoBasePoints
+	return o
+}
+
+// Validate checks the options' bounds: ForceK is 0 (search) or an
+// opcode width in [fits.MinK, fits.MaxK], and DictCap and ProfileBudget
+// are not negative. Synthesize and sim.PrepareWith call it before any
+// work starts.
+func (o Options) Validate() error {
+	switch {
+	case o.ForceK != 0 && (o.ForceK < fits.MinK || o.ForceK > fits.MaxK):
+		return fmt.Errorf("synth: force_k %d outside [%d,%d] (0 = search)", o.ForceK, fits.MinK, fits.MaxK)
+	case o.DictCap < 0:
+		return fmt.Errorf("synth: dict_cap must be ≥ 0 (got %d)", o.DictCap)
+	case o.ProfileBudget < 0:
+		return fmt.Errorf("synth: profile_budget must be ≥ 0 (got %d)", o.ProfileBudget)
+	}
+	return nil
 }
 
 // DefaultProfileBudget is the profiling instruction budget used when
@@ -112,17 +146,10 @@ func DefaultOptions() Options {
 	return Options{DictCap: 256}
 }
 
-// EffectiveProfileBudget resolves the profiling instruction budget,
-// applying the default and rejecting nonsensical values.
-func (o Options) EffectiveProfileBudget() (uint64, error) {
-	switch {
-	case o.ProfileBudget == 0:
-		return uint64(DefaultProfileBudget), nil
-	case o.ProfileBudget < 0:
-		return 0, fmt.Errorf("synth: ProfileBudget must be > 0 (got %d)", o.ProfileBudget)
-	default:
-		return uint64(o.ProfileBudget), nil
-	}
+// EffectiveProfileBudget resolves the profiling instruction budget of
+// valid options (see Validate), applying the default to a zero budget.
+func (o Options) EffectiveProfileBudget() uint64 {
+	return uint64(cmp.Or(o.ProfileBudget, DefaultProfileBudget))
 }
 
 // Synthesis is the result of instruction-set synthesis for one program.
@@ -193,6 +220,9 @@ func BaseInstructionSet() []fits.Signature {
 
 // Synthesize runs the full synthesis flow over a collected profile.
 func Synthesize(prof *profile.Profile, opts Options) (*Synthesis, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	lo, hi := fits.MinK, fits.MaxK
 	if opts.ForceK != 0 {
 		lo, hi = opts.ForceK, opts.ForceK

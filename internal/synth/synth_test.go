@@ -177,23 +177,39 @@ func TestDeterminism(t *testing.T) {
 
 // TestEffectiveProfileBudget pins the ProfileBudget option contract:
 // zero resolves to the default, positive values pass through, and
-// negative values are rejected (sim.Prepare surfaces the error before
-// any profiling work starts).
+// negative values are rejected by Validate (sim.PrepareWith surfaces
+// the error before any profiling work starts).
 func TestEffectiveProfileBudget(t *testing.T) {
 	opts := DefaultOptions()
 	if opts.ProfileBudget != 0 {
 		t.Fatalf("DefaultOptions sets ProfileBudget = %d, want 0 (use the default)", opts.ProfileBudget)
 	}
-	got, err := opts.EffectiveProfileBudget()
-	if err != nil || got != uint64(DefaultProfileBudget) {
-		t.Fatalf("zero budget resolved to (%d, %v), want (%d, nil)", got, err, DefaultProfileBudget)
+	if got := opts.EffectiveProfileBudget(); got != uint64(DefaultProfileBudget) {
+		t.Fatalf("zero budget resolved to %d, want %d", got, DefaultProfileBudget)
 	}
 	opts.ProfileBudget = 12345
-	if got, err = opts.EffectiveProfileBudget(); err != nil || got != 12345 {
-		t.Fatalf("explicit budget resolved to (%d, %v), want (12345, nil)", got, err)
+	if got := opts.EffectiveProfileBudget(); got != 12345 {
+		t.Fatalf("explicit budget resolved to %d, want 12345", got)
 	}
 	opts.ProfileBudget = -1
-	if _, err = opts.EffectiveProfileBudget(); err == nil {
+	if err := opts.Validate(); err == nil {
 		t.Fatal("negative budget accepted")
+	}
+}
+
+// TestSynthesizeRejectsOutOfRangeK: an opcode width outside
+// [fits.MinK, fits.MaxK] is an error from Synthesize, never a panic in
+// the per-width encoding.
+func TestSynthesizeRejectsOutOfRangeK(t *testing.T) {
+	prof, err := profile.Collect(buildProg(t), 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{-1, 9} {
+		opts := DefaultOptions()
+		opts.ForceK = k
+		if syn, err := Synthesize(prof, opts); err == nil {
+			t.Errorf("ForceK %d synthesized k=%d, want an error", k, syn.K)
+		}
 	}
 }

@@ -215,8 +215,9 @@ func layout(lp *program.Program, spec *fits.Spec) (*program.Image, []int, error)
 }
 
 // DecodeImage runs the programmable decoder over every instruction slot
-// of a translated image and returns the reconstructed instructions;
-// used by the simulator loader verification and round-trip tests.
+// of a translated image and returns the reconstructed instructions.
+// Only tests call it, to check that an image round-trips; the simulator
+// times the lowered program and never decodes the image.
 func DecodeImage(res *Result) ([]isa.Instr, error) {
 	lp, im, spec := res.Lowered, res.Image, res.Spec
 	read := func(a uint32) uint16 {
