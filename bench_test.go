@@ -12,6 +12,7 @@ package powerfits
 import (
 	"math"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"testing"
@@ -635,7 +636,7 @@ func BenchmarkFetchPort(b *testing.B) {
 // cmd/fitsbench path, and the headline number for engine speedups.
 func BenchmarkSuiteParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunParallel(1, 0, nil); err != nil {
+		if _, err := experiments.RunSuite(experiments.Options{Scale: 1, Workers: runtime.GOMAXPROCS(0)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -645,7 +646,7 @@ func BenchmarkSuiteParallel(b *testing.B) {
 // worker, the baseline the engine's speedup is measured against.
 func BenchmarkSuiteSequential(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.RunParallel(1, 1, nil); err != nil {
+		if _, err := experiments.RunSuite(experiments.Options{Scale: 1, Workers: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,6 +21,11 @@ echo "== simplicity metric (informational, not a gate) =="
 # The ROADMAP measures design progress as net non-test Go lines outside
 # bench/; printed so every run records it.
 echo "non-test Go lines outside bench/: $(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
+# Functions in shipping packages that none of the six binaries links
+# (unlinked_test.go logs each with its line count); every one left
+# should be a decoder, the facade, a bench/ entry point or a test seam.
+echo "$(go test -tags unlinked -run '^TestUnlinkedFunctions$' -count=1 -v . |
+    sed -n 's/.*\(shipping functions no binary links: .*\)/\1/p')"
 
 echo "== go test =="
 go test ./...

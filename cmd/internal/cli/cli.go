@@ -33,14 +33,9 @@ var Stderr io.Writer = os.Stderr
 // exit is os.Exit, indirected so package tests can intercept it.
 var exit = os.Exit
 
-// Raw writes a raw formatted line fragment to the sanctioned stream —
-// for output whose bytes are part of a pinned format (heartbeats,
-// delta tables), not for diagnostics; those go through the logger.
-func Raw(format string, args ...any) {
-	fmt.Fprintf(Stderr, format, args...)
-}
-
-// Rawln writes one raw line to the sanctioned stream.
+// Rawln writes one raw line to the sanctioned stream — for output
+// whose bytes are part of a pinned format (heartbeats, delta tables),
+// not for diagnostics; those go through the logger.
 func Rawln(args ...any) {
 	fmt.Fprintln(Stderr, args...)
 }

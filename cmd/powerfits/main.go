@@ -262,9 +262,9 @@ func main() {
 	case "dump":
 		fmt.Print(asm.Format(s.Prog))
 	case "run":
-		run(s, *cfgName, runOutputs{Archive: *archiveTo, Phases: *phasesPath, Window: *window, Sample: *sample})
+		r := run(s, *cfgName, runOutputs{Archive: *archiveTo, Phases: *phasesPath, Window: *window, Sample: *sample})
 		if *outPath != "" {
-			writeReportFromSetup(s, *cfgName, *sample, *outPath)
+			writeReport(s, r, *sample, *outPath)
 		}
 	case "trace":
 		cmdTrace(s, *cfgName, *outPath, *limit, *sample)
@@ -404,8 +404,8 @@ type runOutputs struct {
 	Sample  bool   // -sample: sampled timing estimator
 }
 
-func run(s *sim.Setup, cfgName string, out runOutputs) {
-	cfg, err := configByName(cfgName)
+func run(s *sim.Setup, cfgName string, out runOutputs) *sim.Result {
+	cfg, err := sim.ConfigByName(cfgName)
 	if err != nil {
 		fatal(err)
 	}
@@ -451,6 +451,7 @@ func run(s *sim.Setup, cfgName string, out runOutputs) {
 				100*st.CycleRelCI, 100*st.EnergyRelCI)
 		}
 	}
+	return r
 }
 
 // recordRun builds the run's record, files it at the -archive

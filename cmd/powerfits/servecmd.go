@@ -193,19 +193,20 @@ func serveLoadOptions(url string, workers, n int, dur time.Duration, hit float64
 	}
 }
 
-// writeReportFromSetup renders the canonical serve report for a
-// prepared setup — the same canonicalize→evaluate path the daemon's
-// cold tier runs, so `powerfits run -o` writes bytes identical to what
-// a default daemon serves for the same request (ci.sh's equivalence
-// check).
-func writeReportFromSetup(s *sim.Setup, cfgName string, sample bool, out string) {
+// writeReport renders the canonical serve report for a run already
+// timed on a prepared setup — the same canonicalize→render path the
+// daemon's cold tier runs, so `powerfits run -o` writes bytes
+// identical to what a default daemon serves for the same request
+// (ci.sh's equivalence check). An observed run (-window) times the
+// same numbers as an unobserved one.
+func writeReport(s *sim.Setup, r *sim.Result, sample bool, out string) {
 	req := serve.Request{Kernel: s.Kernel.Name, Scale: s.Scale,
-		Configs: []string{cfgName}, Sampled: sample}
+		Configs: []string{r.Config.Name}, Sampled: sample}
 	c, err := serve.Canonicalize(req, serve.DefaultCalBlob())
 	if err != nil {
 		fatal(err)
 	}
-	body, _, err := c.Evaluate(s)
+	body, _, err := c.Render(s, []*sim.Result{r})
 	if err != nil {
 		fatal(err)
 	}

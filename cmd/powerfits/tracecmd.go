@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"os"
-	"strings"
 
 	"powerfits/internal/power"
 	"powerfits/internal/sim"
@@ -17,16 +16,6 @@ import (
 // document (chrome://tracing, Perfetto); `profile` folds the same
 // stream onto basic blocks as fetch-energy and stall attribution, as a
 // worst-first table or folded stacks for flamegraph tooling.
-
-// configByName resolves one of the paper's four configuration names.
-func configByName(name string) (sim.Config, error) {
-	for _, c := range sim.Configs {
-		if strings.EqualFold(c.Name, name) {
-			return c, nil
-		}
-	}
-	return sim.Config{}, fmt.Errorf("unknown config %q (want ARM16, ARM8, FITS16, FITS8)", name)
-}
 
 // runTraced executes the run with the sink attached (sampled or full
 // pipeline), shared by trace and profile.
@@ -44,7 +33,7 @@ func runTraced(s *sim.Setup, cfg sim.Config, sample bool, sink tracing.EventSink
 
 // cmdTrace generates the Chrome trace-event export.
 func cmdTrace(s *sim.Setup, cfgName, out string, limit int, sample bool) {
-	cfg, err := configByName(cfgName)
+	cfg, err := sim.ConfigByName(cfgName)
 	if err != nil {
 		fatal(err)
 	}
@@ -92,7 +81,7 @@ func cmdTraceCheck(path string) {
 
 // cmdProfile runs the attribution profiler and renders the result.
 func cmdProfile(s *sim.Setup, cfgName string, top int, folded bool, out string, sample bool) {
-	cfg, err := configByName(cfgName)
+	cfg, err := sim.ConfigByName(cfgName)
 	if err != nil {
 		fatal(err)
 	}

@@ -50,9 +50,6 @@ func (b *Builder) errf(format string, args ...any) {
 	}
 }
 
-// Len returns the number of instructions emitted so far.
-func (b *Builder) Len() int { return len(b.instrs) }
-
 // Emit appends a raw instruction. Prefer the mnemonic helpers.
 func (b *Builder) Emit(in isa.Instr) {
 	if b.firstErr != nil {
@@ -197,21 +194,16 @@ func (b *Builder) ALUIS(op isa.Op, rd, rn isa.Reg, imm int32) {
 // other data-processing operations.
 func (b *Builder) Add(rd, rn, rm isa.Reg)          { b.ALU(isa.ADD, rd, rn, rm) }
 func (b *Builder) AddI(rd, rn isa.Reg, imm int32)  { b.aluSigned(isa.ADD, isa.SUB, rd, rn, imm) }
-func (b *Builder) Adc(rd, rn, rm isa.Reg)          { b.ALU(isa.ADC, rd, rn, rm) }
 func (b *Builder) Sub(rd, rn, rm isa.Reg)          { b.ALU(isa.SUB, rd, rn, rm) }
 func (b *Builder) SubI(rd, rn isa.Reg, imm int32)  { b.aluSigned(isa.SUB, isa.ADD, rd, rn, imm) }
 func (b *Builder) Subs(rd, rn, rm isa.Reg)         { b.ALUS(isa.SUB, rd, rn, rm) }
 func (b *Builder) SubsI(rd, rn isa.Reg, imm int32) { b.ALUIS(isa.SUB, rd, rn, imm) }
-func (b *Builder) Rsb(rd, rn, rm isa.Reg)          { b.ALU(isa.RSB, rd, rn, rm) }
-func (b *Builder) RsbI(rd, rn isa.Reg, imm int32)  { b.ALUI(isa.RSB, rd, rn, imm) }
 func (b *Builder) And(rd, rn, rm isa.Reg)          { b.ALU(isa.AND, rd, rn, rm) }
 func (b *Builder) AndI(rd, rn isa.Reg, imm int32)  { b.ALUI(isa.AND, rd, rn, imm) }
 func (b *Builder) Orr(rd, rn, rm isa.Reg)          { b.ALU(isa.ORR, rd, rn, rm) }
 func (b *Builder) OrrI(rd, rn isa.Reg, imm int32)  { b.ALUI(isa.ORR, rd, rn, imm) }
 func (b *Builder) Eor(rd, rn, rm isa.Reg)          { b.ALU(isa.EOR, rd, rn, rm) }
 func (b *Builder) EorI(rd, rn isa.Reg, imm int32)  { b.ALUI(isa.EOR, rd, rn, imm) }
-func (b *Builder) Bic(rd, rn, rm isa.Reg)          { b.ALU(isa.BIC, rd, rn, rm) }
-func (b *Builder) BicI(rd, rn isa.Reg, imm int32)  { b.ALUI(isa.BIC, rd, rn, imm) }
 
 // aluSigned flips op/alt when the immediate is negative, matching how
 // assemblers accept "add rd, rn, #-4".
@@ -281,11 +273,7 @@ func (b *Builder) CmpI(rn isa.Reg, imm int32) {
 	b.Emit(isa.Instr{Op: op, Cond: isa.AL, Rn: rn, Imm: imm, HasImm: true})
 }
 
-// Tst emits flags = rn & rm; TstI the immediate form.
-func (b *Builder) Tst(rn, rm isa.Reg) {
-	b.Emit(isa.Instr{Op: isa.TST, Cond: isa.AL, Rn: rn, Rm: rm})
-}
-
+// TstI emits flags = rn & imm.
 func (b *Builder) TstI(rn isa.Reg, imm int32) {
 	b.Emit(isa.Instr{Op: isa.TST, Cond: isa.AL, Rn: rn, Imm: imm, HasImm: true})
 }
@@ -307,8 +295,6 @@ func (b *Builder) shift(s isa.Shift, rd, rm isa.Reg, amt uint8) {
 // Register-amount shifts: rd = rm <shift> rs.
 func (b *Builder) LslR(rd, rm, rs isa.Reg) { b.shiftR(isa.LSL, rd, rm, rs) }
 func (b *Builder) LsrR(rd, rm, rs isa.Reg) { b.shiftR(isa.LSR, rd, rm, rs) }
-func (b *Builder) AsrR(rd, rm, rs isa.Reg) { b.shiftR(isa.ASR, rd, rm, rs) }
-func (b *Builder) RorR(rd, rm, rs isa.Reg) { b.shiftR(isa.ROR, rd, rm, rs) }
 
 func (b *Builder) shiftR(s isa.Shift, rd, rm, rs isa.Reg) {
 	b.Emit(isa.Instr{Op: isa.MOV, Cond: isa.AL, Rd: rd, Rm: rm, Shift: s, Rs: rs, RegShift: true})
@@ -365,11 +351,6 @@ func (b *Builder) OpShiftIf(c isa.Cond, op isa.Op, rd, rn, rm isa.Reg, s isa.Shi
 	b.Emit(isa.Instr{Op: op, Cond: c, Rd: rd, Rn: rn, Rm: rm, Shift: s, ShiftAmt: amt})
 }
 
-// MovIf emits a conditional register move (rd = rm when cond holds).
-func (b *Builder) MovIf(c isa.Cond, rd, rm isa.Reg) {
-	b.Emit(isa.Instr{Op: isa.MOV, Cond: c, Rd: rd, Rm: rm})
-}
-
 // MovIIf emits a conditional immediate move.
 func (b *Builder) MovIIf(c isa.Cond, rd isa.Reg, imm int32) {
 	b.Emit(isa.Instr{Op: isa.MOV, Cond: c, Rd: rd, Imm: imm, HasImm: true})
@@ -378,11 +359,6 @@ func (b *Builder) MovIIf(c isa.Cond, rd isa.Reg, imm int32) {
 // AddIIf emits a conditional immediate add.
 func (b *Builder) AddIIf(c isa.Cond, rd, rn isa.Reg, imm int32) {
 	b.Emit(isa.Instr{Op: isa.ADD, Cond: c, Rd: rd, Rn: rn, Imm: imm, HasImm: true})
-}
-
-// SubIIf emits a conditional immediate subtract.
-func (b *Builder) SubIIf(c isa.Cond, rd, rn isa.Reg, imm int32) {
-	b.Emit(isa.Instr{Op: isa.SUB, Cond: c, Rd: rd, Rn: rn, Imm: imm, HasImm: true})
 }
 
 // ---- Memory ----
@@ -465,12 +441,7 @@ func (b *Builder) Blt(label string) { b.Bc(isa.LT, label) }
 func (b *Builder) Ble(label string) { b.Bc(isa.LE, label) }
 func (b *Builder) Bgt(label string) { b.Bc(isa.GT, label) }
 func (b *Builder) Bge(label string) { b.Bc(isa.GE, label) }
-func (b *Builder) Bhi(label string) { b.Bc(isa.HI, label) }
-func (b *Builder) Bls(label string) { b.Bc(isa.LS, label) }
 func (b *Builder) Bcs(label string) { b.Bc(isa.CS, label) }
-func (b *Builder) Bcc(label string) { b.Bc(isa.CC, label) }
-func (b *Builder) Bmi(label string) { b.Bc(isa.MI, label) }
-func (b *Builder) Bpl(label string) { b.Bc(isa.PL, label) }
 
 // Bl emits a call to a function label.
 func (b *Builder) Bl(fn string) {
@@ -493,9 +464,6 @@ func (b *Builder) Exit() { b.Swi(0) }
 // EmitWord emits the "output a word" trap (SWI 1, value in r0), used by
 // kernels to report checksums.
 func (b *Builder) EmitWord() { b.Swi(1) }
-
-// Nop emits a no-op.
-func (b *Builder) Nop() { b.Emit(isa.Instr{Op: isa.NOP, Cond: isa.AL}) }
 
 // ---- Build ----
 

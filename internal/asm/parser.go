@@ -41,15 +41,6 @@ func Parse(name, src string) (*program.Program, error) {
 	return ps.b.Build()
 }
 
-// MustParse is Parse but panics on error.
-func MustParse(name, src string) *program.Program {
-	p, err := Parse(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type parser struct {
 	b       *Builder
 	curSym  string

@@ -146,12 +146,6 @@ func New(p *program.Program, layout Layout) *Machine {
 	return m
 }
 
-// Program returns the loaded program.
-func (m *Machine) Program() *program.Program { return m.prog }
-
-// Layout returns the active layout.
-func (m *Machine) Layout() Layout { return m.layout }
-
 // CondHolds evaluates a condition against the current flags.
 func (m *Machine) CondHolds(c isa.Cond) bool {
 	switch c {

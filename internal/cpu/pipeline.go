@@ -321,9 +321,6 @@ func (p *PipelineRun) ReplayedFetches() (fetches, bulk uint64) {
 	return p.replayedFetches, p.bulkFetches
 }
 
-// Done reports whether the machine behind the run has halted.
-func (p *PipelineRun) Done() bool { return p.m.Halted }
-
 // Cycles returns the cycles simulated so far.
 func (p *PipelineRun) Cycles() uint64 { return p.cycle }
 

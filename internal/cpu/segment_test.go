@@ -79,7 +79,7 @@ func runMemo(t testing.TB, prog *program.Program, im *program.Image, dec *cpu.De
 	if window == 0 {
 		err = run.RunUntil(math.MaxUint64)
 	}
-	for window > 0 && err == nil && !run.Done() {
+	for window > 0 && err == nil && !m.Halted {
 		if err = run.RunUntil(m.InstrCount + window); err == nil && resync && !m.Halted {
 			if _, err = m.Step(); err == nil {
 				err = run.Resync()

@@ -180,7 +180,7 @@ type Options struct {
 // instruction count, and — once enough has completed to extrapolate —
 // the kernel completion rate and the estimated time to suite
 // completion. The "done" marker is load-bearing: consumers (and
-// TestRunParallelProgress) key on it.
+// TestParallelMatchesSequential) key on it.
 func heartbeat(kernel string, instrs uint64, n, total int, elapsed time.Duration) string {
 	line := fmt.Sprintf("%-16s done [%d/%d] (%d dynamic instrs on ARM16)",
 		kernel, n, total, instrs)
@@ -191,17 +191,11 @@ func heartbeat(kernel string, instrs uint64, n, total int, elapsed time.Duration
 	return line
 }
 
-// RunParallel is Run with an explicit degree of parallelism.
-// workers ≤ 0 selects runtime.GOMAXPROCS(0); workers == 1 reproduces
-// the sequential engine. Whatever the parallelism, the resulting Suite
-// renders byte-identical tables: results are keyed by kernel and
-// configuration name and Setups are sorted by kernel name, just as the
-// sequential loop produced them.
-func RunParallel(scale, workers int, progress func(string)) (*Suite, error) {
-	return RunSuite(Options{Scale: scale, Workers: workers, Progress: LineProgress(progress)})
-}
-
-// RunSuite generates the full suite under the given options.
+// RunSuite prepares and simulates the whole benchmark suite under the
+// given options. Whatever opt.Workers, the resulting Suite renders
+// byte-identical tables: results are keyed by kernel and configuration
+// name and Setups are sorted by kernel name, just as the sequential
+// loop (Workers 1) produces them.
 func RunSuite(opt Options) (*Suite, error) {
 	workers := opt.Workers
 	if workers <= 0 {

@@ -29,20 +29,20 @@ func renderAll(s *Suite) string {
 // exercises the serialized progress callback: it must fire exactly once
 // per kernel and never concurrently.
 func TestParallelMatchesSequential(t *testing.T) {
-	seq, err := RunParallel(1, 1, nil)
+	seq, err := RunSuite(Options{Scale: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var inCallback int32
 	var lines []string
-	par, err := RunParallel(1, 8, func(line string) {
+	par, err := RunSuite(Options{Scale: 1, Workers: 8, Progress: LineProgress(func(line string) {
 		if atomic.AddInt32(&inCallback, 1) != 1 {
 			t.Error("progress callback invoked concurrently")
 		}
 		lines = append(lines, line)
 		atomic.AddInt32(&inCallback, -1)
-	})
+	})})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,15 +117,6 @@ type Suite struct {
 	Sampled bool
 }
 
-// Run prepares and simulates the whole benchmark suite on all available
-// cores (see RunParallel for an explicit worker count; the rendered
-// tables are identical at any parallelism). scale ≤ 0 uses each
-// kernel's default scale. progress (optional) receives one line per
-// completed kernel, never concurrently.
-func Run(scale int, progress func(string)) (*Suite, error) {
-	return RunParallel(scale, 0, progress)
-}
-
 // kernelNames returns the suite's kernels in order.
 func (s *Suite) kernelNames() []string {
 	out := make([]string, len(s.Setups))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,7 +20,7 @@ var (
 func testSuite(t *testing.T) *Suite {
 	t.Helper()
 	suiteOnce.Do(func() {
-		suite, suiteErr = Run(1, nil)
+		suite, suiteErr = RunSuite(Options{Scale: 1, Workers: runtime.GOMAXPROCS(0)})
 	})
 	if suiteErr != nil {
 		t.Fatal(suiteErr)

@@ -16,11 +16,11 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 //
 //	go test ./internal/experiments -run Golden -update
 func TestGoldenRenderScale1(t *testing.T) {
-	seq, err := RunParallel(1, 1, nil)
+	seq, err := RunSuite(Options{Scale: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunParallel(1, 4, nil)
+	par, err := RunSuite(Options{Scale: 1, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -307,17 +307,6 @@ func (sp *Spec) DictEntries() int {
 	return n
 }
 
-// Signatures returns every synthesized signature in opcode order.
-func (sp *Spec) Signatures() []Signature {
-	var out []Signature
-	for _, p := range sp.Points {
-		if p.Kind == PointSig {
-			out = append(out, p.Sig)
-		}
-	}
-	return out
-}
-
 // canonicalStackList packs a PUSH/POP register list into the canonical
 // FITS layout: bit 0 = LR, bit i+1 = r_i for i in 0..10. Registers
 // outside {r0..r10, lr} are not expressible.

@@ -239,29 +239,6 @@ const (
 	ClassNop
 )
 
-// String returns the class name.
-func (c Class) String() string {
-	switch c {
-	case ClassALU:
-		return "alu"
-	case ClassMul:
-		return "mul"
-	case ClassMem:
-		return "mem"
-	case ClassLit:
-		return "lit"
-	case ClassStack:
-		return "stack"
-	case ClassBranch:
-		return "branch"
-	case ClassTrap:
-		return "trap"
-	case ClassNop:
-		return "nop"
-	}
-	return fmt.Sprintf("class(%d)", uint8(c))
-}
-
 // opInfo is the static metadata table for each operation.
 type opInfo struct {
 	name     string
@@ -338,9 +315,6 @@ func (op Op) Class() Class { return opTable[op].class }
 // IsLoad reports whether the operation reads data memory.
 func (op Op) IsLoad() bool { return opTable[op].isLoad }
 
-// IsStore reports whether the operation writes data memory.
-func (op Op) IsStore() bool { return opTable[op].isStore }
-
 // IsBranch reports whether the operation may redirect control flow.
 func (op Op) IsBranch() bool { return opTable[op].class == ClassBranch }
 
@@ -357,9 +331,6 @@ func (op Op) ReadsRn() bool { return opTable[op].readsRn }
 
 // ReadsRm reports whether the operation consumes Rm.
 func (op Op) ReadsRm() bool { return opTable[op].readsRm }
-
-// ReadsRs reports whether the operation consumes Rs.
-func (op Op) ReadsRs() bool { return opTable[op].readsRs }
 
 // MemSize returns the access width in bytes of a load/store operation
 // and 0 for everything else.

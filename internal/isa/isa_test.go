@@ -3,7 +3,6 @@ package isa
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestRegString(t *testing.T) {
@@ -32,22 +31,9 @@ func TestCondInverse(t *testing.T) {
 	AL.Inverse()
 }
 
-func TestCondInverseInvolution(t *testing.T) {
-	f := func(c uint8) bool {
-		cond := Cond(c % uint8(AL)) // excludes AL
-		return cond.Inverse().Inverse() == cond
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestOpMetadata(t *testing.T) {
-	if !LDR.IsLoad() || LDR.IsStore() {
-		t.Error("LDR load/store flags wrong")
-	}
-	if !STR.IsStore() || STR.IsLoad() {
-		t.Error("STR load/store flags wrong")
+	if !LDR.IsLoad() || STR.IsLoad() {
+		t.Error("load flags wrong")
 	}
 	if !B.IsBranch() || !BX.IsBranch() || ADD.IsBranch() {
 		t.Error("branch classification wrong")

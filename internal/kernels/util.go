@@ -63,16 +63,6 @@ func randWords(seed uint32, n int) []uint32 {
 	return out
 }
 
-// randHalfs returns n deterministic 16-bit values.
-func randHalfs(seed uint32, n int) []uint16 {
-	r := newRand(seed)
-	out := make([]uint16, n)
-	for i := range out {
-		out[i] = uint16(r.next())
-	}
-	return out
-}
-
 // mix folds a word into a running checksum (same recurrence in Go and
 // in several kernels' assembly epilogues).
 func mix(h, v uint32) uint32 {

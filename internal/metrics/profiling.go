@@ -16,11 +16,6 @@ type ProfileConfig struct {
 	Trace      string // runtime/trace execution trace (-trace)
 }
 
-// Enabled reports whether any profile is requested.
-func (c ProfileConfig) Enabled() bool {
-	return c.CPUProfile != "" || c.MemProfile != "" || c.Trace != ""
-}
-
 // StartProfiles starts the requested profiles and returns a stop
 // function that flushes and closes them (the heap profile is captured
 // at stop time, after a GC). The stop function must be called exactly

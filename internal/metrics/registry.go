@@ -76,13 +76,6 @@ func (h *Histogram) Count() uint64 {
 	return h.count
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // Registry holds named instruments. Names are hierarchical
 // slash-separated paths (conventionally kernel/config/component/metric)
 // built with Scope. Get-or-create accessors make registration

@@ -25,8 +25,8 @@ func TestRegistryInstruments(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(100)
-	if h.Count() != 3 || h.Sum() != 105.5 {
-		t.Errorf("histogram count/sum = %d/%v, want 3/105.5", h.Count(), h.Sum())
+	if h.Count() != 3 || h.sum != 105.5 {
+		t.Errorf("histogram count/sum = %d/%v, want 3/105.5", h.Count(), h.sum)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestMerge(t *testing.T) {
 		t.Errorf("merged gauge = %v, want 9", got)
 	}
 	h := a.Histogram("h", []float64{1, 2})
-	if h.Count() != 2 || h.Sum() != 2 {
-		t.Errorf("merged histogram count/sum = %d/%v, want 2/2", h.Count(), h.Sum())
+	if h.Count() != 2 || h.sum != 2 {
+		t.Errorf("merged histogram count/sum = %d/%v, want 2/2", h.Count(), h.sum)
 	}
 
 	c := NewRegistry()
@@ -114,8 +114,8 @@ func TestMergeBoundErrors(t *testing.T) {
 	}
 
 	h := dst.Histogram("h", []float64{1, 2})
-	if h.Count() != 1 || h.Sum() != 0.5 {
-		t.Errorf("failed merges corrupted the target histogram: count %d, sum %v", h.Count(), h.Sum())
+	if h.Count() != 1 || h.sum != 0.5 {
+		t.Errorf("failed merges corrupted the target histogram: count %d, sum %v", h.Count(), h.sum)
 	}
 }
 

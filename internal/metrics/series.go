@@ -20,9 +20,6 @@ type WindowSample struct {
 	Instrs     uint64  `json:"instrs"`
 }
 
-// TotalPJ returns the window's total cache energy.
-func (w WindowSample) TotalPJ() float64 { return w.SwitchPJ + w.InternalPJ + w.LeakPJ }
-
 // IPC returns the window's instructions per cycle.
 func (w WindowSample) IPC() float64 {
 	if w.Cycles == 0 {

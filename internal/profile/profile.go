@@ -202,39 +202,3 @@ func (pr *Profile) RankedRegs() []isa.Reg {
 	})
 	return regs
 }
-
-// RankedLits returns literal values ordered by weight, descending.
-func (pr *Profile) RankedLits() []int32 {
-	vals := make([]int32, 0, len(pr.Lits))
-	for v := range pr.Lits {
-		vals = append(vals, v)
-	}
-	sort.SliceStable(vals, func(a, b int) bool {
-		wa, wb := pr.Lits[vals[a]].Weight(), pr.Lits[vals[b]].Weight()
-		if wa != wb {
-			return wa > wb
-		}
-		return vals[a] < vals[b] // deterministic tie-break
-	})
-	return vals
-}
-
-// RankedSigs returns signatures ordered by weight, descending, with a
-// deterministic tie-break on the rendered form.
-func (pr *Profile) RankedSigs() []fits.Signature {
-	sigs := make([]fits.Signature, 0, len(pr.Sigs))
-	for s := range pr.Sigs {
-		sigs = append(sigs, s)
-	}
-	sort.SliceStable(sigs, func(a, b int) bool {
-		wa, wb := pr.Sigs[sigs[a]].Weight(), pr.Sigs[sigs[b]].Weight()
-		if wa != wb {
-			return wa > wb
-		}
-		if sa, sb := sigs[a].String(), sigs[b].String(); sa != sb {
-			return sa < sb
-		}
-		return sigs[a].Key() < sigs[b].Key()
-	})
-	return sigs
-}

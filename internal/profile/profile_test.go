@@ -82,44 +82,6 @@ func TestRankedRegs(t *testing.T) {
 	}
 }
 
-func TestRankedLits(t *testing.T) {
-	b := asm.New("lits")
-	b.Func("main")
-	b.MovI(isa.R2, 10)
-	b.Label("loop")
-	b.Ldc(isa.R0, 0x11111111) // hot literal
-	b.SubsI(isa.R2, isa.R2, 1)
-	b.Bne("loop")
-	b.Ldc(isa.R1, 0x22222222) // cold literal
-	b.Exit()
-	p, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := Collect(p, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lits := prof.RankedLits()
-	if len(lits) != 2 || lits[0] != 0x11111111 {
-		t.Errorf("ranked literals = %x", lits)
-	}
-}
-
-func TestRankedSigsDeterministic(t *testing.T) {
-	prof := buildLoop(t)
-	a := prof.RankedSigs()
-	b := prof.RankedSigs()
-	if len(a) != len(b) {
-		t.Fatal("length mismatch")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("ranking not deterministic at %d", i)
-		}
-	}
-}
-
 func TestBranchDisplacementHistogram(t *testing.T) {
 	prof := buildLoop(t)
 	var total uint64

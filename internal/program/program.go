@@ -48,30 +48,14 @@ type Program struct {
 	Entry int
 }
 
-// Symbol returns the absolute address of a data symbol.
-func (p *Program) Symbol(name string) (uint32, bool) {
-	a, ok := p.Symbols[name]
-	return a, ok
-}
-
-// MustSymbol is Symbol but panics when the symbol is unknown; intended
-// for kernel authoring and tests.
+// MustSymbol returns the absolute address of a data symbol and panics
+// when the symbol is unknown; intended for kernel authoring and tests.
 func (p *Program) MustSymbol(name string) uint32 {
 	a, ok := p.Symbols[name]
 	if !ok {
 		panic(fmt.Sprintf("program %s: unknown symbol %q", p.Name, name))
 	}
 	return a
-}
-
-// FuncOf returns the function span containing instruction index i.
-func (p *Program) FuncOf(i int) (Func, bool) {
-	for _, f := range p.Funcs {
-		if i >= f.Start && i < f.End {
-			return f, true
-		}
-	}
-	return Func{}, false
 }
 
 // MaxDataBytes bounds the data segment: it must fit between the data
@@ -152,11 +136,5 @@ type Image struct {
 // Size returns the total text size in bytes (code plus literal pools).
 func (im *Image) Size() int { return len(im.Text) }
 
-// CodeBytes returns the text size excluding literal pools.
-func (im *Image) CodeBytes() int { return len(im.Text) - im.PoolBytes }
-
 // AddrOf returns the address of semantic instruction i.
 func (im *Image) AddrOf(i int) uint32 { return im.InstrAddr[i] }
-
-// End returns the first address past the text segment.
-func (im *Image) End() uint32 { return im.TextBase + uint32(len(im.Text)) }

@@ -61,11 +61,8 @@ func TestValidateRejects(t *testing.T) {
 
 func TestSymbols(t *testing.T) {
 	p := validProgram()
-	if a, ok := p.Symbol("d"); !ok || a != DefaultDataBase {
-		t.Errorf("Symbol(d) = %#x, %v", a, ok)
-	}
-	if _, ok := p.Symbol("nope"); ok {
-		t.Error("missing symbol found")
+	if a := p.MustSymbol("d"); a != DefaultDataBase {
+		t.Errorf("MustSymbol(d) = %#x", a)
 	}
 	defer func() {
 		if recover() == nil {
@@ -81,15 +78,11 @@ func TestImageHelpers(t *testing.T) {
 		TextBase:  0x8000,
 		InstrAddr: []uint32{0x8000, 0x8004, 0x8008},
 		InstrSize: []uint8{4, 4, 4},
-		PoolBytes: 8,
 	}
-	if im.Size() != 20 || im.CodeBytes() != 12 {
-		t.Errorf("size=%d code=%d", im.Size(), im.CodeBytes())
+	if im.Size() != 20 {
+		t.Errorf("size=%d", im.Size())
 	}
 	if im.AddrOf(1) != 0x8004 {
 		t.Errorf("AddrOf(1) = %#x", im.AddrOf(1))
-	}
-	if im.End() != 0x8014 {
-		t.Errorf("End() = %#x", im.End())
 	}
 }

@@ -69,19 +69,24 @@ func serveRunID(c *Canonical) string {
 }
 
 // Evaluate times the canonical request's configurations on a prepared
-// setup and renders the response: the Report and its exact serialized
-// bytes (indented JSON + trailing newline — the bytes every cache
-// layer stores and replays).
+// setup and renders the response (Render).
 func (c *Canonical) Evaluate(s *sim.Setup) ([]byte, *Report, error) {
-	cal := power.DefaultCalibration()
 	var ro sim.RunOptions
 	if c.Req.Sampled {
 		ro.Sample = &sim.SampleOptions{}
 	}
-	rs, err := s.RunAll(c.Configs, cal, ro)
+	rs, err := s.RunAll(c.Configs, power.DefaultCalibration(), ro)
 	if err != nil {
 		return nil, nil, err
 	}
+	return c.Render(s, rs)
+}
+
+// Render builds the response from results already timed on s, one per
+// configuration in c.Configs under the default calibration: the Report
+// and its exact serialized bytes (indented JSON + trailing newline —
+// the bytes every cache layer stores and replays).
+func (c *Canonical) Render(s *sim.Setup, rs []*sim.Result) ([]byte, *Report, error) {
 	results := make(map[string]*sim.Result, len(rs))
 	for _, r := range rs {
 		results[r.Config.Name] = r
@@ -134,9 +139,8 @@ func DefaultCalBlob() []byte {
 }
 
 // Compute evaluates one canonical request end to end outside a
-// Service: prepare, run, render. `powerfits run -o` uses it so the
-// CLI's report is byte-identical to what the daemon serves for the
-// same request — the equivalence ci.sh asserts with cmp.
+// Service: prepare, run, render. The benchmark module's serve workload
+// checks the daemon's bodies against it.
 func Compute(c *Canonical, profiles *profile.Cache) ([]byte, *Report, error) {
 	s, err := c.Prepare(profiles, nil)
 	if err != nil {

@@ -98,17 +98,11 @@ func Canonicalize(req Request, cal []byte) (*Canonical, error) {
 	// one cache entry.
 	want := make(map[string]bool, len(req.Configs))
 	for _, name := range req.Configs {
-		found := false
-		for _, cfg := range sim.Configs {
-			if strings.EqualFold(name, cfg.Name) {
-				want[cfg.Name] = true
-				found = true
-				break
-			}
+		cfg, err := sim.ConfigByName(name)
+		if err != nil {
+			return nil, err
 		}
-		if !found {
-			return nil, fmt.Errorf("unknown config %q (have ARM16, ARM8, FITS16, FITS8)", name)
-		}
+		want[cfg.Name] = true
 	}
 	c.Req.Configs = c.Req.Configs[:0]
 	for _, cfg := range sim.Configs {
@@ -119,8 +113,14 @@ func Canonicalize(req Request, cal []byte) (*Canonical, error) {
 	}
 
 	// Zero knobs resolve to the paper defaults, so `{"kernel":"crc32"}`
-	// and an explicit dict_cap=256 are one cache entry.
+	// and an explicit dict_cap=256 are one cache entry. An explicit
+	// default budget folds into the omitted one, the resolution Key
+	// applies, so both forms echo the same bytes whichever reaches the
+	// cache first.
 	c.Req.Synth = synth.DefaultOptions().With(req.Synth)
+	if c.Req.Synth.ProfileBudget == synth.DefaultProfileBudget {
+		c.Req.Synth.ProfileBudget = 0
+	}
 	if err := c.Req.Synth.Validate(); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"powerfits/internal/archive"
 	"powerfits/internal/metrics"
 	"powerfits/internal/sim"
+	"powerfits/internal/synth"
 )
 
 // post runs one request through the service handler in-process.
@@ -454,5 +456,60 @@ func TestCanonicalizeConfigOrder(t *testing.T) {
 	}
 	if samp.Key == all.Key {
 		t.Fatal("sampling did not change the request identity")
+	}
+}
+
+// TestServeExplicitDefaultBudgetEcho posts an omitted and an explicit
+// default profile budget, in both orders, to fresh services: the two
+// forms are one cache entry, so the body must not depend on which
+// arrived first.
+func TestServeExplicitDefaultBudgetEcho(t *testing.T) {
+	omitted := Request{Kernel: "crc32", Scale: 1, Configs: []string{"FITS8"}}
+	explicit := omitted
+	explicit.Synth.ProfileBudget = synth.DefaultProfileBudget
+	var first string
+	for _, order := range [][]Request{{omitted, explicit}, {explicit, omitted}} {
+		h := New(Options{Workers: 1}).Handler()
+		for _, req := range order {
+			w := doPost(t, h, req)
+			if first == "" {
+				first = w.Body.String()
+			}
+			if w.Code != http.StatusOK || w.Body.String() != first {
+				t.Errorf("budget %d: status %d, body differs from the first: %t",
+					req.Synth.ProfileBudget, w.Code, w.Body.String() != first)
+			}
+		}
+	}
+}
+
+// TestCanonicalizeExplicitDefaults sets each wire field of
+// synth.Options explicitly to the value DefaultOptions().With and Key()
+// resolve for it: each must canonicalize exactly like omitting it, in
+// identity and in echo.
+func TestCanonicalizeExplicitDefaults(t *testing.T) {
+	cal := []byte("cal")
+	base := Request{Kernel: "crc32", Scale: 1}
+	want, err := Canonicalize(base, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved := synth.DefaultOptions().With(synth.Options{})
+	resolved.ProfileBudget = int64(resolved.EffectiveProfileBudget()) // Key's resolution of 0
+	rv := reflect.ValueOf(resolved)
+	for i := 0; i < rv.NumField(); i++ {
+		if rv.Type().Field(i).Tag.Get("json") == "-" {
+			continue
+		}
+		req := base
+		reflect.ValueOf(&req.Synth).Elem().Field(i).Set(rv.Field(i))
+		got, err := Canonicalize(req, cal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Key != want.Key || !reflect.DeepEqual(got.Req, want.Req) {
+			t.Errorf("explicit %s=%v canonicalizes to %+v, omitted to %+v",
+				rv.Type().Field(i).Name, rv.Field(i), got.Req.Synth, want.Req.Synth)
+		}
 	}
 }

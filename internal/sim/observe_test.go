@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"powerfits/internal/cache"
 	"powerfits/internal/kernels"
 	"powerfits/internal/power"
 	"powerfits/internal/synth"
@@ -128,23 +127,5 @@ func TestHotspotAttribution(t *testing.T) {
 		if ph.Hotspots[i-1].FetchPJ < ph.Hotspots[i].FetchPJ {
 			t.Fatalf("hotspots not sorted by energy at %d", i)
 		}
-	}
-}
-
-// TestFetchPortNoAllocs asserts the I-cache fetch path does not
-// allocate (ci.sh additionally gates this through BenchmarkFetchPort).
-func TestFetchPortNoAllocs(t *testing.T) {
-	s := observedSetup(t)
-	c := cache.MustNew(cache.SA1100ICache())
-	m := power.MustNewMeter(cache.SA1100ICache(), power.DefaultCalibration())
-	port := newICachePort(c, s.ArmImage, 4, m.Stream())
-	i := uint32(0)
-	allocs := testing.AllocsPerRun(1000, func() {
-		port.FetchBlock(s.ArmImage.TextBase + (i*4)&0xFC)
-		port.Tick()
-		i++
-	})
-	if allocs != 0 {
-		t.Errorf("fetch path allocates %v allocs/op, want 0", allocs)
 	}
 }

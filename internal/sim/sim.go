@@ -67,6 +67,19 @@ var (
 // Configs lists the four configurations in the paper's order.
 var Configs = []Config{ARM16, ARM8, FITS16, FITS8}
 
+// ConfigByName returns the configuration in Configs whose name matches
+// name, ignoring case.
+func ConfigByName(name string) (Config, error) {
+	names := make([]string, len(Configs))
+	for i, c := range Configs {
+		if strings.EqualFold(c.Name, name) {
+			return c, nil
+		}
+		names[i] = c.Name
+	}
+	return Config{}, fmt.Errorf("unknown config %q (have %s)", name, strings.Join(names, ", "))
+}
+
 // MissPenalty is the I-cache miss stall in cycles (SA-1100-class
 // memory latency at 200 MHz).
 const MissPenalty = 24

@@ -64,8 +64,9 @@ func TestSynthesisBasics(t *testing.T) {
 		}
 	}
 	// Every program instruction must lower.
+	var lc translate.Counter
 	for i := range prof.Prog.Instrs {
-		if _, err := translate.LowerCount(&prof.Prog.Instrs[i], syn.Spec); err != nil {
+		if _, err := lc.Count(&prof.Prog.Instrs[i], syn.Spec); err != nil {
 			t.Errorf("instr %d (%s) unlowerable: %v", i, &prof.Prog.Instrs[i], err)
 		}
 	}

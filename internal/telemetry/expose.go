@@ -230,11 +230,3 @@ func WriteExposition(w io.Writer, snap metrics.Snapshot) error {
 	}
 	return nil
 }
-
-// Exposition renders the snapshot to a byte slice.
-func Exposition(snap metrics.Snapshot) []byte {
-	var b strings.Builder
-	// strings.Builder never errors.
-	_ = WriteExposition(&b, snap)
-	return []byte(b.String())
-}

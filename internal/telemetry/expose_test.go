@@ -196,3 +196,10 @@ func TestScrapeWhileWriting(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// Exposition renders the snapshot to a byte slice.
+func Exposition(snap metrics.Snapshot) []byte {
+	var b bytes.Buffer
+	_ = WriteExposition(&b, snap) // a bytes.Buffer never errors
+	return b.Bytes()
+}

@@ -60,16 +60,6 @@ func (p *Parsed) Samples() int {
 	return n
 }
 
-// Family returns the named family, or nil.
-func (p *Parsed) Family(name string) *Family {
-	for _, f := range p.Families {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
-
 func validMetricName(s string) bool {
 	if s == "" {
 		return false

@@ -133,3 +133,13 @@ func TestParseHistogramPerSeries(t *testing.T) {
 		t.Fatalf("per-series histogram rejected: %v", err)
 	}
 }
+
+// Family returns the named family, or nil.
+func (p *Parsed) Family(name string) *Family {
+	for _, f := range p.Families {
+		if f.Name == name {
+			return f
+		}
+	}
+	return nil
+}

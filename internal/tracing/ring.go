@@ -61,9 +61,6 @@ func (r *Ring) Emit(e Event) {
 // Len returns the number of stored events.
 func (r *Ring) Len() int { return r.n }
 
-// Capacity returns the ring's fixed capacity.
-func (r *Ring) Capacity() int { return len(r.buf) }
-
 // Total returns the number of events ever emitted.
 func (r *Ring) Total() uint64 { return r.total }
 

@@ -21,8 +21,8 @@ func TestRingOverflow(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Emit(Event{Cycle: uint64(i), Kind: KindFetch})
 	}
-	if r.Len() != 4 || r.Capacity() != 4 {
-		t.Fatalf("Len/Capacity = %d/%d, want 4/4", r.Len(), r.Capacity())
+	if r.Len() != 4 {
+		t.Fatalf("Len = %d, want 4", r.Len())
 	}
 	if r.Total() != 10 || r.Dropped() != 6 {
 		t.Fatalf("Total/Dropped = %d/%d, want 10/6", r.Total(), r.Dropped())

@@ -26,10 +26,6 @@ type Result struct {
 	OneToOne []bool
 }
 
-// Units returns how many lowered instructions original instruction i
-// produced.
-func (r *Result) Units(i int) int { return r.OrigStart[i+1] - r.OrigStart[i] }
-
 // StaticMappingRate is the fraction of original instructions with a
 // one-to-one translation (the paper's Figure 3 metric).
 func (r *Result) StaticMappingRate() float64 {

@@ -87,7 +87,7 @@ func TestLoweringRewritePaths(t *testing.T) {
 			c.in.Cond = isa.AL
 		}
 		c.in.TargetIdx = -1
-		seq, err := Lower(&c.in, sp)
+		seq, err := lowerOne(nil, &c.in, sp, 0)
 		if err != nil {
 			// MUL has no BIS point; closure would add it. Accept the
 			// NoPointError for signatures with no rewrite path.

@@ -37,22 +37,6 @@ type lowered struct {
 	skipToEnd bool
 }
 
-// Lower rewrites one instruction into directly encodable FITS
-// instructions under the spec. A *fits.NoPointError escaping Lower names
-// a signature the synthesizer must add for completeness (SIS closure).
-func Lower(in *isa.Instr, spec *fits.Spec) ([]lowered, error) {
-	return lowerOne(nil, in, spec, 0)
-}
-
-// LowerCount returns the number of FITS instructions in's lowering
-// produces (synthesis cost evaluation), or an error. Callers evaluating
-// many instructions should hold a Counter instead, which reuses one
-// scratch buffer across calls.
-func LowerCount(in *isa.Instr, spec *fits.Spec) (int, error) {
-	var c Counter
-	return c.Count(in, spec)
-}
-
 // Counter counts lowering lengths while recycling a single scratch
 // buffer. The SIS closure calls it once per instruction per interim
 // spec, where a fresh slice per call dominates synthesis allocation.
@@ -83,6 +67,8 @@ func commutative(op isa.Op) bool {
 // (append semantics: callers must use the return value). On error the
 // returned slice is nil; any elements a failed attempt wrote beyond
 // dst's original length are dead capacity the caller never observes.
+// A *fits.NoPointError it returns names a signature the synthesizer
+// must add for completeness (SIS closure).
 func lowerOne(dst []lowered, in *isa.Instr, spec *fits.Spec, depth int) ([]lowered, error) {
 	if depth > maxLowerDepth {
 		// in.String() rather than in: passing the pointer to Errorf would

@@ -248,5 +248,5 @@ type Table = experiments.Table
 // configurations. scale ≤ 0 uses per-kernel defaults; progress
 // (optional) receives one line per kernel.
 func RunSuite(scale int, progress func(string)) (*Suite, error) {
-	return experiments.Run(scale, progress)
+	return experiments.RunSuite(experiments.Options{Scale: scale, Progress: experiments.LineProgress(progress)})
 }

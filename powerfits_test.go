@@ -2,6 +2,9 @@ package powerfits_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"powerfits"
@@ -140,4 +143,44 @@ func ExampleSynthesize() {
 	// Output:
 	// 1:1 static mapping above 90%: true
 	// every FITS instruction is 16-bit aligned: true
+}
+
+// TestRunSuiteRendersGolden runs the facade's suite at scale 1: it must
+// render the figure tables the experiments package pins.
+func TestRunSuiteRendersGolden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("internal", "experiments", "testdata", "golden_scale1.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := powerfits.RunSuite(1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, tb := range suite.AllFigures() {
+		tb.Render(&sb)
+	}
+	if sb.String() != string(want) {
+		t.Error("RunSuite(1, nil) renders tables that differ from golden_scale1.txt")
+	}
+}
+
+// ExampleFormatAsm round-trips a program through its assembly text.
+func ExampleFormatAsm() {
+	prog, err := buildDemo()
+	if err != nil {
+		panic(err)
+	}
+	back, err := powerfits.ParseAsm(prog.Name, powerfits.FormatAsm(prog))
+	if err != nil {
+		panic(err)
+	}
+	same := len(back.Instrs) == len(prog.Instrs)
+	for i := 0; same && i < len(prog.Instrs); i++ {
+		a, b := prog.Instrs[i], back.Instrs[i]
+		a.Target, b.Target = "", "" // labels are renamed; TargetIdx is kept
+		same = a == b
+	}
+	fmt.Println(same)
+	// Output: true
 }
