@@ -41,14 +41,15 @@ echo "== fuzz: the executors and the assembler the shared passes rest on =="
 # (stepCompiled and the superblock loop) against the test-only reference
 # interpreter, the segment memo against the plain cycle loop,
 # the sampled fast-forward's warm-once witness against the per-batch
-# one, builder-made programs on the simulator, and the assembler's
-# parser.
+# one, builder-made programs on the simulator, the assembler's parser,
+# and the FITS encoder against the programmable decoder.
 # `go test -fuzz` takes one target per invocation.
 go test ./internal/cpu -run='^$' -fuzz='^FuzzCompiledVsStep$' -fuzztime=10s -parallel=2
 go test ./internal/cpu -run='^$' -fuzz='^FuzzMemoVsCycleLoop$' -fuzztime=10s -parallel=2
 go test ./internal/sim -run='^$' -fuzz='^FuzzWarmOnce$' -fuzztime=10s -parallel=2
 go test ./internal/asm -run='^$' -fuzz='^FuzzBuilderProgramExecution$' -fuzztime=10s -parallel=2
 go test ./internal/asm -run='^$' -fuzz='^FuzzParse$' -fuzztime=10s -parallel=2
+go test ./internal/isa/fits -run='^$' -fuzz='^FuzzFITSCodec$' -fuzztime=10s -parallel=2
 
 echo "== benchmark module: go vet + go test =="
 # bench/ is a separate Go module, so the root ./... never compiles it;

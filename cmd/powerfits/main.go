@@ -319,7 +319,7 @@ func info(s *sim.Setup) {
 		s.Synth.K, s.Synth.Spec.UsedPoints(), 1<<s.Synth.K,
 		len(s.Synth.BIS), len(s.Synth.SIS), len(s.Synth.AIS), s.Synth.DictEntries)
 	fmt.Printf("decoder config  %d bytes of non-volatile state\n", s.Synth.Spec.ConfigBytes())
-	disp := s.Synth.Spec.DispBits()
+	disp := fits.FieldBits(fits.FmtBranch, s.Synth.K)
 	fmt.Printf("branch reach    %.1f%% of branches fit the %d-bit displacement field\n",
 		100*s.Profile.DispCoverage(disp-1), disp)
 	for kk, c := range s.Synth.CandidateCost {

@@ -191,8 +191,8 @@ type uop struct {
 // pair, built once by Compile. Like Decoded it is immutable and carries
 // no run state, so one table may back any number of concurrent Machines
 // over the same program — a sim.Setup holds one per target image
-// (ArmCompiled from sim.PrepareBaseline, FitsCompiled from WithFITS)
-// shared by every configuration and engine worker, and profile.Collect
+// (ArmDecoded.Compiled() from sim.PrepareBaseline,
+// FitsDecoded.Compiled() from WithFITS) shared by every configuration and engine worker, and profile.Collect
 // builds one over the word layout for a profiling run of its own (the
 // suite instead counts its ARM timing pass).
 type Compiled struct {

@@ -91,8 +91,8 @@ func forEachKernel(t *testing.T, f func(t *testing.T, ims []image)) {
 				t.Fatal(err)
 			}
 			f(t, []image{
-				{"ARM", s.Prog, cpu.ImageLayout(s.ArmImage), s.ArmCompiled},
-				{"FITS", s.Fits.Lowered, cpu.ImageLayout(s.Fits.Image), s.FitsCompiled},
+				{"ARM", s.Prog, cpu.ImageLayout(s.ArmImage), s.ArmDecoded.Compiled()},
+				{"FITS", s.Fits.Lowered, cpu.ImageLayout(s.Fits.Image), s.FitsDecoded.Compiled()},
 			})
 		})
 	}

@@ -598,29 +598,27 @@ func decodeHalf(in isa.Instr, word uint32) (isa.Instr, error) {
 	return in, nil
 }
 
-// DecodeImage decodes every instruction slot of an assembled image back
-// to semantic form. Only the round-trip tests call it; the simulator
-// runs the program it assembled and never decodes the image.
-func DecodeImage(p *program.Program, im *program.Image) ([]isa.Instr, error) {
-	addrToIdx := make(map[uint32]int, len(im.InstrAddr))
-	for i, a := range im.InstrAddr {
-		addrToIdx[a] = i
-	}
-	pool := func(a uint32) uint32 {
-		return binary.LittleEndian.Uint32(im.Text[a-im.TextBase:])
-	}
-	lookup := func(a uint32) (int, bool) {
-		i, ok := addrToIdx[a]
-		return i, ok
-	}
-	out := make([]isa.Instr, len(p.Instrs))
-	for i, a := range im.InstrAddr {
-		w := binary.LittleEndian.Uint32(im.Text[a-im.TextBase:])
-		in, err := Decode(w, a, pool, lookup)
-		if err != nil {
-			return nil, fmt.Errorf("arm: %s instr %d: %w", p.Name, i, err)
+// CheckImage decodes every instruction slot of an assembled image and
+// fails on the first that differs from the program's instruction
+// (branch labels aside, which no encoding keeps). Preparation runs it
+// on every ARM image before timing the program.
+func CheckImage(p *program.Program, im *program.Image) error {
+	word := func(a uint32) uint32 {
+		if off := uint64(a) - uint64(im.TextBase); off+InstrBytes <= uint64(len(im.Text)) {
+			return binary.LittleEndian.Uint32(im.Text[off:])
 		}
-		out[i] = in
+		return 0
 	}
-	return out, nil
+	for i, a := range im.InstrAddr {
+		got, err := Decode(word(a), a, word, im.Slot)
+		if err != nil {
+			return fmt.Errorf("arm: %s slot %d: %w", p.Name, i, err)
+		}
+		want := p.Instrs[i]
+		want.Target = ""
+		if got != want {
+			return fmt.Errorf("arm: %s slot %d decodes to %+v, program has %+v", p.Name, i, got, want)
+		}
+	}
+	return nil
 }

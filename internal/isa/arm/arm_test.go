@@ -201,16 +201,8 @@ func TestBranchEncoding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeImage(p, im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, in := range decoded {
-		want := p.Instrs[i]
-		want.Target = ""
-		if in != want {
-			t.Errorf("instr %d: got %+v want %+v", i, in, want)
-		}
+	if err := CheckImage(p, im); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -235,12 +227,8 @@ func TestLiteralPoolSharing(t *testing.T) {
 	if im.Size() != 4*4+8 {
 		t.Errorf("image size = %d, want %d", im.Size(), 4*4+8)
 	}
-	decoded, err := DecodeImage(p, im)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if decoded[0].Imm != 0x12345678 || decoded[2].Imm != -559038737 {
-		t.Errorf("literal values corrupted: %v", decoded)
+	if err := CheckImage(p, im); err != nil {
+		t.Errorf("literal values corrupted: %v", err)
 	}
 }
 

@@ -27,92 +27,9 @@ type RewriteError struct {
 
 func (e *RewriteError) Error() string { return "fits: " + e.Reason }
 
-// packer assembles a 16-bit word, fields ordered msb→lsb.
-type packer struct {
-	w   uint16
-	pos int
-}
-
-func newPacker() *packer { return &packer{pos: 16} }
-
-func (p *packer) put(v uint32, bits int) {
-	p.pos -= bits
-	if p.pos < 0 {
-		panic("fits: field overflow")
-	}
-	p.w |= uint16(v&(1<<bits-1)) << p.pos
-}
-
-// unpacker mirrors packer.
-type unpacker struct {
-	w   uint16
-	pos int
-}
-
-func (u *unpacker) take(bits int) uint32 {
-	u.pos -= bits
-	return uint32(u.w>>u.pos) & (1<<bits - 1)
-}
-
 // ext builds an EXT word with the given payload.
 func (sp *Spec) ext(payload uint32) uint16 {
-	p := newPacker()
-	p.put(uint32(sp.extPoint), sp.K)
-	p.put(payload, sp.PayloadBits())
-	return p.w
-}
-
-// splitUnsigned splits a non-negative value into inline bits plus EXT
-// payloads (most significant first). Returns nil exts when it fits.
-func (sp *Spec) splitUnsigned(v uint32, inlineBits int) (inline uint32, exts []uint32, err error) {
-	pb := sp.PayloadBits()
-	inline = v & (1<<inlineBits - 1)
-	rest := v >> inlineBits
-	for rest != 0 {
-		exts = append([]uint32{rest & (1<<pb - 1)}, exts...)
-		rest >>= pb
-		if len(exts) > MaxExts {
-			return 0, nil, &RewriteError{Reason: fmt.Sprintf("value %#x needs more than %d EXT prefixes", v, MaxExts)}
-		}
-	}
-	return inline, exts, nil
-}
-
-// splitSigned splits a signed value (branch displacement) into a
-// sign-extended inline field plus EXT payloads.
-func (sp *Spec) splitSigned(v int32, inlineBits int) (inline uint32, exts []uint32, err error) {
-	pb := sp.PayloadBits()
-	width := inlineBits
-	for ; width <= inlineBits+MaxExts*pb; width += pb {
-		lo := int64(-1) << (width - 1)
-		hi := -lo - 1
-		if int64(v) >= lo && int64(v) <= hi {
-			break
-		}
-	}
-	if width > inlineBits+MaxExts*pb {
-		return 0, nil, &RewriteError{Reason: fmt.Sprintf("displacement %d needs more than %d EXT prefixes", v, MaxExts)}
-	}
-	u := uint32(v) & (1<<width - 1)
-	inline = u & (1<<inlineBits - 1)
-	rest := u >> inlineBits
-	for w := inlineBits; w < width; w += pb {
-		exts = append([]uint32{rest & (1<<pb - 1)}, exts...)
-		rest >>= pb
-	}
-	return inline, exts, nil
-}
-
-// narrowReg encodes a register into a narrow windowed field, falling
-// back to an EXT raw-register override.
-func (sp *Spec) narrowReg(r isa.Reg, bits int) (field uint32, exts []uint32) {
-	if bits >= 4 {
-		return uint32(r), nil
-	}
-	if rank := sp.WindowRank(r); rank >= 0 && rank < 1<<bits {
-		return uint32(rank), nil
-	}
-	return 0, []uint32{uint32(r)}
+	return uint16(sp.extPoint)<<sp.PayloadBits() | uint16(payload&(1<<sp.PayloadBits()-1))
 }
 
 // ValueOf extracts the instruction's value-field content for a
@@ -121,37 +38,63 @@ func (sp *Spec) narrowReg(r isa.Reg, bits int) (field uint32, exts []uint32) {
 // numbers, literal constants). The synthesizer uses it to build value
 // histograms.
 func ValueOf(in *isa.Instr, sig Signature) (uint32, error) {
-	return valueOf(in, sig)
+	fl, _, _ := tail(FormatOf(sig), MinK)
+	return valueOf(in, fl)
 }
 
-func valueOf(in *isa.Instr, sig Signature) (uint32, error) {
-	switch FormatOf(sig) {
-	case FmtALU3Imm, FmtALU2Imm:
+// valueOf maps an instruction to the content of its value field fl;
+// setValue is its inverse.
+func valueOf(in *isa.Instr, fl field) (uint32, error) {
+	switch fl {
+	case valImm:
 		return uint32(in.Imm), nil
-	case FmtShift:
+	case valShift:
 		return uint32(in.ShiftAmt), nil
-	case FmtMemImm, FmtMemWide:
-		scale := in.Op.MemSize()
-		mag := in.Imm
-		if mag < 0 {
-			mag = -mag
+	case valOffset:
+		v, ok := scaledOffset(in)
+		if !ok {
+			return 0, &RewriteError{Reason: fmt.Sprintf("offset %d not a multiple of access size %d", in.Imm, in.Op.MemSize())}
 		}
-		if int(mag)%scale != 0 {
-			return 0, &RewriteError{Reason: fmt.Sprintf("offset %d not a multiple of access size %d", in.Imm, scale)}
-		}
-		return uint32(mag) / uint32(scale), nil
-	case FmtLdc:
-		return uint32(in.Imm), nil
-	case FmtStack:
+		return v, nil
+	case valList:
 		c, err := canonicalStackList(in.RegList)
 		if err != nil {
 			return 0, &RewriteError{Reason: err.Error()}
 		}
 		return uint32(c), nil
-	case FmtTrap:
-		return uint32(in.Imm), nil
 	}
 	return 0, nil
+}
+
+// setValue stores value-field content v into an instruction of
+// signature sig.
+func setValue(in *isa.Instr, sig Signature, fl field, v uint32) {
+	switch fl {
+	case valImm:
+		in.Imm, in.HasImm = int32(v), true
+	case valShift:
+		in.ShiftAmt = uint8(v)
+	case valOffset:
+		in.Imm = int32(v * uint32(sig.Op.MemSize()))
+		if sig.NegOff {
+			in.Imm = -in.Imm
+		}
+	case valList:
+		in.RegList = expandStackList(uint16(v))
+	}
+}
+
+// scaledOffset returns the magnitude of an immediate memory offset in
+// units of the access size; ok is false when it is not a multiple.
+func scaledOffset(in *isa.Instr) (v uint32, ok bool) {
+	mag, scale := in.Imm, in.Op.MemSize()
+	if mag < 0 {
+		mag = -mag
+	}
+	if int(mag)%scale != 0 {
+		return 0, false
+	}
+	return uint32(mag) / uint32(scale), true
 }
 
 // cand is one applicable opcode point for an instruction.
@@ -197,11 +140,7 @@ func (sp *Spec) candidates(dst []cand, in *isa.Instr) []cand {
 	}
 	// Memory offsets must scale for any imm-offset candidate.
 	if in.Op.Class() == isa.ClassMem && sig.Mode != isa.AMOffReg {
-		mag := in.Imm
-		if mag < 0 {
-			mag = -mag
-		}
-		if int(mag)%in.Op.MemSize() != 0 {
+		if _, ok := scaledOffset(in); !ok {
 			return dst
 		}
 	}
@@ -213,7 +152,7 @@ func (sp *Spec) candidates(dst []cand, in *isa.Instr) []cand {
 func (sp *Spec) Expressible(in *isa.Instr) bool {
 	var buf [3]cand
 	for _, c := range sp.candidates(buf[:0], in) {
-		if _, err := sp.encodeCand(in, c, 0, 0); err == nil {
+		if _, _, err := sp.encodeCand(in, c, 0, 0, 0); err == nil {
 			return true
 		}
 	}
@@ -228,247 +167,81 @@ func (sp *Spec) Expressible(in *isa.Instr) bool {
 // Errors of type *NoPointError and *RewriteError signal that the
 // translator must restructure the instruction.
 func (sp *Spec) Encode(in *isa.Instr, addr, targetAddr uint32) ([]uint16, error) {
+	words, n, err := sp.encode(in, addr, targetAddr, 0)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]uint16, n)
+	copy(out, words[:n])
+	return out, nil
+}
+
+// EncodePadded is Encode, but guarantees the result occupies at least
+// minWords halfwords by giving a branch displacement more EXT prefixes
+// than it needs; they sign-fill, so the decoded displacement is
+// unchanged. Only branch displacements are layout-dependent, so only
+// branches may need padding.
+func (sp *Spec) EncodePadded(in *isa.Instr, addr, targetAddr uint32, minWords int) ([]uint16, error) {
+	words, n, err := sp.encode(in, addr, targetAddr, max(0, min(minWords-1, MaxExts)))
+	switch {
+	case err != nil:
+		return nil, err
+	case n >= minWords:
+	case !(in.Op == isa.B || in.Op == isa.BC || in.Op == isa.BL):
+		return nil, fmt.Errorf("fits: non-branch %s shrank below reserved size", in)
+	default:
+		return nil, &RewriteError{Reason: "branch padding exceeds EXT limit"}
+	}
+	out := make([]uint16, n)
+	copy(out, words[:n])
+	return out, nil
+}
+
+// encode is Encode into a fixed buffer; a branch displacement takes at
+// least pad EXT prefixes.
+func (sp *Spec) encode(in *isa.Instr, addr, targetAddr uint32, pad int) (words [MaxExts + 1]uint16, n int, err error) {
 	if in.Op == isa.NOP {
-		return nil, &NoPointError{Sig: SigOf(in)}
+		return words, 0, &NoPointError{Sig: SigOf(in)}
 	}
 	var cbuf [3]cand
 	cands := sp.candidates(cbuf[:0], in)
 	if len(cands) == 0 {
 		if in.Op == isa.MLA && in.Rd != in.Rn {
-			return nil, &RewriteError{Reason: "MLA accumulator must equal destination in 16-bit form"}
+			return words, 0, &RewriteError{Reason: "MLA accumulator must equal destination in 16-bit form"}
 		}
-		return nil, &NoPointError{Sig: SigOf(in)}
+		return words, 0, &NoPointError{Sig: SigOf(in)}
 	}
-	var best []uint16
 	var firstErr error
 	for _, c := range cands {
-		ws, err := sp.encodeCand(in, c, addr, targetAddr)
+		ws, m, err := sp.encodeCand(in, c, addr, targetAddr, pad)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		if best == nil || len(ws) < len(best) {
-			best = ws
+		if n == 0 || m < n {
+			words, n = ws, m
 		}
 	}
-	if best == nil {
-		return nil, firstErr
+	if n == 0 {
+		return words, 0, firstErr
 	}
-	return best, nil
+	return words, n, nil
 }
 
-// encodeValue encodes a value field under the point's mode. In
-// dictionary mode an empty EXT chain means "field is a table index";
-// a non-empty chain means the field plus payloads carry the value
-// inline (at least one EXT is emitted to mark the case).
-func (sp *Spec) encodeValue(pt *Point, v uint32, bits int) (field uint32, exts []uint32, err error) {
-	if !pt.ImmDict {
-		return sp.splitUnsigned(v, bits)
+// encodeCand encodes the instruction under one candidate point.
+func (sp *Spec) encodeCand(in *isa.Instr, c cand, addr, targetAddr uint32, pad int) (words [MaxExts + 1]uint16, n int, err error) {
+	cd := coder{sp: sp, pt: &sp.Points[c.op], in: in, addr: addr, target: targetAddr, pad: pad}
+	cd.w = uint16(c.op) << sp.PayloadBits()
+	if err := cd.walk(); err != nil {
+		return words, 0, err
 	}
-	for i, dv := range pt.Values {
-		if uint32(dv) == v {
-			return uint32(i), nil, nil
-		}
+	for i, e := range cd.ext[:cd.n] {
+		words[i] = sp.ext(e)
 	}
-	field, exts, err = sp.splitUnsigned(v, bits)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(exts) == 0 {
-		exts = []uint32{0}
-	}
-	return field, exts, nil
-}
-
-func (sp *Spec) encodeCand(in *isa.Instr, c cand, addr, targetAddr uint32) ([]uint16, error) {
-	pt := &sp.Points[c.op]
-	format := FormatOf(c.sig)
-	p := newPacker()
-	p.put(uint32(c.op), sp.K)
-	var exts []uint32
-
-	putValue := func(bits int, v uint32) error {
-		f, e, err := sp.encodeValue(pt, v, bits)
-		if err != nil {
-			return err
-		}
-		p.put(f, bits)
-		exts = e
-		return nil
-	}
-
-	switch format {
-	case FmtALU3Reg:
-		p.put(uint32(in.Rd), 4)
-		p.put(uint32(in.Rn), 4)
-		f, e := sp.narrowReg(in.Rm, sp.NarrowBits())
-		p.put(f, sp.NarrowBits())
-		exts = e
-
-	case FmtALU3Imm:
-		p.put(uint32(in.Rd), 4)
-		p.put(uint32(in.Rn), 4)
-		v, err := valueOf(in, c.sig)
-		if err != nil {
-			return nil, err
-		}
-		if err := putValue(sp.NarrowBits(), v); err != nil {
-			return nil, err
-		}
-
-	case FmtALU2Reg:
-		rd := in.Rd
-		if in.Op.IsCompare() {
-			rd = in.Rn
-		}
-		p.put(uint32(rd), 4)
-		if c.sig.Op == isa.MUL && c.sig.TwoOp {
-			p.put(uint32(in.Rs), 4)
-		} else {
-			p.put(uint32(in.Rm), 4)
-		}
-
-	case FmtALU2Imm:
-		rd := in.Rd
-		if in.Op.IsCompare() {
-			rd = in.Rn
-		}
-		p.put(uint32(rd), 4)
-		v, err := valueOf(in, c.sig)
-		if err != nil {
-			return nil, err
-		}
-		if err := putValue(FieldBits(format, sp.K), v); err != nil {
-			return nil, err
-		}
-
-	case FmtShift:
-		p.put(uint32(in.Rd), 4)
-		p.put(uint32(in.Rm), 4)
-		if err := putValue(sp.NarrowBits(), uint32(in.ShiftAmt)); err != nil {
-			return nil, err
-		}
-
-	case FmtRegShift:
-		p.put(uint32(in.Rd), 4)
-		p.put(uint32(in.Rm), 4)
-		f, e := sp.narrowReg(in.Rs, sp.NarrowBits())
-		p.put(f, sp.NarrowBits())
-		exts = e
-
-	case FmtMul:
-		p.put(uint32(in.Rd), 4)
-		p.put(uint32(in.Rm), 4)
-		f, e := sp.narrowReg(in.Rs, sp.NarrowBits())
-		p.put(f, sp.NarrowBits())
-		exts = e
-
-	case FmtMemImm:
-		p.put(uint32(in.Rd), 4)
-		p.put(uint32(in.Rn), 4)
-		v, err := valueOf(in, c.sig)
-		if err != nil {
-			return nil, err
-		}
-		if err := putValue(sp.NarrowBits(), v); err != nil {
-			return nil, err
-		}
-
-	case FmtMemReg:
-		p.put(uint32(in.Rd), 4)
-		p.put(uint32(in.Rn), 4)
-		f, e := sp.narrowReg(in.Rm, sp.NarrowBits())
-		p.put(f, sp.NarrowBits())
-		exts = e
-
-	case FmtMemWide:
-		p.put(uint32(in.Rd), 4)
-		v, err := valueOf(in, c.sig)
-		if err != nil {
-			return nil, err
-		}
-		if err := putValue(FieldBits(format, sp.K), v); err != nil {
-			return nil, err
-		}
-
-	case FmtLdc:
-		p.put(uint32(in.Rd), 4)
-		if err := putValue(FieldBits(format, sp.K), uint32(in.Imm)); err != nil {
-			return nil, err
-		}
-
-	case FmtStack:
-		v, err := valueOf(in, c.sig)
-		if err != nil {
-			return nil, err
-		}
-		if err := putValue(sp.PayloadBits(), v); err != nil {
-			return nil, err
-		}
-
-	case FmtBranch:
-		disp := (int64(targetAddr) - int64(addr)) / 2
-		f, e, err := sp.splitSigned(int32(disp), sp.DispBits())
-		if err != nil {
-			return nil, err
-		}
-		p.put(f, sp.DispBits())
-		exts = e
-
-	case FmtBX:
-		p.put(uint32(in.Rm), 4)
-
-	case FmtTrap:
-		if err := putValue(sp.PayloadBits(), uint32(in.Imm)); err != nil {
-			return nil, err
-		}
-
-	default:
-		return nil, fmt.Errorf("fits: format %d unhandled", format)
-	}
-
-	out := make([]uint16, 0, len(exts)+1)
-	for _, e := range exts {
-		out = append(out, sp.ext(e))
-	}
-	return append(out, p.w), nil
-}
-
-// EncodePadded is Encode, but guarantees the result occupies at least
-// minWords halfwords by prepending sign-fill EXT prefixes. Only branch
-// displacements are layout-dependent, so only branches may need
-// padding; a sign-fill prefix leaves the decoded displacement
-// unchanged.
-func (sp *Spec) EncodePadded(in *isa.Instr, addr, targetAddr uint32, minWords int) ([]uint16, error) {
-	words, err := sp.Encode(in, addr, targetAddr)
-	if err != nil || len(words) >= minWords {
-		return words, err
-	}
-	if !(in.Op == isa.B || in.Op == isa.BC || in.Op == isa.BL) {
-		return nil, fmt.Errorf("fits: non-branch %s shrank below reserved size", in)
-	}
-	nExts := minWords - 1
-	if nExts > MaxExts {
-		return nil, &RewriteError{Reason: "branch padding exceeds EXT limit"}
-	}
-	pb := sp.PayloadBits()
-	disp := (int64(targetAddr) - int64(addr)) / 2
-	width := sp.DispBits() + nExts*pb
-	u := uint64(disp) & (1<<width - 1)
-	op, ok := sp.PointIndex(SigOf(in))
-	if !ok {
-		return nil, &NoPointError{Sig: SigOf(in)}
-	}
-	out := make([]uint16, 0, minWords)
-	for i := nExts - 1; i >= 0; i-- {
-		out = append(out, sp.ext(uint32(u>>(sp.DispBits()+i*pb))&(1<<pb-1)))
-	}
-	p := newPacker()
-	p.put(uint32(op), sp.K)
-	p.put(uint32(u)&(1<<sp.DispBits()-1), sp.DispBits())
-	return append(out, p.w), nil
+	words[cd.n] = cd.w
+	return words, cd.n + 1, nil
 }
 
 // Decoded is the result of decoding one (possibly EXT-prefixed) FITS
@@ -485,235 +258,230 @@ type Decoded struct {
 // addr, reading halfwords through read — this is the programmable
 // decoder: it consults only the Spec tables.
 func (sp *Spec) DecodeAt(read func(addr uint32) uint16, addr uint32) (Decoded, error) {
-	var exts []uint32
-	a := addr
-	var w uint16
-	for {
-		w = read(a)
-		op := int(w >> (16 - sp.K))
-		if op != sp.extPoint {
+	cd := coder{sp: sp, dec: true, addr: addr}
+	for a := addr; ; a += 2 {
+		cd.w = read(a)
+		if int(cd.w>>sp.PayloadBits()) != sp.extPoint {
 			break
 		}
-		exts = append(exts, uint32(w)&(1<<sp.PayloadBits()-1))
-		if len(exts) > MaxExts {
+		if cd.n == MaxExts {
 			return Decoded{}, fmt.Errorf("fits: more than %d EXT prefixes at %#x", MaxExts, addr)
 		}
-		a += 2
+		cd.ext[cd.n] = uint32(cd.w) & (1<<sp.PayloadBits() - 1)
+		cd.n++
 	}
-	words := len(exts) + 1
-	op := int(w >> (16 - sp.K))
-	pt := &sp.Points[op]
-	u := &unpacker{w: w, pos: 16 - sp.K}
-	pb := sp.PayloadBits()
-
-	joinRaw := func() uint32 {
-		v := uint32(0)
-		for _, e := range exts {
-			v = v<<pb | e
-		}
-		return v
-	}
-	// value resolves a value field under the point's mode.
-	value := func(field uint32, bits int) (uint32, error) {
-		if pt.ImmDict && len(exts) == 0 {
-			if int(field) >= len(pt.Values) {
-				return 0, fmt.Errorf("fits: value index %d out of range for %q", field, pt.Sig)
-			}
-			return uint32(pt.Values[field]), nil
-		}
-		return joinRaw()<<bits | field, nil
-	}
-	extReg := func(field uint32, bits int) (isa.Reg, error) {
-		if bits >= 4 {
-			return isa.Reg(field), nil
-		}
-		if len(exts) > 0 {
-			return isa.Reg(exts[len(exts)-1] & 0xf), nil
-		}
-		if int(field) >= len(sp.Window) {
-			return 0, fmt.Errorf("fits: window code %d out of range", field)
-		}
-		return sp.Window[field], nil
-	}
-
-	d := Decoded{Words: words}
-	d.In.TargetIdx = -1
-
-	switch pt.Kind {
-	case PointFree:
+	d := Decoded{Words: cd.n + 1}
+	op := int(cd.w >> sp.PayloadBits())
+	cd.pt = &sp.Points[op]
+	if cd.pt.Kind != PointSig {
+		d.In.TargetIdx = -1
 		return d, fmt.Errorf("fits: unassigned opcode %d at %#x", op, addr)
-	case PointExt:
-		return d, fmt.Errorf("fits: dangling EXT at %#x", addr)
 	}
-
-	sig := pt.Sig
-	in := &d.In
-	in.Op = sig.Op
-	in.Cond = sig.Cond
-	in.SetFlags = sig.SetFlags
-	format := FormatOf(sig)
-
-	switch format {
-	case FmtALU3Reg:
-		in.Rd = isa.Reg(u.take(4))
-		in.Rn = isa.Reg(u.take(4))
-		rm, err := extReg(u.take(sp.NarrowBits()), sp.NarrowBits())
-		if err != nil {
-			return d, err
-		}
-		in.Rm = rm
-		in.Shift = sig.Shift
-		in.ShiftAmt = sig.ShiftAmt
-
-	case FmtALU3Imm:
-		in.Rd = isa.Reg(u.take(4))
-		in.Rn = isa.Reg(u.take(4))
-		v, err := value(u.take(sp.NarrowBits()), sp.NarrowBits())
-		if err != nil {
-			return d, err
-		}
-		in.Imm = int32(v)
-		in.HasImm = true
-
-	case FmtALU2Reg:
-		rd := isa.Reg(u.take(4))
-		other := isa.Reg(u.take(4))
-		switch {
-		case sig.Op.IsCompare():
-			in.Rn = rd
-			in.Rm = other
-		case sig.Op == isa.MUL && sig.TwoOp:
-			in.Rd = rd
-			in.Rm = rd
-			in.Rs = other
-		default:
-			in.Rd = rd
-			in.Rm = other
-			if sig.TwoOp {
-				in.Rn = rd
-			}
-		}
-		in.Shift = sig.Shift
-		in.ShiftAmt = sig.ShiftAmt
-
-	case FmtALU2Imm:
-		rd := isa.Reg(u.take(4))
-		if sig.Op.IsCompare() {
-			in.Rn = rd
-		} else {
-			in.Rd = rd
-		}
-		v, err := value(u.take(FieldBits(format, sp.K)), FieldBits(format, sp.K))
-		if err != nil {
-			return d, err
-		}
-		in.Imm = int32(v)
-		in.HasImm = true
-		if sig.TwoOp {
-			in.Rn = rd
-		}
-
-	case FmtShift:
-		in.Rd = isa.Reg(u.take(4))
-		in.Rm = isa.Reg(u.take(4))
-		v, err := value(u.take(sp.NarrowBits()), sp.NarrowBits())
-		if err != nil {
-			return d, err
-		}
-		in.Shift = sig.Shift
-		in.ShiftAmt = uint8(v)
-
-	case FmtRegShift:
-		in.Rd = isa.Reg(u.take(4))
-		in.Rm = isa.Reg(u.take(4))
-		rs, err := extReg(u.take(sp.NarrowBits()), sp.NarrowBits())
-		if err != nil {
-			return d, err
-		}
-		in.Rs = rs
-		in.Shift = sig.Shift
-		in.RegShift = true
-
-	case FmtMul:
-		in.Rd = isa.Reg(u.take(4))
-		in.Rm = isa.Reg(u.take(4))
-		rs, err := extReg(u.take(sp.NarrowBits()), sp.NarrowBits())
-		if err != nil {
-			return d, err
-		}
-		in.Rs = rs
-		if sig.Op == isa.MLA {
-			in.Rn = in.Rd
-		}
-
-	case FmtMemImm, FmtMemWide:
-		in.Rd = isa.Reg(u.take(4))
-		var bits int
-		if format == FmtMemImm {
-			bits = sp.NarrowBits()
-			in.Rn = isa.Reg(u.take(4))
-		} else {
-			bits = FieldBits(format, sp.K)
-			in.Rn = sig.Base
-		}
-		in.Mode = sig.Mode
-		v, err := value(u.take(bits), bits)
-		if err != nil {
-			return d, err
-		}
-		in.Imm = int32(v * uint32(sig.Op.MemSize()))
-		if sig.NegOff {
-			in.Imm = -in.Imm
-		}
-
-	case FmtMemReg:
-		in.Rd = isa.Reg(u.take(4))
-		in.Rn = isa.Reg(u.take(4))
-		rm, err := extReg(u.take(sp.NarrowBits()), sp.NarrowBits())
-		if err != nil {
-			return d, err
-		}
-		in.Rm = rm
-		in.Mode = isa.AMOffReg
-		in.ShiftAmt = sig.ShiftAmt
-
-	case FmtLdc:
-		in.Rd = isa.Reg(u.take(4))
-		v, err := value(u.take(FieldBits(format, sp.K)), FieldBits(format, sp.K))
-		if err != nil {
-			return d, err
-		}
-		in.Imm = int32(v)
-		in.HasImm = true
-
-	case FmtStack:
-		v, err := value(u.take(pb), pb)
-		if err != nil {
-			return d, err
-		}
-		in.RegList = expandStackList(uint16(v))
-
-	case FmtBranch:
-		inline := u.take(sp.DispBits())
-		width := sp.DispBits() + len(exts)*pb
-		full := joinRaw()<<sp.DispBits() | inline
-		disp := int64(full)
-		if full&(1<<(width-1)) != 0 {
-			disp = int64(full) - 1<<width
-		}
-		d.IsBranch = true
-		d.BranchTarget = uint32(int64(addr) + 2*disp)
-
-	case FmtBX:
-		in.Rm = isa.Reg(u.take(4))
-
-	case FmtTrap:
-		v, err := value(u.take(pb), pb)
-		if err != nil {
-			return d, err
-		}
-		in.Imm = int32(v)
-		in.HasImm = true
+	sig := cd.pt.Sig
+	d.In = sig.shape()
+	cd.in = &d.In
+	if err := cd.walk(); err != nil {
+		return d, err
+	}
+	// Operands the signature implies: a two-operand MUL reads Rd as Rm;
+	// MLA and the other two-operand forms read Rd as Rn.
+	switch {
+	case sig.Op == isa.MUL && sig.TwoOp:
+		d.In.Rm = d.In.Rd
+	case sig.Op == isa.MLA || sig.TwoOp:
+		d.In.Rn = d.In.Rd
+	}
+	if FormatOf(sig) == FmtBranch {
+		d.IsBranch, d.BranchTarget = true, cd.target
 	}
 	return d, nil
+}
+
+// coder carries one instruction between its semantic form and its
+// words: the opcode word w and up to MaxExts EXT payloads before it.
+// walk visits the point's fields in declared order; each field packs
+// in into the words (enc) or unpacks the words into in (dec), so the
+// encoder and the decoder are one walk over one declaration.
+type coder struct {
+	sp  *Spec
+	pt  *Point
+	in  *isa.Instr
+	dec bool
+
+	w   uint16
+	ext [MaxExts]uint32 // EXT payloads, most significant first
+	n   int             // EXT payloads in use
+
+	addr   uint32 // address of the first word
+	target uint32 // branch target: the encoder's input, the decoder's output
+	pad    int    // least EXT payloads an encoded displacement takes
+}
+
+// walk codes the point's fields, msb→lsb after the opcode.
+func (c *coder) walk() error {
+	pos := c.sp.PayloadBits()
+	for _, fl := range layouts[FormatOf(c.pt.Sig)] {
+		if fl <= regM {
+			pos -= 4
+			r := c.reg(fl)
+			if c.dec {
+				*r = isa.Reg(c.w >> pos & 0xf)
+			} else {
+				c.w |= uint16(*r&0xf) << pos
+			}
+			continue
+		}
+		// The variable field is last and takes the low pos bits.
+		switch fl {
+		case narrowM, narrowS:
+			return c.narrow(c.reg(fl), pos)
+		case disp:
+			return c.disp(pos)
+		default:
+			return c.value(fl, pos)
+		}
+	}
+	return nil
+}
+
+// reg returns the instruction register a register field holds under
+// the point's signature.
+func (c *coder) reg(fl field) *isa.Reg {
+	sig := c.pt.Sig
+	switch fl {
+	case regD:
+		if sig.Op.IsCompare() {
+			return &c.in.Rn
+		}
+		return &c.in.Rd
+	case regN:
+		return &c.in.Rn
+	case narrowS:
+		return &c.in.Rs
+	case regM:
+		if sig.Op == isa.MUL && sig.TwoOp {
+			return &c.in.Rs
+		}
+	}
+	return &c.in.Rm
+}
+
+// narrow codes a windowed register field of the given width: the
+// register's window rank, or, for a register outside the window, code
+// 0 with the register in an EXT payload. A field of 4 or more bits
+// holds the register itself.
+func (c *coder) narrow(r *isa.Reg, bits int) error {
+	f := uint32(c.w) & (1<<bits - 1)
+	switch {
+	case bits >= 4:
+		if c.dec {
+			*r = isa.Reg(f)
+		} else {
+			c.w |= uint16(*r & 0xf)
+		}
+	case c.dec && c.n > 0:
+		*r = isa.Reg(c.ext[c.n-1] & 0xf)
+	case c.dec && int(f) >= len(c.sp.Window):
+		return fmt.Errorf("fits: window code %d out of range", f)
+	case c.dec:
+		*r = c.sp.Window[f]
+	default:
+		if rank := c.sp.WindowRank(*r); rank >= 0 && rank < 1<<bits {
+			c.w |= uint16(rank)
+		} else {
+			c.ext[0], c.n = uint32(*r), 1
+		}
+	}
+	return nil
+}
+
+// value codes a value field of the given width through valueOf and
+// setValue. Under a dictionary point the field is an index into the
+// point's table, and a value the table lacks is carried raw behind at
+// least one EXT prefix, which marks the field as raw bits.
+func (c *coder) value(fl field, bits int) error {
+	pt := c.pt
+	if c.dec {
+		var v uint32
+		if f := uint32(c.w) & (1<<bits - 1); pt.ImmDict && c.n == 0 {
+			if int(f) >= len(pt.Values) {
+				return fmt.Errorf("fits: value index %d out of range for %q", f, pt.Sig)
+			}
+			v = uint32(pt.Values[f])
+		} else {
+			v = uint32(c.join(bits))
+		}
+		setValue(c.in, pt.Sig, fl, v)
+		return nil
+	}
+	v, err := valueOf(c.in, fl)
+	if err != nil {
+		return err
+	}
+	if pt.ImmDict {
+		for i, dv := range pt.Values {
+			if uint32(dv) == v {
+				c.w |= uint16(i)
+				return nil
+			}
+		}
+	}
+	n := 0
+	for rest := v >> bits; rest != 0; rest >>= c.sp.PayloadBits() {
+		n++
+	}
+	if n > MaxExts {
+		return &RewriteError{Reason: fmt.Sprintf("value %#x needs more than %d EXT prefixes", v, MaxExts)}
+	}
+	if pt.ImmDict && n == 0 {
+		n = 1
+	}
+	c.split(uint64(v), bits, n)
+	return nil
+}
+
+// disp codes a signed halfword branch displacement of the given inline
+// width: the encoder gives it the fewest EXT payloads, at least pad,
+// whose combined width holds it in two's complement.
+func (c *coder) disp(bits int) error {
+	pb := c.sp.PayloadBits()
+	if c.dec {
+		sh := 64 - (bits + c.n*pb)
+		c.target = uint32(int64(c.addr) + 2*(int64(c.join(bits)<<sh)>>sh))
+		return nil
+	}
+	d := (int64(c.target) - int64(c.addr)) / 2
+	n := c.pad
+	for ; n <= MaxExts; n++ {
+		if w := bits + n*pb; d >= -1<<(w-1) && d < 1<<(w-1) {
+			break
+		}
+	}
+	if n > MaxExts {
+		return &RewriteError{Reason: fmt.Sprintf("displacement %d needs more than %d EXT prefixes", d, MaxExts)}
+	}
+	c.split(uint64(d), bits, n)
+	return nil
+}
+
+// split places the low bits of u in the variable field and the next
+// n*PayloadBits bits in n EXT payloads, most significant first; join
+// is its inverse.
+func (c *coder) split(u uint64, bits, n int) {
+	pb := c.sp.PayloadBits()
+	c.w |= uint16(u & (1<<bits - 1))
+	u >>= bits
+	for i := n - 1; i >= 0; i-- {
+		c.ext[i] = uint32(u & (1<<pb - 1))
+		u >>= pb
+	}
+	c.n = n
+}
+
+func (c *coder) join(bits int) uint64 {
+	var u uint64
+	for _, e := range c.ext[:c.n] {
+		u = u<<c.sp.PayloadBits() | uint64(e)
+	}
+	return u<<bits | uint64(c.w)&(1<<bits-1)
 }

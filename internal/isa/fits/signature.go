@@ -7,8 +7,11 @@
 // A FITS processor replaces fixed instruction and register decoding with
 // programmable tables (the paper's Section 3). Here Spec *is* the
 // content of those tables: Encode writes 16-bit words against a Spec and
-// Decoder interprets them back into the semantic IR using only the
-// table state, which is how the simulator executes FITS binaries.
+// DecodeAt interprets them back into the semantic IR using only the
+// table state. Both walk one declaration of each format's fields
+// (layouts). The simulator times the translator's lowered program;
+// preparation decodes every FITS image through DecodeAt and rejects one
+// whose words do not encode that program.
 package fits
 
 import (
@@ -106,6 +109,18 @@ func SigOf(in *isa.Instr) Signature {
 		s.OperandImm = true
 	}
 	return s
+}
+
+// shape inverts SigOf: the instruction of signature s with zero
+// registers and values, save the base register an implied-base point
+// names.
+func (s Signature) shape() isa.Instr {
+	in := isa.Instr{Op: s.Op, Cond: s.Cond, SetFlags: s.SetFlags, Shift: s.Shift,
+		ShiftAmt: s.ShiftAmt, RegShift: s.RegShift, Mode: s.Mode, TargetIdx: -1}
+	if s.HasBase {
+		in.Rn = s.Base
+	}
+	return in
 }
 
 // AsTwoOp returns the two-operand variant of an ALU signature.

@@ -35,27 +35,85 @@ type Point struct {
 	Values []int32
 }
 
-// Format names the 16-bit field layout of an opcode point.
+// Format names the 16-bit field layout of an opcode point; layouts
+// declares each one.
 type Format uint8
 
 const (
-	FmtExt      Format = iota // [op][payload]
-	FmtALU3Reg                // [op][rd:4][rn:4][rm:w]   (w windowed)
-	FmtALU3Imm                // [op][rd:4][rn:4][imm:w]
-	FmtALU2Reg                // [op][rd:4][rm:4]         (rd = rd op rm / unary / mul)
-	FmtALU2Imm                // [op][rd:4][lit:12-K]
-	FmtShift                  // [op][rd:4][rm:4][amt:w]
-	FmtRegShift               // [op][rd:4][rm:4][rs:w]   (rs windowed)
-	FmtMul                    // [op][rd:4][rm:4][rs:w]   (rs windowed)
-	FmtMemImm                 // [op][rd:4][rn:4][off:w]  (scaled)
-	FmtMemReg                 // [op][rd:4][rn:4][rm:w]   (rm windowed)
-	FmtMemWide                // [op][rd:4][off:12-K]     (implied base, scaled)
-	FmtLdc                    // [op][rd:4][val:12-K]
-	FmtStack                  // [op][list:16-K]          (canonical list)
-	FmtBranch                 // [op][disp:16-K]          (signed halfwords)
-	FmtBX                     // [op][rm:4]
-	FmtTrap                   // [op][num:16-K]
+	FmtExt      Format = iota // EXT prefix
+	FmtALU3Reg                // rd = rn op rm (rm windowed)
+	FmtALU3Imm                // rd = rn op imm
+	FmtALU2Reg                // rd = rd op rm, unary, compare, two-operand mul
+	FmtALU2Imm                // rd = rd op lit, mov/compare with a literal
+	FmtShift                  // rd = rm shifted by a constant amount
+	FmtRegShift               // rd = rm shifted by rs (rs windowed)
+	FmtMul                    // rd = rm * rs (+ rd for MLA; rs windowed)
+	FmtMemImm                 // [rn, #off] (scaled)
+	FmtMemReg                 // [rn, rm] (rm windowed)
+	FmtMemWide                // [base, #off] (implied base, scaled)
+	FmtLdc                    // rd = constant
+	FmtStack                  // push/pop of a canonical list
+	FmtBranch                 // signed halfword displacement
+	FmtBX                     // bx rm
+	FmtTrap                   // swi #num
 )
+
+// field is one field of a format's word after the opcode. Register
+// fields are 4 bits wide; a format's last field may instead be a
+// variable one (windowed register, value or displacement), which takes
+// the rest of the word.
+type field uint8
+
+const (
+	regD field = iota // Rd (Rn of a compare)
+	regN              // Rn
+	regM              // Rm (Rs of a two-operand MUL)
+
+	narrowM   // Rm by window rank; an EXT payload carries any other register
+	narrowS   // Rs, likewise
+	valImm    // value: immediate operand, literal or trap number
+	valShift  // value: shift amount
+	valOffset // value: memory offset magnitude in access-size units
+	valList   // value: canonical PUSH/POP register list
+	disp      // signed branch displacement in halfwords
+	payload   // an EXT prefix's payload
+)
+
+// layouts declares each format's fields in word order after the
+// opcode. The encoder, the padded branch encoder and the programmable
+// decoder all walk it (coder.walk), and FieldBits, HasValueField and
+// ValueOf read it.
+var layouts = [...][]field{
+	FmtExt:      {payload},
+	FmtALU3Reg:  {regD, regN, narrowM},
+	FmtALU3Imm:  {regD, regN, valImm},
+	FmtALU2Reg:  {regD, regM},
+	FmtALU2Imm:  {regD, valImm},
+	FmtShift:    {regD, regM, valShift},
+	FmtRegShift: {regD, regM, narrowS},
+	FmtMul:      {regD, regM, narrowS},
+	FmtMemImm:   {regD, regN, valOffset},
+	FmtMemReg:   {regD, regN, narrowM},
+	FmtMemWide:  {regD, valOffset},
+	FmtLdc:      {regD, valImm},
+	FmtStack:    {valList},
+	FmtBranch:   {disp},
+	FmtBX:       {regM},
+	FmtTrap:     {valImm},
+}
+
+// tail returns a format's variable field and its width under opcode
+// width k; ok is false when every field is a 4-bit register.
+func tail(f Format, k int) (fl field, bits int, ok bool) {
+	bits = 16 - k
+	for _, fl := range layouts[f] {
+		if fl > regM {
+			return fl, bits, true
+		}
+		bits -= 4
+	}
+	return 0, 0, false
+}
 
 // FormatOf returns the field layout a signature's point uses.
 func FormatOf(s Signature) Format {
@@ -151,28 +209,18 @@ const (
 	MaxK = 6
 )
 
-// FieldBits returns the width of the variable value field of a format
-// under opcode width k (0 when the format has no value field).
+// FieldBits returns the width of the variable field of a format under
+// opcode width k (0 when every field is a 4-bit register).
 func FieldBits(f Format, k int) int {
-	switch f {
-	case FmtALU3Reg, FmtALU3Imm, FmtShift, FmtRegShift, FmtMul, FmtMemImm, FmtMemReg:
-		return 16 - k - 8
-	case FmtALU2Imm, FmtMemWide, FmtLdc:
-		return 16 - k - 4
-	case FmtStack, FmtBranch, FmtTrap, FmtExt:
-		return 16 - k
-	}
-	return 0
+	_, bits, _ := tail(f, k)
+	return bits
 }
 
 // HasValueField reports whether the format carries an immediate-like
 // value (and thus supports per-point dictionary mode).
 func HasValueField(f Format) bool {
-	switch f {
-	case FmtALU3Imm, FmtALU2Imm, FmtShift, FmtMemImm, FmtMemWide, FmtLdc, FmtStack, FmtTrap:
-		return true
-	}
-	return false
+	fl, _, ok := tail(f, MinK)
+	return ok && fl >= valImm && fl <= valList
 }
 
 // NewSpec assembles and validates a Spec. One point must be the EXT
@@ -263,23 +311,10 @@ func LdcSig() Signature {
 // PayloadBits is the EXT payload width.
 func (sp *Spec) PayloadBits() int { return 16 - sp.K }
 
-// NarrowBits is the width of the third (windowed/immediate) field of
-// three-register formats.
-func (sp *Spec) NarrowBits() int { return 16 - sp.K - 8 }
-
-// DispBits is the branch displacement width.
-func (sp *Spec) DispBits() int { return 16 - sp.K }
-
 // HasPoint reports whether the signature has its own opcode point.
 func (sp *Spec) HasPoint(s Signature) bool {
 	_, ok := sp.pointOf[s]
 	return ok
-}
-
-// PointIndex returns the opcode value of a signature's point.
-func (sp *Spec) PointIndex(s Signature) (int, bool) {
-	i, ok := sp.pointOf[s]
-	return i, ok
 }
 
 // WindowRank returns the narrow-field code of a register, or -1 when

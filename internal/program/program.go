@@ -6,6 +6,7 @@ package program
 
 import (
 	"fmt"
+	"slices"
 
 	"powerfits/internal/isa"
 )
@@ -138,3 +139,8 @@ func (im *Image) Size() int { return len(im.Text) }
 
 // AddrOf returns the address of semantic instruction i.
 func (im *Image) AddrOf(i int) uint32 { return im.InstrAddr[i] }
+
+// Slot returns the instruction whose first byte sits at addr.
+func (im *Image) Slot(addr uint32) (int, bool) {
+	return slices.BinarySearch(im.InstrAddr, addr)
+}

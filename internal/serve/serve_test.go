@@ -136,6 +136,46 @@ func TestServeCorruptStoreRecordIsMiss(t *testing.T) {
 	}
 }
 
+// TestServeStaleStoreEchoIsMiss plants, under a request's run ID, a
+// record whose request echo carries the form an older daemon wrote (an
+// explicit default profile_budget) and a body that daemon rendered.
+// The record's key matches, but its body is stale: the request must be
+// recomputed cold, served the fresh body, and the record rewritten.
+func TestServeStaleStoreEchoIsMiss(t *testing.T) {
+	store := archive.NewStore(t.TempDir())
+	req := Request{Kernel: "crc32", Scale: 1, Configs: []string{"FITS8"},
+		Synth: SynthKnobs{ProfileBudget: synth.DefaultProfileBudget}}
+	c, err := Canonicalize(req, DefaultCalBlob())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := c.Req
+	old.Synth.ProfileBudget = synth.DefaultProfileBudget
+	oldEcho, _ := json.Marshal(old)
+	if _, err := store.Save(archive.FromServe(c.Req.Scale, c.Key, oldEcho, c.Req.Sampled, []byte(`{"stale":true}`))); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := doPost(t, New(Options{Workers: 2}).Handler(), req)
+	got := doPost(t, New(Options{Store: store, Workers: 2}).Handler(), req)
+	if got.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", got.Code, got.Body)
+	}
+	if tier := got.Header().Get("X-Powerfits-Cache"); tier != "cold" {
+		t.Fatalf("stale record served from %q, want cold", tier)
+	}
+	if !bytes.Equal(got.Body.Bytes(), fresh.Body.Bytes()) {
+		t.Fatal("served body differs from a store-less daemon's")
+	}
+	rec, err := archive.ReadFile(store.Path(c.RunID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Serve == nil || !bytes.Equal(rec.Serve.Body, fresh.Body.Bytes()) {
+		t.Fatal("stale record was not rewritten with the fresh body")
+	}
+}
+
 func TestServeSampledNamespacing(t *testing.T) {
 	// A sampled request must never be served an exact run's cached
 	// response (or vice versa): the estimator flag is part of the

@@ -51,7 +51,7 @@ func TestLockstepEquivalence(t *testing.T) {
 			var steps uint64
 			for !armM.Halted {
 				origIdx := armM.PCIdx
-				if err := armM.RunSuperblocks(s.ArmCompiled, 1, nil, nil, nil); err != nil {
+				if err := armM.RunSuperblocks(s.ArmDecoded.Compiled(), 1, nil, nil, nil); err != nil {
 					t.Fatalf("arm step: %v", err)
 				}
 				steps++
@@ -66,7 +66,7 @@ func TestLockstepEquivalence(t *testing.T) {
 					if fitsM.Halted {
 						break
 					}
-					if err := fitsM.RunSuperblocks(s.FitsCompiled, 1, nil, nil, nil); err != nil {
+					if err := fitsM.RunSuperblocks(s.FitsDecoded.Compiled(), 1, nil, nil, nil); err != nil {
 						t.Fatalf("fits step: %v", err)
 					}
 				}

@@ -95,7 +95,7 @@ const MissPenalty = 24
 // Program and Images are treated as read-only by the pipeline.
 //
 // A baseline Setup (PrepareBaseline) holds the ARM half only: Profile,
-// Synth, Fits, FitsDecoded and FitsCompiled are nil, and it times ARM
+// Synth, Fits and FitsDecoded are nil, and it times ARM
 // configurations only. WithFITS adds the FITS half. Fits is the
 // translation synthesis built (Synth.Translation): it lowers
 // Profile.Prog, which under a memoized profile is the content-identical
@@ -112,19 +112,13 @@ type Setup struct {
 	Thumb    *thumb.Sizing
 
 	// ArmDecoded and FitsDecoded are the predecoded static-instruction
-	// tables (cpu.Predecode) for the two target images. They are built
+	// tables (cpu.Predecode) for the two target images, each carrying
+	// its semantic micro-op table (Decoded.Compiled). They are built
 	// once per preparation and shared read-only by every configuration
 	// run and engine worker, so the timing pipeline never re-derives
 	// per-instruction metadata per cycle.
 	ArmDecoded  *cpu.Decoded
 	FitsDecoded *cpu.Decoded
-
-	// ArmCompiled and FitsCompiled are the semantic micro-op tables
-	// (cpu.Compile) built alongside the decoded tables — the execute
-	// stage's counterpart to the timing predecode, likewise shared
-	// read-only across configurations and engine workers.
-	ArmCompiled  *cpu.Compiled
-	FitsCompiled *cpu.Compiled
 }
 
 // PrepareOptions parameterises PrepareWith.
@@ -179,9 +173,11 @@ func (s *Setup) Profiler(profiles *profile.Cache, opts synth.Options) func() (*p
 
 // PrepareBaseline builds the ARM half of a Setup: the program, its ARM
 // image, the Thumb sizing and the ARM predecode and micro-op tables.
-// scale ≤ 0 selects the kernel's default scale. log, when non-nil,
-// receives one "prepare stages" record with the build, assemble, thumb
-// and predecode stages.
+// It fails when a slot of the image does not decode to the program's
+// instruction (arm.CheckImage). scale ≤ 0 selects the kernel's default
+// scale. log, when non-nil, receives one "prepare stages" record with
+// the build, assemble, thumb and predecode stages, the check counted
+// in predecode.
 func PrepareBaseline(k kernels.Kernel, scale int, log *slog.Logger) (*Setup, error) {
 	clk := stageClock{log: log, last: time.Now()}
 	if scale <= 0 {
@@ -200,8 +196,10 @@ func PrepareBaseline(k kernels.Kernel, scale int, log *slog.Logger) (*Setup, err
 	}
 	clk.mark("thumb")
 	armDec := cpu.Predecode(p, cpu.ImageLayout(armIm))
-	s := &Setup{Kernel: k, Scale: scale, Prog: p, ArmImage: armIm, Thumb: ts,
-		ArmDecoded: armDec, ArmCompiled: armDec.Compiled()}
+	if err := arm.CheckImage(p, armIm); err != nil {
+		return nil, fmt.Errorf("sim: %s: %w", k.Name, err)
+	}
+	s := &Setup{Kernel: k, Scale: scale, Prog: p, ArmImage: armIm, Thumb: ts, ArmDecoded: armDec}
 	clk.mark("predecode")
 	clk.emit(k.Name, scale)
 	return s, nil
@@ -215,7 +213,10 @@ func PrepareBaseline(k kernels.Kernel, scale int, log *slog.Logger) (*Setup, err
 // number of synthesis images. profileFn runs as the profile stage; log,
 // when non-nil, receives one "prepare stages" record with the profile,
 // synth, translate and predecode stages, translate being the part of
-// synthesis that translated the chosen spec.
+// synthesis that translated the chosen spec. It fails when a slot of
+// the FITS image does not decode, through the programmable decoder, to
+// the lowered instruction that is timed (translate.CheckImage); the
+// check counts in predecode.
 func (s *Setup) WithFITS(profileFn func() (*profile.Profile, error), opts synth.Options, log *slog.Logger) (*Setup, error) {
 	clk := stageClock{log: log, last: time.Now()}
 	prof, err := profileFn()
@@ -235,7 +236,9 @@ func (s *Setup) WithFITS(profileFn func() (*profile.Profile, error), opts synth.
 	f := *s
 	f.Profile, f.Synth, f.Fits = prof, syn, res
 	f.FitsDecoded = cpu.Predecode(res.Lowered, cpu.ImageLayout(res.Image))
-	f.FitsCompiled = f.FitsDecoded.Compiled()
+	if err := translate.CheckImage(res); err != nil {
+		return nil, fmt.Errorf("sim: %s: %w", s.Kernel.Name, err)
+	}
 	clk.mark("predecode")
 	clk.emit(s.Kernel.Name, s.Scale)
 	return &f, nil
@@ -340,17 +343,14 @@ type Result struct {
 func (s *Setup) target(cfg Config) (prog *program.Program, im *program.Image, dec *cpu.Decoded, comp *cpu.Compiled) {
 	switch cfg.ISA {
 	case ISAARM:
-		prog, im, dec, comp = s.Prog, s.ArmImage, s.ArmDecoded, s.ArmCompiled
+		prog, im, dec = s.Prog, s.ArmImage, s.ArmDecoded
 	case ISAFITS:
-		prog, im, dec, comp = s.Fits.Lowered, s.Fits.Image, s.FitsDecoded, s.FitsCompiled
+		prog, im, dec = s.Fits.Lowered, s.Fits.Image, s.FitsDecoded
 	}
 	if dec == nil {
 		dec = cpu.Predecode(prog, cpu.ImageLayout(im))
 	}
-	if comp == nil {
-		comp = dec.Compiled()
-	}
-	return prog, im, dec, comp
+	return prog, im, dec, dec.Compiled()
 }
 
 // icachePort implements cpu.FetchPort over one cache and the power

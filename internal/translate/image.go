@@ -210,36 +210,38 @@ func layout(lp *program.Program, spec *fits.Spec) (*program.Image, []int, error)
 	return im, words, nil
 }
 
-// DecodeImage runs the programmable decoder over every instruction slot
-// of a translated image and returns the reconstructed instructions.
-// Only tests call it, to check that an image round-trips; the simulator
-// times the lowered program and never decodes the image.
-func DecodeImage(res *Result) ([]isa.Instr, error) {
+// CheckImage runs the programmable decoder over every instruction slot
+// of a translated image and fails on the first that differs from the
+// lowered instruction the simulator times: in its fields, its size or
+// the slot its branch reaches. Preparation runs it on every FITS image.
+func CheckImage(res *Result) error {
 	lp, im, spec := res.Lowered, res.Image, res.Spec
 	read := func(a uint32) uint16 {
-		return binary.LittleEndian.Uint16(im.Text[a-im.TextBase:])
+		if off := uint64(a) - uint64(im.TextBase); off+2 <= uint64(len(im.Text)) {
+			return binary.LittleEndian.Uint16(im.Text[off:])
+		}
+		return 0
 	}
-	addrToIdx := make(map[uint32]int, len(im.InstrAddr))
-	for i, a := range im.InstrAddr {
-		addrToIdx[a] = i
-	}
-	out := make([]isa.Instr, len(lp.Instrs))
 	for i, a := range im.InstrAddr {
 		d, err := spec.DecodeAt(read, a)
 		if err != nil {
-			return nil, fmt.Errorf("translate: decode instr %d: %w", i, err)
+			return fmt.Errorf("translate: %s slot %d: %w", lp.Name, i, err)
 		}
 		if 2*d.Words != int(im.InstrSize[i]) {
-			return nil, fmt.Errorf("translate: decode instr %d consumed %d halfwords, image says %d bytes", i, d.Words, im.InstrSize[i])
+			return fmt.Errorf("translate: %s slot %d decodes from %d halfwords, image says %d bytes", lp.Name, i, d.Words, im.InstrSize[i])
 		}
 		if d.IsBranch {
-			ti, ok := addrToIdx[d.BranchTarget]
+			ti, ok := im.Slot(d.BranchTarget)
 			if !ok {
-				return nil, fmt.Errorf("translate: decoded branch target %#x is not an instruction", d.BranchTarget)
+				return fmt.Errorf("translate: %s slot %d branches to %#x, which is not an instruction", lp.Name, i, d.BranchTarget)
 			}
 			d.In.TargetIdx = ti
 		}
-		out[i] = d.In
+		want := lp.Instrs[i]
+		want.Target = ""
+		if d.In != want {
+			return fmt.Errorf("translate: %s slot %d decodes to %+v, program has %+v", lp.Name, i, d.In, want)
+		}
 	}
-	return out, nil
+	return nil
 }

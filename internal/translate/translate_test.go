@@ -76,16 +76,8 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("arm assemble: %v", err)
 	}
-	decoded, err := arm.DecodeImage(p, armIm)
-	if err != nil {
-		t.Fatalf("arm decode: %v", err)
-	}
-	for i := range decoded {
-		got, want := decoded[i], p.Instrs[i]
-		want.Target = ""
-		if got != want {
-			t.Fatalf("arm round-trip instr %d:\n got %+v\nwant %+v", i, got, want)
-		}
+	if err := arm.CheckImage(p, armIm); err != nil {
+		t.Fatalf("arm round trip: %v", err)
 	}
 
 	// Functional reference run.
@@ -114,16 +106,8 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("translate: %v", err)
 	}
-	if got, err := translate.DecodeImage(res); err != nil {
-		t.Fatalf("fits decode: %v", err)
-	} else {
-		for i := range got {
-			want := res.Lowered.Instrs[i]
-			want.Target = ""
-			if got[i] != want {
-				t.Fatalf("fits round-trip instr %d:\n got %+v\nwant %+v", i, got[i], want)
-			}
-		}
+	if err := translate.CheckImage(res); err != nil {
+		t.Fatalf("fits round trip: %v", err)
 	}
 	if res.Image.Size() >= armIm.Size() {
 		t.Errorf("FITS image %d bytes not smaller than ARM %d", res.Image.Size(), armIm.Size())
