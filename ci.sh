@@ -101,23 +101,25 @@ expect_zero_allocs "BenchmarkPipelineTraced/" 2 "traced pipeline entry"
 # The functional machine: the superblock run loop.
 expect_zero_allocs "BenchmarkMachineSteadyState/" 1 "functional machine steady state"
 
-echo "== sampled estimator: accuracy gate on one kernel =="
-# TestSampledAccuracy sweeps all 21 kernels x 4 configs asserting the
-# sampled cycles and fetch energy land within 2% of the full pipeline;
-# the full sweep runs in `go test ./...` above. This re-runs the single
-# heaviest kernel explicitly so a sampling regression names itself even
-# when someone trims the test matrix.
-go test ./internal/sim -run 'TestSampledAccuracy/jpeg' -count=1
-# jpeg's ARM image is the one whose text the 8 KB cache cannot hold, so
-# its sampled pass splits in two: a regression on the split path of the
-# shared sampled pass names itself here.
-go test ./internal/sim -run 'TestSampledPassMatchesSeparateRuns/jpeg' -count=1
-# jpeg runs both functional-warming witnesses: warm-once in its holding
-# passes, every batch in ARM8, whose cache does not hold the text.
-go test ./internal/sim -run 'TestWarmOnceMatchesEveryBatchWitness/jpeg' -count=1
-# The suite profiles each kernel from its counted ARM pass; jpeg's ARM16
-# and ARM8 passes split, so both must count what profile.Collect counts.
-go test ./internal/sim -run 'TestCountedPassProfileMatchesCollect/jpeg' -count=1
+echo "== sampled estimator: the jpeg gates and the exact-pass invariant =="
+# One invocation re-runs, on the heaviest kernel, the checks a trimmed
+# test matrix must not lose, so a regression names itself:
+# - TestSampledAccuracy sweeps all 21 kernels x 4 configs asserting the
+#   sampled cycles and fetch energy land within 2% of the full pipeline
+#   (the full sweep runs in `go test ./...` above);
+# - jpeg's ARM image is the one whose text the 8 KB cache cannot hold,
+#   so its sampled pass splits in two (TestSampledPassMatchesSeparateRuns);
+# - jpeg runs both functional-warming witnesses: warm-once in its
+#   holding passes, every batch in ARM8
+#   (TestWarmOnceMatchesEveryBatchWitness);
+# - the suite profiles each kernel from its counted ARM pass; jpeg's
+#   ARM16 and ARM8 passes split, so both must count what
+#   profile.Collect counts (TestCountedPassProfileMatchesCollect);
+# - a sampled request whose head reaches halt, and the MinWindows
+#   fallback, must equal the exact pass field for field
+#   (TestSampledExactFallback, which has no per-kernel subtests).
+go test ./internal/sim -count=1 \
+    -run '^(TestSampledAccuracy|TestSampledPassMatchesSeparateRuns|TestWarmOnceMatchesEveryBatchWitness|TestCountedPassProfileMatchesCollect|TestSampledExactFallback)$/jpeg'
 
 echo "== trace export: generate + validate round trip =="
 # `powerfits trace` must emit a document its own -check accepts (the

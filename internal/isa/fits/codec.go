@@ -121,8 +121,10 @@ func (sp *Spec) candidates(dst []cand, in *isa.Instr) []cand {
 		sig = SigOf(in)
 	}
 
-	// Exact point (MLA is only expressible with rd == rn).
-	if in.Op != isa.MLA || in.Rd == in.Rn {
+	// Exact point. MLA accumulates in place, and a register-shifted
+	// three-operand ALU point has no Rn field (FmtRegShift), so both
+	// are only expressible with rd == rn.
+	if in.Rd == in.Rn || in.Op != isa.MLA && !(sig.RegShift && sig.IsALU3()) {
 		add(sig)
 	}
 	// Two-operand variants.
@@ -160,46 +162,17 @@ func (sp *Spec) Expressible(in *isa.Instr) bool {
 }
 
 // Encode lowers one semantic instruction to FITS halfwords under the
-// spec, choosing the cheapest applicable opcode point. addr is the
-// address the first halfword will occupy; targetAddr the resolved
-// branch target.
+// spec, words[:n], choosing the cheapest applicable opcode point. addr
+// is the address the first halfword will occupy; targetAddr the
+// resolved branch target. The result occupies at least minWords
+// halfwords: a branch displacement takes more EXT prefixes than it
+// needs, which sign-fill, so the decoded displacement is unchanged.
+// Only branch displacements are layout-dependent, so only branches may
+// need padding. Encode allocates nothing unless it fails.
 //
 // Errors of type *NoPointError and *RewriteError signal that the
 // translator must restructure the instruction.
-func (sp *Spec) Encode(in *isa.Instr, addr, targetAddr uint32) ([]uint16, error) {
-	words, n, err := sp.encode(in, addr, targetAddr, 0)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint16, n)
-	copy(out, words[:n])
-	return out, nil
-}
-
-// EncodePadded is Encode, but guarantees the result occupies at least
-// minWords halfwords by giving a branch displacement more EXT prefixes
-// than it needs; they sign-fill, so the decoded displacement is
-// unchanged. Only branch displacements are layout-dependent, so only
-// branches may need padding.
-func (sp *Spec) EncodePadded(in *isa.Instr, addr, targetAddr uint32, minWords int) ([]uint16, error) {
-	words, n, err := sp.encode(in, addr, targetAddr, max(0, min(minWords-1, MaxExts)))
-	switch {
-	case err != nil:
-		return nil, err
-	case n >= minWords:
-	case !(in.Op == isa.B || in.Op == isa.BC || in.Op == isa.BL):
-		return nil, fmt.Errorf("fits: non-branch %s shrank below reserved size", in)
-	default:
-		return nil, &RewriteError{Reason: "branch padding exceeds EXT limit"}
-	}
-	out := make([]uint16, n)
-	copy(out, words[:n])
-	return out, nil
-}
-
-// encode is Encode into a fixed buffer; a branch displacement takes at
-// least pad EXT prefixes.
-func (sp *Spec) encode(in *isa.Instr, addr, targetAddr uint32, pad int) (words [MaxExts + 1]uint16, n int, err error) {
+func (sp *Spec) Encode(in *isa.Instr, addr, targetAddr uint32, minWords int) (words [MaxExts + 1]uint16, n int, err error) {
 	if in.Op == isa.NOP {
 		return words, 0, &NoPointError{Sig: SigOf(in)}
 	}
@@ -211,6 +184,7 @@ func (sp *Spec) encode(in *isa.Instr, addr, targetAddr uint32, pad int) (words [
 		}
 		return words, 0, &NoPointError{Sig: SigOf(in)}
 	}
+	pad := max(0, min(minWords-1, MaxExts))
 	var firstErr error
 	for _, c := range cands {
 		ws, m, err := sp.encodeCand(in, c, addr, targetAddr, pad)
@@ -224,10 +198,15 @@ func (sp *Spec) encode(in *isa.Instr, addr, targetAddr uint32, pad int) (words [
 			words, n = ws, m
 		}
 	}
-	if n == 0 {
+	switch {
+	case n == 0:
 		return words, 0, firstErr
+	case n >= minWords:
+		return words, n, nil
+	case !(in.Op == isa.B || in.Op == isa.BC || in.Op == isa.BL):
+		return words, 0, fmt.Errorf("fits: non-branch %s shrank below reserved size", in)
 	}
-	return words, n, nil
+	return words, 0, &RewriteError{Reason: "branch padding exceeds EXT limit"}
 }
 
 // encodeCand encodes the instruction under one candidate point.
@@ -284,11 +263,12 @@ func (sp *Spec) DecodeAt(read func(addr uint32) uint16, addr uint32) (Decoded, e
 		return d, err
 	}
 	// Operands the signature implies: a two-operand MUL reads Rd as Rm;
-	// MLA and the other two-operand forms read Rd as Rn.
+	// MLA, the other two-operand forms and register-shifted
+	// three-operand ALU points read Rd as Rn.
 	switch {
 	case sig.Op == isa.MUL && sig.TwoOp:
 		d.In.Rm = d.In.Rd
-	case sig.Op == isa.MLA || sig.TwoOp:
+	case sig.Op == isa.MLA || sig.TwoOp || sig.RegShift && sig.IsALU3():
 		d.In.Rn = d.In.Rd
 	}
 	if FormatOf(sig) == FmtBranch {

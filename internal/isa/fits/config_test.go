@@ -58,7 +58,7 @@ func TestConfigDrivesDecoder(t *testing.T) {
 		{Op: isa.PUSH, Cond: isa.AL, RegList: 1<<isa.R4 | 1<<isa.LR, TargetIdx: -1},
 	}
 	for _, in := range ins {
-		words, err := sp.Encode(&in, 0x8000, 0)
+		words, err := encodeWords(sp, &in, 0x8000, 0, 0)
 		if err != nil {
 			t.Fatalf("encode %s: %v", in, err)
 		}

@@ -80,6 +80,12 @@ func testSpec(t testing.TB, k int) *Spec {
 	return sp
 }
 
+// encodeWords is Spec.Encode with the words as a slice.
+func encodeWords(sp *Spec, in *isa.Instr, addr, target uint32, minWords int) ([]uint16, error) {
+	ws, n, err := sp.Encode(in, addr, target, minWords)
+	return ws[:n], err
+}
+
 func decodeWords(t *testing.T, sp *Spec, words []uint16, addr uint32) Decoded {
 	t.Helper()
 	read := func(a uint32) uint16 {
@@ -135,7 +141,7 @@ func TestCodecRoundTripCases(t *testing.T) {
 		}
 		for _, in := range cases {
 			in.TargetIdx = -1
-			words, err := sp.Encode(&in, 0x8000, 0)
+			words, err := encodeWords(sp, &in, 0x8000, 0, 0)
 			if err != nil {
 				t.Fatalf("k=%d encode %s: %v", k, in, err)
 			}
@@ -154,7 +160,7 @@ func TestCodecBranchRoundTrip(t *testing.T) {
 		for _, op := range []isa.Op{isa.B, isa.BL} {
 			in := isa.Instr{Op: op, Cond: isa.AL, TargetIdx: 0}
 			target := uint32(int64(base) + delta)
-			words, err := sp.Encode(&in, base, target)
+			words, err := encodeWords(sp, &in, base, target, 0)
 			if err != nil {
 				t.Fatalf("encode %s Δ%d: %v", op, delta, err)
 			}
@@ -172,7 +178,7 @@ func TestEncodePadded(t *testing.T) {
 	in := isa.Instr{Op: isa.B, Cond: isa.AL, TargetIdx: 0}
 	target := base + 20
 	for minWords := 1; minWords <= 3; minWords++ {
-		words, err := sp.EncodePadded(&in, base, target, minWords)
+		words, err := encodeWords(sp, &in, base, target, minWords)
 		if err != nil {
 			t.Fatalf("pad %d: %v", minWords, err)
 		}
@@ -186,7 +192,7 @@ func TestEncodePadded(t *testing.T) {
 	}
 	// Backward branch padding must sign-fill.
 	target = base - 40
-	words, err := sp.EncodePadded(&in, base, target, 3)
+	words, err := encodeWords(sp, &in, base, target, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +334,7 @@ func TestEncodeLengthDistribution(t *testing.T) {
 		if in.Rd != in.Rn && !sp.Expressible(&in) {
 			continue
 		}
-		words, err := sp.Encode(&in, 0x8000, 0)
+		words, err := encodeWords(sp, &in, 0x8000, 0, 0)
 		if err != nil {
 			t.Fatalf("encode %s: %v", in, err)
 		}
@@ -370,6 +376,33 @@ func TestExpressible(t *testing.T) {
 	}
 }
 
+// TestRegisterShiftedALUActsInPlace pins the register-shifted
+// three-operand ALU point, whose layout has no Rn field: it encodes an
+// instruction whose rd is its rn and decodes Rn as Rd, and refuses any
+// other rn with a *NoPointError, so the translator rewrites it.
+func TestRegisterShiftedALUActsInPlace(t *testing.T) {
+	sig := Signature{Op: isa.ADD, Cond: isa.AL, Shift: isa.LSL, RegShift: true}
+	sp, err := NewSpec("regshift", MinK, []Point{{Kind: PointExt}, {Kind: PointSig, Sig: LdcSig()},
+		{Kind: PointSig, Sig: sig}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := isa.Instr{Op: isa.ADD, Cond: isa.AL, Rd: isa.R5, Rn: isa.R5, Rm: isa.R2, Rs: isa.R3,
+		Shift: isa.LSL, RegShift: true, TargetIdx: -1}
+	words, err := encodeWords(sp, &in, 0x8000, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := decodeWords(t, sp, words, 0x8000); d.In != in {
+		t.Errorf("round trip:\n in  %+v\n out %+v", in, d.In)
+	}
+	in.Rn = isa.R1
+	var np *NoPointError
+	if _, err := encodeWords(sp, &in, 0x8000, 0, 0); !errors.As(err, &np) || sp.Expressible(&in) {
+		t.Errorf("%s encoded (%v) under a point with no Rn field", in, err)
+	}
+}
+
 // TestSignatureKeyInjective pins the String collisions that once made
 // opcode numbering depend on map iteration order: pairs of distinct
 // signatures that render identically must still get distinct sort keys.
@@ -407,7 +440,7 @@ func TestErrorTexts(t *testing.T) {
 	sp := testSpec(t, 6)
 	enc := func(in isa.Instr, minWords int) error {
 		in.TargetIdx = -1
-		_, err := sp.EncodePadded(&in, 0x8000, 0x8010, minWords)
+		_, _, err := sp.Encode(&in, 0x8000, 0x8010, minWords)
 		return err
 	}
 	_, offErr := ValueOf(&isa.Instr{Op: isa.LDR, Cond: isa.AL, Imm: -6, Mode: isa.AMOffImm},

@@ -8,9 +8,10 @@ import (
 
 // FuzzFITSCodec draws a point of testSpec(k) for k = 4..6, operand
 // registers, a value, a branch target and a reserved size, builds the
-// point's instruction, and encodes it with Encode and EncodePadded.
-// Whatever encodes must decode back to the instruction (branch target
-// included), consuming exactly the encoded words.
+// point's instruction, and encodes it with Encode, unpadded and padded
+// to the reserved size. Whatever encodes must decode back to the
+// instruction (branch target included), consuming exactly the encoded
+// words.
 func FuzzFITSCodec(f *testing.F) {
 	f.Add(uint8(0), uint8(3), uint16(0x4321), uint32(300), uint32(0x8040), uint8(0))
 	f.Add(uint8(2), uint8(27), uint16(0), uint32(0), uint32(0x7f00), uint8(3))
@@ -36,8 +37,8 @@ func FuzzFITSCodec(f *testing.F) {
 				t.Fatalf("k=%d %q: decoded branch %t to %#x, want %#x", sp.K, pt.Sig, d.IsBranch, d.BranchTarget, target)
 			}
 		}
-		check(sp.Encode(&in, addr, target))
-		words, err := sp.EncodePadded(&in, addr, target, int(minWords%6))
+		check(encodeWords(sp, &in, addr, target, 0))
+		words, err := encodeWords(sp, &in, addr, target, int(minWords%6))
 		if err == nil && len(words) < int(minWords%6) {
 			t.Fatalf("k=%d %q: padded to %d words, reserved %d", sp.K, pt.Sig, len(words), minWords%6)
 		}
@@ -76,6 +77,9 @@ func instrFor(sig Signature, regs uint16, val uint32) isa.Instr {
 		in.Rd, in.Rm, in.Shift, in.ShiftAmt = r(0), r(2), sig.Shift, uint8(1+val%31)
 	case FmtRegShift:
 		in.Rd, in.Rm, in.Rs, in.Shift, in.RegShift = r(0), r(2), r(3), sig.Shift, true
+		if sig.IsALU3() {
+			in.Rn = in.Rd
+		}
 	case FmtMul:
 		in.Rd, in.Rm, in.Rs = r(0), r(2), r(3)
 		if sig.Op == isa.MLA {

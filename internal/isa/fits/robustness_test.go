@@ -67,7 +67,7 @@ func TestEncodeGarbageInstr(t *testing.T) {
 		r.Read(in[:])
 		instr := randomInstrFromBytes(in)
 		// Must not panic; errors are fine.
-		_, _ = sp.Encode(&instr, 0x8000, 0x8000)
+		_, _, _ = sp.Encode(&instr, 0x8000, 0x8000, 0)
 	}
 }
 

@@ -196,15 +196,6 @@ type Stream struct {
 // its end.
 type windowMark struct{ cycle, toggles, misses uint64 }
 
-// NewStream builds an empty stream for caches of the given line size.
-func NewStream(cal Calibration, lineBytes int) (*Stream, error) {
-	s := new(Stream)
-	if err := s.init(cal, lineBytes); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 func (s *Stream) init(cal Calibration, lineBytes int) error {
 	if err := cal.Validate(); err != nil {
 		return err

@@ -256,14 +256,14 @@ func TestValidation(t *testing.T) {
 		t.Errorf("zero unit costs rejected: %v", err)
 	}
 
-	s, err := NewStream(DefaultCalibration(), 32)
+	s, err := newStream(DefaultCalibration(), 32)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.NewMeter(cache.Config{SizeBytes: 16 * 1024, LineBytes: 64, Assoc: 32}); err == nil {
 		t.Error("meter with another line size accepted on a stream")
 	}
-	if _, err := NewStream(DefaultCalibration(), 0); err == nil {
+	if _, err := newStream(DefaultCalibration(), 0); err == nil {
 		t.Error("zero line size accepted")
 	}
 }
@@ -394,13 +394,23 @@ var refGeoms = []cache.Config{
 	{SizeBytes: 4 * 1024, LineBytes: 32, Assoc: 32},
 }
 
+// newStream builds an empty stream for caches of the given line size,
+// as NewMeter does beneath its meter.
+func newStream(cal Calibration, lineBytes int) (*Stream, error) {
+	s := new(Stream)
+	if err := s.init(cal, lineBytes); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
 func newRefRig(tb testing.TB, cal Calibration) *refRig {
 	tb.Helper()
-	s, err := NewStream(cal, 32)
+	s, err := newStream(cal, 32)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	bulk, _ := NewStream(cal, 32)
+	bulk, _ := newStream(cal, 32)
 	rig := &refRig{stream: s, bulk: bulk}
 	for _, g := range refGeoms {
 		m, err := s.NewMeter(g)
@@ -711,7 +721,7 @@ func TestMeterPricesNonDyadicExactly(t *testing.T) {
 			cal := DefaultCalibration()
 			cal.SwitchPJPerBit, cal.PeakWindow, cal.UseHamming = 7.3, window, hamming
 			for _, cycles := range []int{window - 1, 4000} {
-				s, err := NewStream(cal, 32)
+				s, err := newStream(cal, 32)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -181,11 +181,12 @@ func TestSampledPassMatchesSeparateRuns(t *testing.T) {
 	}
 }
 
-// TestRunPassRejectsUnsharablePasses checks that a pass (runPass, or
-// runSampled with sample options) refuses configurations whose runs
-// could diverge: different ISAs, different line sizes, or a cache too
-// small to hold the image text. RunAll splits such sets into passes
-// (TestSharedPassMatchesSeparateRuns).
+// TestRunPassRejectsUnsharablePasses checks that configurations whose
+// runs could diverge never share a pass (runPass): different ISAs,
+// different line sizes, or a cache too small to hold the image text.
+// Passes splits each such set into passes of one, and RunAll refuses
+// counts over it, exact and sampled, as it refuses counts over no
+// configuration at all; FITS16+FITS8 forms one pass that counts.
 func TestRunPassRejectsUnsharablePasses(t *testing.T) {
 	s, err := PrepareWith(kernels.MustGet("jpeg"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
@@ -194,15 +195,20 @@ func TestRunPassRejectsUnsharablePasses(t *testing.T) {
 	wide := FITS16
 	wide.Name, wide.Cache.LineBytes = "FITS16/64B", 64
 	cal := power.DefaultCalibration()
-	for _, po := range []passOptions{{}, {sampled: true}} {
+	for _, sample := range []*SampleOptions{nil, {}} {
 		for _, pass := range [][]Config{{}, {ARM16, FITS16}, {FITS16, wide}, {ARM16, ARM8}} {
-			if err := s.runOnePass(pass, cal, po, make([]*Result, len(pass))); err == nil {
-				t.Errorf("pass (sampled %t) accepted %s", po.sampled, passName(pass))
+			if ps, err := s.Passes(pass); err != nil || len(ps) != len(pass) {
+				t.Errorf("%s forms %d passes (%v), want %d", passName(pass), len(ps), err, len(pass))
+			}
+			counts := make([]uint64, len(s.Fits.Image.InstrAddr))
+			if _, err := s.RunAll(pass, cal, RunOptions{Sample: sample, Counts: counts}); err == nil {
+				t.Errorf("pass (sampled %t) accepted %s", sample != nil, passName(pass))
 			}
 		}
-		out := make([]*Result, 2)
-		if err := s.runOnePass([]Config{FITS16, FITS8}, cal, po, out); err != nil || out[1] == nil {
-			t.Fatalf("pass FITS16+FITS8 (sampled %t): %v", po.sampled, err)
+		counts := make([]uint64, len(s.Fits.Image.InstrAddr))
+		out, err := s.RunAll([]Config{FITS16, FITS8}, cal, RunOptions{Sample: sample, Counts: counts})
+		if err != nil || out[1] == nil {
+			t.Fatalf("pass FITS16+FITS8 (sampled %t): %v", sample != nil, err)
 		}
 	}
 }

@@ -201,9 +201,9 @@ func (ms *meterSample) window(instrs uint64) {
 // covRange is one remembered warm-cover window (see sampleState).
 type covRange struct{ lo, hi uint32 }
 
-// sampleState is the per-pass scratch of the sampled loop, hoisted
-// into one allocation so the window loop itself stays off the heap: the
-// warm-cover memo and the warm-once set behind the functional
+// sampleState is the per-pass scratch of a timing pass (runPass),
+// hoisted into one allocation so the window loop itself stays off the
+// heap: the warm-cover memo and the warm-once set behind the functional
 // fast-forward, the per-window cycle-ratio series, and one meterSample
 // per configuration, the ratio series preallocated from the profile's
 // dynamic instruction count. The run's total allocation count is
@@ -236,10 +236,9 @@ type sampleState struct {
 }
 
 // sampleFree recycles sampleStates (and the ratio slices and warm-once
-// sets they carry) across sampled runs. A one-shot CLI run never
-// notices, but the serve hot path issues one sampled pass per request
-// and pass, and without the list each pays the scratch allocations
-// anew.
+// sets they carry) across passes. A one-shot CLI run never notices,
+// but the serve hot path issues one pass per request and pass, and
+// without the list each pays the scratch allocations anew.
 var sampleFree = reuse.NewFreeList[*sampleState](8)
 
 // newSampleState leases a recycled (or fresh) sampleState, bound to
@@ -326,31 +325,39 @@ func (st *sampleState) resetWarm() {
 }
 
 // RunSampled is RunAll of one configuration with the sampled
-// estimator (runSampled; DESIGN.md §11): outputs and instruction counts
+// estimator (runPass; DESIGN.md §11): outputs and instruction counts
 // are exact, cycles and energy are extrapolated from periodic detailed
 // windows, and the Result carries a SampleStats.
 func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions) (*Result, error) {
-	return s.runOne(cfg, cal, passOptions{sampled: true, sample: opt})
+	var out [1]*Result
+	err := s.runAll([]Config{cfg}, cal, passOptions{sampled: true, sample: opt}, out[:])
+	return out[0], err
 }
 
-// runSampled times one pass of Passes with the sampled estimator and
-// stores the results in out, in cfgs order. The pass has one machine,
-// one cache, one power stream and one fast-forward with functional
-// warming, one set of detailed head, warmup and window segments, and
-// one meter per configuration pricing the stream. A cache that holds
-// the text sees the same hits and misses on every warming touch and
-// detailed fetch at every geometry of the pass, so the counts, windows
-// and ratios are those of each standalone run, and each configuration's
-// energies use exactly its standalone run's expressions: every result
-// is bit-identical to a pass of one.
+// runPass times one pass of Passes, exactly or with the sampled
+// estimator as po asks, and stores the results in out, in cfgs order.
+// The pass has one cache, one power stream with one meter per
+// configuration pricing it, one machine and one pipeline run, whose
+// detailed head runs to halt in an exact pass and for
+// SampleOptions.HeadInstrs in a sampled one. A pass that halts inside
+// its head is the exact simulation; a sampled pass that does not goes
+// on with one fast-forward with functional warming and one set of
+// detailed warmup and window segments. A cache that holds the text sees
+// the same hits and misses on every warming touch and detailed fetch at
+// every geometry of the pass, so the counts, windows and ratios are
+// those of each standalone run, and each configuration's energies use
+// exactly its standalone run's expressions: every result is
+// bit-identical to a pass of one.
 //
-// A sink observes single-configuration passes only (RunAll). The
-// detailed segments stream the same pipeline events an exact run
-// would, the fast-forwards emit one KindSuperblock event per executed
-// batch, and every sampling boundary (head end, warmup start, measure
-// start/end) emits a KindWindow event, so a consumer can tell measured
-// cycles from extrapolated ones. When the pass halts before MinWindows
-// measured windows, it is re-run exactly (runPass); a traced fallback's
+// A sink or a phase window observes single-configuration passes only,
+// and a phase window exact ones (RunAll); the phase sampler and the
+// hotspot profiler behind Result.Phases join the sink before the head.
+// The detailed segments stream the pipeline's events, the fast-forwards
+// emit one KindSuperblock event per executed batch, and every sampling
+// boundary (head end, warmup start, measure start/end) emits a
+// KindWindow event, so a consumer can tell measured cycles from
+// extrapolated ones. When a sampled pass halts before MinWindows
+// measured windows, it is re-run as an exact pass; a traced fallback's
 // events follow the aborted sampled prefix's in the same sink, with a
 // fresh meter bound for energy attribution, and its counts replace the
 // prefix's in po.counts.
@@ -364,32 +371,36 @@ func (s *Setup) RunSampled(cfg Config, cal power.Calibration, opt SampleOptions)
 // which no result reads. A non-nil probe is the tests' window on this:
 // it can force the per-batch witness and receives the witness call
 // count.
-func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, po passOptions, out []*Result, probe *warmProbe) error {
+func (s *Setup) runPass(cfgs []Config, cal power.Calibration, po passOptions, out []*Result, probe *warmProbe) error {
 	opt, sink := po.sample.withDefaults(), po.sink
-	if err := opt.Validate(); err != nil {
-		return err
+	headInstrs, mode := uint64(math.MaxUint64), ""
+	if po.sampled {
+		if err := opt.Validate(); err != nil {
+			return err
+		}
+		headInstrs, mode = opt.HeadInstrs, " (sampled)"
 	}
 	cfg := cfgs[0]
-	prog, im, dec, comp := s.target(cfg)
+	prog, dec := s.target(cfg.ISA)
 	c, err := cache.New(cfg.Cache)
 	if err != nil {
 		return err
 	}
-	// Recycled per-pass scratch: the warm-cover memo, the warm-once set
-	// of a holding pass, the meters and the ratio series, the latter
-	// sized from the profiled dynamic instruction count (a hint — the
-	// FITS stream may run slightly longer or shorter than the profiled
-	// ARM one; none without a profile). The deferred release runs after
-	// the results below have consumed the ratio series.
-	var hint int
-	if s.Profile != nil {
+	// Recycled per-pass scratch: the meters, and in a sampled pass the
+	// warm-cover memo, the warm-once set of a holding pass and the ratio
+	// series, the latter sized from the profiled dynamic instruction
+	// count (a hint — the FITS stream may run slightly longer or shorter
+	// than the profiled ARM one; none without a profile). The deferred
+	// release runs after the results below have consumed the ratio
+	// series. A pass whose caches hold the text warms each block once
+	// and trusts residency; the tests' reference (everyBatch) does
+	// neither.
+	holds := s.holds(cfg) && (probe == nil || !probe.everyBatch)
+	var hint, onceBits int
+	if po.sampled && s.Profile != nil {
 		hint = int(s.Profile.TotalDyn/opt.PeriodInstrs) + 4
 	}
-	// A pass whose caches hold the text warms each block once and
-	// trusts residency; the tests' reference (everyBatch) does neither.
-	holds := s.holds(cfg) && (probe == nil || !probe.everyBatch)
-	var onceBits int
-	if holds && sink == nil {
+	if po.sampled && holds && sink == nil {
 		onceBits = len(prog.Instrs)
 	}
 	st := newSampleState(c, cfg.Cache.LineBytes, len(cfgs), hint, onceBits)
@@ -410,15 +421,28 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, po passOptions,
 	}
 	bindEnergy(sink, meters[0].m)
 	pc := cpu.DefaultPipeConfig()
+	comp := dec.Compiled()
 	m := cpu.New(prog, comp.Layout())
 	defer m.Release()
 	m.DynCount = po.counts
-	port := newICachePort(c, im, pc.BlockBytes, stream)
+	var sampler *tracing.Sampler
+	var prof *tracing.Profiler
+	if po.window > 0 {
+		if sampler, err = tracing.NewSampler(po.window, meters[0].m, func() uint64 { return m.InstrCount }); err != nil {
+			return err
+		}
+		if prof, err = s.NewProfiler(cfg); err != nil {
+			return err
+		}
+		prof.BindEnergy(meters[0].m)
+		sink = tracing.Tee(sampler, prof, sink)
+	}
+	port := newICachePort(c, s.image(cfg.ISA), pc.BlockBytes, stream)
 	port.holds = holds
 
 	var pres cpu.PipeResult
 	wrap := func(err error) error {
-		return fmt.Errorf("sim: %s on %s (sampled): %w", s.Kernel.Name, passName(cfgs), err)
+		return fmt.Errorf("sim: %s on %s%s: %w", s.Kernel.Name, passName(cfgs), mode, err)
 	}
 	run, err := cpu.NewPipelineRun(m, pc, port, dec, &pres)
 	if err != nil {
@@ -433,15 +457,34 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, po passOptions,
 		}
 	}
 
-	// Detailed head: the cold-start behaviour is measured exactly.
-	if err := run.RunUntil(opt.HeadInstrs); err != nil {
+	// Detailed head: the cold-start behaviour is measured exactly, and
+	// an exact pass is all head.
+	if err := run.RunUntil(headInstrs); err != nil {
 		return wrap(err)
+	}
+	if po.sampled {
+		boundary(tracing.WindowHead)
+	}
+	if m.Halted {
+		// The program halted inside the detailed head: this pass IS the
+		// exact simulation.
+		for i := range cfgs {
+			out[i] = &Result{Config: cfgs[i], Pipe: ownPipe(&pres, i), Cache: c.Stats(),
+				Power: meters[i].m.Report(), AccessPJ: meters[i].m.AccessPJ()}
+			if po.sampled {
+				out[i].Sampled = &SampleStats{TotalInstrs: m.InstrCount, DetailedInstrs: m.InstrCount, Exact: true}
+			}
+		}
+		if sampler != nil {
+			out[0].Phases = sampler.Series(pres.Cycles)
+			out[0].Phases.Hotspots = prof.Hotspots()
+		}
+		return nil
 	}
 	head := takeSnap(&pres, m, c)
 	for i := range meters {
 		meters[i].head = meterEnergy(meters[i].m)
 	}
-	boundary(tracing.WindowHead)
 
 	ff := opt.PeriodInstrs - opt.WarmupInstrs - opt.WindowInstrs
 	warm := st.warm // bind the method value once, not per fast-forward
@@ -500,22 +543,12 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, po passOptions,
 	total := m.InstrCount
 	windows := len(st.cycleRatios)
 	if windows < opt.MinWindows {
-		if wsum.instrs == 0 && detailed == total {
-			// The program halted inside the detailed head: this pass IS
-			// the exact simulation — no rerun needed.
-			for i := range cfgs {
-				out[i] = &Result{Config: cfgs[i], Pipe: ownPipe(&pres, i), Cache: c.Stats(),
-					Power: meters[i].m.Report(), AccessPJ: meters[i].m.AccessPJ(),
-					Sampled: &SampleStats{TotalInstrs: total, DetailedInstrs: total, Exact: true}}
-			}
-			return nil
-		}
-		// Too short to estimate: fall back to the exact full pipeline
-		// (traced when a sink is attached, so the event stream and any
-		// bound energy attribution follow the run that produced the
-		// result, and the counts are that run's alone).
+		// Too short to estimate: fall back to an exact pass (traced when
+		// a sink is attached, so the event stream and any bound energy
+		// attribution follow the run that produced the result, and the
+		// counts are that run's alone).
 		clear(po.counts)
-		if err := s.runPass(cfgs, cal, passOptions{sink: sink, counts: po.counts}, out); err != nil {
+		if err := s.runPass(cfgs, cal, passOptions{sink: sink, counts: po.counts}, out, nil); err != nil {
 			return err
 		}
 		for _, res := range out {
@@ -632,7 +665,7 @@ func (s *Setup) runSampled(cfgs []Config, cal power.Calibration, po passOptions,
 	return nil
 }
 
-// warmProbe lets tests compare a sampled pass (runSampled) against its
+// warmProbe lets tests compare a sampled pass (runPass) against its
 // reference: everyBatch keeps the per-batch witness and the residency
 // probe in a holding pass, and witnessed receives the pass's witness
 // calls.

@@ -2,12 +2,13 @@ package sim
 
 import (
 	"math"
-	"reflect"
+	"slices"
 	"testing"
 
 	"powerfits/internal/kernels"
 	"powerfits/internal/power"
 	"powerfits/internal/synth"
+	"powerfits/internal/tracing"
 )
 
 func relErr(a, b float64) float64 {
@@ -97,80 +98,80 @@ func TestSampledAccuracy(t *testing.T) {
 	}
 }
 
-// TestSampledExactFallback drives both fallback paths and checks each
-// returns the exact simulation bit-for-bit.
+// TestSampledExactFallback drives both ways a sampled request ends as
+// an exact pass, a head that reaches halt and a window quota no run
+// meets (the MinWindows fallback), and holds each to RunAll in exact
+// mode field for field: on one configuration, on a shared pass
+// (FITS16+FITS8), on a shared pass with counts and on a pass with a
+// sink. The exact results carry no SampleStats; the sampled ones report
+// a fully detailed run, and their counts are the exact pass's.
 func TestSampledExactFallback(t *testing.T) {
 	cal := power.DefaultCalibration()
 	s, err := PrepareWith(kernels.MustGet("crc32"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := s.Run(ARM16, cal)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	check := func(tag string, opt SampleOptions) {
-		t.Helper()
-		res, err := s.RunSampled(ARM16, cal, opt)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name         string
+		cfgs         []Config
+		counts, sink bool
+	}{
+		{"ARM16", []Config{ARM16}, false, false},
+		{"FITS16+FITS8", []Config{FITS16, FITS8}, false, false},
+		{"FITS16+FITS8 counted", []Config{FITS16, FITS8}, true, false},
+		{"FITS8 traced", []Config{FITS8}, false, true},
+	} {
+		run := func(sample *SampleOptions) ([]*Result, []uint64) {
+			t.Helper()
+			opt := RunOptions{Sample: sample}
+			if c.counts {
+				opt.Counts = make([]uint64, len(s.image(c.cfgs[0].ISA).InstrAddr))
+			}
+			if c.sink {
+				opt.Sink = &tracing.Counts{}
+			}
+			rs, err := s.RunAll(c.cfgs, cal, opt)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return rs, opt.Counts
 		}
-		if res.Sampled == nil || !res.Sampled.Exact {
-			t.Fatalf("%s: expected exact fallback, got %+v", tag, res.Sampled)
-		}
-		got, want := *res.Pipe, *exact.Pipe
-		if len(got.Output) != len(want.Output) {
-			t.Fatalf("%s: output length %d vs exact %d", tag, len(got.Output), len(want.Output))
-		}
-		for i := range want.Output {
-			if got.Output[i] != want.Output[i] {
-				t.Fatalf("%s: output[%d] divergence", tag, i)
+		exact, exactCounts := run(nil)
+		for _, r := range exact {
+			if r.Sampled != nil {
+				t.Errorf("%s: exact %s carries SampleStats %+v", c.name, r.Config.Name, r.Sampled)
 			}
 		}
-		got.Output, want.Output = nil, nil
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: pipeline result diverged from exact run:\n%+v\n%+v", tag, got, want)
+		if c.counts && slices.Max(exactCounts) == 0 {
+			t.Fatalf("%s: the exact pass counted nothing", c.name)
 		}
-		if res.Cache != exact.Cache {
-			t.Errorf("%s: cache stats diverged: %+v vs %+v", tag, res.Cache, exact.Cache)
+		for _, sc := range []struct {
+			tag string
+			opt SampleOptions
+		}{
+			// A head longer than the whole run: the program halts
+			// inside the detailed prefix and that prefix IS the exact
+			// simulation.
+			{"head", SampleOptions{HeadInstrs: 1 << 40}},
+			// An unreachable window quota: too few windows accumulate,
+			// so the estimator refuses and reruns the pass exactly.
+			{"quota", SampleOptions{MinWindows: 1 << 20}},
+		} {
+			got, counts := run(&sc.opt)
+			if !slices.Equal(counts, exactCounts) {
+				t.Errorf("%s/%s: counts differ from the exact pass's", c.name, sc.tag)
+			}
+			for i, r := range got {
+				st := r.Sampled
+				n := exact[i].Pipe.Instrs
+				if st == nil || !st.Exact || st.TotalInstrs != n || st.DetailedInstrs != n || sc.tag == "head" && st.Windows != 0 {
+					t.Errorf("%s/%s: %s reports %+v, want a fully detailed run of %d instructions", c.name, sc.tag, r.Config.Name, st, n)
+				}
+				unsampled := *r
+				unsampled.Sampled = nil
+				sameResult(t, &unsampled, exact[i])
+			}
 		}
-		if res.Power != exact.Power {
-			t.Errorf("%s: power report diverged", tag)
-		}
-		if res.Sampled.TotalInstrs != exact.Pipe.Instrs || res.Sampled.DetailedInstrs != exact.Pipe.Instrs {
-			t.Errorf("%s: fallback stats must report a fully detailed run: %+v", tag, res.Sampled)
-		}
-	}
-
-	// A head longer than the whole run: the program halts inside the
-	// detailed prefix and that prefix IS the exact simulation.
-	check("head", SampleOptions{HeadInstrs: 1 << 40})
-	// An unreachable window quota: too few windows accumulate, so the
-	// estimator refuses and reruns the exact pipeline.
-	check("quota", SampleOptions{MinWindows: 1 << 20})
-}
-
-// TestRunSampledOnLiteralSetup runs the sampled estimator on a Setup
-// built as a literal, with no profile and no predecoded tables, and
-// holds it to the result on the prepared Setup it copies.
-func TestRunSampledOnLiteralSetup(t *testing.T) {
-	cal := power.DefaultCalibration()
-	s, err := PrepareWith(kernels.MustGet("crc32"), 1, PrepareOptions{Synth: synth.DefaultOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lit := &Setup{Kernel: s.Kernel, Scale: s.Scale, Prog: s.Prog, ArmImage: s.ArmImage, Fits: s.Fits}
-	for _, cfg := range []Config{ARM16, FITS8} {
-		want, err := s.RunSampled(cfg, cal, SampleOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := lit.RunSampled(cfg, cal, SampleOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, got, want)
 	}
 }
 

@@ -336,21 +336,13 @@ type Result struct {
 	AccessPJ float64
 }
 
-// target resolves the configuration's ISA to its program, image and
-// shared predecode/compile tables, predecoding per run for Setups
-// constructed as literals (tests) — still once per run rather than once
-// per cycle.
-func (s *Setup) target(cfg Config) (prog *program.Program, im *program.Image, dec *cpu.Decoded, comp *cpu.Compiled) {
-	switch cfg.ISA {
-	case ISAARM:
-		prog, im, dec = s.Prog, s.ArmImage, s.ArmDecoded
-	case ISAFITS:
-		prog, im, dec = s.Fits.Lowered, s.Fits.Image, s.FitsDecoded
+// target resolves an ISA to the program its configurations time and
+// that program's predecode table, built at preparation.
+func (s *Setup) target(i ISA) (*program.Program, *cpu.Decoded) {
+	if i == ISAFITS {
+		return s.Fits.Lowered, s.FitsDecoded
 	}
-	if dec == nil {
-		dec = cpu.Predecode(prog, cpu.ImageLayout(im))
-	}
-	return prog, im, dec, dec.Compiled()
+	return s.Prog, s.ArmDecoded
 }
 
 // icachePort implements cpu.FetchPort over one cache and the power
@@ -549,18 +541,9 @@ type passOptions struct {
 
 // Run is RunAll of one configuration, exact and unobserved.
 func (s *Setup) Run(cfg Config, cal power.Calibration) (*Result, error) {
-	return s.runOne(cfg, cal, passOptions{})
-}
-
-// runOne times one configuration as a pass of one, with the
-// configuration and result slices on the stack.
-func (s *Setup) runOne(cfg Config, cal power.Calibration, po passOptions) (*Result, error) {
-	cfgs := [1]Config{cfg}
 	var out [1]*Result
-	if err := s.runOnePass(cfgs[:], cal, po, out[:]); err != nil {
-		return nil, err
-	}
-	return out[0], nil
+	err := s.runAll([]Config{cfg}, cal, passOptions{}, out[:])
+	return out[0], err
 }
 
 // image returns the image an ISA's configurations fetch from.
@@ -569,20 +552,6 @@ func (s *Setup) image(i ISA) *program.Image {
 		return s.Fits.Image
 	}
 	return s.ArmImage
-}
-
-// checkTargets rejects FITS configurations on a Setup that has no FITS
-// half (a baseline Setup).
-func (s *Setup) checkTargets(cfgs []Config) error {
-	if s.Fits != nil {
-		return nil
-	}
-	for _, cfg := range cfgs {
-		if cfg.ISA == ISAFITS {
-			return fmt.Errorf("sim: %s on %s: the Setup has no FITS image (see WithFITS)", s.Kernel.Name, cfg.Name)
-		}
-	}
-	return nil
 }
 
 // holds reports whether cfg's cache keeps every line its image's fetch
@@ -601,31 +570,31 @@ func holdsText(geom cache.Config, im *program.Image, block int) bool {
 	return geom.Holds(lo, int(im.TextBase-lo)+len(im.Text))
 }
 
-// passKey is what configurations must share to share a pass: the image
-// and the line size that fixes which accesses are first touches.
-type passKey struct {
-	isa  ISA
-	line int
-}
-
-// passIndices groups cfgs into passes as Passes does, by index.
-func (s *Setup) passIndices(cfgs []Config) [][]int {
-	var passes [][]int
-	shared := map[passKey]int{}
+// group checks that s can time every configuration of cfgs and
+// numbers their passes as Passes groups them: pass[i] is the pass of
+// cfgs[i], passes numbered in order of first appearance. It returns the
+// number of passes. A configuration joins the pass of the first one
+// before it of its ISA and line size when both caches hold the text.
+func (s *Setup) group(cfgs []Config, pass []int) (int, error) {
+	n := 0
 	for i, cfg := range cfgs {
-		if !s.holds(cfg) {
-			passes = append(passes, []int{i})
-			continue
+		if cfg.ISA == ISAFITS && s.Fits == nil {
+			return 0, fmt.Errorf("sim: %s on %s: the Setup has no FITS image (see WithFITS)", s.Kernel.Name, cfg.Name)
 		}
-		k := passKey{cfg.ISA, cfg.Cache.LineBytes}
-		if p, ok := shared[k]; ok {
-			passes[p] = append(passes[p], i)
-			continue
+		pass[i] = n
+		if s.holds(cfg) {
+			for j, o := range cfgs[:i] {
+				if o.ISA == cfg.ISA && o.Cache.LineBytes == cfg.Cache.LineBytes && s.holds(o) {
+					pass[i] = pass[j]
+					break
+				}
+			}
 		}
-		shared[k] = len(passes)
-		passes = append(passes, []int{i})
+		if pass[i] == n {
+			n++
+		}
 	}
-	return passes
+	return n, nil
 }
 
 // Passes groups cfgs into timing passes, in order of first appearance:
@@ -639,26 +608,23 @@ func (s *Setup) passIndices(cfgs []Config) [][]int {
 // depends only on the image and the geometries. A FITS configuration on
 // a baseline Setup is an error.
 func (s *Setup) Passes(cfgs []Config) ([][]Config, error) {
-	if err := s.checkTargets(cfgs); err != nil {
+	pass := make([]int, len(cfgs))
+	n, err := s.group(cfgs, pass)
+	if err != nil {
 		return nil, err
 	}
-	idx := s.passIndices(cfgs)
-	passes := make([][]Config, len(idx))
-	for p, is := range idx {
-		for _, i := range is {
-			passes[p] = append(passes[p], cfgs[i])
-		}
+	passes := make([][]Config, n)
+	for i, p := range pass {
+		passes[p] = append(passes[p], cfgs[i])
 	}
 	return passes, nil
 }
 
 // RunAll times cfgs and returns the results in cfgs order: exactly, or
 // with the sampled estimator when opt.Sample is set, in one timing run
-// per pass of Passes. An exact pass is a single pipeline run with one
-// cache, one power stream and one meter per configuration pricing it; a
-// sampled pass shares the fast-forward and the detailed windows in the
-// same way. Each result is bit-identical to a run of its configuration
-// alone. A sink or a phase window observes one configuration, so an
+// per pass of Passes (runPass), with one cache, one power stream and
+// one meter per configuration pricing it. Each result is bit-identical
+// to a run of its configuration alone. A sink or a phase window observes one configuration, so an
 // observed run of several is an error, as are a negative window, a
 // window on a sampled run, counts over more than one pass or of the
 // wrong length, and a FITS configuration on a baseline Setup. It is
@@ -673,141 +639,54 @@ func (s *Setup) RunAll(cfgs []Config, cal power.Calibration, opt RunOptions) ([]
 	case (opt.Sink != nil || opt.WindowCycles > 0) && len(cfgs) != 1:
 		return nil, fmt.Errorf("sim: an observed run times one configuration, not %d", len(cfgs))
 	}
-	if err := s.checkTargets(cfgs); err != nil {
-		return nil, err
-	}
 	po := passOptions{sink: opt.Sink, window: opt.WindowCycles, counts: opt.Counts}
 	if opt.Sample != nil {
 		po.sampled, po.sample = true, *opt.Sample
 	}
 	out := make([]*Result, len(cfgs))
-	// Callers that already grouped cfgs into one pass (the experiment
-	// engine, the sweep) skip the grouping and its allocations.
-	if s.sharesPass(cfgs) {
-		if err := s.runOnePass(cfgs, cal, po, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	if opt.Counts != nil {
-		return nil, fmt.Errorf("sim: %s on %s: counts need configurations that share one pass", s.Kernel.Name, passName(cfgs))
-	}
-	for _, is := range s.passIndices(cfgs) {
-		pass := make([]Config, len(is))
-		for j, i := range is {
-			pass[j] = cfgs[i]
-		}
-		rs := make([]*Result, len(is))
-		if err := s.runOnePass(pass, cal, po, rs); err != nil {
-			return nil, err
-		}
-		for j, i := range is {
-			out[i] = rs[j]
-		}
+	if err := s.runAll(cfgs, cal, po, out); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// runOnePass times one pass of Passes, exactly or sampled as po asks,
-// and stores the results in out, in cfgs order.
-func (s *Setup) runOnePass(cfgs []Config, cal power.Calibration, po passOptions, out []*Result) error {
-	if err := s.checkPass(cfgs, po.counts); err != nil {
-		return err
+// runAll times cfgs as RunAll does, under checked options, and stores
+// the results in out, in cfgs order.
+func (s *Setup) runAll(cfgs []Config, cal power.Calibration, po passOptions, out []*Result) error {
+	var buf [8]int // the pass numbers stay on the stack for small sets
+	pass := buf[:]
+	if len(cfgs) > len(buf) {
+		pass = make([]int, len(cfgs))
 	}
-	if po.sampled {
-		return s.runSampled(cfgs, cal, po, out, nil)
-	}
-	return s.runPass(cfgs, cal, po, out)
-}
-
-// sharesPass reports whether cfgs form one pass: a single
-// configuration, or several of one ISA and line size whose caches all
-// hold the text.
-func (s *Setup) sharesPass(cfgs []Config) bool {
-	if len(cfgs) == 1 {
-		return true
-	}
-	for _, cfg := range cfgs {
-		if cfg.ISA != cfgs[0].ISA || cfg.Cache.LineBytes != cfgs[0].Cache.LineBytes || !s.holds(cfg) {
-			return false
-		}
-	}
-	return len(cfgs) > 0
-}
-
-// checkPass rejects what cannot run as one pass: no configurations, a
-// FITS configuration on a baseline Setup, several configurations that
-// sharesPass refuses, and counts whose length is not the instruction
-// count of the pass's program.
-func (s *Setup) checkPass(cfgs []Config, counts []uint64) error {
-	if err := s.checkTargets(cfgs); err != nil {
-		return err
-	}
+	n, err := s.group(cfgs, pass)
 	switch {
-	case len(cfgs) == 0:
-		return fmt.Errorf("sim: %s: empty pass", s.Kernel.Name)
-	case !s.sharesPass(cfgs):
-		return fmt.Errorf("sim: %s on %s: configurations cannot share a pass", s.Kernel.Name, passName(cfgs))
-	case counts != nil && len(counts) != len(s.image(cfgs[0].ISA).InstrAddr):
+	case err != nil:
+		return err
+	case po.counts != nil && n != 1:
+		return fmt.Errorf("sim: %s on %s: counts need configurations that share one pass", s.Kernel.Name, passName(cfgs))
+	case po.counts != nil && len(po.counts) != len(s.image(cfgs[0].ISA).InstrAddr):
 		return fmt.Errorf("sim: %s on %s: %d counts for %d instructions", s.Kernel.Name, passName(cfgs),
-			len(counts), len(s.image(cfgs[0].ISA).InstrAddr))
+			len(po.counts), len(s.image(cfgs[0].ISA).InstrAddr))
+	case n == 1:
+		// Callers that already grouped cfgs into one pass (the
+		// experiment engine, the sweep) skip the scatter below.
+		return s.runPass(cfgs, cal, po, out, nil)
 	}
-	return nil
-}
-
-// runPass runs the full cycle-accurate pipeline once for a pass,
-// streaming its events to po.sink and, when po.window is positive, to
-// the phase sampler and the hotspot profiler behind Result.Phases, and
-// counting executions into po.counts. Sinks and windows observe
-// single-configuration passes only (RunAll).
-func (s *Setup) runPass(cfgs []Config, cal power.Calibration, po passOptions, out []*Result) error {
-	cfg := cfgs[0]
-	prog, im, dec, comp := s.target(cfg)
-	c, err := cache.New(cfg.Cache)
-	if err != nil {
-		return err
-	}
-	stream, err := power.NewStream(cal, cfg.Cache.LineBytes)
-	if err != nil {
-		return err
-	}
-	meters := make([]*power.Meter, len(cfgs))
-	for i := range cfgs {
-		if meters[i], err = stream.NewMeter(cfgs[i].Cache); err != nil {
+	for p := range n {
+		var idx []int
+		var pc []Config
+		for i, q := range pass[:len(cfgs)] {
+			if q == p {
+				idx, pc = append(idx, i), append(pc, cfgs[i])
+			}
+		}
+		rs := make([]*Result, len(pc))
+		if err := s.runPass(pc, cal, po, rs, nil); err != nil {
 			return err
 		}
-	}
-	meter := meters[0]
-	sink := po.sink
-	bindEnergy(sink, meter)
-	pc := cpu.DefaultPipeConfig()
-	m := cpu.New(prog, comp.Layout())
-	defer m.Release()
-	m.DynCount = po.counts
-	var sampler *tracing.Sampler
-	var prof *tracing.Profiler
-	if po.window > 0 {
-		if sampler, err = tracing.NewSampler(po.window, meter, func() uint64 { return m.InstrCount }); err != nil {
-			return err
+		for j, i := range idx {
+			out[i] = rs[j]
 		}
-		if prof, err = s.NewProfiler(cfg); err != nil {
-			return err
-		}
-		prof.BindEnergy(meter)
-		sink = tracing.Tee(sampler, prof, sink)
-	}
-	pipe := new(cpu.PipeResult)
-	port := newICachePort(c, im, pc.BlockBytes, stream)
-	port.holds = s.holds(cfg)
-	if err := cpu.RunPipeline(m, pc, port, dec, pipe, sink); err != nil {
-		return fmt.Errorf("sim: %s on %s: %w", s.Kernel.Name, passName(cfgs), err)
-	}
-	for i := range cfgs {
-		out[i] = &Result{Config: cfgs[i], Pipe: ownPipe(pipe, i), Cache: c.Stats(), Power: meters[i].Report(), AccessPJ: meters[i].AccessPJ()}
-	}
-	if sampler != nil {
-		out[0].Phases = sampler.Series(pipe.Cycles)
-		out[0].Phases.Hotspots = prof.Hotspots()
 	}
 	return nil
 }

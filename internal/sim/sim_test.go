@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"powerfits/internal/asm"
 	"powerfits/internal/isa"
 	"powerfits/internal/isa/arm"
 	"powerfits/internal/isa/fits"
@@ -22,6 +23,53 @@ func first(rs []*Result, err error) (*Result, error) {
 		return nil, err
 	}
 	return rs[0], nil
+}
+
+// TestRegisterShiftedALUPrepares prepares a program whose
+// register-shifted ALU instructions write a register other than their
+// first source, that source itself, and their shifted source, and
+// requires its FITS run to output what its ARM run does. A
+// register-shifted point has no Rn field, so the translator must
+// rewrite the first and the last.
+func TestRegisterShiftedALUPrepares(t *testing.T) {
+	p, err := asm.Parse("regshift", `
+.func main
+	mov r1, #5
+	mov r2, #3
+	mov r3, #2
+	mov r6, #9
+loop:
+	add r0, r1, r2 lsl r3
+	swi #1
+	add r5, r5, r2 lsl r3
+	eor r2, r1, r2 lsr r3
+	mov r0, r5
+	swi #1
+	mov r0, r2
+	swi #1
+	subs r6, r6, #1
+	bne loop
+	swi #0
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := PrepareWith(kernels.FromProgram(p), 1, PrepareOptions{Synth: synth.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := power.DefaultCalibration()
+	want, err := s.Run(ARM16, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Run(FITS16, cal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Pipe.Output) != 27 || !slices.Equal(got.Pipe.Output, want.Pipe.Output) {
+		t.Errorf("FITS output %v, ARM output %v", got.Pipe.Output, want.Pipe.Output)
+	}
 }
 
 // TestAllKernelsEquivalentUnderFITS is the central correctness claim:

@@ -40,7 +40,7 @@ func Stalls(p *cpu.PipeResult) *metrics.StallBreakdown {
 // tracing.Block per basic block of the predecoded program, labeled by
 // its containing function.
 func (s *Setup) TraceBlocks(cfg Config) []tracing.Block {
-	_, _, dec, _ := s.target(cfg)
+	_, dec := s.target(cfg.ISA)
 	bbs := dec.BasicBlocks()
 	blocks := make([]tracing.Block, len(bbs))
 	for i, b := range bbs {
@@ -57,6 +57,6 @@ func (s *Setup) TraceBlocks(cfg Config) []tracing.Block {
 // image, ready to pass as RunOptions.Sink (the run binds its meter to
 // it). One profiler serves one run.
 func (s *Setup) NewProfiler(cfg Config) (*tracing.Profiler, error) {
-	_, im, _, _ := s.target(cfg)
+	im := s.image(cfg.ISA)
 	return tracing.NewProfiler(s.TraceBlocks(cfg), im.TextBase, len(im.Text))
 }

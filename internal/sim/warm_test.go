@@ -10,6 +10,7 @@ import (
 	"powerfits/internal/asm"
 	"powerfits/internal/asm/asmfuzz"
 	"powerfits/internal/cache"
+	"powerfits/internal/cpu"
 	"powerfits/internal/isa"
 	"powerfits/internal/isa/arm"
 	"powerfits/internal/kernels"
@@ -23,7 +24,7 @@ import (
 func warmRun(s *Setup, cfg Config, opt SampleOptions, once bool) (*Result, int, error) {
 	var out [1]*Result
 	probe := warmProbe{everyBatch: !once}
-	err := s.runSampled([]Config{cfg}, power.DefaultCalibration(), passOptions{sampled: true, sample: opt}, out[:], &probe)
+	err := s.runPass([]Config{cfg}, power.DefaultCalibration(), passOptions{sampled: true, sample: opt}, out[:], &probe)
 	return out[0], probe.witnessed, err
 }
 
@@ -137,7 +138,8 @@ func FuzzWarmOnce(f *testing.F) {
 			MinWindows:   2,
 		}
 		opt.PeriodInstrs = opt.WindowInstrs + opt.WarmupInstrs + uint64(sched>>15&0x7F) + 1
-		s := &Setup{Kernel: kernels.Kernel{Name: "fuzz"}, Prog: p, ArmImage: im}
+		s := &Setup{Kernel: kernels.Kernel{Name: "fuzz"}, Prog: p, ArmImage: im,
+			ArmDecoded: cpu.Predecode(p, cpu.ImageLayout(im))}
 		on, nOn, onErr := warmRun(s, cfg, opt, true)
 		off, nOff, offErr := warmRun(s, cfg, opt, false)
 		if (onErr == nil) != (offErr == nil) || onErr != nil && onErr.Error() != offErr.Error() {

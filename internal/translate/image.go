@@ -166,12 +166,12 @@ func layout(lp *program.Program, spec *fits.Spec) (*program.Image, []int, error)
 			if in.Op.IsBranch() && in.Op != isa.BX {
 				target = addr[in.TargetIdx]
 			}
-			ws, err := spec.Encode(in, addr[i], target)
+			_, n, err := spec.Encode(in, addr[i], target, 0)
 			if err != nil {
 				return nil, nil, fmt.Errorf("translate: encode instr %d (%s): %w", i, in, err)
 			}
-			if len(ws) > words[i] {
-				words[i] = len(ws)
+			if n > words[i] {
+				words[i] = n
 				changed = true
 			}
 		}
@@ -193,17 +193,17 @@ func layout(lp *program.Program, spec *fits.Spec) (*program.Image, []int, error)
 		if in.Op.IsBranch() && in.Op != isa.BX {
 			target = addr[in.TargetIdx]
 		}
-		ws, err := spec.EncodePadded(in, addr[i], target, words[i])
+		ws, n, err := spec.Encode(in, addr[i], target, words[i])
 		if err != nil {
 			return nil, nil, fmt.Errorf("translate: final encode instr %d (%s): %w", i, in, err)
 		}
-		if len(ws) != words[i] {
-			return nil, nil, fmt.Errorf("translate: instr %d size changed in final pass (%d != %d)", i, len(ws), words[i])
+		if n != words[i] {
+			return nil, nil, fmt.Errorf("translate: instr %d size changed in final pass (%d != %d)", i, n, words[i])
 		}
 		im.InstrAddr[i] = addr[i]
-		im.InstrSize[i] = uint8(2 * len(ws))
+		im.InstrSize[i] = uint8(2 * n)
 		off := addr[i] - lp.TextBase
-		for w, hw := range ws {
+		for w, hw := range ws[:n] {
 			binary.LittleEndian.PutUint16(im.Text[off+uint32(2*w):], hw)
 		}
 	}

@@ -137,10 +137,11 @@ func lowerOne(dst []lowered, in *isa.Instr, spec *fits.Spec, depth int) ([]lower
 }
 
 // lowerViaTwoOp tries the two-operand point for a three-operand
-// instance. Reports ok=false when no two-operand point exists.
+// instance, or the point of a register-shifted one, which has no Rn
+// field and so also acts in place. Reports ok=false when no such point
+// exists.
 func lowerViaTwoOp(dst []lowered, in *isa.Instr, sig fits.Signature, spec *fits.Spec, depth int) ([]lowered, bool) {
-	two := sig.AsTwoOp()
-	if !spec.HasPoint(two) {
+	if !spec.HasPoint(sig.AsTwoOp()) && !(sig.RegShift && spec.HasPoint(sig)) {
 		return nil, false
 	}
 	if in.Rd == in.Rn {

@@ -7,6 +7,7 @@ import (
 	"powerfits/internal/cpu"
 	"powerfits/internal/isa"
 	"powerfits/internal/isa/arm"
+	"powerfits/internal/kernels"
 	"powerfits/internal/profile"
 	"powerfits/internal/program"
 	"powerfits/internal/synth"
@@ -138,4 +139,32 @@ func TestEndToEndPipeline(t *testing.T) {
 	t.Logf("arm: %d instrs %d cycles %d fetches; fits: %d instrs %d cycles %d fetches",
 		armRes.Instrs, armRes.Cycles, armRes.FetchAccesses,
 		fitsRes.Instrs, fitsRes.Cycles, fitsRes.FetchAccesses)
+}
+
+// TestTranslateAllocsPinned pins the allocations of one translation of
+// jpeg at scale 1 to a fixed few (the lowering scratch, the lowered
+// program, the layout tables, the image and the result): the layout's
+// fix-point passes size and write each instruction through Encode's
+// fixed buffer, allocating nothing per instruction or pass.
+func TestTranslateAllocsPinned(t *testing.T) {
+	p := kernels.MustGet("jpeg").Build(1)
+	prof, err := profile.Collect(p, 2e9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	syn, err := synth.Synthesize(prof, synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := translate.Translate(p, syn.Spec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d instructions: %v allocs per translation", len(p.Instrs), allocs)
+	// Measured 29; the per-instruction encoding this pins allocated
+	// over 10 000.
+	if allocs > 40 {
+		t.Errorf("Translate costs %v allocs, want ≤ 40", allocs)
+	}
 }
